@@ -288,18 +288,17 @@ def _crank_entry_values(entry: SweepEntry, degrees: bool) -> dict[str, float | N
     return values
 
 
-def _crank_svg(entries: list[SweepEntry], degrees: bool, path: str) -> None:
+def _crank_svg(rows: list[dict[str, float | bool | None]], path: str) -> None:
     plot = SvgPlot("slider-crank sweep")
     series = ("s", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot")
     for name, color in zip(series, PALETTE):
         runs: list[list[tuple[float, float]]] = [[]]
-        for entry in entries:
-            values = _crank_entry_values(entry, degrees)
-            if values[name] is None:
+        for row in rows:
+            if row[name] is None:
                 if runs[-1]:
                     runs.append([])
                 continue
-            runs[-1].append((values["phi"], values[name]))
+            runs[-1].append((row["phi"], row[name]))
         labeled = False
         for run in runs:
             if len(run) < 2:
@@ -326,7 +325,7 @@ def _run_crank(args: argparse.Namespace) -> tuple[dict, str | None, int]:
         row["near_singular"] = entry.near_singular
         rows.append(row)
     if args.svg:
-        _crank_svg(entries, args.degrees, args.svg)
+        _crank_svg(rows, args.svg)
     report = {
         "subcommand": "crank",
         "input": {

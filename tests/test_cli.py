@@ -1,6 +1,7 @@
 """Command-line layer: exit codes, schema, determinism, CSV and SVG output."""
 
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -191,6 +192,22 @@ def test_crank_csv_blanks_singular_cells(capsys):
     assert rows[1][0] != ""
 
 
+OSCILLATOR_CSV_SHA256 = {
+    "leapfrog": "025f6d3c9fbf2d2afa9a5b06b0d9560b54fe417231ccb78f0d06dd3e8eb6a2fb",
+    "euler": "7ad8d728d28d0224bb558f6fd7229b8b23df91b201b4d5ca9c365fa29b1e2744",
+    "symplectic-euler": "1256440aeb74498656e49a4089369d651a3bf980ed61e9749eecddff1bf9cdc4",
+}
+
+
+@pytest.mark.parametrize("method", OSCILLATOR_CSV_SHA256)
+def test_oscillator_csv_digest_is_pinned(capsys, method):
+    code, text = run_csv(capsys, ["oscillator", "--mass", "1.5", "--stiffness", "0.75",
+                                  "--q0", "1", "--p0", "0.5", "--dt", "0.01",
+                                  "--steps", "10000", "--method", method, "--csv"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == OSCILLATOR_CSV_SHA256[method]
+
+
 def test_oscillator_csv_shape(capsys):
     code, text = run_csv(capsys, ["oscillator", "--mass", "1", "--stiffness", "1",
                                   "--q0", "1", "--p0", "0", "--dt", "0.1",
@@ -240,12 +257,19 @@ def test_tangents_svg_written(tmp_path, capsys):
 
 def test_crank_svg_written(tmp_path, capsys):
     path = tmp_path / "crank.svg"
-    code = main(["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1",
-                 "--from", "0", "--to", "6.283185307179586", "--steps", "73",
-                 "--svg", str(path)])
-    capsys.readouterr()
-    assert code == 0
-    assert "</svg>" in path.read_text()
+    base = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "73",
+            "--svg", str(path)]
+    for angles, digest in [
+        (["--from", "0", "--to", "6.283185307179586"],
+         "2beb43696091b47bc5e7285a77a178ed7fe3c11598d431585045113a9e5bc6d4"),
+        (["--from", "0", "--to", "360", "--degrees"],
+         "384b5ba4f16cb7571c82e0894f2333c081bc88a044ef81fe150af2ff29629702"),
+    ]:
+        code = main(base + angles)
+        capsys.readouterr()
+        assert code == 0
+        assert "</svg>" in path.read_text()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_oscillator_svg_written(tmp_path, capsys):

@@ -118,13 +118,17 @@ def test_step_rejects_bad_dt_and_unknown_method():
 
 def test_simulate_composition_contract():
     initial = PhaseState(0.8, -0.3)
-    trajectory = simulate(initial, UNIT, 0.1, 1, LEAPFROG)
-    assert len(trajectory.states) == 2
-    single = step(initial, UNIT, 0.1, LEAPFROG)
-    assert trajectory.states[1].q == single.q
-    assert trajectory.states[1].p == single.p
-    assert trajectory.integrator == LEAPFROG
-    assert trajectory.dt == 0.1
+    params = OscillatorParams(1.5, 0.75)
+    for method in METHODS:
+        for n_steps in (1, 2, 7, 100):
+            trajectory = simulate(initial, params, 0.1, n_steps, method)
+            assert len(trajectory.states) == n_steps + 1
+            current = initial
+            for state in trajectory.states[1:]:
+                current = step(current, params, 0.1, method)
+                assert (state.q, state.p, state.t) == (current.q, current.p, current.t)
+            assert trajectory.integrator == method
+            assert trajectory.dt == 0.1
 
 
 def test_simulate_time_stamps_are_uniform():
@@ -139,6 +143,8 @@ def test_simulate_rejects_bad_arguments():
         simulate(s, UNIT, -0.1, 10)
     with pytest.raises(InvalidStepError):
         simulate(s, UNIT, 0.1, 0)
+    with pytest.raises(ValueError):
+        simulate(s, UNIT, 0.1, 10, "rk4")
 
 
 # ----------------------------------------------------------- analytic orbit
