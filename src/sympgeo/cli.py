@@ -31,7 +31,6 @@ from .dynamics import (
     PhaseState,
     Trajectory,
     analytic_oscillator,
-    ellipse_residual,
     hamiltonian,
     simulate,
 )
@@ -264,14 +263,14 @@ _CRANK_COLUMNS = ("phi", "s", "psi", "psi_unwrapped", "s_dot", "psi_dot", "s_ddo
 _CRANK_ANGULAR = {"phi", "psi", "psi_unwrapped", "psi_dot", "psi_ddot"}
 
 
-def _crank_entry_values(entry: SweepEntry, degrees: bool) -> dict[str, float | None]:
-    """Column values for one sweep entry, angles converted on the way out."""
+def _crank_row(entry: SweepEntry, degrees: bool) -> dict[str, float | bool | None]:
+    """Report row for one sweep entry, angles converted on the way out."""
     state = entry.state
     if state is None:
-        values: dict[str, float | None] = dict.fromkeys(_CRANK_COLUMNS, None)
-        values["phi"] = entry.phi
+        row: dict[str, float | bool | None] = dict.fromkeys(_CRANK_COLUMNS, None)
+        row["phi"] = entry.phi
     else:
-        values = {
+        row = {
             "phi": entry.phi,
             "s": state.s,
             "psi": state.psi,
@@ -283,9 +282,11 @@ def _crank_entry_values(entry: SweepEntry, degrees: bool) -> dict[str, float | N
         }
     if degrees:
         for name in _CRANK_ANGULAR:
-            if values[name] is not None:
-                values[name] = values[name] / _DEG
-    return values
+            if row[name] is not None:
+                row[name] = row[name] / _DEG
+    row["singular"] = entry.singular
+    row["near_singular"] = entry.near_singular
+    return row
 
 
 def _crank_svg(rows: list[dict[str, float | bool | None]], path: str) -> None:
@@ -319,11 +320,7 @@ def _run_crank(args: argparse.Namespace) -> tuple[dict, str | None, int]:
         if entry.state is not None:
             residuals = loop_residuals(cfg, entry.state)
             max_residuals = [max(m, r) for m, r in zip(max_residuals, residuals)]
-        values = _crank_entry_values(entry, args.degrees)
-        row = dict(values)
-        row["singular"] = entry.singular
-        row["near_singular"] = entry.near_singular
-        rows.append(row)
+        rows.append(_crank_row(entry, args.degrees))
     if args.svg:
         _crank_svg(rows, args.svg)
     report = {
@@ -372,9 +369,10 @@ def _run_oscillator(args: argparse.Namespace) -> tuple[dict, str | None, int]:
     params = OscillatorParams(args.mass, args.stiffness)
     initial = PhaseState(args.q0, args.p0, 0.0)
     trajectory = simulate(initial, params, args.dt, args.steps, _METHOD_NAMES[args.method])
+    energies = [hamiltonian(s, params) for s in trajectory.states]
     max_drift = 0.0
-    for state in trajectory.states:
-        max_drift = max(max_drift, abs(ellipse_residual(state, initial, params)))
+    for energy in energies:
+        max_drift = max(max_drift, abs(energy - energies[0]))
     if args.svg:
         _oscillator_svg(trajectory, args.svg)
     final = trajectory.states[-1]
@@ -386,7 +384,7 @@ def _run_oscillator(args: argparse.Namespace) -> tuple[dict, str | None, int]:
         },
         "results": {
             "final": {"t": final.t, "q": final.q, "p": final.p,
-                      "energy": hamiltonian(final, params)},
+                      "energy": energies[-1]},
             "states": [[s.t, s.q, s.p] for s in trajectory.states],
         },
         "residuals": {"max_energy_drift": max_drift},
@@ -394,8 +392,8 @@ def _run_oscillator(args: argparse.Namespace) -> tuple[dict, str | None, int]:
     csv_text = None
     if args.csv:
         csv_rows = [
-            [_fmt(s.t), _fmt(s.q), _fmt(s.p), _fmt(hamiltonian(s, params))]
-            for s in trajectory.states
+            [_fmt(s.t), _fmt(s.q), _fmt(s.p), _fmt(energy)]
+            for s, energy in zip(trajectory.states, energies)
         ]
         csv_text = _csv_text(["t", "q", "p", "energy"], csv_rows)
     return report, csv_text, EXIT_OK

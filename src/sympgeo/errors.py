@@ -50,3 +50,7 @@ class SingularPositionError(SingularityError):
 
 class InvalidStepError(SingularityError):
     """Integrator step size or step count out of range."""
+
+
+class NumericalOverflowError(SingularityError):
+    """A result of valid input overflows the floating-point range."""

@@ -9,6 +9,12 @@ the rod orientation ``psi`` follow from the loop
 
 and differentiating that loop once and twice gives the rates and
 accelerations without ever solving an equation system.
+
+The per-angle kernel behind :func:`crank_state` and :func:`crank_sweep`
+runs on plain floats: the singularity floor is computed once per call or
+sweep, each returned scalar is checked for finiteness once, and the only
+vector it builds is the returned ``e_psi``.  A non-finite result raises
+:class:`NumericalOverflowError` instead of reaching a report.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, dot, norm, tilde, wrap_angle
-from .errors import SingularPositionError
+from .core import ATOL, Vec2, norm, tilde, wrap_angle
+from .errors import NumericalOverflowError, SingularPositionError
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +89,7 @@ class CrankConfig:
 
     def crank_vector(self, phi: float) -> Vec2:
         """Crank tip position a_vec for crank angle ``phi``."""
-        return Vec2(self.crank_length * math.cos(phi), self.crank_length * math.sin(phi))
+        return Vec2(*_tip(self.crank_length, phi))
 
 
 class CrankPosition(NamedTuple):
@@ -141,18 +147,63 @@ def _singularity_floor(cfg: CrankConfig) -> float:
     return ATOL * (1.0 + norm(cfg.pivot_c))
 
 
+def _tip(length: float, phi: float) -> tuple[float, float]:
+    """Crank tip ``a_vec`` as two floats."""
+    return length * math.cos(phi), length * math.sin(phi)
+
+
+def _rod(cfg: CrankConfig, phi: float,
+         floor: float) -> tuple[float, float, float, float, float, float]:
+    """Crank tip ``(ax, ay)``, rod length ``s``, unit rod direction ``(ex, ey)``
+    and rod angle ``psi``."""
+    ax, ay = _tip(cfg.crank_length, phi)
+    rx = cfg.pivot_c.x - ax
+    ry = cfg.pivot_c.y - ay
+    s = math.hypot(rx, ry)
+    if not math.isfinite(s):
+        raise NumericalOverflowError(f"rod length overflows at phi={phi}")
+    if s <= floor:
+        raise SingularPositionError(f"rod length vanishes at phi={phi}")
+    ex = rx / s
+    ey = ry / s
+    return ax, ay, s, ex, ey, math.atan2(ey, ex)
+
+
+def _rates(phi_dot: float, ax: float, ay: float, s: float, ex: float,
+           ey: float) -> tuple[float, float]:
+    """``(s_dot, psi_dot)``; see :func:`crank_velocity`."""
+    s_dot = phi_dot * (ax * -ey + ay * ex)
+    psi_dot = -phi_dot * (ax * ex + ay * ey) / s
+    if not (math.isfinite(s_dot) and math.isfinite(psi_dot)):
+        raise NumericalOverflowError("rod rates overflow")
+    return s_dot, psi_dot
+
+
+def _accels(phi_dot: float, s: float, s_dot: float, psi_dot: float) -> tuple[float, float]:
+    """``(s_ddot, psi_ddot)``; see :func:`crank_acceleration`."""
+    s_ddot = psi_dot * (psi_dot - phi_dot) * s
+    psi_ddot = (phi_dot - 2.0 * psi_dot) * s_dot / s
+    if not (math.isfinite(s_ddot) and math.isfinite(psi_ddot)):
+        raise NumericalOverflowError("rod accelerations overflow")
+    return s_ddot, psi_ddot
+
+
+def _crank_kernel(cfg: CrankConfig, phi: float, floor: float) -> CrankState:
+    """Full state at one crank angle, computed on floats against a precomputed floor."""
+    ax, ay, s, ex, ey, psi = _rod(cfg, phi, floor)
+    s_dot, psi_dot = _rates(cfg.phi_dot, ax, ay, s, ex, ey)
+    s_ddot, psi_ddot = _accels(cfg.phi_dot, s, s_dot, psi_dot)
+    return CrankState(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, Vec2(ex, ey))
+
+
 def crank_position(cfg: CrankConfig, phi: float) -> CrankPosition:
     """Rod length, unit rod direction, and rod angle at crank angle ``phi``.
 
     Closes ``a_vec + s*e_psi = c``; raises :class:`SingularPositionError`
     when the crank tip lands on the pivot and the direction degenerates.
     """
-    rel = cfg.pivot_c - cfg.crank_vector(phi)
-    s = norm(rel)
-    if s <= _singularity_floor(cfg):
-        raise SingularPositionError(f"rod length vanishes at phi={phi}")
-    e_psi = rel / s
-    return CrankPosition(s, e_psi, math.atan2(e_psi.y, e_psi.x))
+    _, _, s, ex, ey, psi = _rod(cfg, phi, _singularity_floor(cfg))
+    return CrankPosition(s, Vec2(ex, ey), psi)
 
 
 def crank_velocity(cfg: CrankConfig, phi: float, s: float, e_psi: Vec2) -> CrankRates:
@@ -166,10 +217,8 @@ def crank_velocity(cfg: CrankConfig, phi: float, s: float, e_psi: Vec2) -> Crank
     """
     if s <= _singularity_floor(cfg):
         raise SingularPositionError("rates undefined at a singular position")
-    a_vec = cfg.crank_vector(phi)
-    s_dot = cfg.phi_dot * dot(a_vec, tilde(e_psi))
-    psi_dot = -cfg.phi_dot * dot(a_vec, e_psi) / s
-    return CrankRates(s_dot, psi_dot)
+    ax, ay = _tip(cfg.crank_length, phi)
+    return CrankRates(*_rates(cfg.phi_dot, ax, ay, s, e_psi.x, e_psi.y))
 
 
 def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float) -> CrankAccel:
@@ -184,17 +233,16 @@ def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float)
     """
     if s <= _singularity_floor(cfg):
         raise SingularPositionError("accelerations undefined at a singular position")
-    s_ddot = psi_dot * (psi_dot - cfg.phi_dot) * s
-    psi_ddot = (cfg.phi_dot - 2.0 * psi_dot) * s_dot / s
-    return CrankAccel(s_ddot, psi_ddot)
+    return CrankAccel(*_accels(cfg.phi_dot, s, s_dot, psi_dot))
 
 
 def crank_state(cfg: CrankConfig, phi: float) -> CrankState:
-    """Position, rates, and accelerations assembled for one crank angle."""
-    s, e_psi, psi = crank_position(cfg, phi)
-    s_dot, psi_dot = crank_velocity(cfg, phi, s, e_psi)
-    s_ddot, psi_ddot = crank_acceleration(cfg, s, s_dot, psi_dot)
-    return CrankState(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, e_psi)
+    """Position, rates, and accelerations assembled for one crank angle.
+
+    Raises :class:`SingularPositionError` at a singular angle and
+    :class:`NumericalOverflowError` when a result overflows.
+    """
+    return _crank_kernel(cfg, phi, _singularity_floor(cfg))
 
 
 def loop_residuals(cfg: CrankConfig, state: CrankState) -> tuple[float, float, float]:
@@ -207,21 +255,27 @@ def loop_residuals(cfg: CrankConfig, state: CrankState) -> tuple[float, float, f
         velocity:     phi_dot*tilde(a_vec) + s_dot*e_psi + psi_dot*s*tilde(e_psi)
         acceleration: -phi_dot^2*a_vec + (s_ddot - psi_dot^2*s)*e_psi
                       + (psi_ddot*s + 2*psi_dot*s_dot)*tilde(e_psi)
+
+    Raises :class:`NumericalOverflowError` when a closure overflows.
     """
-    a_vec = cfg.crank_vector(state.phi)
-    te = tilde(state.e_psi)
-    position = a_vec + state.e_psi * state.s - cfg.pivot_c
-    velocity = (
-        tilde(a_vec) * cfg.phi_dot
-        + state.e_psi * state.s_dot
-        + te * (state.psi_dot * state.s)
-    )
-    acceleration = (
-        a_vec * (-cfg.phi_dot * cfg.phi_dot)
-        + state.e_psi * (state.s_ddot - state.psi_dot * state.psi_dot * state.s)
-        + te * (state.psi_ddot * state.s + 2.0 * state.psi_dot * state.s_dot)
-    )
-    return (norm(position), norm(velocity), norm(acceleration))
+    w = cfg.phi_dot
+    s, s_dot, psi_dot = state.s, state.s_dot, state.psi_dot
+    ax, ay = _tip(cfg.crank_length, state.phi)
+    ex, ey = state.e_psi.x, state.e_psi.y
+    # Coefficients of tilde(e_psi) in the velocity closure and of a_vec,
+    # e_psi and tilde(e_psi) in the acceleration closure.
+    vel_te = psi_dot * s
+    acc_a = -w * w
+    acc_e = state.s_ddot - psi_dot * psi_dot * s
+    acc_te = state.psi_ddot * s + 2.0 * psi_dot * s_dot
+    position = math.hypot(ax + ex * s - cfg.pivot_c.x, ay + ey * s - cfg.pivot_c.y)
+    velocity = math.hypot(-ay * w + ex * s_dot + -ey * vel_te,
+                          ax * w + ey * s_dot + ex * vel_te)
+    acceleration = math.hypot(ax * acc_a + ex * acc_e + -ey * acc_te,
+                              ay * acc_a + ey * acc_e + ex * acc_te)
+    if not (math.isfinite(position) and math.isfinite(velocity) and math.isfinite(acceleration)):
+        raise NumericalOverflowError(f"loop residuals overflow at phi={state.phi}")
+    return (position, velocity, acceleration)
 
 
 def crank_sweep(cfg: CrankConfig, phi_start: float, phi_end: float, steps: int) -> list[SweepEntry]:
@@ -229,19 +283,22 @@ def crank_sweep(cfg: CrankConfig, phi_start: float, phi_end: float, steps: int) 
 
     Singular angles become flagged entries instead of raising, so a sweep
     over a pivot lying exactly on the crank circle still reports every
-    sample.  ``psi_unwrapped`` accumulates the rod angle continuously from
+    sample; overflow still raises :class:`NumericalOverflowError`.
+    ``psi_unwrapped`` accumulates the rod angle continuously from
     the first non-singular entry.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     span = phi_end - phi_start
+    floor = _singularity_floor(cfg)
+    near_length = NEAR_SINGULAR_FRACTION * cfg.crank_length
     entries: list[SweepEntry] = []
     last_psi: float | None = None
     last_unwrapped = 0.0
     for i in range(steps):
         phi = phi_start + span * (i / (steps - 1))
         try:
-            state = crank_state(cfg, phi)
+            state = _crank_kernel(cfg, phi, floor)
         except SingularPositionError:
             entries.append(SweepEntry(phi, True, True, None, None))
             continue
@@ -251,6 +308,6 @@ def crank_sweep(cfg: CrankConfig, phi_start: float, phi_end: float, steps: int) 
             unwrapped = last_unwrapped + wrap_angle(state.psi - last_psi)
         last_psi = state.psi
         last_unwrapped = unwrapped
-        near = state.s < NEAR_SINGULAR_FRACTION * cfg.crank_length
+        near = state.s < near_length
         entries.append(SweepEntry(phi, False, near, state, unwrapped))
     return entries

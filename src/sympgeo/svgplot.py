@@ -50,8 +50,12 @@ class SvgPlot:
             return
         if color is None:
             color = self._next_color()
-        for x, y in points:
-            self._grow(x, y)
+        xs, ys = zip(*points)
+        # Folding from the running bound keeps NaN coordinates out of the bounds.
+        self._min_x = min(self._min_x, *xs)
+        self._min_y = min(self._min_y, *ys)
+        self._max_x = max(self._max_x, *xs)
+        self._max_y = max(self._max_y, *ys)
         self._shapes.append(("polyline", list(points), color, width))
         if label:
             self._legend.append((label, color))
@@ -98,13 +102,14 @@ class SvgPlot:
 
     def to_svg(self) -> str:
         scale, offset_x, offset_y = self._transform()
+        min_x, min_y = self._min_x, self._min_y
 
         def sx(x: float) -> float:
-            return offset_x + (x - self._min_x) * scale
+            return offset_x + (x - min_x) * scale
 
         def sy(y: float) -> float:
             # SVG y grows downward; data y grows upward.
-            return HEIGHT - (offset_y + (y - self._min_y) * scale)
+            return HEIGHT - (offset_y + (y - min_y) * scale)
 
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -127,7 +132,13 @@ class SvgPlot:
             kind = shape[0]
             if kind == "polyline":
                 _, points, color, width = shape
-                coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+                # sx and sy inlined, one %-format per point: polylines carry
+                # nearly all the points.
+                coords = " ".join([
+                    "%.2f,%.2f" % (offset_x + (x - min_x) * scale,
+                                   HEIGHT - (offset_y + (y - min_y) * scale))
+                    for x, y in points
+                ])
                 parts.append(
                     f'<polyline points="{coords}" fill="none" stroke="{color}" '
                     f'stroke-width="{width}"/>'

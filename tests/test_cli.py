@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
+from sympgeo import cli
 from sympgeo.cli import main
+from sympgeo.dynamics import hamiltonian
 
 
 def run_json(capsys, argv):
@@ -57,6 +59,14 @@ def test_exit_code_three_on_numerical_singularity(capsys):
     assert main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1",
                  "--p0", "0", "--dt=-0.1", "--steps", "10", "--method", "leapfrog"]) == 3
     capsys.readouterr()
+
+
+def test_exit_code_three_on_crank_overflow(capsys):
+    code = main(["crank", "--length", "1", "--pivot", "2,0", "--phidot", "1e200",
+                 "--from", "0", "--to", "1", "--steps", "3"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical singularity" in err and "overflow" in err
 
 
 def test_containment_is_success_not_an_error(capsys):
@@ -192,6 +202,30 @@ def test_crank_csv_blanks_singular_cells(capsys):
     assert rows[1][0] != ""
 
 
+CRANK_CSV_SHA256 = {
+    "regular": (["--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
+                 "--from", "0", "--to", "6.283185307179586", "--steps", "181"],
+                "8eead8cf5c0cb130b3776591013908e02e242fcc462c1fd067209ed7b3a34758"),
+    "pivot-on-circle": (["--length", "1", "--pivot", "1,0", "--phidot", "1",
+                         "--from", "0", "--to", "12.566370614359172", "--steps", "17"],
+                        "4f3db82a54ec52155ddf33314657a74a5f714af77778e1539dfa234bdbeb6312"),
+    "degrees": (["--length", "1", "--pivot", "3,0.5", "--phidot", "2",
+                 "--from", "-90", "--to", "270", "--steps", "91", "--degrees"],
+                "21233c547e87f47de437dd20a33227c6b465b853ee12e0f41631fc950c87dde2"),
+}
+
+
+@pytest.mark.parametrize("case", CRANK_CSV_SHA256)
+def test_crank_csv_digest_is_pinned(capsys, case):
+    argv, digest = CRANK_CSV_SHA256[case]
+    code, text = run_csv(capsys, ["crank", *argv, "--csv"])
+    assert code == 0
+    if case == "pivot-on-circle":
+        singular = [row for row in csv.reader(text.splitlines()[1:]) if row[8] == "true"]
+        assert len(singular) == 3 and all(cell == "" for cell in singular[0][1:8])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 OSCILLATOR_CSV_SHA256 = {
     "leapfrog": "025f6d3c9fbf2d2afa9a5b06b0d9560b54fe417231ccb78f0d06dd3e8eb6a2fb",
     "euler": "7ad8d728d28d0224bb558f6fd7229b8b23df91b201b4d5ca9c365fa29b1e2744",
@@ -206,6 +240,23 @@ def test_oscillator_csv_digest_is_pinned(capsys, method):
                                   "--steps", "10000", "--method", method, "--csv"])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == OSCILLATOR_CSV_SHA256[method]
+
+
+def test_oscillator_evaluates_each_energy_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_hamiltonian(state, params):
+        calls.append(state)
+        return hamiltonian(state, params)
+
+    monkeypatch.setattr(cli, "hamiltonian", counting_hamiltonian)
+    base = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
+            "--dt", "0.1", "--steps", "200", "--method", "leapfrog"]
+    for extra in ([], ["--csv"]):
+        calls.clear()
+        assert main(base + extra) == 0
+        capsys.readouterr()
+        assert 0 < len(calls) <= 201
 
 
 def test_oscillator_csv_shape(capsys):

@@ -6,6 +6,7 @@ not computed from.  Step sizes balance truncation against roundoff:
 h = 1e-6 for first derivatives, h = 1e-4 for second derivatives.
 """
 
+import dataclasses
 import math
 import random
 
@@ -13,6 +14,8 @@ import pytest
 
 from sympgeo import (
     CrankConfig,
+    CrankState,
+    NumericalOverflowError,
     PolarMotion,
     SingularPositionError,
     Vec2,
@@ -24,6 +27,7 @@ from sympgeo import (
     loop_residuals,
     norm,
     polar_kinematics,
+    tilde,
     wrap_angle,
 )
 from sympgeo.kinematics import NEAR_SINGULAR_FRACTION
@@ -211,6 +215,93 @@ def test_loop_residuals_stay_at_roundoff():
         scale = (1.0 + length + radius) * (1.0 + cfg.phi_dot) ** 2
         for residual in loop_residuals(cfg, state):
             assert residual <= 1e-8 * scale
+
+
+def _vec2_loop_residuals(cfg, state):
+    """Reference: the three loop closures written out in Vec2 arithmetic."""
+    a_vec = cfg.crank_vector(state.phi)
+    e = state.e_psi
+    te = tilde(e)
+    position = a_vec + e * state.s - cfg.pivot_c
+    velocity = tilde(a_vec) * cfg.phi_dot + e * state.s_dot + te * (state.psi_dot * state.s)
+    acceleration = (
+        a_vec * (-cfg.phi_dot * cfg.phi_dot)
+        + e * (state.s_ddot - state.psi_dot * state.psi_dot * state.s)
+        + te * (state.psi_ddot * state.s + 2.0 * state.psi_dot * state.s_dot)
+    )
+    return (norm(position), norm(velocity), norm(acceleration))
+
+
+def _seeded_crank_angles():
+    """Seeded configurations and angles, including pivots on or near the crank
+    circle swept through the angles where the rod length nearly vanishes."""
+    rng = random.Random(4242)
+    for k in range(60):
+        length = 10.0 ** rng.uniform(-3.0, 3.0)
+        factor = (rng.uniform(1.05, 4.0), rng.uniform(0.05, 0.95), 1.0,
+                  1.0 + rng.choice((1e-12, -1e-9, 1e-7)))[k % 4]
+        theta = rng.uniform(-math.pi, math.pi)
+        cfg = CrankConfig(length, Vec2(length * factor * math.cos(theta),
+                                       length * factor * math.sin(theta)),
+                          rng.choice((rng.uniform(-3.0, 3.0), 0.0, 10.0 ** rng.uniform(-3, 3))))
+        angles = [rng.uniform(-10.0, 10.0) for _ in range(20)]
+        angles += [theta + sign * 10.0 ** rng.uniform(-9.0, -2.0)
+                   for sign in (-1.0, 1.0) for _ in range(10)]
+        yield cfg, angles
+
+
+def _composed_state(cfg, phi):
+    s, e_psi, psi = crank_position(cfg, phi)
+    s_dot, psi_dot = crank_velocity(cfg, phi, s, e_psi)
+    s_ddot, psi_ddot = crank_acceleration(cfg, s, s_dot, psi_dot)
+    return CrankState(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, e_psi)
+
+
+def test_crank_state_equals_the_stepwise_composition_bit_for_bit():
+    checked = 0
+    for cfg, angles in _seeded_crank_angles():
+        for phi in angles:
+            try:
+                expected = _composed_state(cfg, phi)
+            except SingularPositionError:
+                with pytest.raises(SingularPositionError):
+                    crank_state(cfg, phi)
+                continue
+            # repr distinguishes -0.0 from 0.0, so equal reprs are equal bits.
+            assert repr(crank_state(cfg, phi)) == repr(expected)
+            checked += 1
+        for entry in crank_sweep(cfg, angles[0], angles[-1], 41):
+            if entry.state is not None:
+                assert repr(entry.state) == repr(_composed_state(cfg, entry.phi))
+    assert checked > 2000
+
+
+def test_loop_residuals_equal_the_vec2_reference_bit_for_bit():
+    for cfg, angles in _seeded_crank_angles():
+        for phi in angles:
+            try:
+                state = crank_state(cfg, phi)
+            except SingularPositionError:
+                continue
+            assert repr(loop_residuals(cfg, state)) == repr(_vec2_loop_residuals(cfg, state))
+
+
+@pytest.mark.parametrize("cfg, phi", [
+    (CrankConfig(1.0, Vec2(2.0, 0.0), 1e200), 0.3),   # accelerations overflow
+    (CrankConfig(1e300, Vec2(2e300, 0.0), 1e10), 0.3),  # rates overflow
+    (CrankConfig(1e308, Vec2(-1.5e308, 0.0), 1.0), 0.0),  # rod length overflows
+])
+def test_overflow_raises_a_typed_singularity(cfg, phi):
+    with pytest.raises(NumericalOverflowError):
+        crank_state(cfg, phi)
+    with pytest.raises(NumericalOverflowError):
+        crank_sweep(cfg, phi, phi + 1.0, 3)
+
+
+def test_loop_residual_overflow_raises_a_typed_singularity():
+    state = crank_state(EXAMPLE, 0.3)
+    with pytest.raises(NumericalOverflowError):
+        loop_residuals(EXAMPLE, dataclasses.replace(state, psi_dot=1e200))
 
 
 def test_rates_and_accelerations_reject_singular_rod_length():

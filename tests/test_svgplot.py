@@ -1,5 +1,7 @@
 """Plot writer: structural checks only, since plots carry no numeric contract."""
 
+import hashlib
+
 from sympgeo.svgplot import HEIGHT, MARGIN, WIDTH, SvgPlot
 
 
@@ -40,3 +42,15 @@ def test_write_creates_the_file(tmp_path):
     target = tmp_path / "out.svg"
     plot.write(str(target))
     assert target.read_text() == plot.to_svg()
+
+
+def test_mixed_plot_digest_is_pinned():
+    plot = SvgPlot("mixed shapes")
+    plot.polyline([(-1.5, 0.25), (0.0, 1.0), (2.25, -0.75)], label="first")
+    plot.polyline([(0.5, -2.0), (1.0, 3.5)], label="second")
+    plot.polyline([(3.0, 1.0), (4.0, 2.0), (5.0, 0.0)], color="#000000", width=0.8)
+    plot.circle(1.0, 0.5, 1.25, label="disc")
+    plot.segment(-1.0, -1.0, 4.5, 2.5, color="#d62728", label="chord")
+    plot.marker(2.0, 2.0, label="point")
+    digest = hashlib.sha256(plot.to_svg().encode()).hexdigest()
+    assert digest == "6cbdeaec95c019b247d5b5264870ff7234cea14125b8093a5d0daf8c5154362a"
