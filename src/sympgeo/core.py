@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateScaleError, ZeroVectorError
+from .errors import DegenerateScaleError, NumericalOverflowError, ZeroVectorError
 
 #: Absolute floor for approximate comparisons and degeneracy thresholds.
 ATOL = 1e-12
@@ -207,10 +207,35 @@ def identity_residuals(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> IdentityResiduals:
     * binet_cauchy:      ``symp(a,b)*symp(c,d) - (dot(a,c)*dot(b,d) - dot(a,d)*dot(b,c))``
 
     Only the last identity uses ``d``.
+
+    Evaluated on plain floats in the order the formulas are written, with
+    each product computed once (``dot`` is symmetric bit for bit).  Raises
+    :class:`NumericalOverflowError` when a residual overflows.
     """
-    jacobi = tilde(a) * symp(b, c) + tilde(b) * symp(c, a) + tilde(c) * symp(a, b)
-    grassmann_full = tilde(a) * symp(b, c) + b * dot(c, a) - c * dot(a, b)
-    lagrange = symp(a, b) ** 2 + dot(a, b) ** 2 - dot(a, a) * dot(b, b)
-    grassmann_reduced = tilde(a) * symp(b, a) + b * dot(a, a) - a * dot(b, a)
-    binet_cauchy = symp(a, b) * symp(c, d) - (dot(a, c) * dot(b, d) - dot(a, d) * dot(b, c))
-    return IdentityResiduals(jacobi, grassmann_full, lagrange, grassmann_reduced, binet_cauchy)
+    ax, ay, bx, by, cx, cy, dx, dy = a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y
+    s_bc = bx * cy - by * cx
+    s_ca = cx * ay - cy * ax
+    s_ab = ax * by - ay * bx
+    s_ba = bx * ay - by * ax
+    d_ca = cx * ax + cy * ay
+    d_ab = ax * bx + ay * by
+    d_aa = ax * ax + ay * ay
+    d_bb = bx * bx + by * by
+    jacobi_x = -ay * s_bc + -by * s_ca + -cy * s_ab
+    jacobi_y = ax * s_bc + bx * s_ca + cx * s_ab
+    full_x = -ay * s_bc + bx * d_ca - cx * d_ab
+    full_y = ax * s_bc + by * d_ca - cy * d_ab
+    try:
+        lagrange = s_ab ** 2 + d_ab ** 2 - d_aa * d_bb
+    except OverflowError as exc:
+        raise NumericalOverflowError("identity residuals overflow") from exc
+    reduced_x = -ay * s_ba + bx * d_aa - ax * d_ab
+    reduced_y = ax * s_ba + by * d_aa - ay * d_ab
+    binet_cauchy = (s_ab * (cx * dy - cy * dx)
+                    - (d_ca * (bx * dx + by * dy) - (ax * dx + ay * dy) * (bx * cx + by * cy)))
+    if not (math.isfinite(jacobi_x) and math.isfinite(jacobi_y) and math.isfinite(full_x)
+            and math.isfinite(full_y) and math.isfinite(lagrange) and math.isfinite(reduced_x)
+            and math.isfinite(reduced_y) and math.isfinite(binet_cauchy)):
+        raise NumericalOverflowError("identity residuals overflow")
+    return IdentityResiduals(Vec2(jacobi_x, jacobi_y), Vec2(full_x, full_y), lagrange,
+                             Vec2(reduced_x, reduced_y), binet_cauchy)

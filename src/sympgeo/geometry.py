@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ATOL, Vec2, dot, norm, symp, tilde
+from .core import ATOL, Vec2, norm, symp, tilde
 from .errors import (
     CoincidentCentersError,
     DegenerateDenominatorError,
+    NumericalOverflowError,
     ParallelLinesError,
     ZeroDirectionError,
 )
@@ -148,6 +149,48 @@ def project_point_onto_line(p: Vec2, line: Line) -> Vec2:
     return intersect_lines(line, Line(p, tilde(line.direction))).point
 
 
+def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float,
+                     outer_only: bool) -> list[Tangent]:
+    """Shared float kernel of :func:`circle_tangents` and :func:`point_circle_tangents`.
+
+    ``outer_only`` skips the inner family.  The center offset and the
+    reaches are rescaled by ``2**-k`` so that the larger offset component
+    lies in ``[0.5, 1)``.  A power-of-two scale is exact in the normal
+    range, so ``e`` comes out bit for bit as from the unscaled formulas
+    and ``ldexp`` recovers ``lam`` exactly.
+    """
+    ax = x2 - x1
+    ay = y2 - y1
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise NumericalOverflowError("circle center offset overflows")
+    if math.hypot(ax, ay) <= ATOL:
+        raise CoincidentCentersError("circle centers coincide; tangent directions undefined")
+    k = math.frexp(max(abs(ax), abs(ay)))[1]
+    scale = math.ldexp(1.0, -k)
+    ax *= scale
+    ay *= scale
+    a2 = ax * ax + ay * ay
+    families = (("outer", r1 - r2, -1.0), ("inner", r1 + r2, 1.0))
+    tangents: list[Tangent] = []
+    try:
+        for kind, reach, sigma in families[:1] if outer_only else families:
+            reach *= scale
+            radicand = a2 - reach * reach
+            if radicand < 0.0:
+                continue
+            root = math.sqrt(radicand)
+            for lam in (root, -root):
+                ex = (ax * reach - -ay * lam) / a2
+                ey = (ay * reach - ax * lam) / a2
+                tangents.append(Tangent(Vec2(x1 + ex * r1, y1 + ey * r1),
+                                        Vec2(x2 - ex * (sigma * r2), y2 - ey * (sigma * r2)),
+                                        Vec2(ex, ey), kind, math.ldexp(lam, k)))
+    except (ValueError, OverflowError) as exc:
+        # Vec2 rejects a non-finite touch point; ldexp, an out-of-range lam.
+        raise NumericalOverflowError("common tangent overflows") from exc
+    return tangents
+
+
 def circle_tangents(c1: Circle, c2: Circle) -> list[Tangent]:
     """All common tangent lines of two circles with distinct centers.
 
@@ -161,27 +204,15 @@ def circle_tangents(c1: Circle, c2: Circle) -> list[Tangent]:
     Results are ordered outer(+lam), outer(-lam), inner(+lam), inner(-lam).
     A tangency (radicand exactly zero) keeps both lam signs as two
     coincident entries rather than deduplicating.
+
+    The closed form is evaluated on ``a`` and the reaches rescaled by a
+    power of two, which is exact in the normal range, so ``dot(a, a)``
+    cannot overflow and circles near 1e155 still get their tangents.
+    Raises :class:`NumericalOverflowError` when the center offset, a touch
+    point or ``lam`` itself overflows.
     """
-    a = c2.center - c1.center
-    if norm(a) <= ATOL:
-        raise CoincidentCentersError("circle centers coincide; tangent directions undefined")
-    a2 = dot(a, a)
-    ta = tilde(a)
-    tangents: list[Tangent] = []
-    for kind, reach, sigma in (
-        ("outer", c1.radius - c2.radius, -1.0),
-        ("inner", c1.radius + c2.radius, 1.0),
-    ):
-        radicand = a2 - reach * reach
-        if radicand < 0.0:
-            continue
-        root = math.sqrt(radicand)
-        for lam in (root, -root):
-            e = (a * reach - ta * lam) / a2
-            touch1 = c1.center + e * c1.radius
-            touch2 = c2.center - e * (sigma * c2.radius)
-            tangents.append(Tangent(touch1, touch2, e, kind, lam))
-    return tangents
+    return _common_tangents(c1.center.x, c1.center.y, c1.radius,
+                            c2.center.x, c2.center.y, c2.radius, outer_only=False)
 
 
 def point_circle_tangents(p: Vec2, c: Circle) -> list[Tangent]:
@@ -190,15 +221,25 @@ def point_circle_tangents(p: Vec2, c: Circle) -> list[Tangent]:
     The outer and inner families coincide pairwise when one radius is
     zero, so this returns the two distinct tangents for a point outside
     the circle, the degenerate tangent twice for a point on it, and an
-    empty list for a point inside (including the center itself).
+    empty list for a point inside (including the center itself).  Only
+    the outer family is computed.
     """
-    if norm(p - c.center) <= ATOL:
+    try:
+        return _common_tangents(c.center.x, c.center.y, c.radius, p.x, p.y, 0.0,
+                                outer_only=True)
+    except CoincidentCentersError:
         return []
-    return [t for t in circle_tangents(c, Circle(p, 0.0)) if t.kind == "outer"]
 
 
 def tangent_distance_error(t: Tangent, c1: Circle, c2: Circle) -> float:
-    """Worst deviation of the tangent line's center distances from the radii."""
-    d1 = abs(dot(c1.center - t.touch1, t.direction_e))
-    d2 = abs(dot(c2.center - t.touch1, t.direction_e))
-    return max(abs(d1 - c1.radius), abs(d2 - c2.radius))
+    """Worst deviation of the tangent line's center distances from the radii.
+
+    Raises :class:`NumericalOverflowError` when a distance overflows.
+    """
+    tx, ty = t.touch1.x, t.touch1.y
+    ex, ey = t.direction_e.x, t.direction_e.y
+    e1 = abs(abs((c1.center.x - tx) * ex + (c1.center.y - ty) * ey) - c1.radius)
+    e2 = abs(abs((c2.center.x - tx) * ex + (c2.center.y - ty) * ey) - c2.radius)
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise NumericalOverflowError("tangent distance overflows")
+    return max(e1, e2)

@@ -169,30 +169,33 @@ def _rod(cfg: CrankConfig, phi: float,
     return ax, ay, s, ex, ey, math.atan2(ey, ex)
 
 
-def _rates(phi_dot: float, ax: float, ay: float, s: float, ex: float,
+def _rates(phi: float, phi_dot: float, ax: float, ay: float, s: float, ex: float,
            ey: float) -> tuple[float, float]:
     """``(s_dot, psi_dot)``; see :func:`crank_velocity`."""
     s_dot = phi_dot * (ax * -ey + ay * ex)
     psi_dot = -phi_dot * (ax * ex + ay * ey) / s
     if not (math.isfinite(s_dot) and math.isfinite(psi_dot)):
-        raise NumericalOverflowError("rod rates overflow")
+        raise NumericalOverflowError(f"rod rates overflow at phi={phi}")
     return s_dot, psi_dot
 
 
-def _accels(phi_dot: float, s: float, s_dot: float, psi_dot: float) -> tuple[float, float]:
-    """``(s_ddot, psi_ddot)``; see :func:`crank_acceleration`."""
+def _accels(phi: float | None, phi_dot: float, s: float, s_dot: float,
+            psi_dot: float) -> tuple[float, float]:
+    """``(s_ddot, psi_ddot)``; see :func:`crank_acceleration`, which has no
+    crank angle to name, so ``phi`` may be None."""
     s_ddot = psi_dot * (psi_dot - phi_dot) * s
     psi_ddot = (phi_dot - 2.0 * psi_dot) * s_dot / s
     if not (math.isfinite(s_ddot) and math.isfinite(psi_ddot)):
-        raise NumericalOverflowError("rod accelerations overflow")
+        where = "" if phi is None else f" at phi={phi}"
+        raise NumericalOverflowError(f"rod accelerations overflow{where}")
     return s_ddot, psi_ddot
 
 
 def _crank_kernel(cfg: CrankConfig, phi: float, floor: float) -> CrankState:
     """Full state at one crank angle, computed on floats against a precomputed floor."""
     ax, ay, s, ex, ey, psi = _rod(cfg, phi, floor)
-    s_dot, psi_dot = _rates(cfg.phi_dot, ax, ay, s, ex, ey)
-    s_ddot, psi_ddot = _accels(cfg.phi_dot, s, s_dot, psi_dot)
+    s_dot, psi_dot = _rates(phi, cfg.phi_dot, ax, ay, s, ex, ey)
+    s_ddot, psi_ddot = _accels(phi, cfg.phi_dot, s, s_dot, psi_dot)
     return CrankState(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, Vec2(ex, ey))
 
 
@@ -218,7 +221,7 @@ def crank_velocity(cfg: CrankConfig, phi: float, s: float, e_psi: Vec2) -> Crank
     if s <= _singularity_floor(cfg):
         raise SingularPositionError("rates undefined at a singular position")
     ax, ay = _tip(cfg.crank_length, phi)
-    return CrankRates(*_rates(cfg.phi_dot, ax, ay, s, e_psi.x, e_psi.y))
+    return CrankRates(*_rates(phi, cfg.phi_dot, ax, ay, s, e_psi.x, e_psi.y))
 
 
 def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float) -> CrankAccel:
@@ -233,7 +236,7 @@ def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float)
     """
     if s <= _singularity_floor(cfg):
         raise SingularPositionError("accelerations undefined at a singular position")
-    return CrankAccel(*_accels(cfg.phi_dot, s, s_dot, psi_dot))
+    return CrankAccel(*_accels(None, cfg.phi_dot, s, s_dot, psi_dot))
 
 
 def crank_state(cfg: CrankConfig, phi: float) -> CrankState:

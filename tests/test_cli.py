@@ -67,6 +67,24 @@ def test_exit_code_three_on_crank_overflow(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical singularity" in err and "overflow" in err
+    assert "phi=" in err
+
+
+@pytest.mark.parametrize("span", ["1e80", "1e120"])
+def test_exit_code_three_on_identity_overflow(capsys, span):
+    # 1e80 overflows symp(a, b) ** 2, 1e120 already the cubic Jacobi terms.
+    assert main(["identities", "--range", span, "--samples", "5", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical singularity: identity residuals overflow" in err
+
+
+def test_tangents_near_the_overflow_limit(capsys):
+    code, report = run_json(capsys, ["tangents", "--c1", "0,0,1e155",
+                                     "--c2", "4e155,1e155,0.7e155"])
+    assert code == 0
+    assert report["results"]["count"] == 4
+    bound = 1e-9 * (1.0 + math.hypot(4e155, 1e155))
+    assert report["residuals"]["max_tangency_error"] <= bound
 
 
 def test_containment_is_success_not_an_error(capsys):
@@ -173,6 +191,22 @@ def test_csv_output_is_fully_byte_identical():
     assert first.stdout == second.stdout
 
 
+TANGENTS_JSON_SHA256 = {
+    "four tangents": (["--c1", "0,0,1", "--c2", "4,0,1"],
+                      "5f3282e917a91b83a6c4d02690e05d4b1acc2600b1182b90fa2d990b5f6d3f13"),
+    "tangent pair": (["--c1", "0,0,1", "--c2", "3,0,2"],
+                     "82f64a1866fcd247d51cee351cca9cf3e552ecebcec18343e8151c308848355b"),
+}
+
+
+@pytest.mark.parametrize("case", TANGENTS_JSON_SHA256)
+def test_tangents_json_digest_is_pinned(case):
+    argv, digest = TANGENTS_JSON_SHA256[case]
+    result = run_subprocess(["tangents", *argv])
+    assert result.returncode == 0
+    assert hashlib.sha256(strip_timing(result.stdout)).hexdigest() == digest
+
+
 # --------------------------------------------------------------------- CSV
 
 
@@ -268,6 +302,13 @@ def test_oscillator_csv_shape(capsys):
     assert rows[0] == ["t", "q", "p", "energy"]
     assert len(rows) == 12
     assert float(rows[1][1]) == 1.0
+
+
+def test_identities_csv_digest_is_pinned(capsys):
+    code, text = run_csv(capsys, ["identities", "--samples", "6000", "--seed", "11", "--csv"])
+    assert code == 0
+    digest = "5ebb783a3561ba636d166e327e673db12a293ebce253f2bb53dd60957bdad895"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_identities_csv_lists_the_five_families(capsys):

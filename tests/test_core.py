@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from sympgeo import (
     ATOL,
     IdentityResiduals,
+    NumericalOverflowError,
     Polar,
     Vec2,
     ZeroVectorError,
@@ -354,6 +355,17 @@ def test_identity_residuals_seeded_sweep_stays_within_scaled_bound():
         tol = 1e-9 * (1.0 + norm(a) * norm(b) * norm(c) * norm(d))
         for value in identity_residuals(a, b, c, d).magnitudes().values():
             assert value <= tol
+
+
+@pytest.mark.parametrize("scale", [
+    1e80,   # every residual but Lagrange fits; symp(a, b) ** 2 overflows
+    1e120,  # the cubic Jacobi terms already overflow
+])
+def test_identity_residual_overflow_raises_a_typed_singularity(scale):
+    a, b, c, d = (Vec2(x * scale, y * scale)
+                  for x, y in ((1.0, 2.0), (-3.0, 1.0), (2.5, -0.5), (0.75, 4.0)))
+    with pytest.raises(NumericalOverflowError, match="identity residuals overflow"):
+        identity_residuals(a, b, c, d)
 
 
 @given(small_vecs, small_vecs, small_vecs, small_vecs)

@@ -11,7 +11,9 @@ from sympgeo import (
     CoincidentCentersError,
     DegenerateDenominatorError,
     Line,
+    NumericalOverflowError,
     ParallelLinesError,
+    Tangent,
     Vec2,
     ZeroDirectionError,
     circle_tangents,
@@ -304,6 +306,50 @@ def test_point_circle_tangents_inside_and_on_the_circle():
     assert len(on) == 2
     assert all(t.lam == 0.0 for t in on)
     assert all(norm(t.touch1 - Vec2(1.0, 0.0)) <= 1e-12 for t in on)
+
+
+def test_circle_tangents_near_the_overflow_limit():
+    # dot(a, a) of this offset is about 1.7e311: the power-of-two rescale
+    # keeps it in range, so the figure gets its four tangents.
+    c1 = Circle(Vec2(0.0, 0.0), 1e155)
+    c2 = Circle(Vec2(4e155, 1e155), 0.7e155)
+    tangents = circle_tangents(c1, c2)
+    assert [t.kind for t in tangents] == ["outer", "outer", "inner", "inner"]
+    bound = 1e-9 * (1.0 + norm(c2.center - c1.center))
+    for t in tangents:
+        assert abs(norm(t.direction_e) - 1.0) <= 1e-12
+        assert tangent_distance_error(t, c1, c2) <= bound
+
+
+def test_scaled_figures_keep_their_tangent_directions_exactly():
+    c1 = Circle(Vec2(0.25, -1.5), 1.0)
+    c2 = Circle(Vec2(4.0, 0.75), 0.625)
+    base = circle_tangents(c1, c2)
+    for k in (-30, 60, 300, 500):
+        s = 2.0 ** k
+        scaled = circle_tangents(Circle(c1.center * s, c1.radius * s),
+                                 Circle(c2.center * s, c2.radius * s))
+        assert [t.direction_e for t in scaled] == [t.direction_e for t in base]
+        assert [t.lam for t in scaled] == [t.lam * s for t in base]
+
+
+def test_circle_tangents_overflow_raises_a_typed_singularity():
+    with pytest.raises(NumericalOverflowError):  # the center offset
+        circle_tangents(Circle(Vec2(-1.5e308, 0.0), 1.0), Circle(Vec2(1.5e308, 0.0), 1.0))
+    with pytest.raises(NumericalOverflowError):  # lam = |a| exceeds the float range
+        circle_tangents(Circle(Vec2(0.0, 0.0), 0.0), Circle(Vec2(1.7e308, 1.7e308), 0.0))
+    with pytest.raises(NumericalOverflowError):  # a touch point
+        circle_tangents(Circle(Vec2(1.5e308, 0.0), 0.5e308), Circle(Vec2(1.5e308, -1e308), 0.0))
+    with pytest.raises(NumericalOverflowError):
+        point_circle_tangents(Vec2(1.5e308, 0.0), Circle(Vec2(-1.5e308, 0.0), 1.0))
+
+
+def test_tangent_distance_overflow_raises_a_typed_singularity():
+    t = Tangent(Vec2(-1.5e308, 0.0), Vec2(-1.5e308, 1.0), Vec2(0.0, 1.0), "outer", 0.0)
+    # (c1 - touch1).x overflows and meets e.x == 0: the NaN must not hide in max().
+    with pytest.raises(NumericalOverflowError):
+        tangent_distance_error(t, Circle(Vec2(1.5e308, 0.0), 1.0),
+                               Circle(Vec2(-1.5e308, 1.0), 1.0))
 
 
 def brute_force_tangent_count(c1, c2, samples=100_000):

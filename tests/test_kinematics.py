@@ -292,9 +292,9 @@ def test_loop_residuals_equal_the_vec2_reference_bit_for_bit():
     (CrankConfig(1e308, Vec2(-1.5e308, 0.0), 1.0), 0.0),  # rod length overflows
 ])
 def test_overflow_raises_a_typed_singularity(cfg, phi):
-    with pytest.raises(NumericalOverflowError):
+    with pytest.raises(NumericalOverflowError, match=f"at phi={phi}$"):
         crank_state(cfg, phi)
-    with pytest.raises(NumericalOverflowError):
+    with pytest.raises(NumericalOverflowError, match="at phi="):
         crank_sweep(cfg, phi, phi + 1.0, 3)
 
 
