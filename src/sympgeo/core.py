@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateScaleError, NumericalOverflowError, ZeroVectorError
 
@@ -75,7 +76,7 @@ class Vec2:
         return Vec2(self.x / scalar, self.y / scalar)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polar:
     """Signed-magnitude polar form ``magnitude * (cos(angle), sin(angle))``.
 
@@ -171,8 +172,7 @@ def rotate(a: Vec2, phi: float) -> Vec2:
     return similarity(a, math.cos(phi), math.sin(phi))
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityResiduals:
+class IdentityResiduals(NamedTuple):
     """Left-minus-right evaluation of five classical product identities.
 
     Every field vanishes identically in exact arithmetic for any argument

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Vec2, tilde
-from .errors import InvalidStepError
+from .errors import InvalidStepError, NumericalOverflowError
 
 EXPLICIT_EULER = "explicit_euler"
 SYMPLECTIC_EULER = "symplectic_euler"
@@ -67,8 +68,7 @@ class PhaseState:
             raise ValueError("phase-state fields must be finite")
 
 
-@dataclass(frozen=True, slots=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """A fixed-step run: the initial state plus one state per step."""
 
     params: OscillatorParams
@@ -78,8 +78,14 @@ class Trajectory:
 
 
 def hamiltonian(s: PhaseState, params: OscillatorParams) -> float:
-    """Total energy ``p^2/(2m) + k*q^2/2``."""
-    return s.p * s.p / (2.0 * params.mass) + params.stiffness * s.q * s.q / 2.0
+    """Total energy ``p^2/(2m) + k*q^2/2``.
+
+    Raises :class:`NumericalOverflowError` when the energy overflows.
+    """
+    energy = s.p * s.p / (2.0 * params.mass) + params.stiffness * s.q * s.q / 2.0
+    if not math.isfinite(energy):
+        raise NumericalOverflowError(f"energy overflows at t={s.t}")
+    return energy
 
 
 def hamiltonian_gradient(s: PhaseState, params: OscillatorParams) -> Vec2:
@@ -102,29 +108,37 @@ def step(s: PhaseState, params: OscillatorParams, dt: float,
          method: str = LEAPFROG) -> PhaseState:
     """Advance one fixed step of size ``dt`` with the chosen method.
 
-    * ``explicit_euler``: both coordinates from the current field.
+    * ``explicit_euler``: both coordinates from the current field
+      ``(p/m, -k*q)``, the value of :func:`hamiltonian_field`.
     * a splitting method runs the stages of its :data:`SPLITTINGS` row in
       order; stage ``(a, b)`` kicks ``p += a*dt*(-k*q)`` and then drifts
       ``q += b*dt*(p/m)``.  ``symplectic_euler`` is one full kick and
       drift, ``leapfrog`` is half-kick, drift, half-kick (time-reversible).
+
+    Every method runs on plain floats and builds only the returned state.
+    Raises :class:`NumericalOverflowError` when that state overflows.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidStepError(f"dt must be finite and > 0, got {dt}")
     if method not in METHODS:
         raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
-    if method == EXPLICIT_EULER:
-        q_dot, p_dot = hamiltonian_field(s, params)
-        return PhaseState(s.q + dt * q_dot, s.p + dt * p_dot, s.t + dt)
     k, m = params.stiffness, params.mass
     q, p = s.q, s.p
-    for a, b in SPLITTINGS[method]:
-        # A zero coefficient skips its half-stage: adding ``0.0`` would turn
-        # a ``-0.0`` coordinate into ``+0.0``.
-        if a:
-            p = p + (a * dt) * (-(k * q))
-        if b:
-            q = q + (b * dt) * (p / m)
-    return PhaseState(q, p, s.t + dt)
+    if method == EXPLICIT_EULER:
+        q, p = q + dt * (p / m), p + dt * (-(k * q))
+    else:
+        for a, b in SPLITTINGS[method]:
+            # A zero coefficient skips its half-stage: adding ``0.0`` would
+            # turn a ``-0.0`` coordinate into ``+0.0``.
+            if a:
+                p = p + (a * dt) * (-(k * q))
+            if b:
+                q = q + (b * dt) * (p / m)
+    t = s.t + dt
+    try:
+        return PhaseState(q, p, t)
+    except ValueError as exc:  # PhaseState rejects a non-finite field
+        raise NumericalOverflowError(f"phase state overflows at t={t}") from exc
 
 
 def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
@@ -147,14 +161,22 @@ def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams)
         p(t) = p0*cos(w*t) - m*w*q0*sin(w*t)
 
     Conserves the energy exactly, so it doubles as the reference orbit for
-    integrator error and drift measurements.
+    integrator error and drift measurements.  Raises
+    :class:`NumericalOverflowError` when the state or ``w*t`` overflows.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     w = params.omega
-    cos_wt = math.cos(w * t)
-    sin_wt = math.sin(w * t)
-    q = initial.q * cos_wt + initial.p / (params.mass * w) * sin_wt
-    p = initial.p * cos_wt - params.mass * w * initial.q * sin_wt
-    return PhaseState(q, p, initial.t + t)
+    try:
+        # math.cos and math.sin reject an infinite ``w*t``; PhaseState, a
+        # non-finite field.
+        cos_wt = math.cos(w * t)
+        sin_wt = math.sin(w * t)
+        q = initial.q * cos_wt + initial.p / (params.mass * w) * sin_wt
+        p = initial.p * cos_wt - params.mass * w * initial.q * sin_wt
+        return PhaseState(q, p, initial.t + t)
+    except ValueError as exc:
+        raise NumericalOverflowError(f"analytic state overflows at t={initial.t + t}") from exc
 
 
 def ellipse_residual(s: PhaseState, initial: PhaseState, params: OscillatorParams) -> float:

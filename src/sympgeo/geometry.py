@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ATOL, Vec2, norm, symp, tilde
 from .errors import (
@@ -50,8 +51,7 @@ class Circle:
             raise ValueError(f"circle radius must be finite and >= 0, got {self.radius}")
 
 
-@dataclass(frozen=True, slots=True)
-class Intersection:
+class Intersection(NamedTuple):
     """Meeting point of two lines plus the parameter along each direction.
 
     ``point == line1.point + lam*line1.direction``
@@ -63,8 +63,7 @@ class Intersection:
     mu: float
 
 
-@dataclass(frozen=True, slots=True)
-class Tangent:
+class Tangent(NamedTuple):
     """One common tangent of two circles.
 
     ``direction_e`` is the unit vector from the first center toward its

@@ -108,8 +108,7 @@ class CrankAccel(NamedTuple):
     psi_ddot: float
 
 
-@dataclass(frozen=True, slots=True)
-class CrankState:
+class CrankState(NamedTuple):
     """Full kinematic state of the rod at one crank angle."""
 
     phi: float
@@ -122,8 +121,7 @@ class CrankState:
     e_psi: Vec2
 
 
-@dataclass(frozen=True, slots=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     """One sweep sample; ``state`` is None exactly when ``singular``.
 
     ``psi_unwrapped`` continues psi across the branch cut so plots of

@@ -14,10 +14,19 @@ from sympgeo.cli import main
 from sympgeo.dynamics import hamiltonian
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_json(text):
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 def run_csv(capsys, argv):
@@ -78,6 +87,27 @@ def test_exit_code_three_on_identity_overflow(capsys, span):
     assert "numerical singularity: identity residuals overflow" in err
 
 
+@pytest.mark.parametrize("method", ["euler", "symplectic-euler", "leapfrog"])
+def test_exit_code_three_on_oscillator_state_overflow(capsys, method):
+    code = main(["oscillator", "--mass", "1e-300", "--stiffness", "1", "--q0", "0",
+                 "--p0", "1e200", "--dt", "1", "--steps", "3", "--method", method, "--csv"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical singularity: phase state overflows at t=1.0" in captured.err
+
+
+@pytest.mark.parametrize("extra", [[], ["--csv"]])
+def test_exit_code_three_on_oscillator_energy_overflow(capsys, extra):
+    code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "0",
+                 "--p0", "1e200", "--dt", "1e-3", "--steps", "2", "--method", "leapfrog",
+                 *extra])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical singularity: energy overflows at t=0.0" in captured.err
+
+
 def test_tangents_near_the_overflow_limit(capsys):
     code, report = run_json(capsys, ["tangents", "--c1", "0,0,1e155",
                                      "--c2", "4e155,1e155,0.7e155"])
@@ -95,6 +125,27 @@ def test_containment_is_success_not_an_error(capsys):
 
 
 # ------------------------------------------------------------ JSON schema
+
+
+JSON_REPORT_ARGV = {
+    "identities": ["identities", "--samples", "20", "--seed", "3"],
+    "intersect": ["intersect", "--a", "0,0", "--u", "1,0", "--b", "2,2", "--v", "0,1"],
+    "tangents": ["tangents", "--c1", "0,0,1e155", "--c2", "4e155,1e155,0.7e155"],
+    "crank": ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1",
+              "--from", "0", "--to", "6.283185307179586", "--steps", "9"],
+    "oscillator": ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "0",
+                   "--p0", "1e150", "--dt", "1e-3", "--steps", "5", "--method", "euler"],
+}
+
+
+@pytest.mark.parametrize("subcommand", JSON_REPORT_ARGV)
+def test_json_reports_hold_only_finite_numbers(capsys, subcommand):
+    # strict_json raises on NaN or Infinity, which are not valid JSON.
+    code, report = run_json(capsys, JSON_REPORT_ARGV[subcommand])
+    assert code == 0
+    assert report["subcommand"] == subcommand
+    with pytest.raises(ValueError, match="Infinity"):
+        strict_json('{"energy": Infinity}')
 
 
 def test_report_key_order(capsys):

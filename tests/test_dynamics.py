@@ -7,6 +7,7 @@ and frozen here.
 """
 
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from sympgeo import (
     METHODS,
     SYMPLECTIC_EULER,
     InvalidStepError,
+    NumericalOverflowError,
     OscillatorParams,
     PhaseState,
     Vec2,
@@ -113,6 +115,61 @@ def test_step_rejects_bad_dt_and_unknown_method():
         step(s, UNIT, 0.1, "rk4")
 
 
+def _coordinate(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return 0.0
+    if roll < 0.2:
+        return -0.0
+    if roll < 0.25:
+        return rng.choice((1.0, -1.0)) * 5e-324
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-150, 150)
+
+
+def test_explicit_euler_is_one_step_along_the_public_field():
+    # step inlines the field; it must stay s + dt*hamiltonian_field(s) bit
+    # for bit, signed zeros included.
+    rng = random.Random(5)
+    for _ in range(20000):
+        s = PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0))
+        params = OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3))
+        dt = 10.0 ** rng.uniform(-6, 0)
+        try:
+            q_dot, p_dot = hamiltonian_field(s, params)
+            expected = PhaseState(s.q + dt * q_dot, s.p + dt * p_dot, s.t + dt)
+        except ValueError:
+            continue
+        got = step(s, params, dt, EXPLICIT_EULER)
+        assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("s, params, dt", [
+    (PhaseState(0.0, 1e200), OscillatorParams(1e-300, 1.0), 1.0),   # p/m overflows
+    (PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1.0),    # k*q overflows
+    (PhaseState(0.0, 0.0, 1.7e308), UNIT, 1e308),                   # time stamp overflows
+])
+def test_step_overflow_raises_a_typed_singularity(method, s, params, dt):
+    with pytest.raises(NumericalOverflowError, match=f"at t={s.t + dt}$"):
+        step(s, params, dt, method)
+
+
+def test_simulate_overflow_names_the_failing_time():
+    # q reaches -1e300 on the second step, so the third kick overflows p.
+    params = OscillatorParams(1.0, 1e300)
+    with pytest.raises(NumericalOverflowError, match="at t=3.0$"):
+        simulate(PhaseState(1.0, 0.0), params, 1.0, 10, EXPLICIT_EULER)
+
+
+def test_energy_overflow_raises_a_typed_singularity():
+    with pytest.raises(NumericalOverflowError, match="energy overflows at t=2.5"):
+        hamiltonian(PhaseState(0.0, 1e200, 2.5), UNIT)
+    with pytest.raises(NumericalOverflowError):
+        hamiltonian(PhaseState(1.0, 1.0), OscillatorParams(1e-310, 1.0))
+    with pytest.raises(NumericalOverflowError):
+        ellipse_residual(PhaseState(1e200, 0.0), PhaseState(1.0, 0.0), UNIT)
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -165,6 +222,17 @@ def test_analytic_oscillator_conserves_energy():
         t = 20.0 * i / 99.0
         s = analytic_oscillator(t, initial, UNIT)
         assert abs(ellipse_residual(s, initial, UNIT)) <= 1e-12 * h0 + 1e-15
+
+
+def test_analytic_oscillator_overflow_raises_a_typed_singularity():
+    # w = 1e150 makes p0/(m*w) overflow; w*t = inf leaves cos undefined.
+    stiff = OscillatorParams(1e-300, 1.0)
+    with pytest.raises(NumericalOverflowError, match="at t=1.0$"):
+        analytic_oscillator(1.0, PhaseState(0.0, 1e300), stiff)
+    with pytest.raises(NumericalOverflowError, match=r"at t=1e\+300$"):
+        analytic_oscillator(1e300, PhaseState(1.0, 0.0), stiff)
+    with pytest.raises(ValueError, match="t must be finite"):
+        analytic_oscillator(math.nan, PhaseState(1.0, 0.0), UNIT)
 
 
 def test_leapfrog_tracks_the_analytic_orbit_at_t_one():
