@@ -7,6 +7,12 @@ mechanism, and ``oscillator`` integrates the phase flow.  Reports are
 JSON by default (CSV for the tabular subcommands), deterministic for a
 fixed command line apart from the wall-time field.
 
+A run has three phases: :func:`main` parses the command line, a runner
+computes a :class:`_Result` (the report envelope plus, for the tabular
+subcommands, one row tuple per sample) and a writer serialises it.  The
+CSV and JSON writers share each tabular subcommand's fixed row schema,
+a :class:`_Table`, and format each row from a ``%``-template.
+
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.
 """
@@ -14,13 +20,13 @@ error, 2 geometric degeneracy, 3 numerical singularity.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import random
 import sys
 import time
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .core import Vec2, identity_residuals, norm, tilde
 from .dynamics import (
@@ -34,7 +40,7 @@ from .dynamics import (
     hamiltonian,
     simulate,
 )
-from .errors import DegeneracyError, SingularityError
+from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 from .geometry import Circle, Line, Tangent, circle_tangents, intersect_lines, tangent_distance_error
 from .kinematics import CrankConfig, SweepEntry, crank_sweep, loop_residuals
 from .svgplot import PALETTE, SvgPlot
@@ -99,17 +105,63 @@ def _vec_json(v: Vec2) -> list[float]:
     return [v.x, v.y]
 
 
-def _fmt(x: float) -> str:
-    """Full-precision decimal: 17 significant digits round-trip exactly."""
-    return format(x, ".17g")
+#: ``true``/``false`` as both writers spell them.
+_BOOL_TEXT = {False: "false", True: "true"}
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+class _Result(NamedTuple):
+    """What a runner computed: report envelope, row table and exit code.
+
+    ``envelope`` is the JSON report minus ``wall_time_ms``, with its row
+    array, if any, left empty; ``rows`` holds one tuple per sample in the
+    column order of the subcommand's :class:`_Table`.
+    """
+
+    envelope: dict
+    rows: list[tuple]
+    exit_code: int
+
+
+class _Table(NamedTuple):
+    """Fixed row schema of one tabular subcommand and its two row writers.
+
+    Each writer maps the row list to one text per row.  ``array`` names the
+    JSON row array under ``results``; None when the report holds none.
+    """
+
+    columns: tuple[str, ...]
+    csv_rows: Callable[[list[tuple]], list[str]]
+    array: str | None = None
+    json_rows: Callable[[list[tuple]], list[str]] | None = None
+
+
+def _json_item(cells: list[str], keys: tuple[str, ...] | None = None) -> str:
+    """Template of one element of a ``results`` row array.
+
+    The layout is that of ``json.dumps(indent=2)``: an object when ``keys``
+    is given, else a list.  A ``%r`` cell formats a float as ``json`` does,
+    by ``float.__repr__``.
+    """
+    if keys is None:
+        return "      [\n" + ",\n".join("        " + c for c in cells) + "\n      ]"
+    return ("      {\n" + ",\n".join(f'        "{k}": {c}' for k, c in zip(keys, cells))
+            + "\n      }")
+
+
+def _csv_text(table: _Table, rows: list[tuple]) -> str:
+    return ",".join(table.columns) + "\r\n" + "".join(table.csv_rows(rows))
+
+
+def _json_text(envelope: dict, table: _Table | None, rows: list[tuple]) -> str:
+    """``json.dumps(report, indent=2)`` of the envelope with its row array filled in."""
+    text = json.dumps(envelope, indent=2)
+    if table is None or table.array is None or not rows:
+        return text
+    # Every string value in the envelope is escaped, so the unescaped key
+    # followed by ``: []`` occurs only where the row array belongs.
+    head = f'"{table.array}": ['
+    return text.replace(head + "]", head + "\n" + ",\n".join(table.json_rows(rows)) + "\n    ]",
+                        1)
 
 
 def _build_parser() -> _Parser:
@@ -169,7 +221,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run_identities(args: argparse.Namespace) -> tuple[dict, str | None, int]:
+def _run_identities(args: argparse.Namespace) -> _Result:
     rng = random.Random(args.seed)
     span = args.span
     names = ("jacobi", "grassmann_full", "lagrange", "grassmann_reduced", "binet_cauchy")
@@ -185,32 +237,28 @@ def _run_identities(args: argparse.Namespace) -> tuple[dict, str | None, int]:
                 maxima[name] = value
             if value > tol:
                 within = False
-    report = {
+    envelope = {
         "subcommand": "identities",
         "input": {"samples": args.samples, "seed": args.seed, "range": span},
         "results": {"samples": args.samples, "within_tolerance": within},
         "residuals": maxima,
     }
-    csv_text = None
-    if args.csv:
-        csv_text = _csv_text(["identity", "max_residual"],
-                             [[name, _fmt(maxima[name])] for name in names])
-    return report, csv_text, EXIT_OK if within else EXIT_SINGULAR
+    return _Result(envelope, list(maxima.items()), EXIT_OK if within else EXIT_SINGULAR)
 
 
-def _run_intersect(args: argparse.Namespace) -> tuple[dict, str | None, int]:
+def _run_intersect(args: argparse.Namespace) -> _Result:
     line1 = Line(args.a, args.u)
     line2 = Line(args.b, args.v)
     result = intersect_lines(line1, line2)
     closure = (line2.point - line1.point) + args.v * result.mu - args.u * result.lam
-    report = {
+    envelope = {
         "subcommand": "intersect",
         "input": {"a": _vec_json(args.a), "u": _vec_json(args.u),
                   "b": _vec_json(args.b), "v": _vec_json(args.v)},
         "results": {"point": _vec_json(result.point), "lambda": result.lam, "mu": result.mu},
         "residuals": {"loop_closure": norm(closure)},
     }
-    return report, None, EXIT_OK
+    return _Result(envelope, [], EXIT_OK)
 
 
 def _tangents_svg(c1: Circle, c2: Circle, tangents: list[Tangent], path: str) -> None:
@@ -231,7 +279,7 @@ def _tangents_svg(c1: Circle, c2: Circle, tangents: list[Tangent], path: str) ->
     plot.write(path)
 
 
-def _run_tangents(args: argparse.Namespace) -> tuple[dict, str | None, int]:
+def _run_tangents(args: argparse.Namespace) -> _Result:
     tangents = circle_tangents(args.c1, args.c2)
     max_error = 0.0
     entries = []
@@ -246,7 +294,7 @@ def _run_tangents(args: argparse.Namespace) -> tuple[dict, str | None, int]:
         })
     if args.svg:
         _tangents_svg(args.c1, args.c2, tangents, args.svg)
-    report = {
+    envelope = {
         "subcommand": "tangents",
         "input": {
             "c1": [args.c1.center.x, args.c1.center.y, args.c1.radius],
@@ -256,50 +304,57 @@ def _run_tangents(args: argparse.Namespace) -> tuple[dict, str | None, int]:
         "results": {"count": len(tangents), "tangents": entries},
         "residuals": {"max_tangency_error": max_error},
     }
-    return report, None, EXIT_OK
+    return _Result(envelope, [], EXIT_OK)
 
 
-_CRANK_COLUMNS = ("phi", "s", "psi", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot")
-_CRANK_ANGULAR = {"phi", "psi", "psi_unwrapped", "psi_dot", "psi_ddot"}
+_CRANK_COLUMNS = ("phi", "s", "psi", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot",
+                  "singular", "near_singular")
+#: The ``(singular, near_singular)`` flag pairs a row can carry; a singular
+#: sweep entry is always near-singular.
+_CRANK_FLAGS = ((False, False), (False, True), (True, True))
 
 
-def _crank_row(entry: SweepEntry, degrees: bool) -> dict[str, float | bool | None]:
-    """Report row for one sweep entry, angles converted on the way out."""
+def _crank_cells(singular: bool, near_singular: bool, number: str, null: str) -> list[str]:
+    """Cell formats of one crank row shape: phi, seven state cells, two flags."""
+    return ([number] + [null if singular else number] * 7
+            + [_BOOL_TEXT[singular], _BOOL_TEXT[near_singular]])
+
+
+_CRANK_CSV = {flags: ",".join(_crank_cells(*flags, "%.17g", "")) + "\r\n"
+              for flags in _CRANK_FLAGS}
+_CRANK_JSON = {flags: _json_item(_crank_cells(*flags, "%r", "null"), _CRANK_COLUMNS)
+               for flags in _CRANK_FLAGS}
+
+
+def _crank_texts(rows: list[tuple], templates: dict[tuple[bool, bool], str]) -> list[str]:
+    """One text per row from the template of its flag pair; a singular row fills in ``phi``."""
+    return [templates[row[8:]] % (row[:1] if row[8] else row[:8]) for row in rows]
+
+
+def _crank_row(entry: SweepEntry, degrees: bool) -> tuple:
+    """Row tuple in ``_CRANK_COLUMNS`` order, angles converted on the way out."""
+    unit = _DEG if degrees else 1.0  # dividing by 1.0 is exact, -0.0 included
     state = entry.state
     if state is None:
-        row: dict[str, float | bool | None] = dict.fromkeys(_CRANK_COLUMNS, None)
-        row["phi"] = entry.phi
-    else:
-        row = {
-            "phi": entry.phi,
-            "s": state.s,
-            "psi": state.psi,
-            "psi_unwrapped": entry.psi_unwrapped,
-            "s_dot": state.s_dot,
-            "psi_dot": state.psi_dot,
-            "s_ddot": state.s_ddot,
-            "psi_ddot": state.psi_ddot,
-        }
-    if degrees:
-        for name in _CRANK_ANGULAR:
-            if row[name] is not None:
-                row[name] = row[name] / _DEG
-    row["singular"] = entry.singular
-    row["near_singular"] = entry.near_singular
-    return row
+        return (entry.phi / unit, None, None, None, None, None, None, None,
+                entry.singular, entry.near_singular)
+    return (entry.phi / unit, state.s, state.psi / unit, entry.psi_unwrapped / unit,
+            state.s_dot, state.psi_dot / unit, state.s_ddot, state.psi_ddot / unit,
+            entry.singular, entry.near_singular)
 
 
-def _crank_svg(rows: list[dict[str, float | bool | None]], path: str) -> None:
+def _crank_svg(rows: list[tuple], path: str) -> None:
     plot = SvgPlot("slider-crank sweep")
     series = ("s", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot")
     for name, color in zip(series, PALETTE):
+        column = _CRANK_COLUMNS.index(name)
         runs: list[list[tuple[float, float]]] = [[]]
         for row in rows:
-            if row[name] is None:
+            if row[column] is None:
                 if runs[-1]:
                     runs.append([])
                 continue
-            runs[-1].append((row["phi"], row[name]))
+            runs[-1].append((row[0], row[column]))
         labeled = False
         for run in runs:
             if len(run) < 2:
@@ -309,7 +364,7 @@ def _crank_svg(rows: list[dict[str, float | bool | None]], path: str) -> None:
     plot.write(path)
 
 
-def _run_crank(args: argparse.Namespace) -> tuple[dict, str | None, int]:
+def _run_crank(args: argparse.Namespace) -> _Result:
     cfg = CrankConfig(args.length, args.pivot, args.phidot)
     phi_from = args.phi_from * _DEG if args.degrees else args.phi_from
     phi_to = args.phi_to * _DEG if args.degrees else args.phi_to
@@ -323,37 +378,30 @@ def _run_crank(args: argparse.Namespace) -> tuple[dict, str | None, int]:
         rows.append(_crank_row(entry, args.degrees))
     if args.svg:
         _crank_svg(rows, args.svg)
-    report = {
+    envelope = {
         "subcommand": "crank",
         "input": {
             "length": args.length, "pivot": _vec_json(args.pivot), "phidot": args.phidot,
             "from": args.phi_from, "to": args.phi_to, "steps": args.steps,
             "degrees": args.degrees, "svg": args.svg,
         },
-        "results": {"entries": rows},
+        "results": {"entries": []},
         "residuals": {
             "max_position_closure": max_residuals[0],
             "max_velocity_closure": max_residuals[1],
             "max_acceleration_closure": max_residuals[2],
         },
     }
-    csv_text = None
-    if args.csv:
-        header = list(_CRANK_COLUMNS) + ["singular", "near_singular"]
-        csv_rows = []
-        for row in rows:
-            csv_row = ["" if row[c] is None else _fmt(row[c]) for c in _CRANK_COLUMNS]
-            csv_row.append("true" if row["singular"] else "false")
-            csv_row.append("true" if row["near_singular"] else "false")
-            csv_rows.append(csv_row)
-        csv_text = _csv_text(header, csv_rows)
-    return report, csv_text, EXIT_OK
+    return _Result(envelope, rows, EXIT_OK)
 
 
 def _oscillator_svg(trajectory: Trajectory, path: str) -> None:
     plot = SvgPlot("phase portrait")
     initial = trajectory.states[0]
     period = 2.0 * math.pi / trajectory.params.omega
+    if not math.isfinite(period):
+        raise NumericalOverflowError(f"phase-portrait period overflows (omega = "
+                                     f"{trajectory.params.omega})")
     ellipse = []
     for i in range(257):
         s = analytic_oscillator(period * i / 256.0, initial, trajectory.params)
@@ -365,39 +413,42 @@ def _oscillator_svg(trajectory: Trajectory, path: str) -> None:
     plot.write(path)
 
 
-def _run_oscillator(args: argparse.Namespace) -> tuple[dict, str | None, int]:
+def _run_oscillator(args: argparse.Namespace) -> _Result:
     params = OscillatorParams(args.mass, args.stiffness)
     initial = PhaseState(args.q0, args.p0, 0.0)
     trajectory = simulate(initial, params, args.dt, args.steps, _METHOD_NAMES[args.method])
-    energies = [hamiltonian(s, params) for s in trajectory.states]
+    rows = [(s.t, s.q, s.p, hamiltonian(s, params)) for s in trajectory.states]
+    initial_energy = rows[0][3]
     max_drift = 0.0
-    for energy in energies:
-        max_drift = max(max_drift, abs(energy - energies[0]))
+    for row in rows:
+        max_drift = max(max_drift, abs(row[3] - initial_energy))
     if args.svg:
         _oscillator_svg(trajectory, args.svg)
-    final = trajectory.states[-1]
-    report = {
+    t, q, p, energy = rows[-1]
+    envelope = {
         "subcommand": "oscillator",
         "input": {
             "mass": args.mass, "stiffness": args.stiffness, "q0": args.q0, "p0": args.p0,
             "dt": args.dt, "steps": args.steps, "method": args.method, "svg": args.svg,
         },
-        "results": {
-            "final": {"t": final.t, "q": final.q, "p": final.p,
-                      "energy": energies[-1]},
-            "states": [[s.t, s.q, s.p] for s in trajectory.states],
-        },
+        "results": {"final": {"t": t, "q": q, "p": p, "energy": energy}, "states": []},
         "residuals": {"max_energy_drift": max_drift},
     }
-    csv_text = None
-    if args.csv:
-        csv_rows = [
-            [_fmt(s.t), _fmt(s.q), _fmt(s.p), _fmt(energy)]
-            for s, energy in zip(trajectory.states, energies)
-        ]
-        csv_text = _csv_text(["t", "q", "p", "energy"], csv_rows)
-    return report, csv_text, EXIT_OK
+    return _Result(envelope, rows, EXIT_OK)
 
+
+_OSCILLATOR_CSV = "%.17g,%.17g,%.17g,%.17g\r\n"
+_OSCILLATOR_JSON = _json_item(["%r"] * 3)  # [t, q, p]; the energy is CSV only
+
+_TABLES = {
+    "identities": _Table(("identity", "max_residual"),
+                         lambda rows: ["%s,%.17g\r\n" % row for row in rows]),
+    "crank": _Table(_CRANK_COLUMNS, lambda rows: _crank_texts(rows, _CRANK_CSV),
+                    "entries", lambda rows: _crank_texts(rows, _CRANK_JSON)),
+    "oscillator": _Table(("t", "q", "p", "energy"),
+                         lambda rows: [_OSCILLATOR_CSV % row for row in rows],
+                         "states", lambda rows: [_OSCILLATOR_JSON % row[:3] for row in rows]),
+}
 
 _RUNNERS = {
     "identities": _run_identities,
@@ -416,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     started = time.perf_counter()
     try:
-        report, csv_text, exit_code = _RUNNERS[args.subcommand](args)
+        result = _RUNNERS[args.subcommand](args)
     except DegeneracyError as exc:
         print(f"sympgeo: geometric degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -429,12 +480,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"sympgeo: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if csv_text is not None:
-        sys.stdout.write(csv_text)
+    table = _TABLES.get(args.subcommand)
+    if getattr(args, "csv", False):
+        sys.stdout.write(_csv_text(table, result.rows))
     else:
-        report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
-        print(json.dumps(report, indent=2))
-    return exit_code
+        result.envelope["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
+        sys.stdout.write(_json_text(result.envelope, table, result.rows) + "\n")
+    return result.exit_code
 
 
 if __name__ == "__main__":

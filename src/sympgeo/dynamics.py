@@ -18,10 +18,11 @@ of ``b*dt``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Vec2, tilde
+from .core import Vec2
 from .errors import InvalidStepError, NumericalOverflowError
 
 EXPLICIT_EULER = "explicit_euler"
@@ -34,6 +35,8 @@ SPLITTINGS = {
     LEAPFROG: ((0.5, 1.0), (0.5, 0.0)),
 }
 METHODS = (EXPLICIT_EULER, *SPLITTINGS)
+
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +54,16 @@ class OscillatorParams:
 
     @property
     def omega(self) -> float:
-        """Natural angular frequency ``sqrt(stiffness/mass)``."""
-        return math.sqrt(self.stiffness / self.mass)
+        """Natural angular frequency ``sqrt(stiffness/mass)``.
+
+        When the ratio itself leaves the normal range (``stiffness=1e-300``,
+        ``mass=1e300`` underflows it to 0.0), the root is taken of each
+        operand instead; the result can then still be subnormal or infinite.
+        """
+        ratio = self.stiffness / self.mass
+        if _FLOAT_MIN <= ratio < math.inf:
+            return math.sqrt(ratio)
+        return math.sqrt(self.stiffness) / math.sqrt(self.mass)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,19 +100,29 @@ def hamiltonian(s: PhaseState, params: OscillatorParams) -> float:
 
 
 def hamiltonian_gradient(s: PhaseState, params: OscillatorParams) -> Vec2:
-    """Energy gradient ``(dH/dq, dH/dp) = (k*q, p/m)`` as a phase-plane vector."""
-    return Vec2(params.stiffness * s.q, s.p / params.mass)
+    """Energy gradient ``(dH/dq, dH/dp) = (k*q, p/m)`` as a phase-plane vector.
+
+    Raises :class:`NumericalOverflowError` when a component overflows.
+    """
+    dh_dq, dh_dp = params.stiffness * s.q, s.p / params.mass
+    if not (math.isfinite(dh_dq) and math.isfinite(dh_dp)):
+        raise NumericalOverflowError(f"energy gradient overflows at t={s.t}")
+    return Vec2(dh_dq, dh_dp)
 
 
 def hamiltonian_field(s: PhaseState, params: OscillatorParams) -> tuple[float, float]:
     """Flow direction ``(q_dot, p_dot)``: the negated quarter-turn of the gradient.
 
-    Evaluates to ``(p/m, -k*q)``; the momentum component is Newton's law,
-    and is everywhere orthogonal to the gradient, i.e. tangent to the
-    energy level sets.
+    ``-tilde((k*q, p/m))`` evaluates to ``(p/m, -k*q)``; the momentum
+    component is Newton's law, and the field is everywhere orthogonal to
+    the gradient, i.e. tangent to the energy level sets.  Computed on
+    floats, bit for bit equal to ``-tilde(hamiltonian_gradient(s, params))``.
+    Raises :class:`NumericalOverflowError` when a component overflows.
     """
-    f = -tilde(hamiltonian_gradient(s, params))
-    return (f.x, f.y)
+    q_dot, p_dot = s.p / params.mass, -(params.stiffness * s.q)
+    if not (math.isfinite(q_dot) and math.isfinite(p_dot)):
+        raise NumericalOverflowError(f"phase-flow field overflows at t={s.t}")
+    return (q_dot, p_dot)
 
 
 def step(s: PhaseState, params: OscillatorParams, dt: float,
@@ -162,18 +183,23 @@ def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams)
 
     Conserves the energy exactly, so it doubles as the reference orbit for
     integrator error and drift measurements.  Raises
-    :class:`NumericalOverflowError` when the state or ``w*t`` overflows.
+    :class:`NumericalOverflowError` when ``m*w`` is 0.0 or infinite, or when
+    the state or ``w*t`` overflows.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     w = params.omega
+    mw = params.mass * w
+    if not 0.0 < mw < math.inf:
+        raise NumericalOverflowError(f"m*omega = {mw} leaves the float range "
+                                     f"at t={initial.t + t}")
     try:
         # math.cos and math.sin reject an infinite ``w*t``; PhaseState, a
         # non-finite field.
         cos_wt = math.cos(w * t)
         sin_wt = math.sin(w * t)
-        q = initial.q * cos_wt + initial.p / (params.mass * w) * sin_wt
-        p = initial.p * cos_wt - params.mass * w * initial.q * sin_wt
+        q = initial.q * cos_wt + initial.p / mw * sin_wt
+        p = initial.p * cos_wt - mw * initial.q * sin_wt
         return PhaseState(q, p, initial.t + t)
     except ValueError as exc:
         raise NumericalOverflowError(f"analytic state overflows at t={initial.t + t}") from exc

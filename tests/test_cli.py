@@ -1,9 +1,12 @@
 """Command-line layer: exit codes, schema, determinism, CSV and SVG output."""
 
+import copy
 import csv
 import hashlib
+import io
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -106,6 +109,20 @@ def test_exit_code_three_on_oscillator_energy_overflow(capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical singularity: energy overflows at t=0.0" in captured.err
+
+
+def test_oscillator_svg_with_an_extreme_omega(tmp_path, capsys):
+    # k/m = 1e-600 underflows; omega = 1e-300 still gives a finite period.
+    path = tmp_path / "phase.svg"
+    base = ["oscillator", "--q0", "1", "--p0", "1", "--dt", "1", "--steps", "2",
+            "--method", "leapfrog", "--svg", str(path)]
+    assert main(base + ["--mass", "1e300", "--stiffness", "1e-300"]) == 0
+    capsys.readouterr()
+    assert "</svg>" in path.read_text()
+    # omega is subnormal here, so 2*pi/omega overflows.
+    code = main(base + ["--mass", "1.7976931348623157e308", "--stiffness", "5e-324"])
+    assert code == 3
+    assert "numerical singularity: phase-portrait period overflows" in capsys.readouterr().err
 
 
 def test_tangents_near_the_overflow_limit(capsys):
@@ -256,6 +273,150 @@ def test_tangents_json_digest_is_pinned(case):
     result = run_subprocess(["tangents", *argv])
     assert result.returncode == 0
     assert hashlib.sha256(strip_timing(result.stdout)).hexdigest() == digest
+
+
+CRANK_JSON_SHA256 = {
+    "regular": "ee81d1f7819c90eb7eeb4002380fca0c4295b853c086b11796497692588412b5",
+    "pivot-on-circle": "055c9710a9c0b8e6a02a488069f77039302dafa4276060d4d674b99ba771e9b6",
+    "degrees": "cae0890a400638ce19e9a00005374e35334e781b06d48322b87644c7b0234f90",
+}
+
+
+@pytest.mark.parametrize("case", CRANK_JSON_SHA256)
+def test_crank_json_digest_is_pinned(capsys, case):
+    argv, _ = CRANK_CSV_SHA256[case]
+    code = main(["crank", *argv])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(strip_timing(out)).hexdigest() == CRANK_JSON_SHA256[case]
+
+
+OSCILLATOR_JSON_SHA256 = {
+    "leapfrog": "f69bd4beef6074168ce734f9a58771bf9b9d51b59701fb9d2fc0687f776af13f",
+    "euler": "40b9f85f6f0cff204e987cb27378ac8dc84d934325a661c962db58002e25ab17",
+    "symplectic-euler": "9b2eb6b652b66bd5ab9e7fd21eec14d92a1f9bedcda0ac9ede52000ede28cfa1",
+}
+
+
+@pytest.mark.parametrize("method", OSCILLATOR_JSON_SHA256)
+def test_oscillator_json_digest_is_pinned(capsys, method):
+    code = main(["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0", "1",
+                 "--p0", "0.5", "--dt", "0.01", "--steps", "10000", "--method", method])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(strip_timing(out)).hexdigest() == OSCILLATOR_JSON_SHA256[method]
+
+
+# ----------------------------------------------------------- row writers
+
+# Each tabular subcommand keeps one row tuple per sample; the JSON and CSV
+# writers format them from per-row templates.  The references below are the
+# generic encoders those templates replace.
+
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+             1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, 1.0 / 3.0)
+
+
+def _float(rng):
+    if rng.random() < 0.4:
+        return rng.choice(_EXTREMES)
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
+
+
+def _crank_rows(rng, n):
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.2:
+            rows.append((_float(rng),) + (None,) * 7 + (True, True))
+        else:
+            rows.append(tuple(_float(rng) for _ in range(8)) + (False, rng.random() < 0.3))
+    return rows
+
+
+def _oscillator_rows(rng, n):
+    return [tuple(_float(rng) for _ in range(4)) for _ in range(n)]
+
+
+def _envelope(subcommand, rng, array):
+    """Report envelope with strings that an unescaped splice would trip on."""
+    results = {"final": {"t": _float(rng), "q": -0.0}} if subcommand == "oscillator" else {}
+    results[array] = []
+    return {
+        "subcommand": subcommand,
+        "input": {"svg": f'x", "{array}": []', "degrees": True, "pivot": [_float(rng), 0.0],
+                  "none": None},
+        "results": results,
+        "residuals": {"max": _float(rng), "zero": -0.0},
+        "wall_time_ms": 1.25,
+    }
+
+
+def _full_report(envelope, array, rows):
+    report = copy.deepcopy(envelope)
+    if array == "entries":
+        report["results"][array] = [dict(zip(cli._CRANK_COLUMNS, row)) for row in rows]
+    else:
+        report["results"][array] = [list(row[:3]) for row in rows]
+    return report
+
+
+def _reference_csv(columns, rows):
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, str):
+            return value
+        return format(value, ".17g")
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(columns)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("subcommand, array, make_rows", [
+    ("crank", "entries", _crank_rows),
+    ("oscillator", "states", _oscillator_rows),
+])
+def test_row_writers_match_the_generic_encoders(subcommand, array, make_rows):
+    rng = random.Random(subcommand)
+    table = cli._TABLES[subcommand]
+    for n in (0, 1, 2, 7, 200):
+        for _ in range(5):
+            rows = make_rows(rng, n)
+            envelope = _envelope(subcommand, rng, array)
+            expected = json.dumps(_full_report(envelope, array, rows), indent=2)
+            assert cli._json_text(envelope, table, rows) == expected
+            assert cli._csv_text(table, rows) == _reference_csv(table.columns, rows)
+
+
+def test_row_writers_match_the_generic_encoders_on_degree_rows():
+    args = cli._build_parser().parse_args(
+        ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1", "--from", "-90",
+         "--to", "630", "--steps", "41", "--degrees"])
+    result = cli._run_crank(args)
+    assert any(row[8] for row in result.rows) and not all(row[8] for row in result.rows)
+    table = cli._TABLES["crank"]
+    expected = json.dumps(_full_report(result.envelope, "entries", result.rows), indent=2)
+    assert cli._json_text(result.envelope, table, result.rows) == expected
+    assert cli._csv_text(table, result.rows) == _reference_csv(table.columns, result.rows)
+
+
+def test_csv_runs_never_call_json_dumps(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a CSV run called json.dumps")
+
+    monkeypatch.setattr(cli.json, "dumps", forbidden)
+    for argv in (["identities", "--samples", "5"],
+                 ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1",
+                  "--from", "0", "--to", "6.283185307179586", "--steps", "9"],
+                 ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1",
+                  "--p0", "0", "--dt", "0.1", "--steps", "10", "--method", "euler"]):
+        assert main(argv + ["--csv"]) == 0
+        assert capsys.readouterr().out.count("\r\n") >= 6
 
 
 # --------------------------------------------------------------------- CSV

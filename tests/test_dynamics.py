@@ -8,6 +8,7 @@ and frozen here.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -28,6 +29,7 @@ from sympgeo import (
     hamiltonian_gradient,
     simulate,
     step,
+    tilde,
 )
 
 UNIT = OscillatorParams(mass=1.0, stiffness=1.0)
@@ -59,12 +61,44 @@ def test_field_is_exactly_tangent_to_energy_levels():
         assert f[0] * g.x + f[1] * g.y == 0.0
 
 
+def test_field_is_the_negated_quarter_turn_of_the_gradient():
+    rng = random.Random(8)
+    for _ in range(5000):
+        s = PhaseState(_coordinate(rng), _coordinate(rng))
+        params = OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3))
+        f = -tilde(hamiltonian_gradient(s, params))
+        assert repr(hamiltonian_field(s, params)) == repr((f.x, f.y))
+
+
+@pytest.mark.parametrize("s, params", [
+    (PhaseState(0.0, 1e200, 2.5), OscillatorParams(1e-300, 1.0)),   # p/m overflows
+    (PhaseState(1e200, 0.0, 2.5), OscillatorParams(1.0, 1e300)),    # k*q overflows
+])
+def test_gradient_and_field_overflow_raise_a_typed_singularity(s, params):
+    with pytest.raises(NumericalOverflowError, match="at t=2.5$"):
+        hamiltonian_gradient(s, params)
+    with pytest.raises(NumericalOverflowError, match="at t=2.5$"):
+        hamiltonian_field(s, params)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         OscillatorParams(0.0, 1.0)
     with pytest.raises(ValueError):
         OscillatorParams(1.0, -2.0)
     assert OscillatorParams(2.0, 8.0).omega == 2.0
+
+
+def test_omega_keeps_its_bits_and_survives_an_out_of_range_ratio():
+    rng = random.Random(9)
+    for _ in range(5000):
+        m, k = 10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300)
+        if sys.float_info.min <= k / m < math.inf:
+            assert OscillatorParams(m, k).omega == math.sqrt(k / m)
+    # k/m underflows to 0.0 and overflows to inf; each root is still representable.
+    assert OscillatorParams(1e300, 1e-300).omega == math.sqrt(1e-300) / math.sqrt(1e300)
+    assert OscillatorParams(1e-300, 1e300).omega == math.sqrt(1e300) / math.sqrt(1e-300)
+    assert 0.0 < OscillatorParams(1e300, 1e-300).omega < 1e-299
 
 
 def test_phase_state_rejects_non_finite():
@@ -129,18 +163,26 @@ def _coordinate(rng):
 def test_explicit_euler_is_one_step_along_the_public_field():
     # step inlines the field; it must stay s + dt*hamiltonian_field(s) bit
     # for bit, signed zeros included.
+    # Where the field overflows, step must overflow too.
     rng = random.Random(5)
-    for _ in range(20000):
-        s = PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0))
-        params = OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3))
-        dt = 10.0 ** rng.uniform(-6, 0)
+    cases = [(PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0)),
+              OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)),
+              10.0 ** rng.uniform(-6, 0)) for _ in range(20000)]
+    cases += [(PhaseState(0.0, 1e200), OscillatorParams(1e-300, 1.0), 1e-6),
+              (PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1e-6)]
+    overflowed = 0
+    for s, params, dt in cases:
         try:
             q_dot, p_dot = hamiltonian_field(s, params)
-            expected = PhaseState(s.q + dt * q_dot, s.p + dt * p_dot, s.t + dt)
-        except ValueError:
+        except NumericalOverflowError:
+            overflowed += 1
+            with pytest.raises(NumericalOverflowError):
+                step(s, params, dt, EXPLICIT_EULER)
             continue
+        expected = PhaseState(s.q + dt * q_dot, s.p + dt * p_dot, s.t + dt)
         got = step(s, params, dt, EXPLICIT_EULER)
         assert repr(got) == repr(expected)
+    assert overflowed == 2
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -233,6 +275,20 @@ def test_analytic_oscillator_overflow_raises_a_typed_singularity():
         analytic_oscillator(1e300, PhaseState(1.0, 0.0), stiff)
     with pytest.raises(ValueError, match="t must be finite"):
         analytic_oscillator(math.nan, PhaseState(1.0, 0.0), UNIT)
+
+
+def test_analytic_oscillator_with_an_extreme_omega():
+    # omega = 1e-300 once k/m underflows: a quarter period is still finite.
+    slow = OscillatorParams(1e300, 1e-300)
+    initial = PhaseState(1.0, 1.0)
+    assert analytic_oscillator(0.0, initial, slow) == initial
+    quarter = analytic_oscillator(math.pi / 2.0 / slow.omega, initial, slow)
+    assert quarter.q == pytest.approx(1.0, rel=1e-12)   # p0/(m*w) = 1
+    assert quarter.p == pytest.approx(-1.0, rel=1e-12)  # -m*w*q0 = -1
+    # omega = inf, since even sqrt(k)/sqrt(m) overflows: m*omega cannot be formed.
+    stiff = OscillatorParams(5e-324, 1.7976931348623157e308)
+    with pytest.raises(NumericalOverflowError, match="m\\*omega = inf .* at t=1.0$"):
+        analytic_oscillator(1.0, PhaseState(1.0, 0.0), stiff)
 
 
 def test_leapfrog_tracks_the_analytic_orbit_at_t_one():
