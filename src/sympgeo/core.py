@@ -17,6 +17,7 @@ Sign conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +27,8 @@ from .errors import DegenerateScaleError, NumericalOverflowError, ZeroVectorErro
 ATOL = 1e-12
 #: Relative factor applied to the operand scale in approximate comparisons.
 RTOL = 1e-9
+
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 def close(lhs: float, rhs: float, *, atol: float = ATOL, rtol: float = RTOL,
@@ -117,11 +120,37 @@ def norm(a: Vec2) -> float:
     return math.hypot(a.x, a.y)
 
 
+def _rescaled(x: float, y: float) -> tuple[float, float, int]:
+    """``(x*2**-k, y*2**-k, k)`` with the larger magnitude in ``[0.5, 1)``.
+
+    A power-of-two scale is exact in the normal range, so products of the
+    scaled components are the unscaled ones times ``2**-k``, but cannot
+    overflow.  Callers pass a nonzero vector.
+    """
+    k = math.frexp(max(abs(x), abs(y)))[1]
+    return math.ldexp(x, -k), math.ldexp(y, -k), k
+
+
 def inverse(a: Vec2) -> Vec2:
-    """Vector satisfying ``dot(a, inverse(a)) == 1``: ``a / dot(a, a)``."""
+    """Vector satisfying ``dot(a, inverse(a)) == 1``: ``a / dot(a, a)``.
+
+    When ``dot(a, a)`` is not a finite normal float, it is formed on ``a``
+    rescaled by a power of two and the quotient is scaled back, so
+    ``Vec2(1e200, 0)`` and ``Vec2(3e-170, 4e-170)`` get their inverses.
+    Raises :class:`NumericalOverflowError` when the inverse itself is out
+    of range, as for ``Vec2(1e-320, 0)``.
+    """
     if a.x == 0.0 and a.y == 0.0:
         raise ZeroVectorError("the zero vector has no inverse")
-    return a / dot(a, a)
+    square = dot(a, a)
+    if _FLOAT_MIN <= square < math.inf:
+        return a / square
+    x, y, k = _rescaled(a.x, a.y)
+    square = x * x + y * y
+    try:
+        return Vec2(math.ldexp(x / square, -k), math.ldexp(y / square, -k))
+    except OverflowError as exc:
+        raise NumericalOverflowError(f"inverse of ({a.x}, {a.y}) overflows") from exc
 
 
 def to_polar(a: Vec2) -> Polar:
@@ -140,11 +169,18 @@ def directed_angle(a: Vec2, b: Vec2) -> float:
     """Signed angle from ``a`` to ``b`` in ``(-pi, pi]``, counterclockwise positive.
 
     Computed as ``atan2(symp(a, b), dot(a, b))``, so the magnitudes of the
-    arguments cancel and only their directions matter.
+    arguments cancel and only their directions matter.  When either product
+    is not a finite normal float, both are formed on the arguments rescaled
+    by powers of two, so vectors near 1e308 or 1e-170 keep their angle.
     """
     if (a.x == 0.0 and a.y == 0.0) or (b.x == 0.0 and b.y == 0.0):
         raise ZeroVectorError("directed angle requires two nonzero vectors")
-    return wrap_angle(math.atan2(symp(a, b), dot(a, b)))
+    area, inner = symp(a, b), dot(a, b)
+    if not (_FLOAT_MIN <= abs(area) < math.inf and _FLOAT_MIN <= abs(inner) < math.inf):
+        ax, ay, _ = _rescaled(a.x, a.y)
+        bx, by, _ = _rescaled(b.x, b.y)
+        area, inner = ax * by - ay * bx, ax * bx + ay * by
+    return wrap_angle(math.atan2(area, inner))
 
 
 def similarity(a: Vec2, c: float, d: float) -> Vec2:

@@ -18,11 +18,10 @@ of ``b*dt``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Vec2
+from .core import _FLOAT_MIN, Vec2
 from .errors import InvalidStepError, NumericalOverflowError
 
 EXPLICIT_EULER = "explicit_euler"
@@ -35,8 +34,6 @@ SPLITTINGS = {
     LEAPFROG: ((0.5, 1.0), (0.5, 0.0)),
 }
 METHODS = (EXPLICIT_EULER, *SPLITTINGS)
-
-_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +124,16 @@ def hamiltonian_field(s: PhaseState, params: OscillatorParams) -> tuple[float, f
 
 def step(s: PhaseState, params: OscillatorParams, dt: float,
          method: str = LEAPFROG) -> PhaseState:
-    """Advance one fixed step of size ``dt`` with the chosen method.
+    """Advance one fixed step of size ``dt``: ``simulate(s, params, dt, 1, method)``.
+
+    Raises :class:`NumericalOverflowError` when the new state overflows.
+    """
+    return simulate(s, params, dt, 1, method).states[1]
+
+
+def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
+             n_steps: int, method: str = LEAPFROG) -> Trajectory:
+    """Run ``n_steps`` fixed steps; the trajectory includes the initial state.
 
     * ``explicit_euler``: both coordinates from the current field
       ``(p/m, -k*q)``, the value of :func:`hamiltonian_field`.
@@ -136,42 +142,35 @@ def step(s: PhaseState, params: OscillatorParams, dt: float,
       ``q += b*dt*(p/m)``.  ``symplectic_euler`` is one full kick and
       drift, ``leapfrog`` is half-kick, drift, half-kick (time-reversible).
 
-    Every method runs on plain floats and builds only the returned state.
-    Raises :class:`NumericalOverflowError` when that state overflows.
+    The arguments are checked once; every step runs on plain floats and
+    builds only its state, stamped with the running sum of ``dt``.
+    Raises :class:`NumericalOverflowError` when a state overflows.
     """
+    if n_steps < 1:
+        raise InvalidStepError(f"n_steps must be >= 1, got {n_steps}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidStepError(f"dt must be finite and > 0, got {dt}")
     if method not in METHODS:
         raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
     k, m = params.stiffness, params.mass
-    q, p = s.q, s.p
-    if method == EXPLICIT_EULER:
-        q, p = q + dt * (p / m), p + dt * (-(k * q))
-    else:
-        for a, b in SPLITTINGS[method]:
-            # A zero coefficient skips its half-stage: adding ``0.0`` would
-            # turn a ``-0.0`` coordinate into ``+0.0``.
-            if a:
-                p = p + (a * dt) * (-(k * q))
-            if b:
-                q = q + (b * dt) * (p / m)
-    t = s.t + dt
+    stages = SPLITTINGS.get(method, ())
+    q, p, t = initial.q, initial.p, initial.t
+    states = [initial]
     try:
-        return PhaseState(q, p, t)
+        for _ in range(n_steps):
+            if method == EXPLICIT_EULER:
+                q, p = q + dt * (p / m), p + dt * (-(k * q))
+            for a, b in stages:
+                # A zero coefficient skips its half-stage: adding ``0.0``
+                # would turn a ``-0.0`` coordinate into ``+0.0``.
+                if a:
+                    p = p + (a * dt) * (-(k * q))
+                if b:
+                    q = q + (b * dt) * (p / m)
+            t = t + dt
+            states.append(PhaseState(q, p, t))
     except ValueError as exc:  # PhaseState rejects a non-finite field
         raise NumericalOverflowError(f"phase state overflows at t={t}") from exc
-
-
-def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
-             n_steps: int, method: str = LEAPFROG) -> Trajectory:
-    """Run ``n_steps`` fixed steps; the trajectory includes the initial state."""
-    if n_steps < 1:
-        raise InvalidStepError(f"n_steps must be >= 1, got {n_steps}")
-    states = [initial]
-    current = initial
-    for _ in range(n_steps):
-        current = step(current, params, dt, method)
-        states.append(current)
     return Trajectory(params, dt, states, method)
 
 

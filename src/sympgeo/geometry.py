@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, norm, symp, tilde
+from .core import ATOL, Vec2, _rescaled, norm, symp, tilde
 from .errors import (
     CoincidentCentersError,
     DegenerateDenominatorError,
@@ -122,16 +122,32 @@ def intersect_lines(line1: Line, line2: Line) -> Intersection:
     Closes the triangle ``a + mu*v - lam*u = 0`` (``a`` joining the two
     anchor points) by multiplying with the perpendiculars of ``v`` and
     ``u``, each of which kills one unknown.
+
+    Each direction is rescaled by ``2**-k`` so that its larger component
+    lies in ``[0.5, 1)``; in the normal range that scale is exact, so the
+    parallel test, ``lam`` and ``mu`` come out bit for bit as from the
+    unscaled formulas, and directions near 1e300 no longer overflow them.
+    Raises :class:`NumericalOverflowError` when the anchor offset or the
+    result overflows.
     """
-    u = line1.direction
-    v = line2.direction
-    denominator = symp(u, v)
-    if abs(denominator) <= ATOL * norm(u) * norm(v):
+    p, u = line1.point, line1.direction
+    ux, uy, ku = _rescaled(u.x, u.y)
+    vx, vy, kv = _rescaled(line2.direction.x, line2.direction.y)
+    denominator = ux * vy - uy * vx
+    if abs(denominator) <= ATOL * math.hypot(ux, uy) * math.hypot(vx, vy):
         raise ParallelLinesError("lines are parallel; no finite intersection")
-    a = line2.point - line1.point
-    lam = -symp(v, a) / denominator
-    mu = symp(a, u) / denominator
-    return Intersection(line1.point + u * lam, lam, mu)
+    ax, ay = line2.point.x - p.x, line2.point.y - p.y
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise NumericalOverflowError("line anchor offset overflows")
+    try:
+        lam = math.ldexp(-(vx * ay - vy * ax) / denominator, -ku)
+        mu = math.ldexp((ax * uy - ay * ux) / denominator, -kv)
+    except OverflowError as exc:
+        raise NumericalOverflowError("line intersection overflows") from exc
+    x, y = p.x + u.x * lam, p.y + u.y * lam
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(mu)):
+        raise NumericalOverflowError("line intersection overflows")
+    return Intersection(Vec2(x, y), lam, mu)
 
 
 def jacobi_triangle_residual(u: Vec2, v: Vec2, a: Vec2) -> Vec2:

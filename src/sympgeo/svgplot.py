@@ -25,65 +25,58 @@ class SvgPlot:
 
     def __init__(self, title: str = "") -> None:
         self.title = title
-        self._shapes: list[tuple] = []
+        # Per shape: a %-format over its flat screen coordinates (and scaled
+        # radius), its data points, its radius or None, and the closing text.
+        self._shapes: list[tuple[str, list[tuple[float, float]], float | None, str]] = []
         self._legend: list[tuple[str, str]] = []
         self._series = 0
-        self._min_x = math.inf
-        self._min_y = math.inf
-        self._max_x = -math.inf
-        self._max_y = -math.inf
+        self._min_x = self._min_y = math.inf
+        self._max_x = self._max_y = -math.inf
 
-    def _grow(self, x: float, y: float) -> None:
-        self._min_x = min(self._min_x, x)
-        self._min_y = min(self._min_y, y)
-        self._max_x = max(self._max_x, x)
-        self._max_y = max(self._max_y, y)
-
-    def _next_color(self) -> str:
-        color = PALETTE[self._series % len(PALETTE)]
-        self._series += 1
-        return color
+    def _record(self, head: str, tail: str, points: list[tuple[float, float]],
+                extent: list[tuple[float, float]], color: str, label: str | None,
+                radius: float | None = None) -> None:
+        """Grow the bounds over ``extent`` and keep the shape and its legend entry."""
+        xs, ys = zip(*extent)
+        # Folding from the running bound keeps NaN coordinates out of the bounds.
+        self._min_x = min(self._min_x, *xs)
+        self._min_y = min(self._min_y, *ys)
+        self._max_x = max(self._max_x, *xs)
+        self._max_y = max(self._max_y, *ys)
+        self._shapes.append((head, points, radius, tail))
+        if label:
+            self._legend.append((label, color))
 
     def polyline(self, points: list[tuple[float, float]], color: str | None = None,
                  width: float = 1.6, label: str | None = None) -> None:
         if not points:
             return
         if color is None:
-            color = self._next_color()
-        xs, ys = zip(*points)
-        # Folding from the running bound keeps NaN coordinates out of the bounds.
-        self._min_x = min(self._min_x, *xs)
-        self._min_y = min(self._min_y, *ys)
-        self._max_x = max(self._max_x, *xs)
-        self._max_y = max(self._max_y, *ys)
-        self._shapes.append(("polyline", list(points), color, width))
-        if label:
-            self._legend.append((label, color))
+            color = PALETTE[self._series % len(PALETTE)]
+            self._series += 1
+        points = list(points)
+        self._record('<polyline points="' + " ".join(["%.2f,%.2f"] * len(points)),
+                     f'" fill="none" stroke="{color}" stroke-width="{width}"/>',
+                     points, points, color, label)
 
     def circle(self, cx: float, cy: float, r: float, color: str = "#333333",
                width: float = 1.6, label: str | None = None) -> None:
-        self._grow(cx - r, cy - r)
-        self._grow(cx + r, cy + r)
-        self._shapes.append(("circle", cx, cy, r, color, width))
-        if label:
-            self._legend.append((label, color))
+        self._record('<circle cx="%.2f" cy="%.2f" r="%.2f"',
+                     f' fill="none" stroke="{color}" stroke-width="{width}"/>',
+                     [(cx, cy)], [(cx - r, cy - r), (cx + r, cy + r)], color, label, r)
 
     def segment(self, x1: float, y1: float, x2: float, y2: float,
                 color: str = "#333333", width: float = 1.6,
                 label: str | None = None) -> None:
-        self._grow(x1, y1)
-        self._grow(x2, y2)
-        self._shapes.append(("segment", x1, y1, x2, y2, color, width))
-        if label:
-            self._legend.append((label, color))
+        points = [(x1, y1), (x2, y2)]
+        self._record('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"',
+                     f' stroke="{color}" stroke-width="{width}"/>', points, points, color, label)
 
     def marker(self, x: float, y: float, color: str = "#000000",
                label: str | None = None) -> None:
         """Small dot of fixed screen size at a data point."""
-        self._grow(x, y)
-        self._shapes.append(("marker", x, y, color))
-        if label:
-            self._legend.append((label, color))
+        self._record('<circle cx="%.2f" cy="%.2f"', f' r="3.5" fill="{color}"/>',
+                     [(x, y)], [(x, y)], color, label)
 
     def _transform(self) -> tuple[float, float, float]:
         """Uniform scale plus offsets mapping data space into the view box."""
@@ -103,63 +96,32 @@ class SvgPlot:
     def to_svg(self) -> str:
         scale, offset_x, offset_y = self._transform()
         min_x, min_y = self._min_x, self._min_y
-
-        def sx(x: float) -> float:
-            return offset_x + (x - min_x) * scale
-
-        def sy(y: float) -> float:
-            # SVG y grows downward; data y grows upward.
-            return HEIGHT - (offset_y + (y - min_y) * scale)
-
+        # The axis origin, then each shape's points, as flat screen coordinates.
+        # SVG y grows downward; data y grows upward.
+        screens = ([v for x, y in points
+                    for v in (offset_x + (x - min_x) * scale,
+                              HEIGHT - (offset_y + (y - min_y) * scale))]
+                   for points in [[(0.0, 0.0)], *[shape[1] for shape in self._shapes]])
+        x0, y0 = next(screens)
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         ]
         if math.isfinite(self._min_x):
             if self._min_x <= 0.0 <= self._max_x:
-                x0 = sx(0.0)
                 parts.append(
                     f'<line x1="{x0:.2f}" y1="{MARGIN:.2f}" x2="{x0:.2f}" '
                     f'y2="{HEIGHT - MARGIN:.2f}" stroke="#cccccc" stroke-width="1"/>'
                 )
             if self._min_y <= 0.0 <= self._max_y:
-                y0 = sy(0.0)
                 parts.append(
                     f'<line x1="{MARGIN:.2f}" y1="{y0:.2f}" x2="{WIDTH - MARGIN:.2f}" '
                     f'y2="{y0:.2f}" stroke="#cccccc" stroke-width="1"/>'
                 )
-        for shape in self._shapes:
-            kind = shape[0]
-            if kind == "polyline":
-                _, points, color, width = shape
-                # sx and sy inlined, one %-format per point: polylines carry
-                # nearly all the points.
-                coords = " ".join([
-                    "%.2f,%.2f" % (offset_x + (x - min_x) * scale,
-                                   HEIGHT - (offset_y + (y - min_y) * scale))
-                    for x, y in points
-                ])
-                parts.append(
-                    f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                    f'stroke-width="{width}"/>'
-                )
-            elif kind == "circle":
-                _, cx, cy, r, color, width = shape
-                parts.append(
-                    f'<circle cx="{sx(cx):.2f}" cy="{sy(cy):.2f}" r="{r * scale:.2f}" '
-                    f'fill="none" stroke="{color}" stroke-width="{width}"/>'
-                )
-            elif kind == "segment":
-                _, x1, y1, x2, y2, color, width = shape
-                parts.append(
-                    f'<line x1="{sx(x1):.2f}" y1="{sy(y1):.2f}" x2="{sx(x2):.2f}" '
-                    f'y2="{sy(y2):.2f}" stroke="{color}" stroke-width="{width}"/>'
-                )
-            elif kind == "marker":
-                _, x, y, color = shape
-                parts.append(
-                    f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3.5" fill="{color}"/>'
-                )
+        for (head, _, radius, tail), coords in zip(self._shapes, screens):
+            if radius is not None:
+                coords.append(radius * scale)
+            parts.append(head % tuple(coords) + tail)
         if self.title:
             parts.append(
                 f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" '

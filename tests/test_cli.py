@@ -111,6 +111,19 @@ def test_exit_code_three_on_oscillator_energy_overflow(capsys, extra):
     assert "numerical singularity: energy overflows at t=0.0" in captured.err
 
 
+def test_intersect_at_the_overflow_limit(capsys):
+    # Perpendicular directions of magnitude 1e300 were reported parallel.
+    code, report = run_json(capsys, ["intersect", "--a", "0,0", "--u", "1e300,0",
+                                     "--b", "1,1", "--v", "0,1e300"])
+    assert code == 0
+    assert report["results"]["point"] == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert report["results"]["lambda"] == pytest.approx(1e-300, rel=1e-15)
+    # The anchor offset 2e308 overflows: a typed singularity, not an invalid value.
+    code = main(["intersect", "--a=-1e308,0", "--u", "1,1", "--b", "1e308,0", "--v", "1,-1"])
+    assert code == 3
+    assert "numerical singularity: line anchor offset overflows" in capsys.readouterr().err
+
+
 def test_oscillator_svg_with_an_extreme_omega(tmp_path, capsys):
     # k/m = 1e-600 underflows; omega = 1e-300 still gives a finite period.
     path = tmp_path / "phase.svg"
@@ -557,19 +570,24 @@ def test_tangents_svg_written(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
+    digest = "73706c693486acb292c166290b9d6d6563fa1e1ee221d3496478932109aeadc9"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_crank_svg_written(tmp_path, capsys):
     path = tmp_path / "crank.svg"
-    base = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "73",
-            "--svg", str(path)]
-    for angles, digest in [
-        (["--from", "0", "--to", "6.283185307179586"],
+    base = ["--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "73"]
+    for argv, digest in [
+        (base + ["--from", "0", "--to", "6.283185307179586"],
          "2beb43696091b47bc5e7285a77a178ed7fe3c11598d431585045113a9e5bc6d4"),
-        (["--from", "0", "--to", "360", "--degrees"],
+        (base + ["--from", "0", "--to", "360", "--degrees"],
          "384b5ba4f16cb7571c82e0894f2333c081bc88a044ef81fe150af2ff29629702"),
+        # The benchmark's crank-sweep argv.
+        (["--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5", "--from", "0",
+          "--to", "12.566370614359172", "--steps", "2001"],
+         "eccda83f18cb62543b7ec9688be353d3fcd7eaf0048841d529d0fe02fd8404af"),
     ]:
-        code = main(base + angles)
+        code = main(["crank", *argv, "--svg", str(path)])
         capsys.readouterr()
         assert code == 0
         assert "</svg>" in path.read_text()
@@ -578,12 +596,18 @@ def test_crank_svg_written(tmp_path, capsys):
 
 def test_oscillator_svg_written(tmp_path, capsys):
     path = tmp_path / "phase.svg"
-    code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1",
-                 "--p0", "0", "--dt", "0.05", "--steps", "200",
-                 "--method", "symplectic-euler", "--svg", str(path)])
-    capsys.readouterr()
-    assert code == 0
-    assert "</svg>" in path.read_text()
+    for method, digest in [
+        ("symplectic-euler", "87f8b5843fca9fc6d23f9ef5a4334969a0584e1ef89b1304aa784931ca2c5f18"),
+        ("euler", "942d6ad63e915cb007b1677e61afc9c90c962414043352c130ddfb66b3ee1231"),
+        ("leapfrog", "1281477bc95ced32ee42d230c1e0b3c5c1b07cbda70f0b620ddd21bdd389a080"),
+    ]:
+        code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1",
+                     "--p0", "0", "--dt", "0.05", "--steps", "200",
+                     "--method", method, "--svg", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        assert "</svg>" in path.read_text()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_svg_write_failure_exits_with_usage_code(tmp_path, capsys):

@@ -151,6 +151,18 @@ def test_inverse_contract(a):
     assert close(dot(a, inverse(a)), 1.0)
 
 
+def test_inverse_at_the_ends_of_the_float_range():
+    # dot(a, a) overflows for 1e200 and underflows to 0.0 for (3e-170, 4e-170).
+    assert inverse(Vec2(1e200, 0.0)) == Vec2(1e-200, 0.0)
+    a = Vec2(3e-170, 4e-170)
+    assert inverse(a) == Vec2(1.2e169, 1.6e169)
+    assert close(dot(a, inverse(a)), 1.0)
+    big = Vec2(-1.5e308, 1e308)
+    assert close(dot(big, inverse(big)), 1.0)
+    with pytest.raises(NumericalOverflowError):
+        inverse(Vec2(1e-320, 0.0))
+
+
 # ------------------------------------------------------------------ polar
 
 
@@ -226,6 +238,15 @@ def test_directed_angle_zero_vector_raises():
         directed_angle(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
     with pytest.raises(ZeroVectorError):
         directed_angle(Vec2(1.0, 0.0), Vec2(0.0, 0.0))
+
+
+def test_directed_angle_at_the_ends_of_the_float_range():
+    # symp and dot overflow (inf and NaN) for the first pair and underflow
+    # to 0.0 for the second; each angle is a quarter turn.
+    assert directed_angle(Vec2(1e308, 1e308), Vec2(-1e308, 1e308)) == math.pi / 2.0
+    assert directed_angle(Vec2(1e-170, 0.0), Vec2(0.0, -1e-170)) == -math.pi / 2.0
+    assert close(directed_angle(Vec2(1e308, 0.0), Vec2(1e308, 1e308)), math.pi / 4.0)
+    assert directed_angle(Vec2(-1e-200, 0.0), Vec2(1e-200, 0.0)) == math.pi
 
 
 @given(st.builds(Vec2,

@@ -2,11 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sympgeo import (
+    ATOL,
     Circle,
     CoincidentCentersError,
     DegenerateDenominatorError,
@@ -27,6 +29,7 @@ from sympgeo import (
     point_circle_tangents,
     project_point_onto_line,
     simple_ratio,
+    symp,
     tangent_distance_error,
 )
 
@@ -187,6 +190,78 @@ def test_intersect_lines_closure(p1, d1, p2, d2):
         return
     scale = 1.0 + abs(hit.lam) * norm(d1) + abs(hit.mu) * norm(d2) + norm(p1) + norm(p2)
     assert norm(hit.point - l2.at(hit.mu)) <= 1e-7 * scale
+
+
+def _unscaled_intersection(l1, l2):
+    """The closed form on the directions as given, as written before rescaling."""
+    u, v = l1.direction, l2.direction
+    denominator = symp(u, v)
+    if abs(denominator) <= ATOL * norm(u) * norm(v):
+        raise ParallelLinesError("parallel")
+    a = l2.point - l1.point
+    lam = -symp(v, a) / denominator
+    return l1.point + u * lam, lam, symp(a, u) / denominator
+
+
+def test_intersect_lines_rescaling_keeps_interior_results_bit_for_bit():
+    rng = random.Random(31)
+    outcomes = set()
+    for i in range(20000):
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        u = Vec2(rng.uniform(-3.0, 3.0) * scale, rng.uniform(-3.0, 3.0) * scale)
+        if i % 3 == 0:  # exactly parallel
+            v = u * rng.choice((-2.0, 0.5, 4.0))
+        elif i % 3 == 1:  # near-parallel
+            eps = 10.0 ** rng.uniform(-15.0, -9.0)
+            v = Vec2(u.x - eps * u.y, u.y + eps * u.x)
+        else:
+            v = Vec2(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        l1 = Line(Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)), u)
+        l2 = Line(Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)), v)
+        try:
+            expected = _unscaled_intersection(l1, l2)
+        except ParallelLinesError:
+            with pytest.raises(ParallelLinesError):
+                intersect_lines(l1, l2)
+            outcomes.add("parallel")
+            continue
+        assert repr(tuple(intersect_lines(l1, l2))) == repr(expected)
+        outcomes.add("point")
+    assert outcomes == {"parallel", "point"}
+
+
+def test_intersect_lines_with_directions_near_the_overflow_limit():
+    # symp(u, v) and |u||v| overflow unscaled: these lines were reported parallel.
+    rng = random.Random(1300)
+    for _ in range(2000):
+        angle = rng.uniform(-math.pi, math.pi)
+        turn = angle + rng.uniform(0.3, math.pi - 0.3)
+        u = Vec2(math.cos(angle) * 1e300, math.sin(angle) * 1e300)
+        v = Vec2(math.cos(turn) * 1e300, math.sin(turn) * 1e300)
+        p = Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        q = Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        hit = intersect_lines(Line(p, u), Line(q, v))
+        # Exact solution in rationals: p + lam*u == q + mu*v.
+        fu, fv = (Fraction(u.x), Fraction(u.y)), (Fraction(v.x), Fraction(v.y))
+        ax, ay = Fraction(q.x) - Fraction(p.x), Fraction(q.y) - Fraction(p.y)
+        den = fu[0] * fv[1] - fu[1] * fv[0]
+        lam = (ax * fv[1] - ay * fv[0]) / den
+        mu = (ax * fu[1] - ay * fu[0]) / den
+        exact = (lam, mu, Fraction(p.x) + fu[0] * lam, Fraction(p.y) + fu[1] * lam)
+        condition = math.sqrt((fu[0] ** 2 + fu[1] ** 2) * (fv[0] ** 2 + fv[1] ** 2) / den ** 2)
+        for got, want in zip((hit.lam, hit.mu, hit.point.x, hit.point.y), exact):
+            assert abs(got - float(want)) <= 1e-8 * condition * (1.0 + abs(float(want)))
+
+
+def test_intersect_lines_overflow_raises_a_typed_singularity():
+    # The anchor offset 2e308 overflows, although the meeting point (0, 1e308) exists.
+    with pytest.raises(NumericalOverflowError, match="anchor offset"):
+        intersect_lines(Line(Vec2(-1e308, 0.0), Vec2(1.0, 1.0)),
+                        Line(Vec2(1e308, 0.0), Vec2(1.0, -1.0)))
+    # Tiny directions: lam = 1e310 leaves the float range.
+    with pytest.raises(NumericalOverflowError, match="intersection overflows"):
+        intersect_lines(Line(Vec2(0.0, 0.0), Vec2(1e-300, 0.0)),
+                        Line(Vec2(1e10, 1.0), Vec2(0.0, 1.0)))
 
 
 def test_jacobi_triangle_residual_anchor():

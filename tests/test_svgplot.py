@@ -1,6 +1,8 @@
 """Plot writer: structural checks only, since plots carry no numeric contract."""
 
 import hashlib
+import math
+import random
 
 from sympgeo.svgplot import HEIGHT, MARGIN, WIDTH, SvgPlot
 
@@ -54,3 +56,64 @@ def test_mixed_plot_digest_is_pinned():
     plot.marker(2.0, 2.0, label="point")
     digest = hashlib.sha256(plot.to_svg().encode()).hexdigest()
     assert digest == "6cbdeaec95c019b247d5b5264870ff7234cea14125b8093a5d0daf8c5154362a"
+
+
+# Edge coordinates: NaN, signed zeros and magnitudes at both ends of the float
+# range; the largest float overflows the span.
+_EDGES = (math.nan, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308)
+# Texts and colours with "%" and "{}", which a formatting template must not eat.
+_TEXTS = ("", "corpus", "50% <done>", "{braces}")
+_COLORS = (None, None, "#000000", "rgb(10%,20%,30%)")
+
+
+def _corpus_plot(rng: random.Random) -> SvgPlot:
+    """One seeded plot mixing all four shapes in one of five regimes."""
+    regime = rng.choice(("one point", "zero span", "edges", "many series", "scaled"))
+    plot = SvgPlot(rng.choice(_TEXTS))
+    if regime == "one point":
+        if rng.random() < 0.5:
+            plot.marker(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), label="only")
+        else:
+            plot.polyline([(rng.choice(_EDGES), rng.uniform(-3.0, 3.0))])
+        return plot
+    factor = rng.choice((1.0, 1e-300, 1e300, 1e-160)) if regime == "scaled" else 1.0
+    fixed = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+
+    def value(axis):
+        if regime == "zero span":
+            return fixed[axis]
+        if regime == "edges" and rng.random() < 0.3:
+            return rng.choice(_EDGES)
+        return rng.uniform(-3.0, 3.0) * factor
+
+    def point():
+        return (value(0), value(1))
+
+    if regime == "many series":
+        for i in range(rng.randint(9, 20)):
+            plot.polyline([point() for _ in range(rng.randint(0, 4))],
+                          label=rng.choice((None, f"s{i}")))
+    for _ in range(rng.randint(0, 12)):
+        label = rng.choice((None, "", "a%b", "{label}"))
+        color = rng.choice(_COLORS)
+        width = rng.choice((1.6, 0.8, 2))
+        shape = rng.randrange(4)
+        if shape == 0:
+            plot.polyline([point() for _ in range(rng.randint(0, 6))], color=color,
+                          width=width, label=label)
+        elif shape == 1:
+            radius = value(0) if regime == "edges" else abs(rng.uniform(0.0, 2.0) * factor)
+            plot.circle(*point(), radius, color=color or "#333333", width=width, label=label)
+        elif shape == 2:
+            plot.segment(*point(), *point(), color=color or "#333333", width=width, label=label)
+        else:
+            plot.marker(*point(), color=color or "#000000", label=label)
+    return plot
+
+
+def test_seeded_corpus_digest_is_pinned():
+    rng = random.Random(20241)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        digest.update(_corpus_plot(rng).to_svg().encode())
+    assert digest.hexdigest() == "b51319a2c5bf7755d97d9e208c1cd6c9070fc3e7b49815c6425d427046648fc3"
