@@ -79,6 +79,21 @@ class Vec2:
         return Vec2(self.x / scalar, self.y / scalar)
 
 
+_set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
+
+
+def _vec2(x: float, y: float) -> Vec2:
+    """``Vec2(x, y)`` for components the caller has already checked finite.
+
+    Fills the slots directly, skipping the dataclass ``__init__`` and the
+    ``__post_init__`` check; the public constructor still validates.
+    """
+    v = object.__new__(Vec2)
+    _set_x(v, x)
+    _set_y(v, y)
+    return v
+
+
 @dataclass(frozen=True, slots=True)
 class Polar:
     """Signed-magnitude polar form ``magnitude * (cos(angle), sin(angle))``.
@@ -273,5 +288,6 @@ def identity_residuals(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> IdentityResiduals:
             and math.isfinite(full_y) and math.isfinite(lagrange) and math.isfinite(reduced_x)
             and math.isfinite(reduced_y) and math.isfinite(binet_cauchy)):
         raise NumericalOverflowError("identity residuals overflow")
-    return IdentityResiduals(Vec2(jacobi_x, jacobi_y), Vec2(full_x, full_y), lagrange,
-                             Vec2(reduced_x, reduced_y), binet_cauchy)
+    # Every component was checked finite just above.
+    return IdentityResiduals(_vec2(jacobi_x, jacobi_y), _vec2(full_x, full_y), lagrange,
+                             _vec2(reduced_x, reduced_y), binet_cauchy)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import _FLOAT_MIN, Vec2
+from .core import _FLOAT_MIN, Vec2, _vec2
 from .errors import InvalidStepError, NumericalOverflowError
 
 EXPLICIT_EULER = "explicit_euler"
@@ -76,6 +76,22 @@ class PhaseState:
             raise ValueError("phase-state fields must be finite")
 
 
+_set_q, _set_p, _set_t = PhaseState.q.__set__, PhaseState.p.__set__, PhaseState.t.__set__
+
+
+def _phase_state(q: float, p: float, t: float) -> PhaseState:
+    """``PhaseState(q, p, t)`` for fields the caller has already checked finite.
+
+    Fills the slots directly, skipping the dataclass ``__init__`` and the
+    ``__post_init__`` check; the public constructor still validates.
+    """
+    s = object.__new__(PhaseState)
+    _set_q(s, q)
+    _set_p(s, p)
+    _set_t(s, t)
+    return s
+
+
 class Trajectory(NamedTuple):
     """A fixed-step run: the initial state plus one state per step."""
 
@@ -104,7 +120,8 @@ def hamiltonian_gradient(s: PhaseState, params: OscillatorParams) -> Vec2:
     dh_dq, dh_dp = params.stiffness * s.q, s.p / params.mass
     if not (math.isfinite(dh_dq) and math.isfinite(dh_dp)):
         raise NumericalOverflowError(f"energy gradient overflows at t={s.t}")
-    return Vec2(dh_dq, dh_dp)
+    # Both components were checked finite just above.
+    return _vec2(dh_dq, dh_dp)
 
 
 def hamiltonian_field(s: PhaseState, params: OscillatorParams) -> tuple[float, float]:
@@ -156,21 +173,21 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
     stages = SPLITTINGS.get(method, ())
     q, p, t = initial.q, initial.p, initial.t
     states = [initial]
-    try:
-        for _ in range(n_steps):
-            if method == EXPLICIT_EULER:
-                q, p = q + dt * (p / m), p + dt * (-(k * q))
-            for a, b in stages:
-                # A zero coefficient skips its half-stage: adding ``0.0``
-                # would turn a ``-0.0`` coordinate into ``+0.0``.
-                if a:
-                    p = p + (a * dt) * (-(k * q))
-                if b:
-                    q = q + (b * dt) * (p / m)
-            t = t + dt
-            states.append(PhaseState(q, p, t))
-    except ValueError as exc:  # PhaseState rejects a non-finite field
-        raise NumericalOverflowError(f"phase state overflows at t={t}") from exc
+    for _ in range(n_steps):
+        if method == EXPLICIT_EULER:
+            q, p = q + dt * (p / m), p + dt * (-(k * q))
+        for a, b in stages:
+            # A zero coefficient skips its half-stage: adding ``0.0``
+            # would turn a ``-0.0`` coordinate into ``+0.0``.
+            if a:
+                p = p + (a * dt) * (-(k * q))
+            if b:
+                q = q + (b * dt) * (p / m)
+        t = t + dt
+        if not (math.isfinite(q) and math.isfinite(p) and math.isfinite(t)):
+            raise NumericalOverflowError(f"phase state overflows at t={t}")
+        # q, p and t were checked finite just above.
+        states.append(_phase_state(q, p, t))
     return Trajectory(params, dt, states, method)
 
 
@@ -192,18 +209,40 @@ def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams)
     if not 0.0 < mw < math.inf:
         raise NumericalOverflowError(f"m*omega = {mw} leaves the float range "
                                      f"at t={initial.t + t}")
-    try:
-        # math.cos and math.sin reject an infinite ``w*t``; PhaseState, a
-        # non-finite field.
-        cos_wt = math.cos(w * t)
-        sin_wt = math.sin(w * t)
+    wt = w * t
+    if math.isfinite(wt):
+        cos_wt = math.cos(wt)
+        sin_wt = math.sin(wt)
         q = initial.q * cos_wt + initial.p / mw * sin_wt
         p = initial.p * cos_wt - mw * initial.q * sin_wt
-        return PhaseState(q, p, initial.t + t)
-    except ValueError as exc:
-        raise NumericalOverflowError(f"analytic state overflows at t={initial.t + t}") from exc
+        stamp = initial.t + t
+        if math.isfinite(q) and math.isfinite(p) and math.isfinite(stamp):
+            # q, p and the time stamp were checked finite just above.
+            return _phase_state(q, p, stamp)
+    raise NumericalOverflowError(f"analytic state overflows at t={initial.t + t}")
 
 
 def ellipse_residual(s: PhaseState, initial: PhaseState, params: OscillatorParams) -> float:
     """Energy offset ``H(s) - H(initial)`` from the level-set ellipse."""
     return hamiltonian(s, params) - hamiltonian(initial, params)
+
+
+def area_residual(params: OscillatorParams, dt: float, method: str = LEAPFROG) -> float:
+    """Discrete area preservation of one step: ``symp(Phi(e1), Phi(e2)) - 1``.
+
+    ``Phi`` is one :func:`step` of ``method`` and ``e1``, ``e2`` are the unit
+    phase vectors ``(1, 0)`` and ``(0, 1)``.  Every step map of the linear
+    oscillator is linear, so the signed area of the images is its
+    determinant exactly, and the residual is 0 for a symplectic method
+    (up to rounding) and ``(omega*dt)**2`` for explicit Euler.  The 1 is
+    subtracted from ``q(Phi(e1))*p(Phi(e2))`` first: for small ``omega*dt``
+    that product is near 1, so the subtraction is exact (Sterbenz's
+    lemma) and no rounding of ``1 + residual`` is paid.
+    Raises :class:`NumericalOverflowError` when the residual overflows.
+    """
+    a = step(PhaseState(1.0, 0.0), params, dt, method)
+    b = step(PhaseState(0.0, 1.0), params, dt, method)
+    residual = (a.q * b.p - 1.0) - a.p * b.q
+    if not math.isfinite(residual):
+        raise NumericalOverflowError(f"area residual overflows at dt={dt}")
+    return residual

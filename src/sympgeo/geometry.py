@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, _rescaled, norm, symp, tilde
+from .core import ATOL, Vec2, _rescaled, _vec2, norm, symp, tilde
 from .errors import (
     CoincidentCentersError,
     DegenerateDenominatorError,
@@ -147,7 +147,8 @@ def intersect_lines(line1: Line, line2: Line) -> Intersection:
     x, y = p.x + u.x * lam, p.y + u.y * lam
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(mu)):
         raise NumericalOverflowError("line intersection overflows")
-    return Intersection(Vec2(x, y), lam, mu)
+    # x and y were checked finite just above.
+    return Intersection(_vec2(x, y), lam, mu)
 
 
 def jacobi_triangle_residual(u: Vec2, v: Vec2, a: Vec2) -> Vec2:
@@ -197,11 +198,15 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
             for lam in (root, -root):
                 ex = (ax * reach - -ay * lam) / a2
                 ey = (ay * reach - ax * lam) / a2
-                tangents.append(Tangent(Vec2(x1 + ex * r1, y1 + ey * r1),
-                                        Vec2(x2 - ex * (sigma * r2), y2 - ey * (sigma * r2)),
-                                        Vec2(ex, ey), kind, math.ldexp(lam, k)))
-    except (ValueError, OverflowError) as exc:
-        # Vec2 rejects a non-finite touch point; ldexp, an out-of-range lam.
+                t1x, t1y = x1 + ex * r1, y1 + ey * r1
+                t2x, t2y = x2 - ex * (sigma * r2), y2 - ey * (sigma * r2)
+                if not (math.isfinite(t1x) and math.isfinite(t1y)
+                        and math.isfinite(t2x) and math.isfinite(t2y)):
+                    raise NumericalOverflowError("common tangent overflows")
+                # Touch points checked just above; e is finite: reach**2 <= a2 and a2 >= 1/4.
+                tangents.append(Tangent(_vec2(t1x, t1y), _vec2(t2x, t2y), _vec2(ex, ey),
+                                        kind, math.ldexp(lam, k)))
+    except OverflowError as exc:  # ldexp, an out-of-range lam
         raise NumericalOverflowError("common tangent overflows") from exc
     return tangents
 

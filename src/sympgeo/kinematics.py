@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, norm, tilde, wrap_angle
+from .core import ATOL, Vec2, _vec2, norm, tilde, wrap_angle
 from .errors import NumericalOverflowError, SingularPositionError
 
 
@@ -194,7 +194,8 @@ def _crank_kernel(cfg: CrankConfig, phi: float, floor: float) -> CrankState:
     ax, ay, s, ex, ey, psi = _rod(cfg, phi, floor)
     s_dot, psi_dot = _rates(phi, cfg.phi_dot, ax, ay, s, ex, ey)
     s_ddot, psi_ddot = _accels(phi, cfg.phi_dot, s, s_dot, psi_dot)
-    return CrankState(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, Vec2(ex, ey))
+    # _rod checked s finite and above the floor, so |ex|, |ey| <= 1.
+    return CrankState(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _vec2(ex, ey))
 
 
 def crank_position(cfg: CrankConfig, phi: float) -> CrankPosition:
@@ -204,7 +205,8 @@ def crank_position(cfg: CrankConfig, phi: float) -> CrankPosition:
     when the crank tip lands on the pivot and the direction degenerates.
     """
     _, _, s, ex, ey, psi = _rod(cfg, phi, _singularity_floor(cfg))
-    return CrankPosition(s, Vec2(ex, ey), psi)
+    # _rod checked s finite and above the floor, so |ex|, |ey| <= 1.
+    return CrankPosition(s, _vec2(ex, ey), psi)
 
 
 def crank_velocity(cfg: CrankConfig, phi: float, s: float, e_psi: Vec2) -> CrankRates:

@@ -19,6 +19,9 @@ PALETTE = (
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
 
+#: Escapes for text and attribute values written into the document.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
 
 class SvgPlot:
     """Accumulate shapes in data space; emit a scaled SVG document."""
@@ -36,16 +39,20 @@ class SvgPlot:
     def _record(self, head: str, tail: str, points: list[tuple[float, float]],
                 extent: list[tuple[float, float]], color: str, label: str | None,
                 radius: float | None = None) -> None:
-        """Grow the bounds over ``extent`` and keep the shape and its legend entry."""
+        """Grow the bounds over ``extent`` and keep the shape and its legend entry.
+
+        ``tail`` holds one ``%s`` for the colour, filled here once escaped.
+        """
         xs, ys = zip(*extent)
         # Folding from the running bound keeps NaN coordinates out of the bounds.
         self._min_x = min(self._min_x, *xs)
         self._min_y = min(self._min_y, *ys)
         self._max_x = max(self._max_x, *xs)
         self._max_y = max(self._max_y, *ys)
-        self._shapes.append((head, points, radius, tail))
+        color = color.translate(_XML_ESCAPES)
+        self._shapes.append((head, points, radius, tail % color))
         if label:
-            self._legend.append((label, color))
+            self._legend.append((label.translate(_XML_ESCAPES), color))
 
     def polyline(self, points: list[tuple[float, float]], color: str | None = None,
                  width: float = 1.6, label: str | None = None) -> None:
@@ -56,13 +63,13 @@ class SvgPlot:
             self._series += 1
         points = list(points)
         self._record('<polyline points="' + " ".join(["%.2f,%.2f"] * len(points)),
-                     f'" fill="none" stroke="{color}" stroke-width="{width}"/>',
+                     f'" fill="none" stroke="%s" stroke-width="{width}"/>',
                      points, points, color, label)
 
     def circle(self, cx: float, cy: float, r: float, color: str = "#333333",
                width: float = 1.6, label: str | None = None) -> None:
         self._record('<circle cx="%.2f" cy="%.2f" r="%.2f"',
-                     f' fill="none" stroke="{color}" stroke-width="{width}"/>',
+                     f' fill="none" stroke="%s" stroke-width="{width}"/>',
                      [(cx, cy)], [(cx - r, cy - r), (cx + r, cy + r)], color, label, r)
 
     def segment(self, x1: float, y1: float, x2: float, y2: float,
@@ -70,12 +77,12 @@ class SvgPlot:
                 label: str | None = None) -> None:
         points = [(x1, y1), (x2, y2)]
         self._record('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"',
-                     f' stroke="{color}" stroke-width="{width}"/>', points, points, color, label)
+                     f' stroke="%s" stroke-width="{width}"/>', points, points, color, label)
 
     def marker(self, x: float, y: float, color: str = "#000000",
                label: str | None = None) -> None:
         """Small dot of fixed screen size at a data point."""
-        self._record('<circle cx="%.2f" cy="%.2f"', f' r="3.5" fill="{color}"/>',
+        self._record('<circle cx="%.2f" cy="%.2f"', ' r="3.5" fill="%s"/>',
                      [(x, y)], [(x, y)], color, label)
 
     def _transform(self) -> tuple[float, float, float]:
@@ -125,7 +132,8 @@ class SvgPlot:
         if self.title:
             parts.append(
                 f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="16" fill="#222222">{self.title}</text>'
+                f'font-family="sans-serif" font-size="16" fill="#222222">'
+                f'{self.title.translate(_XML_ESCAPES)}</text>'
             )
         for i, (label, color) in enumerate(self._legend):
             y = 46 + 18 * i

@@ -23,6 +23,7 @@ from sympgeo import (
     PhaseState,
     Vec2,
     analytic_oscillator,
+    area_residual,
     ellipse_residual,
     hamiltonian,
     hamiltonian_field,
@@ -31,6 +32,7 @@ from sympgeo import (
     step,
     tilde,
 )
+from sympgeo.dynamics import SPLITTINGS
 
 UNIT = OscillatorParams(mass=1.0, stiffness=1.0)
 
@@ -321,6 +323,32 @@ def test_explicit_euler_inflates_phase_area_by_known_factor():
     (a, b), (c, d) = linear_step_matrix(EXPLICIT_EULER, params, dt)
     expected = 1.0 + dt * dt * params.stiffness / params.mass
     assert abs((a * d - b * c) - expected) <= 1e-14
+
+
+def test_area_residual_of_every_method():
+    # Every SPLITTINGS row is a product of shears, so its step map preserves
+    # area to rounding; explicit Euler's has determinant 1 + (omega*dt)**2.
+    rng = random.Random(5150)
+    for _ in range(2000):
+        params = OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3))
+        dt = 10.0 ** rng.uniform(-4, 0) / params.omega
+        for method in METHODS:
+            residual = area_residual(params, dt, method)
+            if method == EXPLICIT_EULER:
+                expected = (params.omega * dt) ** 2
+                assert abs(residual - expected) <= 1e-12 * expected
+            else:
+                assert method in SPLITTINGS
+                assert abs(residual) <= 4 * sys.float_info.epsilon
+
+
+def test_area_residual_overflow_raises_a_typed_singularity():
+    # The step itself overflows: p = -dt*k = -1e310.
+    with pytest.raises(NumericalOverflowError, match="phase state overflows"):
+        area_residual(OscillatorParams(1.0, 1e300), 1e10, LEAPFROG)
+    # The step is finite but the area is not: p*q = -1e300 * 1e200.
+    with pytest.raises(NumericalOverflowError, match="area residual overflows at dt=1e\\+100$"):
+        area_residual(OscillatorParams(1e-100, 1e200), 1e100, EXPLICIT_EULER)
 
 
 def test_leapfrog_jacobian_by_finite_differences():

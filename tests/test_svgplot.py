@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import xml.etree.ElementTree as ET
 
 from sympgeo.svgplot import HEIGHT, MARGIN, WIDTH, SvgPlot
 
@@ -116,4 +117,19 @@ def test_seeded_corpus_digest_is_pinned():
     digest = hashlib.sha256()
     for _ in range(300):
         digest.update(_corpus_plot(rng).to_svg().encode())
-    assert digest.hexdigest() == "b51319a2c5bf7755d97d9e208c1cd6c9070fc3e7b49815c6425d427046648fc3"
+    assert digest.hexdigest() == "43be24c09a575815f0042633c1bdb5d006e6d2c42ee209d56f110031f5549176"
+
+
+def test_every_corpus_plot_is_well_formed_xml():
+    rng = random.Random(20241)
+    for _ in range(300):
+        ET.fromstring(_corpus_plot(rng).to_svg())
+
+
+def test_text_and_colours_are_escaped():
+    plot = SvgPlot('a & b < "c" > d')
+    plot.marker(0.0, 0.0, color='red" onload="x', label="<tag> & more")
+    root = ET.fromstring(plot.to_svg())
+    ns = "{http://www.w3.org/2000/svg}"
+    assert [t.text for t in root.iter(ns + "text")] == ['a & b < "c" > d', "<tag> & more"]
+    assert root.find(ns + "circle").get("fill") == 'red" onload="x'
