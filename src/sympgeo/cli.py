@@ -28,7 +28,7 @@ import time
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .core import Vec2, identity_residuals, norm, tilde
+from .core import Vec2, _identity_terms, norm, tilde
 from .dynamics import (
     EXPLICIT_EULER,
     LEAPFROG,
@@ -89,6 +89,16 @@ def _parse_circle(text: str) -> Circle:
         return Circle(Vec2(float(parts[0]), float(parts[1])), float(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -172,8 +182,8 @@ def _build_parser() -> _Parser:
                           help="fuzz the five product identities with seeded random vectors")
     p_id.add_argument("--samples", type=_positive_int, default=1000)
     p_id.add_argument("--seed", type=int, default=0)
-    p_id.add_argument("--range", type=float, default=10.0, dest="span",
-                      help="components drawn uniformly from [-range, range]")
+    p_id.add_argument("--range", type=_finite_float, default=10.0, dest="span",
+                      help="components drawn uniformly from [-range, range]; finite")
     fmt = p_id.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report (default)")
     fmt.add_argument("--csv", action="store_true", help="one row per identity family")
@@ -222,21 +232,48 @@ def _build_parser() -> _Parser:
 
 
 def _run_identities(args: argparse.Namespace) -> _Result:
-    rng = random.Random(args.seed)
     span = args.span
-    names = ("jacobi", "grassmann_full", "lagrange", "grassmann_reduced", "binet_cauchy")
-    maxima = dict.fromkeys(names, 0.0)
+    # ``uniform(-span, span)`` is ``-span + (span + span)*random()``: finite
+    # for every draw exactly when ``span + span`` is.
+    if not math.isfinite(span + span):
+        raise NumericalOverflowError(f"identity sample range overflows: the draws from "
+                                     f"[-{abs(span)!r}, {abs(span)!r}] are not finite")
+    uniform = random.Random(args.seed).uniform
+    lo = -span
+    hypot = math.hypot
+    m_jacobi = m_full = m_lagrange = m_reduced = m_binet = 0.0
     within = True
     for _ in range(args.samples):
-        vectors = [Vec2(rng.uniform(-span, span), rng.uniform(-span, span)) for _ in range(4)]
-        a, b, c, d = vectors
-        magnitudes = identity_residuals(a, b, c, d).magnitudes()
-        tol = IDENTITY_RTOL * (1.0 + norm(a) * norm(b) * norm(c) * norm(d))
-        for name, value in magnitudes.items():
-            if value > maxima[name]:
-                maxima[name] = value
-            if value > tol:
-                within = False
+        ax = uniform(lo, span)
+        ay = uniform(lo, span)
+        bx = uniform(lo, span)
+        by = uniform(lo, span)
+        cx = uniform(lo, span)
+        cy = uniform(lo, span)
+        dx = uniform(lo, span)
+        dy = uniform(lo, span)
+        jx, jy, fx, fy, lagrange, rx, ry, binet = _identity_terms(ax, ay, bx, by, cx, cy, dx, dy)
+        # ``IdentityResiduals.magnitudes()`` and the ``norm`` products, bit for bit.
+        jacobi = hypot(jx, jy)
+        full = hypot(fx, fy)
+        lagrange = abs(lagrange)
+        reduced = hypot(rx, ry)
+        binet = abs(binet)
+        tol = IDENTITY_RTOL * (1.0 + hypot(ax, ay) * hypot(bx, by) * hypot(cx, cy) * hypot(dx, dy))
+        if jacobi > m_jacobi:
+            m_jacobi = jacobi
+        if full > m_full:
+            m_full = full
+        if lagrange > m_lagrange:
+            m_lagrange = lagrange
+        if reduced > m_reduced:
+            m_reduced = reduced
+        if binet > m_binet:
+            m_binet = binet
+        if jacobi > tol or full > tol or lagrange > tol or reduced > tol or binet > tol:
+            within = False
+    maxima = {"jacobi": m_jacobi, "grassmann_full": m_full, "lagrange": m_lagrange,
+              "grassmann_reduced": m_reduced, "binet_cauchy": m_binet}
     envelope = {
         "subcommand": "identities",
         "input": {"samples": args.samples, "seed": args.seed, "range": span},

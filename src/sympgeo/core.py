@@ -259,11 +259,26 @@ def identity_residuals(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> IdentityResiduals:
 
     Only the last identity uses ``d``.
 
-    Evaluated on plain floats in the order the formulas are written, with
+    Evaluated on plain floats by :func:`_identity_terms`.  Raises
+    :class:`NumericalOverflowError` when a residual overflows.
+    """
+    jx, jy, fx, fy, lagrange, rx, ry, binet_cauchy = _identity_terms(
+        a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+    # Every component was checked finite by the kernel.
+    return IdentityResiduals(_vec2(jx, jy), _vec2(fx, fy), lagrange, _vec2(rx, ry),
+                             binet_cauchy)
+
+
+def _identity_terms(ax: float, ay: float, bx: float, by: float, cx: float, cy: float,
+                    dx: float, dy: float) -> tuple[float, ...]:
+    """The eight residual components of :func:`identity_residuals` on plain floats.
+
+    Returns ``(jacobi_x, jacobi_y, grassmann_full_x, grassmann_full_y, lagrange,
+    grassmann_reduced_x, grassmann_reduced_y, binet_cauchy)``, each checked
+    finite.  The formulas are evaluated in the order they are written, with
     each product computed once (``dot`` is symmetric bit for bit).  Raises
     :class:`NumericalOverflowError` when a residual overflows.
     """
-    ax, ay, bx, by, cx, cy, dx, dy = a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y
     s_bc = bx * cy - by * cx
     s_ca = cx * ay - cy * ax
     s_ab = ax * by - ay * bx
@@ -288,6 +303,4 @@ def identity_residuals(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> IdentityResiduals:
             and math.isfinite(full_y) and math.isfinite(lagrange) and math.isfinite(reduced_x)
             and math.isfinite(reduced_y) and math.isfinite(binet_cauchy)):
         raise NumericalOverflowError("identity residuals overflow")
-    # Every component was checked finite just above.
-    return IdentityResiduals(_vec2(jacobi_x, jacobi_y), _vec2(full_x, full_y), lagrange,
-                             _vec2(reduced_x, reduced_y), binet_cauchy)
+    return jacobi_x, jacobi_y, full_x, full_y, lagrange, reduced_x, reduced_y, binet_cauchy

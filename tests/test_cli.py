@@ -1,5 +1,6 @@
 """Command-line layer: exit codes, schema, determinism, CSV and SVG output."""
 
+import argparse
 import copy
 import csv
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 
 from sympgeo import cli
 from sympgeo.cli import main
+from sympgeo.core import Vec2, identity_residuals, norm
 from sympgeo.dynamics import hamiltonian
 
 
@@ -88,6 +90,31 @@ def test_exit_code_three_on_identity_overflow(capsys, span):
     assert main(["identities", "--range", span, "--samples", "5", "--seed", "1"]) == 3
     err = capsys.readouterr().err
     assert "numerical singularity: identity residuals overflow" in err
+
+
+@pytest.mark.parametrize("span", ["inf", "-inf", "nan"])
+def test_identity_range_must_be_finite(capsys, span):
+    assert main(["identities", f"--range={span}", "--samples", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --range: expected a finite number, got '{span}'" in captured.err
+
+
+@pytest.mark.parametrize("span", ["1e308", "-1e308", "8.98846567431158e307"])
+def test_exit_code_three_on_identity_range_overflow(capsys, span):
+    # The draws ``-span + 2*span*random()`` overflow from |span| > max/2 on,
+    # although the range itself is a finite float.
+    assert main(["identities", f"--range={span}", "--samples", "5", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical singularity: identity sample range overflows" in captured.err
+
+
+def test_largest_identity_range_draws_finite_samples(capsys):
+    # max/2 is the largest range whose draws stay finite; its residuals overflow.
+    span = repr(sys.float_info.max / 2)
+    assert main(["identities", f"--range={span}", "--samples", "5", "--seed", "1"]) == 3
+    assert "numerical singularity: identity residuals overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["euler", "symplectic-euler", "leapfrog"])
@@ -215,6 +242,53 @@ def test_identities_seeded_run_stays_within_documented_bound(capsys):
     assert code == 0
     bound = 1e-9 * (1.0 + 10.0 ** 4)
     assert all(v <= bound for v in report["residuals"].values())
+
+
+def _reference_identities(samples, seed, span):
+    """The identity fuzz run on the public record path: ``Vec2``s, records and ``norm``."""
+    rng = random.Random(seed)
+    maxima = dict.fromkeys(
+        ("jacobi", "grassmann_full", "lagrange", "grassmann_reduced", "binet_cauchy"), 0.0)
+    within = True
+    for _ in range(samples):
+        a, b, c, d = [Vec2(rng.uniform(-span, span), rng.uniform(-span, span))
+                      for _ in range(4)]
+        tol = cli.IDENTITY_RTOL * (1.0 + norm(a) * norm(b) * norm(c) * norm(d))
+        for name, value in identity_residuals(a, b, c, d).magnitudes().items():
+            if value > maxima[name]:
+                maxima[name] = value
+            if value > tol:
+                within = False
+    return maxima, within
+
+
+@pytest.mark.parametrize("span", [0.0, -0.0, -7.5, 1e-150, 1e-160, 10.0, 1e75])
+@pytest.mark.parametrize("seed", [3, 29])
+def test_identities_runner_matches_the_record_path(span, seed):
+    maxima, within = _reference_identities(400, seed, span)
+    result = cli._run_identities(argparse.Namespace(samples=400, seed=seed, span=span))
+    assert [(name, repr(value)) for name, value in result.rows] == \
+        [(name, repr(value)) for name, value in maxima.items()]
+    assert result.envelope["residuals"] == maxima
+    assert result.envelope["results"]["within_tolerance"] is within
+    assert result.exit_code == (0 if within else 3)
+
+
+IDENTITIES_JSON_SHA256 = {
+    "seed 42": (["--samples", "1000", "--seed", "42"],
+                "b2ebd6a55c1952d2c73f3504cb29a398a98ca2a2439da50aeb2471f5f8b020eb"),
+    "subnormal products": (["--samples", "200", "--seed", "5", "--range", "1e-160"],
+                           "52fd2fbc7635912fd573cce383552e977151c78fecd35a059319f5093841833f"),
+}
+
+
+@pytest.mark.parametrize("case", IDENTITIES_JSON_SHA256)
+def test_identities_json_digest_is_pinned(capsys, case):
+    argv, digest = IDENTITIES_JSON_SHA256[case]
+    code = main(["identities", *argv])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(strip_timing(out)).hexdigest() == digest
 
 
 def test_oscillator_report_shape(capsys):
