@@ -11,7 +11,9 @@ A run has three phases: :func:`main` parses the command line, a runner
 computes a :class:`_Result` (the report envelope plus, for the tabular
 subcommands, one row tuple per sample) and a writer serialises it.  The
 CSV and JSON writers share each tabular subcommand's fixed row schema,
-a :class:`_Table`, and format each row from a ``%``-template.
+a :class:`_Table`, and format each row from a ``%``-template.  Each
+runner imports the layers it runs, so a run loads ``core``, ``errors`` and
+only the layers of its subcommand (``svgplot`` only with ``--svg``).
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.
@@ -26,24 +28,15 @@ import random
 import sys
 import time
 from collections.abc import Callable
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Vec2, _identity_terms, norm, tilde
-from .dynamics import (
-    EXPLICIT_EULER,
-    LEAPFROG,
-    SYMPLECTIC_EULER,
-    OscillatorParams,
-    PhaseState,
-    Trajectory,
-    analytic_oscillator,
-    hamiltonian,
-    simulate,
-)
 from .errors import DegeneracyError, NumericalOverflowError, SingularityError
-from .geometry import Circle, Line, Tangent, circle_tangents, intersect_lines, tangent_distance_error
-from .kinematics import CrankConfig, SweepEntry, crank_sweep, loop_residuals
-from .svgplot import PALETTE, SvgPlot
+
+if TYPE_CHECKING:
+    from .dynamics import Trajectory
+    from .geometry import Circle, Tangent
+    from .kinematics import SweepEntry
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,10 +46,11 @@ EXIT_SINGULAR = 3
 #: Scaled tolerance factor for the seeded identity fuzz runs.
 IDENTITY_RTOL = 1e-9
 
+#: ``--method`` choices and the ``dynamics.METHODS`` entries they name.
 _METHOD_NAMES = {
-    "euler": EXPLICIT_EULER,
-    "symplectic-euler": SYMPLECTIC_EULER,
-    "leapfrog": LEAPFROG,
+    "euler": "explicit_euler",
+    "symplectic-euler": "symplectic_euler",
+    "leapfrog": "leapfrog",
 }
 
 _DEG = math.pi / 180.0
@@ -82,6 +76,8 @@ def _parse_vec(text: str) -> Vec2:
 
 
 def _parse_circle(text: str) -> Circle:
+    from .geometry import Circle
+
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected x,y,r, got {text!r}")
@@ -203,12 +199,12 @@ def _build_parser() -> _Parser:
 
     p_crank = sub.add_parser("crank",
                              help="sweep the inverted slider crank over a crank-angle interval")
-    p_crank.add_argument("--length", type=float, required=True, help="crank length")
+    p_crank.add_argument("--length", type=_finite_float, required=True, help="crank length")
     p_crank.add_argument("--pivot", type=_parse_vec, required=True, help="pivot block (x,y)")
-    p_crank.add_argument("--phidot", type=float, required=True, help="drive rate")
-    p_crank.add_argument("--from", type=float, required=True, dest="phi_from",
+    p_crank.add_argument("--phidot", type=_finite_float, required=True, help="drive rate")
+    p_crank.add_argument("--from", type=_finite_float, required=True, dest="phi_from",
                          help="first crank angle")
-    p_crank.add_argument("--to", type=float, required=True, dest="phi_to",
+    p_crank.add_argument("--to", type=_finite_float, required=True, dest="phi_to",
                          help="last crank angle")
     p_crank.add_argument("--steps", type=_positive_int, required=True)
     p_crank.add_argument("--degrees", action="store_true",
@@ -218,11 +214,11 @@ def _build_parser() -> _Parser:
 
     p_osc = sub.add_parser("oscillator",
                            help="integrate the harmonic oscillator in phase space")
-    p_osc.add_argument("--mass", type=float, required=True)
-    p_osc.add_argument("--stiffness", type=float, required=True)
-    p_osc.add_argument("--q0", type=float, required=True)
-    p_osc.add_argument("--p0", type=float, required=True)
-    p_osc.add_argument("--dt", type=float, required=True)
+    p_osc.add_argument("--mass", type=_finite_float, required=True)
+    p_osc.add_argument("--stiffness", type=_finite_float, required=True)
+    p_osc.add_argument("--q0", type=_finite_float, required=True)
+    p_osc.add_argument("--p0", type=_finite_float, required=True)
+    p_osc.add_argument("--dt", type=_finite_float, required=True)
     p_osc.add_argument("--steps", type=_positive_int, required=True)
     p_osc.add_argument("--method", choices=sorted(_METHOD_NAMES), required=True)
     p_osc.add_argument("--csv", action="store_true", help="CSV table instead of JSON")
@@ -284,6 +280,8 @@ def _run_identities(args: argparse.Namespace) -> _Result:
 
 
 def _run_intersect(args: argparse.Namespace) -> _Result:
+    from .geometry import Line, intersect_lines
+
     line1 = Line(args.a, args.u)
     line2 = Line(args.b, args.v)
     result = intersect_lines(line1, line2)
@@ -299,6 +297,8 @@ def _run_intersect(args: argparse.Namespace) -> _Result:
 
 
 def _tangents_svg(c1: Circle, c2: Circle, tangents: list[Tangent], path: str) -> None:
+    from .svgplot import SvgPlot
+
     plot = SvgPlot("common tangents")
     plot.circle(c1.center.x, c1.center.y, c1.radius, color="#1f77b4", label="circle 1")
     plot.circle(c2.center.x, c2.center.y, c2.radius, color="#2ca02c", label="circle 2")
@@ -317,6 +317,8 @@ def _tangents_svg(c1: Circle, c2: Circle, tangents: list[Tangent], path: str) ->
 
 
 def _run_tangents(args: argparse.Namespace) -> _Result:
+    from .geometry import circle_tangents, tangent_distance_error
+
     tangents = circle_tangents(args.c1, args.c2)
     max_error = 0.0
     entries = []
@@ -381,6 +383,8 @@ def _crank_row(entry: SweepEntry, degrees: bool) -> tuple:
 
 
 def _crank_svg(rows: list[tuple], path: str) -> None:
+    from .svgplot import PALETTE, SvgPlot
+
     plot = SvgPlot("slider-crank sweep")
     series = ("s", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot")
     for name, color in zip(series, PALETTE):
@@ -402,6 +406,8 @@ def _crank_svg(rows: list[tuple], path: str) -> None:
 
 
 def _run_crank(args: argparse.Namespace) -> _Result:
+    from .kinematics import CrankConfig, crank_sweep, loop_residuals
+
     cfg = CrankConfig(args.length, args.pivot, args.phidot)
     phi_from = args.phi_from * _DEG if args.degrees else args.phi_from
     phi_to = args.phi_to * _DEG if args.degrees else args.phi_to
@@ -433,6 +439,9 @@ def _run_crank(args: argparse.Namespace) -> _Result:
 
 
 def _oscillator_svg(trajectory: Trajectory, path: str) -> None:
+    from .dynamics import analytic_oscillator
+    from .svgplot import SvgPlot
+
     plot = SvgPlot("phase portrait")
     initial = trajectory.states[0]
     period = 2.0 * math.pi / trajectory.params.omega
@@ -451,6 +460,8 @@ def _oscillator_svg(trajectory: Trajectory, path: str) -> None:
 
 
 def _run_oscillator(args: argparse.Namespace) -> _Result:
+    from .dynamics import OscillatorParams, PhaseState, hamiltonian, simulate
+
     params = OscillatorParams(args.mass, args.stiffness)
     initial = PhaseState(args.q0, args.p0, 0.0)
     trajectory = simulate(initial, params, args.dt, args.steps, _METHOD_NAMES[args.method])

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from sympgeo import cli
+from sympgeo import cli, dynamics
 from sympgeo.cli import main
 from sympgeo.core import Vec2, identity_residuals, norm
 from sympgeo.dynamics import hamiltonian
@@ -98,6 +98,29 @@ def test_identity_range_must_be_finite(capsys, span):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument --range: expected a finite number, got '{span}'" in captured.err
+
+
+_CRANK_FLAGS = {"--length": "1", "--phidot": "1", "--from": "0", "--to": "1"}
+_OSCILLATOR_FLAGS = {"--mass": "1", "--stiffness": "1", "--q0": "1", "--p0": "0", "--dt": "0.1"}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("subcommand, flag", [
+    *(("crank", flag) for flag in _CRANK_FLAGS),
+    *(("oscillator", flag) for flag in _OSCILLATOR_FLAGS),
+])
+def test_float_flags_must_be_finite(capsys, subcommand, flag, value):
+    if subcommand == "crank":
+        flags, rest = _CRANK_FLAGS, ["--pivot", "3,0", "--steps", "3"]
+    else:
+        flags, rest = _OSCILLATOR_FLAGS, ["--steps", "3", "--method", "leapfrog"]
+    argv = [subcommand, *rest]
+    for name, default in flags.items():
+        argv.append(f"{name}={value if name == flag else default}")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a finite number, got '{value}'" in captured.err
 
 
 @pytest.mark.parametrize("span", ["1e308", "-1e308", "8.98846567431158e307"])
@@ -582,7 +605,7 @@ def test_oscillator_evaluates_each_energy_once(capsys, monkeypatch):
         calls.append(state)
         return hamiltonian(state, params)
 
-    monkeypatch.setattr(cli, "hamiltonian", counting_hamiltonian)
+    monkeypatch.setattr(dynamics, "hamiltonian", counting_hamiltonian)
     base = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
             "--dt", "0.1", "--steps", "200", "--method", "leapfrog"]
     for extra in ([], ["--csv"]):
