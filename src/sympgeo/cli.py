@@ -65,6 +65,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -<digit or .>...`` into ``--flag=-...``.
+
+    argparse reads a separate value with a leading minus as an option unless
+    it is a plain negative number, so ``--from -1e-3`` and ``--a -1,0`` would
+    lose their value.  No sympgeo option starts with ``-<digit>`` or ``-.``.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if (joined and joined[-1][:2] == "--" and "=" not in joined[-1]
+                and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _parse_vec(text: str) -> Vec2:
     parts = text.split(",")
     if len(parts) != 2:
@@ -285,13 +302,16 @@ def _run_intersect(args: argparse.Namespace) -> _Result:
     line1 = Line(args.a, args.u)
     line2 = Line(args.b, args.v)
     result = intersect_lines(line1, line2)
-    closure = (line2.point - line1.point) + args.v * result.mu - args.u * result.lam
+    # Where the anchor offset overflows, the loop is closed at half scale,
+    # as intersect_lines forms it; the factor 1.0 leaves every other loop exact.
+    k = 1.0 if math.isfinite(args.b.x - args.a.x) and math.isfinite(args.b.y - args.a.y) else 0.5
+    closure = (args.b * k - args.a * k) + args.v * (result.mu * k) - args.u * (result.lam * k)
     envelope = {
         "subcommand": "intersect",
         "input": {"a": _vec_json(args.a), "u": _vec_json(args.u),
                   "b": _vec_json(args.b), "v": _vec_json(args.v)},
         "results": {"point": _vec_json(result.point), "lambda": result.lam, "mu": result.mu},
-        "residuals": {"loop_closure": norm(closure)},
+        "residuals": {"loop_closure": norm(closure) / k},
     }
     return _Result(envelope, [], EXIT_OK)
 
@@ -510,7 +530,7 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     started = time.perf_counter()

@@ -127,8 +127,9 @@ def intersect_lines(line1: Line, line2: Line) -> Intersection:
     lies in ``[0.5, 1)``; in the normal range that scale is exact, so the
     parallel test, ``lam`` and ``mu`` come out bit for bit as from the
     unscaled formulas, and directions near 1e300 no longer overflow them.
-    Raises :class:`NumericalOverflowError` when the anchor offset or the
-    result overflows.
+    When the anchor offset overflows, it is formed from the halved anchors
+    instead, so anchors near 1e308 on opposite sides still meet.  Raises
+    :class:`NumericalOverflowError` when the result overflows.
     """
     p, u = line1.point, line1.direction
     ux, uy, ku = _rescaled(u.x, u.y)
@@ -138,7 +139,11 @@ def intersect_lines(line1: Line, line2: Line) -> Intersection:
         raise ParallelLinesError("lines are parallel; no finite intersection")
     ax, ay = line2.point.x - p.x, line2.point.y - p.y
     if not (math.isfinite(ax) and math.isfinite(ay)):
-        raise NumericalOverflowError("line anchor offset overflows")
+        # Halved anchors are exact and their offset stays finite; a factor 2
+        # on lam and mu undoes the halving.
+        ax, ay = line2.point.x * 0.5 - p.x * 0.5, line2.point.y * 0.5 - p.y * 0.5
+        ku -= 1
+        kv -= 1
     try:
         lam = math.ldexp(-(vx * ay - vy * ax) / denominator, -ku)
         mu = math.ldexp((ax * uy - ay * ux) / denominator, -kv)

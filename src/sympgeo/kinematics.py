@@ -10,20 +10,24 @@ the rod orientation ``psi`` follow from the loop
 and differentiating that loop once and twice gives the rates and
 accelerations without ever solving an equation system.
 
-The per-angle kernel behind :func:`crank_state` and :func:`crank_sweep`
-runs on plain floats: the singularity floor is computed once per call or
-sweep, each returned scalar is checked for finiteness once, and the only
-vector it builds is the returned ``e_psi``.  A non-finite result raises
-:class:`NumericalOverflowError` instead of reaching a report.
+:func:`crank_sweep` and :func:`crank_state` share one loop over crank
+angles on plain floats.  It reads the configuration once per call, forms
+the rod, its rates and accelerations and the unwrapped rod angle in the
+operation order of :func:`crank_position`, :func:`crank_velocity`,
+:func:`crank_acceleration` and :func:`wrap_angle`, and builds each result
+record directly, without re-validating components it has already checked
+finite.  A non-finite result raises :class:`NumericalOverflowError`
+instead of reaching a report.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, _vec2, norm, tilde, wrap_angle
+from .core import ATOL, Vec2, _vec2, norm, tilde
 from .errors import NumericalOverflowError, SingularPositionError
 
 
@@ -177,25 +181,13 @@ def _rates(phi: float, phi_dot: float, ax: float, ay: float, s: float, ex: float
     return s_dot, psi_dot
 
 
-def _accels(phi: float | None, phi_dot: float, s: float, s_dot: float,
-            psi_dot: float) -> tuple[float, float]:
-    """``(s_ddot, psi_ddot)``; see :func:`crank_acceleration`, which has no
-    crank angle to name, so ``phi`` may be None."""
+def _accels(phi_dot: float, s: float, s_dot: float, psi_dot: float) -> tuple[float, float]:
+    """``(s_ddot, psi_ddot)``; see :func:`crank_acceleration`."""
     s_ddot = psi_dot * (psi_dot - phi_dot) * s
     psi_ddot = (phi_dot - 2.0 * psi_dot) * s_dot / s
     if not (math.isfinite(s_ddot) and math.isfinite(psi_ddot)):
-        where = "" if phi is None else f" at phi={phi}"
-        raise NumericalOverflowError(f"rod accelerations overflow{where}")
+        raise NumericalOverflowError("rod accelerations overflow")
     return s_ddot, psi_ddot
-
-
-def _crank_kernel(cfg: CrankConfig, phi: float, floor: float) -> CrankState:
-    """Full state at one crank angle, computed on floats against a precomputed floor."""
-    ax, ay, s, ex, ey, psi = _rod(cfg, phi, floor)
-    s_dot, psi_dot = _rates(phi, cfg.phi_dot, ax, ay, s, ex, ey)
-    s_ddot, psi_ddot = _accels(phi, cfg.phi_dot, s, s_dot, psi_dot)
-    # _rod checked s finite and above the floor, so |ex|, |ey| <= 1.
-    return CrankState(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _vec2(ex, ey))
 
 
 def crank_position(cfg: CrankConfig, phi: float) -> CrankPosition:
@@ -236,7 +228,7 @@ def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float)
     """
     if s <= _singularity_floor(cfg):
         raise SingularPositionError("accelerations undefined at a singular position")
-    return CrankAccel(*_accels(None, cfg.phi_dot, s, s_dot, psi_dot))
+    return CrankAccel(*_accels(cfg.phi_dot, s, s_dot, psi_dot))
 
 
 def crank_state(cfg: CrankConfig, phi: float) -> CrankState:
@@ -245,7 +237,10 @@ def crank_state(cfg: CrankConfig, phi: float) -> CrankState:
     Raises :class:`SingularPositionError` at a singular angle and
     :class:`NumericalOverflowError` when a result overflows.
     """
-    return _crank_kernel(cfg, phi, _singularity_floor(cfg))
+    entry = _sweep(cfg, (phi,))[0]
+    if entry.singular:
+        raise SingularPositionError(f"rod length vanishes at phi={phi}")
+    return entry.state
 
 
 def loop_residuals(cfg: CrankConfig, state: CrankState) -> tuple[float, float, float]:
@@ -262,22 +257,24 @@ def loop_residuals(cfg: CrankConfig, state: CrankState) -> tuple[float, float, f
     Raises :class:`NumericalOverflowError` when a closure overflows.
     """
     w = cfg.phi_dot
-    s, s_dot, psi_dot = state.s, state.s_dot, state.psi_dot
-    ax, ay = _tip(cfg.crank_length, state.phi)
-    ex, ey = state.e_psi.x, state.e_psi.y
+    phi, s, _, s_dot, psi_dot, s_ddot, psi_ddot, e_psi = state
+    length = cfg.crank_length
+    ax = length * math.cos(phi)
+    ay = length * math.sin(phi)
+    ex, ey = e_psi.x, e_psi.y
     # Coefficients of tilde(e_psi) in the velocity closure and of a_vec,
     # e_psi and tilde(e_psi) in the acceleration closure.
     vel_te = psi_dot * s
     acc_a = -w * w
-    acc_e = state.s_ddot - psi_dot * psi_dot * s
-    acc_te = state.psi_ddot * s + 2.0 * psi_dot * s_dot
+    acc_e = s_ddot - psi_dot * psi_dot * s
+    acc_te = psi_ddot * s + 2.0 * psi_dot * s_dot
     position = math.hypot(ax + ex * s - cfg.pivot_c.x, ay + ey * s - cfg.pivot_c.y)
     velocity = math.hypot(-ay * w + ex * s_dot + -ey * vel_te,
                           ax * w + ey * s_dot + ex * vel_te)
     acceleration = math.hypot(ax * acc_a + ex * acc_e + -ey * acc_te,
                               ay * acc_a + ey * acc_e + ex * acc_te)
     if not (math.isfinite(position) and math.isfinite(velocity) and math.isfinite(acceleration)):
-        raise NumericalOverflowError(f"loop residuals overflow at phi={state.phi}")
+        raise NumericalOverflowError(f"loop residuals overflow at phi={phi}")
     return (position, velocity, acceleration)
 
 
@@ -293,24 +290,60 @@ def crank_sweep(cfg: CrankConfig, phi_start: float, phi_end: float, steps: int) 
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     span = phi_end - phi_start
+    last = steps - 1
+    return _sweep(cfg, [phi_start + span * (i / last) for i in range(steps)])
+
+
+def _sweep(cfg: CrankConfig, phis: Iterable[float]) -> list[SweepEntry]:
+    """The sweep entries at the crank angles ``phis``, in order.
+
+    Writes out :func:`crank_position`, :func:`crank_velocity`,
+    :func:`crank_acceleration` and the :func:`wrap_angle` unwrap on floats,
+    in their operation order, so each entry holds the same bits as that
+    stepwise composition.  The overflow messages name ``phi``.
+    """
+    length = cfg.crank_length
+    cx, cy = cfg.pivot_c.x, cfg.pivot_c.y
+    w = cfg.phi_dot
     floor = _singularity_floor(cfg)
-    near_length = NEAR_SINGULAR_FRACTION * cfg.crank_length
+    near_length = NEAR_SINGULAR_FRACTION * length
+    cos, sin, hypot, atan2 = math.cos, math.sin, math.hypot, math.atan2
+    isfinite, remainder, tau, pi = math.isfinite, math.remainder, math.tau, math.pi
+    new = tuple.__new__
     entries: list[SweepEntry] = []
+    append = entries.append
     last_psi: float | None = None
     last_unwrapped = 0.0
-    for i in range(steps):
-        phi = phi_start + span * (i / (steps - 1))
-        try:
-            state = _crank_kernel(cfg, phi, floor)
-        except SingularPositionError:
-            entries.append(SweepEntry(phi, True, True, None, None))
+    for phi in phis:
+        ax = length * cos(phi)
+        ay = length * sin(phi)
+        rx = cx - ax
+        ry = cy - ay
+        s = hypot(rx, ry)
+        if not isfinite(s):
+            raise NumericalOverflowError(f"rod length overflows at phi={phi}")
+        if s <= floor:
+            append(new(SweepEntry, (phi, True, True, None, None)))
             continue
+        ex = rx / s
+        ey = ry / s
+        psi = atan2(ey, ex)
+        s_dot = w * (ax * -ey + ay * ex)
+        psi_dot = -w * (ax * ex + ay * ey) / s
+        if not (isfinite(s_dot) and isfinite(psi_dot)):
+            raise NumericalOverflowError(f"rod rates overflow at phi={phi}")
+        s_ddot = psi_dot * (psi_dot - w) * s
+        psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
+        if not (isfinite(s_ddot) and isfinite(psi_ddot)):
+            raise NumericalOverflowError(f"rod accelerations overflow at phi={phi}")
         if last_psi is None:
-            unwrapped = state.psi
+            unwrapped = psi
         else:
-            unwrapped = last_unwrapped + wrap_angle(state.psi - last_psi)
-        last_psi = state.psi
+            turn = remainder(psi - last_psi, tau)
+            unwrapped = last_unwrapped + (turn + tau if turn <= -pi else turn)
+        last_psi = psi
         last_unwrapped = unwrapped
-        near = state.s < near_length
-        entries.append(SweepEntry(phi, False, near, state, unwrapped))
+        # s is finite and above the floor, so |ex|, |ey| <= 1.
+        state = new(CrankState, (phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _vec2(ex, ey)))
+        append(new(SweepEntry, (phi, False, s < near_length, state, unwrapped)))
     return entries

@@ -9,6 +9,7 @@ plots are a convenience here, never load-bearing.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 WIDTH = 800
 HEIGHT = 600
@@ -29,61 +30,65 @@ class SvgPlot:
     def __init__(self, title: str = "") -> None:
         self.title = title
         # Per shape: a %-format over its flat screen coordinates (and scaled
-        # radius), its data points, its radius or None, and the closing text.
-        self._shapes: list[tuple[str, list[tuple[float, float]], float | None, str]] = []
+        # radius), its x and y data columns, its radius or None, and the
+        # closing text.
+        self._shapes: list[tuple[str, tuple[float, ...], tuple[float, ...], float | None,
+                                 str]] = []
         self._legend: list[tuple[str, str]] = []
         self._series = 0
         self._min_x = self._min_y = math.inf
         self._max_x = self._max_y = -math.inf
 
-    def _record(self, head: str, tail: str, points: list[tuple[float, float]],
-                extent: list[tuple[float, float]], color: str, label: str | None,
-                radius: float | None = None) -> None:
-        """Grow the bounds over ``extent`` and keep the shape and its legend entry.
+    def _record(self, head: str, tail: str, xs: tuple[float, ...], ys: tuple[float, ...],
+                color: str, label: str | None, radius: float | None = None,
+                extent: tuple[tuple[float, ...], tuple[float, ...]] | None = None) -> None:
+        """Grow the bounds and keep the shape and its legend entry.
 
+        The bounds grow over the columns ``xs``, ``ys``, or over the columns
+        of ``extent`` when the shape covers more than its points (a circle).
         ``tail`` holds one ``%s`` for the colour, filled here once escaped.
         """
-        xs, ys = zip(*extent)
+        bx, by = extent or (xs, ys)
         # Folding from the running bound keeps NaN coordinates out of the bounds.
-        self._min_x = min(self._min_x, *xs)
-        self._min_y = min(self._min_y, *ys)
-        self._max_x = max(self._max_x, *xs)
-        self._max_y = max(self._max_y, *ys)
+        self._min_x = min(self._min_x, *bx)
+        self._min_y = min(self._min_y, *by)
+        self._max_x = max(self._max_x, *bx)
+        self._max_y = max(self._max_y, *by)
         color = color.translate(_XML_ESCAPES)
-        self._shapes.append((head, points, radius, tail % color))
+        self._shapes.append((head, xs, ys, radius, tail % color))
         if label:
             self._legend.append((label.translate(_XML_ESCAPES), color))
 
-    def polyline(self, points: list[tuple[float, float]], color: str | None = None,
+    def polyline(self, points: Iterable[tuple[float, float]], color: str | None = None,
                  width: float = 1.6, label: str | None = None) -> None:
-        if not points:
+        columns = tuple(zip(*points))
+        if not columns:
             return
+        xs, ys = columns
         if color is None:
             color = PALETTE[self._series % len(PALETTE)]
             self._series += 1
-        points = list(points)
-        self._record('<polyline points="' + " ".join(["%.2f,%.2f"] * len(points)),
+        self._record('<polyline points="' + " ".join(["%.2f,%.2f"] * len(xs)),
                      f'" fill="none" stroke="%s" stroke-width="{width}"/>',
-                     points, points, color, label)
+                     xs, ys, color, label)
 
     def circle(self, cx: float, cy: float, r: float, color: str = "#333333",
                width: float = 1.6, label: str | None = None) -> None:
         self._record('<circle cx="%.2f" cy="%.2f" r="%.2f"',
                      f' fill="none" stroke="%s" stroke-width="{width}"/>',
-                     [(cx, cy)], [(cx - r, cy - r), (cx + r, cy + r)], color, label, r)
+                     (cx,), (cy,), color, label, r, ((cx - r, cx + r), (cy - r, cy + r)))
 
     def segment(self, x1: float, y1: float, x2: float, y2: float,
                 color: str = "#333333", width: float = 1.6,
                 label: str | None = None) -> None:
-        points = [(x1, y1), (x2, y2)]
         self._record('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"',
-                     f' stroke="%s" stroke-width="{width}"/>', points, points, color, label)
+                     f' stroke="%s" stroke-width="{width}"/>', (x1, x2), (y1, y2), color, label)
 
     def marker(self, x: float, y: float, color: str = "#000000",
                label: str | None = None) -> None:
         """Small dot of fixed screen size at a data point."""
         self._record('<circle cx="%.2f" cy="%.2f"', ' r="3.5" fill="%s"/>',
-                     [(x, y)], [(x, y)], color, label)
+                     (x,), (y,), color, label)
 
     def _transform(self) -> tuple[float, float, float]:
         """Uniform scale plus offsets mapping data space into the view box."""
@@ -103,13 +108,9 @@ class SvgPlot:
     def to_svg(self) -> str:
         scale, offset_x, offset_y = self._transform()
         min_x, min_y = self._min_x, self._min_y
-        # The axis origin, then each shape's points, as flat screen coordinates.
         # SVG y grows downward; data y grows upward.
-        screens = ([v for x, y in points
-                    for v in (offset_x + (x - min_x) * scale,
-                              HEIGHT - (offset_y + (y - min_y) * scale))]
-                   for points in [[(0.0, 0.0)], *[shape[1] for shape in self._shapes]])
-        x0, y0 = next(screens)
+        x0 = offset_x + (0.0 - min_x) * scale
+        y0 = HEIGHT - (offset_y + (0.0 - min_y) * scale)
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
@@ -125,7 +126,11 @@ class SvgPlot:
                     f'<line x1="{MARGIN:.2f}" y1="{y0:.2f}" x2="{WIDTH - MARGIN:.2f}" '
                     f'y2="{y0:.2f}" stroke="#cccccc" stroke-width="1"/>'
                 )
-        for (head, _, radius, tail), coords in zip(self._shapes, screens):
+        for head, xs, ys, radius, tail in self._shapes:
+            # The screen coordinates, interleaved x, y, x, y, ...
+            coords = [0.0] * (2 * len(xs))
+            coords[::2] = [offset_x + (x - min_x) * scale for x in xs]
+            coords[1::2] = [HEIGHT - (offset_y + (y - min_y) * scale) for y in ys]
             if radius is not None:
                 coords.append(radius * scale)
             parts.append(head % tuple(coords) + tail)

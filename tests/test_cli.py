@@ -168,10 +168,36 @@ def test_intersect_at_the_overflow_limit(capsys):
     assert code == 0
     assert report["results"]["point"] == pytest.approx([1.0, 0.0], abs=1e-15)
     assert report["results"]["lambda"] == pytest.approx(1e-300, rel=1e-15)
-    # The anchor offset 2e308 overflows: a typed singularity, not an invalid value.
-    code = main(["intersect", "--a=-1e308,0", "--u", "1,1", "--b", "1e308,0", "--v", "1,-1"])
-    assert code == 3
-    assert "numerical singularity: line anchor offset overflows" in capsys.readouterr().err
+    # The anchor offset 2e308 overflows, but the lines meet at (0, 1e308).
+    code, report = run_json(capsys, ["intersect", "--a=-1e308,0", "--u", "1,1",
+                                     "--b", "1e308,0", "--v", "1,-1"])
+    assert code == 0
+    assert report["results"]["point"] == [0.0, 1e308]
+    assert report["results"]["lambda"] == 1e308
+    assert report["results"]["mu"] == -1e308
+    assert report["residuals"]["loop_closure"] == 0.0
+
+
+@pytest.mark.parametrize("separate, joined", [
+    (["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from", "-1e-3",
+      "--to", "1", "--steps", "5", "--csv"],
+     ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from=-1e-3",
+      "--to", "1", "--steps", "5", "--csv"]),
+    (["crank", "--length", "1", "--pivot", "-.5,-2", "--phidot", "-2", "--from", "-.25",
+      "--to", "-1E1", "--steps", "5", "--csv"],
+     ["crank", "--length", "1", "--pivot=-.5,-2", "--phidot=-2", "--from=-.25",
+      "--to=-1E1", "--steps", "5", "--csv"]),
+    (["intersect", "--a", "-1,0", "--u", "1,1", "--b", "1,0", "--v", "1,-1"],
+     ["intersect", "--a=-1,0", "--u", "1,1", "--b", "1,0", "--v", "1,-1"]),
+    (["intersect", "--a", "-1e308,0", "--u", "1,1", "--b", "1e308,0", "--v", "1,-1"],
+     ["intersect", "--a=-1e308,0", "--u", "1,1", "--b", "1e308,0", "--v", "1,-1"]),
+])
+def test_negative_values_parse_as_separate_arguments(capsys, separate, joined):
+    outputs = []
+    for argv in (separate, joined):
+        assert main(argv) == 0
+        outputs.append(strip_timing(capsys.readouterr().out.encode()))
+    assert outputs[0] == outputs[1]
 
 
 def test_oscillator_svg_with_an_extreme_omega(tmp_path, capsys):
@@ -689,6 +715,26 @@ def test_crank_svg_written(tmp_path, capsys):
         assert code == 0
         assert "</svg>" in path.read_text()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+CRANK_SVG_SHA256 = {
+    "regular": "3b568085a87014dd662e750cae80f84525c143d210fccddb873d8a30411d0139",
+    "pivot-on-circle": "e8687590559b12197c82f6b5c13dfca55729839ae9f8526620e7a64a38f68da6",
+    "degrees": "77228dbd66ff59d4a6d5d0f113daa195b26b4e08c6f2cf718fe2017e72e807fe",
+}
+
+
+@pytest.mark.parametrize("case", CRANK_SVG_SHA256)
+def test_crank_svg_digest_is_pinned(tmp_path, capsys, case):
+    argv, _ = CRANK_CSV_SHA256[case]
+    path = tmp_path / "crank.svg"
+    assert main(["crank", *argv, "--svg", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    if case == "pivot-on-circle":
+        # Six curves, each split in two at the singular middle row.
+        assert text.count("<polyline") == 12
+    assert hashlib.sha256(text.encode()).hexdigest() == CRANK_SVG_SHA256[case]
 
 
 def test_oscillator_svg_written(tmp_path, capsys):

@@ -254,10 +254,14 @@ def test_intersect_lines_with_directions_near_the_overflow_limit():
 
 
 def test_intersect_lines_overflow_raises_a_typed_singularity():
-    # The anchor offset 2e308 overflows, although the meeting point (0, 1e308) exists.
-    with pytest.raises(NumericalOverflowError, match="anchor offset"):
-        intersect_lines(Line(Vec2(-1e308, 0.0), Vec2(1.0, 1.0)),
-                        Line(Vec2(1e308, 0.0), Vec2(1.0, -1.0)))
+    # The anchor offset 2e308 overflows, but the meeting point (0, 1e308) exists.
+    hit = intersect_lines(Line(Vec2(-1e308, 0.0), Vec2(1.0, 1.0)),
+                          Line(Vec2(1e308, 0.0), Vec2(1.0, -1.0)))
+    assert hit == (Vec2(0.0, 1e308), 1e308, -1e308)
+    # The halved offset is finite, but lam = 3.4e308 leaves the float range.
+    with pytest.raises(NumericalOverflowError, match="intersection overflows"):
+        intersect_lines(Line(Vec2(-1.7e308, 0.0), Vec2(1.0, 1e-300)),
+                        Line(Vec2(1.7e308, 0.0), Vec2(1.0, -1.0)))
     # Tiny directions: lam = 1e310 leaves the float range.
     with pytest.raises(NumericalOverflowError, match="intersection overflows"):
         intersect_lines(Line(Vec2(0.0, 0.0), Vec2(1e-300, 0.0)),

@@ -17,6 +17,7 @@ from sympgeo import (
     NumericalOverflowError,
     PolarMotion,
     SingularPositionError,
+    SweepEntry,
     Vec2,
     crank_acceleration,
     crank_position,
@@ -275,6 +276,70 @@ def test_crank_state_equals_the_stepwise_composition_bit_for_bit():
     assert checked > 2000
 
 
+def _reference_sweep(cfg, phi_start, phi_end, steps):
+    """crank_sweep rebuilt from the per-angle public formulas and wrap_angle."""
+    entries = []
+    last_psi = None
+    for i in range(steps):
+        phi = phi_start + (phi_end - phi_start) * (i / (steps - 1))
+        try:
+            state = _composed_state(cfg, phi)
+        except SingularPositionError:
+            entries.append(SweepEntry(phi, True, True, None, None))
+            continue
+        if last_psi is None:
+            unwrapped = state.psi
+        else:
+            unwrapped = last_unwrapped + wrap_angle(state.psi - last_psi)
+        last_psi, last_unwrapped = state.psi, unwrapped
+        near = state.s < NEAR_SINGULAR_FRACTION * cfg.crank_length
+        entries.append(SweepEntry(phi, False, near, state, unwrapped))
+    return entries
+
+
+def _pinned_sweeps():
+    """Seeded regular cranks, the pivot on the crank circle, a near-singular
+    shifted grid, and the same cranks scaled to 1e-150 and 1e150.
+
+    The singularity floor is absolute, so at 1e-150 every row is singular.
+    """
+    rng = random.Random(7081)
+    sweeps = []
+    for k in range(6):
+        length = rng.uniform(0.5, 2.0)
+        factor = rng.uniform(1.15, 3.0) if k % 2 == 0 else rng.uniform(0.2, 0.85)
+        theta = rng.uniform(0.0, math.tau)
+        sweeps.append(((length, length * factor * math.cos(theta),
+                        length * factor * math.sin(theta), rng.uniform(-2.0, 2.0)),
+                       rng.uniform(-1.0, 1.0), 2.0 * math.tau, 241))
+    length = rng.uniform(0.5, 2.0)
+    sweeps.append(((length, length, 0.0, 1.5), 0.0, 2.0 * math.tau, 241))
+    shift = rng.uniform(5e-8, 5e-7)
+    sweeps.append(((length, length, 0.0, 1.5), shift, shift + 2.0 * math.tau, 241))
+    for scale in (1e-150, 1e150):
+        sweeps += [((length * scale, cx * scale, cy * scale, phi_dot), start, span, steps)
+                   for (length, cx, cy, phi_dot), start, span, steps in sweeps[:8]]
+    return sweeps
+
+
+def test_crank_sweep_matches_the_per_angle_formulas():
+    singular = near_singular = 0
+    for (length, cx, cy, phi_dot), start, span, steps in _pinned_sweeps():
+        cfg = CrankConfig(length, Vec2(cx, cy), phi_dot)
+        got = crank_sweep(cfg, start, start + span, steps)
+        want = _reference_sweep(cfg, start, start + span, steps)
+        assert len(got) == len(want) == steps
+        for entry, expected in zip(got, want):
+            # repr distinguishes -0.0 from 0.0, so equal reprs are equal bits.
+            assert repr(entry) == repr(expected)
+            singular += entry.singular
+            near_singular += entry.near_singular and not entry.singular
+    # Three singular and three near-singular rows at unit scale and at 1e150,
+    # and only singular rows at 1e-150.
+    assert singular == 2 * 3 + 8 * 241
+    assert near_singular == 2 * 3
+
+
 def test_loop_residuals_equal_the_vec2_reference_bit_for_bit():
     for cfg, angles in _seeded_crank_angles():
         for phi in angles:
@@ -291,10 +356,12 @@ def test_loop_residuals_equal_the_vec2_reference_bit_for_bit():
     (CrankConfig(1e308, Vec2(-1.5e308, 0.0), 1.0), 0.0),  # rod length overflows
 ])
 def test_overflow_raises_a_typed_singularity(cfg, phi):
-    with pytest.raises(NumericalOverflowError, match=f"at phi={phi}$"):
+    with pytest.raises(NumericalOverflowError, match=f"at phi={phi}$") as state_error:
         crank_state(cfg, phi)
-    with pytest.raises(NumericalOverflowError, match="at phi="):
+    # A sweep whose grid starts at phi stops there with the same message.
+    with pytest.raises(NumericalOverflowError) as sweep_error:
         crank_sweep(cfg, phi, phi + 1.0, 3)
+    assert str(sweep_error.value) == str(state_error.value)
 
 
 def test_loop_residual_overflow_raises_a_typed_singularity():

@@ -133,3 +133,18 @@ def test_text_and_colours_are_escaped():
     ns = "{http://www.w3.org/2000/svg}"
     assert [t.text for t in root.iter(ns + "text")] == ['a & b < "c" > d', "<tag> & more"]
     assert root.find(ns + "circle").get("fill") == 'red" onload="x'
+
+
+def test_polyline_takes_a_one_shot_iterator():
+    rng = random.Random(77)
+    points = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(50)]
+    from_list, from_generator = SvgPlot("track"), SvgPlot("track")
+    from_list.polyline(points, label="points")
+    from_generator.polyline((p for p in points), label="points")
+    # An empty iterator draws nothing and takes no palette colour.
+    from_list.polyline([])
+    from_generator.polyline(iter(()))
+    from_list.polyline(points[:3])
+    from_generator.polyline(iter(points[:3]))
+    assert from_generator.to_svg() == from_list.to_svg()
+    assert from_list.to_svg().count("<polyline") == 2
