@@ -489,7 +489,10 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
     initial_energy = rows[0][3]
     max_drift = 0.0
     for row in rows:
-        max_drift = max(max_drift, abs(row[3] - initial_energy))
+        # The energies are finite, so this fold keeps max()'s result.
+        drift = abs(row[3] - initial_energy)
+        if drift > max_drift:
+            max_drift = drift
     if args.svg:
         _oscillator_svg(trajectory, args.svg)
     t, q, p, energy = rows[-1]

@@ -12,7 +12,8 @@ The area-preserving pair are splitting methods.  For the separable energy
 the flow splits into a kick (``p`` moved by ``-dH/dq``) and a drift (``q``
 moved by ``dH/dp``), and each method is a row of :data:`SPLITTINGS`: a
 sequence of ``(a, b)`` stages, each a kick of ``a*dt`` followed by a drift
-of ``b*dt``.
+of ``b*dt``.  :func:`simulate` turns the row into those step sizes once
+per run, before its step loop; explicit Euler is the method with no stages.
 """
 
 from __future__ import annotations
@@ -155,12 +156,14 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
     * ``explicit_euler``: both coordinates from the current field
       ``(p/m, -k*q)``, the value of :func:`hamiltonian_field`.
     * a splitting method runs the stages of its :data:`SPLITTINGS` row in
-      order; stage ``(a, b)`` kicks ``p += a*dt*(-k*q)`` and then drifts
-      ``q += b*dt*(p/m)``.  ``symplectic_euler`` is one full kick and
+      order; stage ``(a, b)`` kicks ``p += (a*dt)*(-k*q)`` and then drifts
+      ``q += (b*dt)*(p/m)``.  ``symplectic_euler`` is one full kick and
       drift, ``leapfrog`` is half-kick, drift, half-kick (time-reversible).
 
-    The arguments are checked once; every step runs on plain floats and
-    builds only its state, stamped with the running sum of ``dt``.
+    The arguments are checked once, and each stage's kick and drift step
+    sizes ``a*dt`` and ``b*dt`` are computed once, before the first step.
+    Every step runs on plain floats and builds only its state, stamped
+    with the running sum of ``dt``.
     Raises :class:`NumericalOverflowError` when a state overflows.
     """
     if n_steps < 1:
@@ -170,24 +173,33 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
     if method not in METHODS:
         raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
     k, m = params.stiffness, params.mass
-    stages = SPLITTINGS.get(method, ())
+    euler = method == EXPLICIT_EULER
+    # A zero coefficient skips its half-stage (None): adding ``0.0`` would
+    # turn a ``-0.0`` coordinate into ``+0.0``.  The test is on the
+    # coefficient, so a step size that underflows to 0.0 still runs.
+    stages = [(a * dt if a else None, b * dt if b else None)
+              for a, b in SPLITTINGS.get(method, ())]
+    isfinite, new, set_q, set_p, set_t = math.isfinite, object.__new__, _set_q, _set_p, _set_t
     q, p, t = initial.q, initial.p, initial.t
     states = [initial]
+    append = states.append
     for _ in range(n_steps):
-        if method == EXPLICIT_EULER:
+        if euler:
             q, p = q + dt * (p / m), p + dt * (-(k * q))
-        for a, b in stages:
-            # A zero coefficient skips its half-stage: adding ``0.0``
-            # would turn a ``-0.0`` coordinate into ``+0.0``.
-            if a:
-                p = p + (a * dt) * (-(k * q))
-            if b:
-                q = q + (b * dt) * (p / m)
+        for kick, drift in stages:
+            if kick is not None:
+                p = p + kick * (-(k * q))
+            if drift is not None:
+                q = q + drift * (p / m)
         t = t + dt
-        if not (math.isfinite(q) and math.isfinite(p) and math.isfinite(t)):
+        if not (isfinite(q) and isfinite(p) and isfinite(t)):
             raise NumericalOverflowError(f"phase state overflows at t={t}")
-        # q, p and t were checked finite just above.
-        states.append(_phase_state(q, p, t))
+        # q, p and t were checked finite just above: _phase_state, inlined.
+        s = new(PhaseState)
+        set_q(s, q)
+        set_p(s, p)
+        set_t(s, t)
+        append(s)
     return Trajectory(params, dt, states, method)
 
 
@@ -223,8 +235,22 @@ def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams)
 
 
 def ellipse_residual(s: PhaseState, initial: PhaseState, params: OscillatorParams) -> float:
-    """Energy offset ``H(s) - H(initial)`` from the level-set ellipse."""
-    return hamiltonian(s, params) - hamiltonian(initial, params)
+    """Energy offset ``H(s) - H(initial)`` from the level-set ellipse.
+
+    Both energies are :func:`hamiltonian`'s expression, evaluated here in
+    its operation order.  Raises :class:`NumericalOverflowError` when an
+    energy overflows, naming the time of ``s`` first.
+    """
+    m2, k = 2.0 * params.mass, params.stiffness
+    p, q = s.p, s.q
+    energy = p * p / m2 + k * q * q / 2.0
+    if not math.isfinite(energy):
+        raise NumericalOverflowError(f"energy overflows at t={s.t}")
+    p, q = initial.p, initial.q
+    initial_energy = p * p / m2 + k * q * q / 2.0
+    if not math.isfinite(initial_energy):
+        raise NumericalOverflowError(f"energy overflows at t={initial.t}")
+    return energy - initial_energy
 
 
 def area_residual(params: OscillatorParams, dt: float, method: str = LEAPFROG) -> float:

@@ -146,7 +146,14 @@ NEAR_SINGULAR_FRACTION = 1e-6
 
 
 def _singularity_floor(cfg: CrankConfig) -> float:
-    return ATOL * (1.0 + norm(cfg.pivot_c))
+    """Rod length at or below which a position is singular.
+
+    Relative to the mechanism's scale, the crank length plus the pivot
+    distance, so a small but regular crank is not flagged singular.  Each
+    term is scaled before the sum, so the floor stays finite where
+    ``crank_length + |pivot|`` overflows.
+    """
+    return ATOL * cfg.crank_length + ATOL * norm(cfg.pivot_c)
 
 
 def _tip(length: float, phi: float) -> tuple[float, float]:

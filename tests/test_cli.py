@@ -584,6 +584,21 @@ def test_crank_csv_blanks_singular_cells(capsys):
     assert rows[1][0] != ""
 
 
+def test_crank_csv_tiny_regular_crank_has_regular_rows(capsys):
+    # The rod never gets shorter than one crank length; the singularity
+    # floor scales with the mechanism, so no row is flagged.
+    code, text = run_csv(capsys, ["crank", "--length", "1e-150", "--pivot", "2e-150,0",
+                                  "--phidot", "1", "--from", "0", "--to", "1",
+                                  "--steps", "3", "--csv"])
+    assert code == 0
+    rows = list(csv.reader(text.splitlines()))[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert row[8:] == ["false", "false"]
+        assert all(cell != "" for cell in row[:8])
+        assert float(row[1]) >= 1e-150
+
+
 CRANK_CSV_SHA256 = {
     "regular": (["--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
                  "--from", "0", "--to", "6.283185307179586", "--steps", "181"],

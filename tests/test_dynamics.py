@@ -187,6 +187,55 @@ def test_explicit_euler_is_one_step_along_the_public_field():
     assert overflowed == 2
 
 
+def _stepwise_splitting(initial, params, dt, n_steps, stages):
+    """The states of a splitting run, stage by stage, or the overflow time."""
+    k, m = params.stiffness, params.mass
+    q, p, t = initial.q, initial.p, initial.t
+    states = [initial]
+    for _ in range(n_steps):
+        for a, b in stages:
+            if a:
+                p = p + (a * dt) * (-(k * q))
+            if b:
+                q = q + (b * dt) * (p / m)
+        t = t + dt
+        if not (math.isfinite(q) and math.isfinite(p) and math.isfinite(t)):
+            return states, t
+        states.append(PhaseState(q, p, t))
+    return states, None
+
+
+@pytest.mark.parametrize("method", SPLITTINGS)
+def test_splitting_rows_match_a_stepwise_reference(method):
+    # simulate precomputes a*dt and b*dt; each state must keep the bits of
+    # the stage-by-stage update, signed zeros and subnormals included.
+    rng = random.Random(12)
+    cases = [(PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0)),
+              OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)),
+              10.0 ** rng.uniform(-6, 0), rng.randint(1, 4)) for _ in range(5000)]
+    # 0.5*5e-324 underflows to 0.0, yet a = 0.5 is not a zero coefficient:
+    # the half kick still runs and adds +0.0 to p = -0.0.
+    tiny = [(PhaseState(-1.0, -0.0), UNIT, 5e-324, 1),
+            (PhaseState(1.0, -0.0), UNIT, 5e-324, 2)]
+    cases += tiny
+    cases += [(PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1e-6, 3),
+              (PhaseState(0.0, 1e200), OscillatorParams(1e-300, 1.0), 1.0, 3)]
+    stages = SPLITTINGS[method]
+    overflowed = 0
+    for initial, params, dt, n_steps in cases:
+        want, overflow_t = _stepwise_splitting(initial, params, dt, n_steps, stages)
+        if overflow_t is not None:
+            overflowed += 1
+            with pytest.raises(NumericalOverflowError, match=f"at t={overflow_t}$"):
+                simulate(initial, params, dt, n_steps, method)
+            continue
+        got = simulate(initial, params, dt, n_steps, method).states
+        assert repr(got) == repr(want)
+    assert overflowed >= 2
+    if method == LEAPFROG:
+        assert repr(simulate(*tiny[0], method).states[1].p) == "0.0"
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("s, params, dt", [
     (PhaseState(0.0, 1e200), OscillatorParams(1e-300, 1.0), 1.0),   # p/m overflows
@@ -212,6 +261,38 @@ def test_energy_overflow_raises_a_typed_singularity():
         hamiltonian(PhaseState(1.0, 1.0), OscillatorParams(1e-310, 1.0))
     with pytest.raises(NumericalOverflowError):
         ellipse_residual(PhaseState(1e200, 0.0), PhaseState(1.0, 0.0), UNIT)
+
+
+def test_ellipse_residual_is_the_difference_of_the_public_energies():
+    # ellipse_residual evaluates both energies itself; the bits and the
+    # overflow messages must stay those of two hamiltonian calls.
+    rng = random.Random(31)
+    cases = [(PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0)),
+              PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(10.0, 20.0)),
+              OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)))
+             for _ in range(20000)]
+    cases += [(PhaseState(0.0, 1e200, 1.5), PhaseState(1e200, 0.0, 2.5), UNIT),
+              (PhaseState(0.5, 1.0, 1.5), PhaseState(1e200, 0.0, 2.5), UNIT),
+              (PhaseState(0.0, 1e200, 1.5), PhaseState(1.0, 0.0, 2.5), UNIT)]
+    raised = {"s": 0, "initial": 0}
+    for s, initial, params in cases:
+        try:
+            hamiltonian(s, params)
+        except NumericalOverflowError:
+            raised["s"] += 1
+            with pytest.raises(NumericalOverflowError, match=f"^energy overflows at t={s.t}$"):
+                ellipse_residual(s, initial, params)
+            continue
+        try:
+            want = hamiltonian(s, params) - hamiltonian(initial, params)
+        except NumericalOverflowError:
+            raised["initial"] += 1
+            with pytest.raises(NumericalOverflowError,
+                               match=f"^energy overflows at t={initial.t}$"):
+                ellipse_residual(s, initial, params)
+            continue
+        assert repr(ellipse_residual(s, initial, params)) == repr(want)
+    assert raised["s"] >= 2 and raised["initial"] >= 1
 
 
 # --------------------------------------------------------------- simulate

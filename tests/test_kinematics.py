@@ -301,7 +301,8 @@ def _pinned_sweeps():
     """Seeded regular cranks, the pivot on the crank circle, a near-singular
     shifted grid, and the same cranks scaled to 1e-150 and 1e150.
 
-    The singularity floor is absolute, so at 1e-150 every row is singular.
+    The singularity floor scales with the crank length and the pivot
+    distance, so every scale flags the same rows.
     """
     rng = random.Random(7081)
     sweeps = []
@@ -334,10 +335,9 @@ def test_crank_sweep_matches_the_per_angle_formulas():
             assert repr(entry) == repr(expected)
             singular += entry.singular
             near_singular += entry.near_singular and not entry.singular
-    # Three singular and three near-singular rows at unit scale and at 1e150,
-    # and only singular rows at 1e-150.
-    assert singular == 2 * 3 + 8 * 241
-    assert near_singular == 2 * 3
+    # Three singular and three near-singular rows at each of the three scales.
+    assert singular == 3 * 3
+    assert near_singular == 3 * 3
 
 
 def test_loop_residuals_equal_the_vec2_reference_bit_for_bit():
@@ -362,6 +362,12 @@ def test_overflow_raises_a_typed_singularity(cfg, phi):
     with pytest.raises(NumericalOverflowError) as sweep_error:
         crank_sweep(cfg, phi, phi + 1.0, 3)
     assert str(sweep_error.value) == str(state_error.value)
+
+
+def test_singularity_floor_survives_an_overflowing_mechanism_scale():
+    # crank length + pivot distance overflows, but the rod length 5e307 does not.
+    state = crank_state(CrankConfig(1e308, Vec2(1.5e308, 0.0), 0.1), 0.0)
+    assert state.s == 5e307
 
 
 def test_loop_residual_overflow_raises_a_typed_singularity():
