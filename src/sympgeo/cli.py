@@ -36,7 +36,6 @@ from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 if TYPE_CHECKING:
     from .dynamics import Trajectory
     from .geometry import Circle, Tangent
-    from .kinematics import SweepEntry
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -390,18 +389,6 @@ def _crank_texts(rows: list[tuple], templates: dict[tuple[bool, bool], str]) -> 
     return [templates[row[8:]] % (row[:1] if row[8] else row[:8]) for row in rows]
 
 
-def _crank_row(entry: SweepEntry, degrees: bool) -> tuple:
-    """Row tuple in ``_CRANK_COLUMNS`` order, angles converted on the way out."""
-    unit = _DEG if degrees else 1.0  # dividing by 1.0 is exact, -0.0 included
-    state = entry.state
-    if state is None:
-        return (entry.phi / unit, None, None, None, None, None, None, None,
-                entry.singular, entry.near_singular)
-    return (entry.phi / unit, state.s, state.psi / unit, entry.psi_unwrapped / unit,
-            state.s_dot, state.psi_dot / unit, state.s_ddot, state.psi_ddot / unit,
-            entry.singular, entry.near_singular)
-
-
 def _crank_svg(rows: list[tuple], path: str) -> None:
     from .svgplot import PALETTE, SvgPlot
 
@@ -429,16 +416,28 @@ def _run_crank(args: argparse.Namespace) -> _Result:
     from .kinematics import CrankConfig, crank_sweep, loop_residuals
 
     cfg = CrankConfig(args.length, args.pivot, args.phidot)
-    phi_from = args.phi_from * _DEG if args.degrees else args.phi_from
-    phi_to = args.phi_to * _DEG if args.degrees else args.phi_to
-    entries = crank_sweep(cfg, phi_from, phi_to, args.steps)
-    max_residuals = [0.0, 0.0, 0.0]
+    unit = _DEG if args.degrees else 1.0  # scaling by 1.0 is exact, -0.0 included
+    entries = crank_sweep(cfg, args.phi_from * unit, args.phi_to * unit, args.steps)
+    m_position = m_velocity = m_acceleration = 0.0
     rows = []
-    for entry in entries:
-        if entry.state is not None:
-            residuals = loop_residuals(cfg, entry.state)
-            max_residuals = [max(m, r) for m, r in zip(max_residuals, residuals)]
-        rows.append(_crank_row(entry, args.degrees))
+    # One row tuple per entry in ``_CRANK_COLUMNS`` order, angles converted
+    # on the way out.
+    for phi, singular, near_singular, state, psi_unwrapped in entries:
+        if state is None:
+            rows.append((phi / unit, None, None, None, None, None, None, None, singular,
+                         near_singular))
+            continue
+        position, velocity, acceleration = loop_residuals(cfg, state)
+        # The closures are finite, so this fold keeps max()'s result.
+        if position > m_position:
+            m_position = position
+        if velocity > m_velocity:
+            m_velocity = velocity
+        if acceleration > m_acceleration:
+            m_acceleration = acceleration
+        _, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _ = state
+        rows.append((phi / unit, s, psi / unit, psi_unwrapped / unit, s_dot, psi_dot / unit,
+                     s_ddot, psi_ddot / unit, singular, near_singular))
     if args.svg:
         _crank_svg(rows, args.svg)
     envelope = {
@@ -450,9 +449,9 @@ def _run_crank(args: argparse.Namespace) -> _Result:
         },
         "results": {"entries": []},
         "residuals": {
-            "max_position_closure": max_residuals[0],
-            "max_velocity_closure": max_residuals[1],
-            "max_acceleration_closure": max_residuals[2],
+            "max_position_closure": m_position,
+            "max_velocity_closure": m_velocity,
+            "max_acceleration_closure": m_acceleration,
         },
     }
     return _Result(envelope, rows, EXIT_OK)

@@ -186,10 +186,10 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
         raise NumericalOverflowError("circle center offset overflows")
     if math.hypot(ax, ay) <= ATOL:
         raise CoincidentCentersError("circle centers coincide; tangent directions undefined")
-    k = math.frexp(max(abs(ax), abs(ay)))[1]
+    ax, ay, k = _rescaled(ax, ay)
+    # The reaches are scaled by a product, not ldexp: a reach that overflows
+    # to inf has no real root, as an exact reach beyond |a| has none.
     scale = math.ldexp(1.0, -k)
-    ax *= scale
-    ay *= scale
     a2 = ax * ax + ay * ay
     families = (("outer", r1 - r2, -1.0), ("inner", r1 + r2, 1.0))
     tangents: list[Tangent] = []

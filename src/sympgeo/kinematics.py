@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, _vec2, norm, tilde
+from .core import ATOL, Vec2, _vec2, tilde
 from .errors import NumericalOverflowError, SingularPositionError
 
 
@@ -150,51 +150,19 @@ def _singularity_floor(cfg: CrankConfig) -> float:
 
     Relative to the mechanism's scale, the crank length plus the pivot
     distance, so a small but regular crank is not flagged singular.  Each
-    term is scaled before the sum, so the floor stays finite where
-    ``crank_length + |pivot|`` overflows.
+    term is scaled before the sum, and the pivot distance is taken of the
+    halved pivot, so the floor stays finite where ``crank_length + |pivot|``
+    or ``|pivot|`` itself overflows.  The halving is undone by the exact
+    ``2.0 * ATOL``, so the pivot term is ``ATOL * |pivot|`` bit for bit
+    wherever that is finite.
     """
-    return ATOL * cfg.crank_length + ATOL * norm(cfg.pivot_c)
+    pivot = cfg.pivot_c
+    return ATOL * cfg.crank_length + (2.0 * ATOL) * math.hypot(0.5 * pivot.x, 0.5 * pivot.y)
 
 
 def _tip(length: float, phi: float) -> tuple[float, float]:
     """Crank tip ``a_vec`` as two floats."""
     return length * math.cos(phi), length * math.sin(phi)
-
-
-def _rod(cfg: CrankConfig, phi: float,
-         floor: float) -> tuple[float, float, float, float, float, float]:
-    """Crank tip ``(ax, ay)``, rod length ``s``, unit rod direction ``(ex, ey)``
-    and rod angle ``psi``."""
-    ax, ay = _tip(cfg.crank_length, phi)
-    rx = cfg.pivot_c.x - ax
-    ry = cfg.pivot_c.y - ay
-    s = math.hypot(rx, ry)
-    if not math.isfinite(s):
-        raise NumericalOverflowError(f"rod length overflows at phi={phi}")
-    if s <= floor:
-        raise SingularPositionError(f"rod length vanishes at phi={phi}")
-    ex = rx / s
-    ey = ry / s
-    return ax, ay, s, ex, ey, math.atan2(ey, ex)
-
-
-def _rates(phi: float, phi_dot: float, ax: float, ay: float, s: float, ex: float,
-           ey: float) -> tuple[float, float]:
-    """``(s_dot, psi_dot)``; see :func:`crank_velocity`."""
-    s_dot = phi_dot * (ax * -ey + ay * ex)
-    psi_dot = -phi_dot * (ax * ex + ay * ey) / s
-    if not (math.isfinite(s_dot) and math.isfinite(psi_dot)):
-        raise NumericalOverflowError(f"rod rates overflow at phi={phi}")
-    return s_dot, psi_dot
-
-
-def _accels(phi_dot: float, s: float, s_dot: float, psi_dot: float) -> tuple[float, float]:
-    """``(s_ddot, psi_ddot)``; see :func:`crank_acceleration`."""
-    s_ddot = psi_dot * (psi_dot - phi_dot) * s
-    psi_ddot = (phi_dot - 2.0 * psi_dot) * s_dot / s
-    if not (math.isfinite(s_ddot) and math.isfinite(psi_ddot)):
-        raise NumericalOverflowError("rod accelerations overflow")
-    return s_ddot, psi_ddot
 
 
 def crank_position(cfg: CrankConfig, phi: float) -> CrankPosition:
@@ -203,9 +171,18 @@ def crank_position(cfg: CrankConfig, phi: float) -> CrankPosition:
     Closes ``a_vec + s*e_psi = c``; raises :class:`SingularPositionError`
     when the crank tip lands on the pivot and the direction degenerates.
     """
-    _, _, s, ex, ey, psi = _rod(cfg, phi, _singularity_floor(cfg))
-    # _rod checked s finite and above the floor, so |ex|, |ey| <= 1.
-    return CrankPosition(s, _vec2(ex, ey), psi)
+    ax, ay = _tip(cfg.crank_length, phi)
+    rx = cfg.pivot_c.x - ax
+    ry = cfg.pivot_c.y - ay
+    s = math.hypot(rx, ry)
+    if not math.isfinite(s):
+        raise NumericalOverflowError(f"rod length overflows at phi={phi}")
+    if s <= _singularity_floor(cfg):
+        raise SingularPositionError(f"rod length vanishes at phi={phi}")
+    ex = rx / s
+    ey = ry / s
+    # s is finite and above the floor, so |ex|, |ey| <= 1.
+    return CrankPosition(s, _vec2(ex, ey), math.atan2(ey, ex))
 
 
 def crank_velocity(cfg: CrankConfig, phi: float, s: float, e_psi: Vec2) -> CrankRates:
@@ -220,7 +197,12 @@ def crank_velocity(cfg: CrankConfig, phi: float, s: float, e_psi: Vec2) -> Crank
     if s <= _singularity_floor(cfg):
         raise SingularPositionError("rates undefined at a singular position")
     ax, ay = _tip(cfg.crank_length, phi)
-    return CrankRates(*_rates(phi, cfg.phi_dot, ax, ay, s, e_psi.x, e_psi.y))
+    ex, ey = e_psi.x, e_psi.y
+    s_dot = cfg.phi_dot * (ax * -ey + ay * ex)
+    psi_dot = -cfg.phi_dot * (ax * ex + ay * ey) / s
+    if not (math.isfinite(s_dot) and math.isfinite(psi_dot)):
+        raise NumericalOverflowError(f"rod rates overflow at phi={phi}")
+    return CrankRates(s_dot, psi_dot)
 
 
 def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float) -> CrankAccel:
@@ -235,7 +217,12 @@ def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float)
     """
     if s <= _singularity_floor(cfg):
         raise SingularPositionError("accelerations undefined at a singular position")
-    return CrankAccel(*_accels(cfg.phi_dot, s, s_dot, psi_dot))
+    w = cfg.phi_dot
+    s_ddot = psi_dot * (psi_dot - w) * s
+    psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
+    if not (math.isfinite(s_ddot) and math.isfinite(psi_ddot)):
+        raise NumericalOverflowError("rod accelerations overflow")
+    return CrankAccel(s_ddot, psi_ddot)
 
 
 def crank_state(cfg: CrankConfig, phi: float) -> CrankState:

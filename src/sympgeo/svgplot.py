@@ -3,13 +3,18 @@
 Collects polylines, circles, segments, and markers in data coordinates,
 then scales everything uniformly into a fixed 800x600 view box on save.
 Good enough for construction diagrams, sweep curves, and phase portraits;
-plots are a convenience here, never load-bearing.
+plots are a convenience here, never load-bearing.  Only finite numbers are
+written: a shape whose data hold a NaN or an infinity is rejected with
+:class:`ValueError`, and saving a plot whose data span overflows raises
+:class:`~sympgeo.errors.NumericalOverflowError`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+
+from .errors import NumericalOverflowError
 
 WIDTH = 800
 HEIGHT = 600
@@ -40,20 +45,31 @@ class SvgPlot:
         self._max_x = self._max_y = -math.inf
 
     def _record(self, head: str, tail: str, xs: tuple[float, ...], ys: tuple[float, ...],
-                color: str, label: str | None, radius: float | None = None,
-                extent: tuple[tuple[float, ...], tuple[float, ...]] | None = None) -> None:
-        """Grow the bounds and keep the shape and its legend entry.
+                color: str, label: str | None, radius: float | None = None) -> None:
+        """Check the data, grow the bounds and keep the shape and its legend entry.
 
-        The bounds grow over the columns ``xs``, ``ys``, or over the columns
-        of ``extent`` when the shape covers more than its points (a circle).
-        ``tail`` holds one ``%s`` for the colour, filled here once escaped.
+        The bounds grow over the columns ``xs``, ``ys``, widened by
+        ``radius`` for a circle.  ``tail`` holds one ``%s`` for the colour,
+        filled here once escaped.  Raises :class:`ValueError`, leaving the
+        plot unchanged, when the data hold a NaN or an infinity.
         """
-        bx, by = extent or (xs, ys)
-        # Folding from the running bound keeps NaN coordinates out of the bounds.
-        self._min_x = min(self._min_x, *bx)
-        self._min_y = min(self._min_y, *by)
-        self._max_x = max(self._max_x, *bx)
-        self._max_y = max(self._max_y, *by)
+        min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+        # min and max see an infinity, and a NaN that they pass over makes its
+        # column's sum NaN (a sum that overflows stays infinite), so no
+        # Python-level work is done per point.
+        if not (-math.inf < min_x and max_x < math.inf and -math.inf < min_y
+                and max_y < math.inf and not math.isnan(sum(xs))
+                and not math.isnan(sum(ys))
+                and (radius is None or math.isfinite(radius))):
+            raise ValueError("plot data must be finite")
+        if radius is not None:
+            # A circle covers its centre widened by |r|; r may be negative.
+            pad = abs(radius)
+            min_x, max_x, min_y, max_y = min_x - pad, max_x + pad, min_y - pad, max_y + pad
+        self._min_x = min(self._min_x, min_x)
+        self._min_y = min(self._min_y, min_y)
+        self._max_x = max(self._max_x, max_x)
+        self._max_y = max(self._max_y, max_y)
         color = color.translate(_XML_ESCAPES)
         self._shapes.append((head, xs, ys, radius, tail % color))
         if label:
@@ -65,18 +81,17 @@ class SvgPlot:
         if not columns:
             return
         xs, ys = columns
-        if color is None:
-            color = PALETTE[self._series % len(PALETTE)]
-            self._series += 1
         self._record('<polyline points="' + " ".join(["%.2f,%.2f"] * len(xs)),
-                     f'" fill="none" stroke="%s" stroke-width="{width}"/>',
-                     xs, ys, color, label)
+                     f'" fill="none" stroke="%s" stroke-width="{width}"/>', xs, ys,
+                     PALETTE[self._series % len(PALETTE)] if color is None else color, label)
+        if color is None:
+            self._series += 1
 
     def circle(self, cx: float, cy: float, r: float, color: str = "#333333",
                width: float = 1.6, label: str | None = None) -> None:
         self._record('<circle cx="%.2f" cy="%.2f" r="%.2f"',
                      f' fill="none" stroke="%s" stroke-width="{width}"/>',
-                     (cx,), (cy,), color, label, r, ((cx - r, cx + r), (cy - r, cy + r)))
+                     (cx,), (cy,), color, label, r)
 
     def segment(self, x1: float, y1: float, x2: float, y2: float,
                 color: str = "#333333", width: float = 1.6,
@@ -91,10 +106,18 @@ class SvgPlot:
                      (x,), (y,), color, label)
 
     def _transform(self) -> tuple[float, float, float]:
-        """Uniform scale plus offsets mapping data space into the view box."""
+        """Uniform scale plus offsets mapping data space into the view box.
+
+        Raises :class:`NumericalOverflowError` when the data span of a
+        non-empty plot overflows.
+        """
         span_x = self._max_x - self._min_x
         span_y = self._max_y - self._min_y
         if not (math.isfinite(span_x) and math.isfinite(span_y)):
+            if self._shapes:
+                raise NumericalOverflowError(
+                    f"plot span overflows: x from {self._min_x} to {self._max_x}, "
+                    f"y from {self._min_y} to {self._max_y}")
             return 1.0, MARGIN, HEIGHT - MARGIN
         scale_x = (WIDTH - 2.0 * MARGIN) / span_x if span_x > 0.0 else math.inf
         scale_y = (HEIGHT - 2.0 * MARGIN) / span_y if span_y > 0.0 else math.inf
@@ -153,5 +176,6 @@ class SvgPlot:
         return "\n".join(parts) + "\n"
 
     def write(self, path: str) -> None:
+        text = self.to_svg()  # before opening, so a failed render leaves no file
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_svg())
+            handle.write(text)

@@ -712,6 +712,17 @@ def test_tangents_svg_written(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_exit_code_three_on_an_overflowing_svg_span(tmp_path, capsys):
+    # The tangents are finite, but the diagram spans x from -1e308 to 1.5e308.
+    path = tmp_path / "tangents.svg"
+    code = main(["tangents", "--c1", "0,0,1e308", "--c2", "1e308,0,5e307", "--svg", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical singularity: plot span overflows" in captured.err
+    assert captured.out == ""
+    assert not path.exists()
+
+
 def test_crank_svg_written(tmp_path, capsys):
     path = tmp_path / "crank.svg"
     base = ["--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "73"]

@@ -342,6 +342,8 @@ def test_circle_tangents_overlapping_circles_have_two_outer():
 def test_circle_tangents_containment_has_none():
     tangents = circle_tangents(Circle(Vec2(0.0, 0.0), 3.0), Circle(Vec2(1.0, 0.0), 1.0))
     assert tangents == []
+    # The rescaled reach 1.7e308 * 2**9 overflows to inf: still containment.
+    assert circle_tangents(Circle(Vec2(0.0, 0.0), 1.7e308), Circle(Vec2(1e-3, 0.0), 0.0)) == []
 
 
 def test_circle_tangents_coincident_centers_raise():

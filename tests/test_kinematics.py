@@ -364,10 +364,30 @@ def test_overflow_raises_a_typed_singularity(cfg, phi):
     assert str(sweep_error.value) == str(state_error.value)
 
 
+@pytest.mark.parametrize("cfg, phi, message", [
+    (CrankConfig(1.0, Vec2(2.0, 0.0), 1e200), 0.3, "rod accelerations overflow"),
+    (CrankConfig(1e300, Vec2(2e300, 0.0), 1e10), 0.3, "rod rates overflow at phi=0.3"),
+    (CrankConfig(1e308, Vec2(-1.5e308, 0.0), 1.0), 0.0, "rod length overflows at phi=0.0"),
+])
+def test_stepwise_functions_raise_the_overflow_messages(cfg, phi, message):
+    # The chain crank_position -> crank_velocity -> crank_acceleration stops
+    # at the first overflowing stage with that stage's exact message.
+    with pytest.raises(NumericalOverflowError) as error:
+        s, e_psi, _ = crank_position(cfg, phi)
+        s_dot, psi_dot = crank_velocity(cfg, phi, s, e_psi)
+        crank_acceleration(cfg, s, s_dot, psi_dot)
+    assert str(error.value) == message
+
+
 def test_singularity_floor_survives_an_overflowing_mechanism_scale():
     # crank length + pivot distance overflows, but the rod length 5e307 does not.
     state = crank_state(CrankConfig(1e308, Vec2(1.5e308, 0.0), 0.1), 0.0)
     assert state.s == 5e307
+    # |pivot| itself overflows, but the rod length (about 1.1e308) does not.
+    cfg = CrankConfig(1e308, Vec2(1.5e308, 1.5e308), 0.01)
+    entries = crank_sweep(cfg, 0.7, 0.9, 3)
+    assert [entry.singular for entry in entries] == [False, False, False]
+    assert all(math.isfinite(entry.state.s) for entry in entries)
 
 
 def test_loop_residual_overflow_raises_a_typed_singularity():

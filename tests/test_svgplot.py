@@ -1,10 +1,14 @@
-"""Plot writer: structural checks only, since plots carry no numeric contract."""
+"""Plot writer: structural checks, and the rule that only finite numbers are written."""
 
 import hashlib
+import itertools
 import math
 import random
 import xml.etree.ElementTree as ET
 
+import pytest
+
+from sympgeo.errors import NumericalOverflowError
 from sympgeo.svgplot import HEIGHT, MARGIN, WIDTH, SvgPlot
 
 
@@ -13,6 +17,12 @@ def test_empty_plot_is_still_a_valid_document():
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert f'viewBox="0 0 {WIDTH} {HEIGHT}"' in text
+    # Its span is not finite, yet it renders as before plots with an
+    # overflowing span began to raise.
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "8d661bad0dd97fa29c10211bb07de82d20cf640901fb3421608cc55b3217f99e")
+    assert (hashlib.sha256(SvgPlot("empty & titled").to_svg().encode()).hexdigest()
+            == "0162bdd173afcf6f936dd18645425bbadfc7f6809abe4e0e64b3ca71b4c93ee1")
 
 
 def test_polyline_and_shapes_are_emitted():
@@ -67,16 +77,30 @@ _TEXTS = ("", "corpus", "50% <done>", "{braces}")
 _COLORS = (None, None, "#000000", "rgb(10%,20%,30%)")
 
 
-def _corpus_plot(rng: random.Random) -> SvgPlot:
-    """One seeded plot mixing all four shapes in one of five regimes."""
+def _corpus_plot(rng: random.Random) -> tuple[SvgPlot, list[str]]:
+    """One seeded plot mixing all four shapes in one of five regimes.
+
+    Also returns the calls that the plot rejected for non-finite data, as
+    ``"<call index> <shape>"``; the draws do not depend on them.
+    """
     regime = rng.choice(("one point", "zero span", "edges", "many series", "scaled"))
     plot = SvgPlot(rng.choice(_TEXTS))
+    rejected: list[str] = []
+    calls = itertools.count()
+
+    def draw(shape, *args, **kwargs):
+        index = next(calls)
+        try:
+            shape(*args, **kwargs)
+        except ValueError:
+            rejected.append(f"{index} {shape.__name__}")
+
     if regime == "one point":
         if rng.random() < 0.5:
-            plot.marker(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), label="only")
+            draw(plot.marker, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), label="only")
         else:
-            plot.polyline([(rng.choice(_EDGES), rng.uniform(-3.0, 3.0))])
-        return plot
+            draw(plot.polyline, [(rng.choice(_EDGES), rng.uniform(-3.0, 3.0))])
+        return plot, rejected
     factor = rng.choice((1.0, 1e-300, 1e300, 1e-160)) if regime == "scaled" else 1.0
     fixed = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
 
@@ -92,38 +116,59 @@ def _corpus_plot(rng: random.Random) -> SvgPlot:
 
     if regime == "many series":
         for i in range(rng.randint(9, 20)):
-            plot.polyline([point() for _ in range(rng.randint(0, 4))],
-                          label=rng.choice((None, f"s{i}")))
+            draw(plot.polyline, [point() for _ in range(rng.randint(0, 4))],
+                 label=rng.choice((None, f"s{i}")))
     for _ in range(rng.randint(0, 12)):
         label = rng.choice((None, "", "a%b", "{label}"))
         color = rng.choice(_COLORS)
         width = rng.choice((1.6, 0.8, 2))
         shape = rng.randrange(4)
         if shape == 0:
-            plot.polyline([point() for _ in range(rng.randint(0, 6))], color=color,
-                          width=width, label=label)
+            draw(plot.polyline, [point() for _ in range(rng.randint(0, 6))], color=color,
+                 width=width, label=label)
         elif shape == 1:
             radius = value(0) if regime == "edges" else abs(rng.uniform(0.0, 2.0) * factor)
-            plot.circle(*point(), radius, color=color or "#333333", width=width, label=label)
+            draw(plot.circle, *point(), radius, color=color or "#333333", width=width,
+                 label=label)
         elif shape == 2:
-            plot.segment(*point(), *point(), color=color or "#333333", width=width, label=label)
+            draw(plot.segment, *point(), *point(), color=color or "#333333", width=width,
+                 label=label)
         else:
-            plot.marker(*point(), color=color or "#000000", label=label)
-    return plot
+            draw(plot.marker, *point(), color=color or "#000000", label=label)
+    return plot, rejected
+
+
+def _corpus_texts():
+    """Per corpus plot: its rejected calls and its document, or the overflow message."""
+    rng = random.Random(20241)
+    for _ in range(300):
+        plot, rejected = _corpus_plot(rng)
+        try:
+            text = plot.to_svg()
+        except NumericalOverflowError as exc:
+            yield rejected, None, str(exc)
+        else:
+            yield rejected, text, None
 
 
 def test_seeded_corpus_digest_is_pinned():
-    rng = random.Random(20241)
     digest = hashlib.sha256()
-    for _ in range(300):
-        digest.update(_corpus_plot(rng).to_svg().encode())
-    assert digest.hexdigest() == "43be24c09a575815f0042633c1bdb5d006e6d2c42ee209d56f110031f5549176"
+    for rejected, text, overflow in _corpus_texts():
+        digest.update(repr((rejected, text, overflow)).encode())
+    assert digest.hexdigest() == "9c7231535a41499a266d518816dee0fa815b6a7b40c6327f08c5238b6b465a7b"
 
 
 def test_every_corpus_plot_is_well_formed_xml():
-    rng = random.Random(20241)
-    for _ in range(300):
-        ET.fromstring(_corpus_plot(rng).to_svg())
+    # A plot whose span overflows raises instead; every other one renders
+    # with finite screen coordinates only.
+    rendered = 0
+    for _, text, _ in _corpus_texts():
+        if text is None:
+            continue
+        rendered += 1
+        ET.fromstring(text)
+        assert "nan" not in text and "inf" not in text
+    assert 0 < rendered < 300
 
 
 def test_text_and_colours_are_escaped():
@@ -148,3 +193,36 @@ def test_polyline_takes_a_one_shot_iterator():
     from_generator.polyline(iter(points[:3]))
     assert from_generator.to_svg() == from_list.to_svg()
     assert from_list.to_svg().count("<polyline") == 2
+
+
+def test_non_finite_data_is_rejected_and_leaves_the_plot_unchanged():
+    reference = SvgPlot("rejects")
+    reference.polyline([(0.0, 0.0), (1.0, 2.0)])
+    reference.polyline([(2.0, 1.0), (3.0, 0.5)])
+    plot = SvgPlot("rejects")
+    plot.polyline([(0.0, 0.0), (1.0, 2.0)])
+    bad = (math.nan, math.inf, -math.inf)
+    calls = [(plot.polyline, ([(0.5, 0.5), (1.0, v), (2.0, 0.0)],)) for v in bad]
+    calls += [(plot.polyline, ([(v, 0.5), (1.0, 1.0)],)) for v in bad]
+    calls += [(plot.circle, (0.0, 0.0, v)) for v in bad]
+    calls += [(plot.circle, (v, 0.0, 1.0)) for v in bad]
+    calls += [(plot.segment, (0.0, 0.0, 1.0, v)) for v in bad]
+    calls += [(plot.marker, (v, 0.0)) for v in bad]
+    for shape, args in calls:
+        with pytest.raises(ValueError, match="plot data must be finite"):
+            shape(*args, label="rejected")
+    # No bound, shape, legend entry or palette colour was taken.
+    plot.polyline([(2.0, 1.0), (3.0, 0.5)])
+    assert plot.to_svg() == reference.to_svg()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda plot: plot.polyline([(-1e308, 0.0), (1e308, 1.0)]),
+    lambda plot: plot.circle(0.0, 1e308, 1e308),
+    lambda plot: (plot.marker(0.0, -1.7e308), plot.marker(0.0, 1.7e308)),
+], ids=["polyline", "circle", "markers"])
+def test_an_overflowing_span_raises_a_typed_overflow(draw):
+    plot = SvgPlot("too wide")
+    draw(plot)
+    with pytest.raises(NumericalOverflowError, match="plot span overflows"):
+        plot.to_svg()
