@@ -7,13 +7,17 @@ mechanism, and ``oscillator`` integrates the phase flow.  Reports are
 JSON by default (CSV for the tabular subcommands), deterministic for a
 fixed command line apart from the wall-time field.
 
-A run has three phases: :func:`main` parses the command line, a runner
-computes a :class:`_Result` (the report envelope plus, for the tabular
-subcommands, one row tuple per sample) and a writer serialises it.  The
-CSV and JSON writers share each tabular subcommand's fixed row schema,
-a :class:`_Table`, and format each row from a ``%``-template.  Each
-runner imports the layers it runs, so a run loads ``core``, ``errors`` and
-only the layers of its subcommand (``svgplot`` only with ``--svg``).
+A run is parse -> run -> plot -> report, all driven by :func:`main`.  It
+parses the command line; the subcommand's runner computes a
+:class:`_Result` (the report's ``results`` and ``residuals`` sections,
+for the tabular subcommands one row tuple per sample, and a builder of
+the ``--svg`` diagram); with ``--svg`` it draws and writes the diagram;
+and it lays out the report: the envelope, the ``input`` echo of the
+command line (:func:`_echo`) and ``wall_time_ms``.  The CSV and JSON
+writers share each tabular subcommand's fixed row schema, a
+:class:`_Table`, and format each row from a ``%``-template.  Each runner
+imports the layers it runs, so a run loads ``core``, ``errors`` and only
+the layers of its subcommand (``svgplot`` only with ``--svg``).
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.
@@ -36,6 +40,7 @@ from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 if TYPE_CHECKING:
     from .dynamics import Trajectory
     from .geometry import Circle, Tangent
+    from .svgplot import SvgPlot
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,16 +137,19 @@ _BOOL_TEXT = {False: "false", True: "true"}
 
 
 class _Result(NamedTuple):
-    """What a runner computed: report envelope, row table and exit code.
+    """What a runner computed, and nothing of the report's layout.
 
-    ``envelope`` is the JSON report minus ``wall_time_ms``, with its row
-    array, if any, left empty; ``rows`` holds one tuple per sample in the
-    column order of the subcommand's :class:`_Table`.
+    ``results`` and ``residuals`` are the report sections of those names,
+    with the row array under ``results``, if any, left empty; ``rows``
+    holds one tuple per sample in the column order of the subcommand's
+    :class:`_Table`; ``plot`` builds the ``--svg`` diagram.
     """
 
-    envelope: dict
+    results: dict
+    residuals: dict
     rows: list[tuple]
     exit_code: int
+    plot: Callable[[], SvgPlot] | None = None
 
 
 class _Table(NamedTuple):
@@ -155,6 +163,23 @@ class _Table(NamedTuple):
     csv_rows: Callable[[list[tuple]], list[str]]
     array: str | None = None
     json_rows: Callable[[list[tuple]], list[str]] | None = None
+
+
+def _echo(args: argparse.Namespace) -> dict:
+    """The report's ``input`` section: every run argument in declaration order.
+
+    A ``Vec2`` is written as ``[x, y]`` and a ``Circle`` as ``[x, y, r]``.
+    """
+    echo = {}
+    for name, value in vars(args).items():
+        if name in ("subcommand", "json", "csv"):
+            continue
+        if isinstance(value, Vec2):
+            value = _vec_json(value)
+        elif hasattr(value, "radius"):  # a Circle; ``geometry`` may not be loaded
+            value = _vec_json(value.center) + [value.radius]
+        echo[name] = value
+    return echo
 
 
 def _json_item(cells: list[str], keys: tuple[str, ...] | None = None) -> str:
@@ -194,7 +219,7 @@ def _build_parser() -> _Parser:
                           help="fuzz the five product identities with seeded random vectors")
     p_id.add_argument("--samples", type=_positive_int, default=1000)
     p_id.add_argument("--seed", type=int, default=0)
-    p_id.add_argument("--range", type=_finite_float, default=10.0, dest="span",
+    p_id.add_argument("--range", type=_finite_float, default=10.0,
                       help="components drawn uniformly from [-range, range]; finite")
     fmt = p_id.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report (default)")
@@ -218,10 +243,8 @@ def _build_parser() -> _Parser:
     p_crank.add_argument("--length", type=_finite_float, required=True, help="crank length")
     p_crank.add_argument("--pivot", type=_parse_vec, required=True, help="pivot block (x,y)")
     p_crank.add_argument("--phidot", type=_finite_float, required=True, help="drive rate")
-    p_crank.add_argument("--from", type=_finite_float, required=True, dest="phi_from",
-                         help="first crank angle")
-    p_crank.add_argument("--to", type=_finite_float, required=True, dest="phi_to",
-                         help="last crank angle")
+    p_crank.add_argument("--from", type=_finite_float, required=True, help="first crank angle")
+    p_crank.add_argument("--to", type=_finite_float, required=True, help="last crank angle")
     p_crank.add_argument("--steps", type=_positive_int, required=True)
     p_crank.add_argument("--degrees", action="store_true",
                          help="angles in degrees on input and output")
@@ -244,7 +267,7 @@ def _build_parser() -> _Parser:
 
 
 def _run_identities(args: argparse.Namespace) -> _Result:
-    span = args.span
+    span = args.range
     # ``uniform(-span, span)`` is ``-span + (span + span)*random()``: finite
     # for every draw exactly when ``span + span`` is.
     if not math.isfinite(span + span):
@@ -286,13 +309,8 @@ def _run_identities(args: argparse.Namespace) -> _Result:
             within = False
     maxima = {"jacobi": m_jacobi, "grassmann_full": m_full, "lagrange": m_lagrange,
               "grassmann_reduced": m_reduced, "binet_cauchy": m_binet}
-    envelope = {
-        "subcommand": "identities",
-        "input": {"samples": args.samples, "seed": args.seed, "range": span},
-        "results": {"samples": args.samples, "within_tolerance": within},
-        "residuals": maxima,
-    }
-    return _Result(envelope, list(maxima.items()), EXIT_OK if within else EXIT_SINGULAR)
+    return _Result({"samples": args.samples, "within_tolerance": within}, maxima,
+                   list(maxima.items()), EXIT_OK if within else EXIT_SINGULAR)
 
 
 def _run_intersect(args: argparse.Namespace) -> _Result:
@@ -305,17 +323,11 @@ def _run_intersect(args: argparse.Namespace) -> _Result:
     # as intersect_lines forms it; the factor 1.0 leaves every other loop exact.
     k = 1.0 if math.isfinite(args.b.x - args.a.x) and math.isfinite(args.b.y - args.a.y) else 0.5
     closure = (args.b * k - args.a * k) + args.v * (result.mu * k) - args.u * (result.lam * k)
-    envelope = {
-        "subcommand": "intersect",
-        "input": {"a": _vec_json(args.a), "u": _vec_json(args.u),
-                  "b": _vec_json(args.b), "v": _vec_json(args.v)},
-        "results": {"point": _vec_json(result.point), "lambda": result.lam, "mu": result.mu},
-        "residuals": {"loop_closure": norm(closure) / k},
-    }
-    return _Result(envelope, [], EXIT_OK)
+    return _Result({"point": _vec_json(result.point), "lambda": result.lam, "mu": result.mu},
+                   {"loop_closure": norm(closure) / k}, [], EXIT_OK)
 
 
-def _tangents_svg(c1: Circle, c2: Circle, tangents: list[Tangent], path: str) -> None:
+def _tangents_plot(c1: Circle, c2: Circle, tangents: list[Tangent]) -> SvgPlot:
     from .svgplot import SvgPlot
 
     plot = SvgPlot("common tangents")
@@ -332,7 +344,7 @@ def _tangents_svg(c1: Circle, c2: Circle, tangents: list[Tangent], path: str) ->
         plot.segment(p1.x, p1.y, p2.x, p2.y, color=color, width=1.2, label=label)
         plot.marker(t.touch1.x, t.touch1.y, color="#333333")
         plot.marker(t.touch2.x, t.touch2.y, color="#333333")
-    plot.write(path)
+    return plot
 
 
 def _run_tangents(args: argparse.Namespace) -> _Result:
@@ -350,19 +362,9 @@ def _run_tangents(args: argparse.Namespace) -> _Result:
             "touch2": _vec_json(t.touch2),
             "e": _vec_json(t.direction_e),
         })
-    if args.svg:
-        _tangents_svg(args.c1, args.c2, tangents, args.svg)
-    envelope = {
-        "subcommand": "tangents",
-        "input": {
-            "c1": [args.c1.center.x, args.c1.center.y, args.c1.radius],
-            "c2": [args.c2.center.x, args.c2.center.y, args.c2.radius],
-            "svg": args.svg,
-        },
-        "results": {"count": len(tangents), "tangents": entries},
-        "residuals": {"max_tangency_error": max_error},
-    }
-    return _Result(envelope, [], EXIT_OK)
+    return _Result({"count": len(tangents), "tangents": entries},
+                   {"max_tangency_error": max_error}, [], EXIT_OK,
+                   lambda: _tangents_plot(args.c1, args.c2, tangents))
 
 
 _CRANK_COLUMNS = ("phi", "s", "psi", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot",
@@ -389,7 +391,7 @@ def _crank_texts(rows: list[tuple], templates: dict[tuple[bool, bool], str]) -> 
     return [templates[row[8:]] % (row[:1] if row[8] else row[:8]) for row in rows]
 
 
-def _crank_svg(rows: list[tuple], path: str) -> None:
+def _crank_plot(rows: list[tuple]) -> SvgPlot:
     from .svgplot import PALETTE, SvgPlot
 
     plot = SvgPlot("slider-crank sweep")
@@ -409,7 +411,7 @@ def _crank_svg(rows: list[tuple], path: str) -> None:
                 continue
             plot.polyline(run, color=color, label=None if labeled else name)
             labeled = True
-    plot.write(path)
+    return plot
 
 
 def _run_crank(args: argparse.Namespace) -> _Result:
@@ -417,11 +419,14 @@ def _run_crank(args: argparse.Namespace) -> _Result:
 
     cfg = CrankConfig(args.length, args.pivot, args.phidot)
     unit = _DEG if args.degrees else 1.0  # scaling by 1.0 is exact, -0.0 included
-    entries = crank_sweep(cfg, args.phi_from * unit, args.phi_to * unit, args.steps)
+    entries = crank_sweep(cfg, getattr(args, "from") * unit, args.to * unit, args.steps)
+    isfinite = math.isfinite
     m_position = m_velocity = m_acceleration = 0.0
     rows = []
     # One row tuple per entry in ``_CRANK_COLUMNS`` order, angles converted
-    # on the way out.
+    # on the way out.  Of the converted cells only the rod's angular rates
+    # can overflow: phi converts back to a given angle, and psi_unwrapped
+    # moves at most pi per sample.
     for phi, singular, near_singular, state, psi_unwrapped in entries:
         if state is None:
             rows.append((phi / unit, None, None, None, None, None, None, None, singular,
@@ -436,28 +441,21 @@ def _run_crank(args: argparse.Namespace) -> _Result:
         if acceleration > m_acceleration:
             m_acceleration = acceleration
         _, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _ = state
-        rows.append((phi / unit, s, psi / unit, psi_unwrapped / unit, s_dot, psi_dot / unit,
-                     s_ddot, psi_ddot / unit, singular, near_singular))
-    if args.svg:
-        _crank_svg(rows, args.svg)
-    envelope = {
-        "subcommand": "crank",
-        "input": {
-            "length": args.length, "pivot": _vec_json(args.pivot), "phidot": args.phidot,
-            "from": args.phi_from, "to": args.phi_to, "steps": args.steps,
-            "degrees": args.degrees, "svg": args.svg,
-        },
-        "results": {"entries": []},
-        "residuals": {
-            "max_position_closure": m_position,
-            "max_velocity_closure": m_velocity,
-            "max_acceleration_closure": m_acceleration,
-        },
+        psi_dot /= unit
+        psi_ddot /= unit
+        if not (isfinite(psi_dot) and isfinite(psi_ddot)):
+            raise NumericalOverflowError(f"rod angle rates overflow in degrees at phi={phi / unit}")
+        rows.append((phi / unit, s, psi / unit, psi_unwrapped / unit, s_dot, psi_dot,
+                     s_ddot, psi_ddot, singular, near_singular))
+    residuals = {
+        "max_position_closure": m_position,
+        "max_velocity_closure": m_velocity,
+        "max_acceleration_closure": m_acceleration,
     }
-    return _Result(envelope, rows, EXIT_OK)
+    return _Result({"entries": []}, residuals, rows, EXIT_OK, lambda: _crank_plot(rows))
 
 
-def _oscillator_svg(trajectory: Trajectory, path: str) -> None:
+def _oscillator_plot(trajectory: Trajectory) -> SvgPlot:
     from .dynamics import analytic_oscillator
     from .svgplot import SvgPlot
 
@@ -475,7 +473,7 @@ def _oscillator_svg(trajectory: Trajectory, path: str) -> None:
     plot.polyline([(s.q, s.p) for s in trajectory.states], color="#1f77b4",
                   label=trajectory.integrator)
     plot.marker(initial.q, initial.p, color="#d62728", label="initial state")
-    plot.write(path)
+    return plot
 
 
 def _run_oscillator(args: argparse.Namespace) -> _Result:
@@ -492,40 +490,33 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
         drift = abs(row[3] - initial_energy)
         if drift > max_drift:
             max_drift = drift
-    if args.svg:
-        _oscillator_svg(trajectory, args.svg)
     t, q, p, energy = rows[-1]
-    envelope = {
-        "subcommand": "oscillator",
-        "input": {
-            "mass": args.mass, "stiffness": args.stiffness, "q0": args.q0, "p0": args.p0,
-            "dt": args.dt, "steps": args.steps, "method": args.method, "svg": args.svg,
-        },
-        "results": {"final": {"t": t, "q": q, "p": p, "energy": energy}, "states": []},
-        "residuals": {"max_energy_drift": max_drift},
-    }
-    return _Result(envelope, rows, EXIT_OK)
+    return _Result({"final": {"t": t, "q": q, "p": p, "energy": energy}, "states": []},
+                   {"max_energy_drift": max_drift}, rows, EXIT_OK,
+                   lambda: _oscillator_plot(trajectory))
 
 
 _OSCILLATOR_CSV = "%.17g,%.17g,%.17g,%.17g\r\n"
 _OSCILLATOR_JSON = _json_item(["%r"] * 3)  # [t, q, p]; the energy is CSV only
 
-_TABLES = {
-    "identities": _Table(("identity", "max_residual"),
-                         lambda rows: ["%s,%.17g\r\n" % row for row in rows]),
-    "crank": _Table(_CRANK_COLUMNS, lambda rows: _crank_texts(rows, _CRANK_CSV),
-                    "entries", lambda rows: _crank_texts(rows, _CRANK_JSON)),
-    "oscillator": _Table(("t", "q", "p", "energy"),
-                         lambda rows: [_OSCILLATOR_CSV % row for row in rows],
-                         "states", lambda rows: [_OSCILLATOR_JSON % row[:3] for row in rows]),
-}
+class _Subcommand(NamedTuple):
+    """A subcommand's runner and, for a tabular one, its row schema."""
 
-_RUNNERS = {
-    "identities": _run_identities,
-    "intersect": _run_intersect,
-    "tangents": _run_tangents,
-    "crank": _run_crank,
-    "oscillator": _run_oscillator,
+    run: Callable[[argparse.Namespace], _Result]
+    table: _Table | None = None
+
+
+_SUBCOMMANDS = {
+    "identities": _Subcommand(_run_identities, _Table(
+        ("identity", "max_residual"), lambda rows: ["%s,%.17g\r\n" % row for row in rows])),
+    "intersect": _Subcommand(_run_intersect),
+    "tangents": _Subcommand(_run_tangents),
+    "crank": _Subcommand(_run_crank, _Table(
+        _CRANK_COLUMNS, lambda rows: _crank_texts(rows, _CRANK_CSV),
+        "entries", lambda rows: _crank_texts(rows, _CRANK_JSON))),
+    "oscillator": _Subcommand(_run_oscillator, _Table(
+        ("t", "q", "p", "energy"), lambda rows: [_OSCILLATOR_CSV % row for row in rows],
+        "states", lambda rows: [_OSCILLATOR_JSON % row[:3] for row in rows])),
 }
 
 
@@ -535,9 +526,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    run, table = _SUBCOMMANDS[args.subcommand]
     started = time.perf_counter()
     try:
-        result = _RUNNERS[args.subcommand](args)
+        result = run(args)
+        if getattr(args, "svg", None):
+            result.plot().write(args.svg)
     except DegeneracyError as exc:
         print(f"sympgeo: geometric degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -550,12 +544,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"sympgeo: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    table = _TABLES.get(args.subcommand)
     if getattr(args, "csv", False):
         sys.stdout.write(_csv_text(table, result.rows))
     else:
-        result.envelope["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
-        sys.stdout.write(_json_text(result.envelope, table, result.rows) + "\n")
+        report = {"subcommand": args.subcommand, "input": _echo(args),
+                  "results": result.results, "residuals": result.residuals,
+                  "wall_time_ms": (time.perf_counter() - started) * 1000.0}
+        sys.stdout.write(_json_text(report, table, result.rows) + "\n")
     return result.exit_code
 
 

@@ -259,6 +259,43 @@ def test_report_key_order(capsys):
     assert list(report) == ["subcommand", "input", "results", "residuals", "wall_time_ms"]
 
 
+# Each subcommand's ``input`` section: every run argument in usage order,
+# an ``--svg`` path and the sign of ``-0.0`` included.
+INPUT_ECHO_ARGV = {
+    "identities": ["identities", "--samples", "5", "--seed", "1", "--range=-0.0"],
+    "intersect": ["intersect", "--a=-1,0", "--u", "1,1", "--b", "1,0", "--v", "1,-1"],
+    "tangents": ["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "PATH"],
+    "crank": ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from=-0.0",
+              "--to", "90", "--steps", "5", "--degrees", "--svg", "PATH"],
+    "oscillator": ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
+                   "--dt", "0.1", "--steps", "10", "--method", "leapfrog", "--svg", "PATH"],
+}
+INPUT_ECHO = {
+    "identities": [("samples", 5), ("seed", 1), ("range", -0.0)],
+    "intersect": [("a", [-1.0, 0.0]), ("u", [1.0, 1.0]), ("b", [1.0, 0.0]),
+                  ("v", [1.0, -1.0])],
+    "tangents": [("c1", [0.0, 0.0, 1.0]), ("c2", [4.0, 0.0, 1.0]), ("svg", "PATH")],
+    "crank": [("length", 1.0), ("pivot", [3.0, 0.0]), ("phidot", 1.0), ("from", -0.0),
+              ("to", 90.0), ("steps", 5), ("degrees", True), ("svg", "PATH")],
+    "oscillator": [("mass", 1.0), ("stiffness", 1.0), ("q0", 1.0), ("p0", 0.0), ("dt", 0.1),
+                   ("steps", 10), ("method", "leapfrog"), ("svg", "PATH")],
+}
+
+
+@pytest.mark.parametrize("subcommand", INPUT_ECHO_ARGV)
+def test_input_echo_is_pinned(tmp_path, capsys, subcommand):
+    path = str(tmp_path / "out.svg")
+    argv = [path if arg == "PATH" else arg for arg in INPUT_ECHO_ARGV[subcommand]]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    echo = [(key, path if value == "PATH" else value) for key, value in INPUT_ECHO[subcommand]]
+    assert list(report["input"].items()) == echo
+    # ``-0.0 == 0.0``, so the sign is checked apart.
+    for key, value in echo:
+        if isinstance(value, float):
+            assert math.copysign(1.0, report["input"][key]) == math.copysign(1.0, value)
+
+
 def test_intersect_anchor_report(capsys):
     code, report = run_json(capsys, ["intersect", "--a", "0,0", "--u", "1,0",
                                      "--b", "2,2", "--v", "0,1"])
@@ -315,11 +352,11 @@ def _reference_identities(samples, seed, span):
 @pytest.mark.parametrize("seed", [3, 29])
 def test_identities_runner_matches_the_record_path(span, seed):
     maxima, within = _reference_identities(400, seed, span)
-    result = cli._run_identities(argparse.Namespace(samples=400, seed=seed, span=span))
+    result = cli._run_identities(argparse.Namespace(samples=400, seed=seed, range=span))
     assert [(name, repr(value)) for name, value in result.rows] == \
         [(name, repr(value)) for name, value in maxima.items()]
-    assert result.envelope["residuals"] == maxima
-    assert result.envelope["results"]["within_tolerance"] is within
+    assert result.residuals == maxima
+    assert result.results["within_tolerance"] is within
     assert result.exit_code == (0 if within else 3)
 
 
@@ -519,7 +556,7 @@ def _reference_csv(columns, rows):
 ])
 def test_row_writers_match_the_generic_encoders(subcommand, array, make_rows):
     rng = random.Random(subcommand)
-    table = cli._TABLES[subcommand]
+    table = cli._SUBCOMMANDS[subcommand].table
     for n in (0, 1, 2, 7, 200):
         for _ in range(5):
             rows = make_rows(rng, n)
@@ -535,9 +572,11 @@ def test_row_writers_match_the_generic_encoders_on_degree_rows():
          "--to", "630", "--steps", "41", "--degrees"])
     result = cli._run_crank(args)
     assert any(row[8] for row in result.rows) and not all(row[8] for row in result.rows)
-    table = cli._TABLES["crank"]
-    expected = json.dumps(_full_report(result.envelope, "entries", result.rows), indent=2)
-    assert cli._json_text(result.envelope, table, result.rows) == expected
+    table = cli._SUBCOMMANDS["crank"].table
+    envelope = {"subcommand": "crank", "input": cli._echo(args), "results": result.results,
+                "residuals": result.residuals, "wall_time_ms": 1.25}
+    expected = json.dumps(_full_report(envelope, "entries", result.rows), indent=2)
+    assert cli._json_text(envelope, table, result.rows) == expected
     assert cli._csv_text(table, result.rows) == _reference_csv(table.columns, result.rows)
 
 
@@ -684,6 +723,27 @@ def test_identities_csv_lists_the_five_families(capsys):
 # ----------------------------------------------------------------- degrees
 
 
+# A finite rod acceleration above ~3.1e306 rad/s^2 overflows in degrees.
+_DEGREES_OVERFLOW = ["crank", "--length", "1", "--pivot", "2,0", "--phidot", "2e153",
+                     "--from", "0", "--to", "90", "--steps", "3", "--degrees"]
+
+
+@pytest.mark.parametrize("extra", [["--csv"], [], ["--svg", "PATH"]], ids=["csv", "json", "svg"])
+def test_exit_code_three_on_a_degrees_overflow(tmp_path, capsys, extra):
+    path = tmp_path / "crank.svg"
+    code = main(_DEGREES_OVERFLOW + [str(path) if arg == "PATH" else arg for arg in extra])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical singularity: rod angle rates overflow in degrees at phi=45.0" \
+        in captured.err
+    assert not path.exists()
+    # In radians the same sweep is finite.
+    radians = [arg for arg in _DEGREES_OVERFLOW if arg != "--degrees"]
+    assert main(radians + ["--csv"]) == 0
+    assert "inf" not in capsys.readouterr().out
+
+
 def test_crank_degrees_matches_radians(capsys):
     base = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "13"]
     _, rad = run_json(capsys, base + ["--from", "0", "--to", str(2.0 * math.pi)])
@@ -781,9 +841,17 @@ def test_oscillator_svg_written(tmp_path, capsys):
 
 def test_svg_write_failure_exits_with_usage_code(tmp_path, capsys):
     bad = tmp_path / "missing" / "out.svg"
-    code = main(["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", str(bad)])
-    capsys.readouterr()
-    assert code == 1
+    crank = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from", "0",
+             "--to", "1", "--steps", "5"]
+    oscillator = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
+                  "--dt", "0.1", "--steps", "10", "--method", "leapfrog"]
+    for argv in (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"],
+                 crank, crank + ["--csv"], oscillator, oscillator + ["--csv"]):
+        code = main(argv + ["--svg", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "sympgeo: cannot write output:" in captured.err
 
 
 # ------------------------------------------------------------------ module
