@@ -34,7 +34,7 @@ import time
 from collections.abc import Callable
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import Vec2, _identity_terms, norm, tilde
+from .core import Vec2, _identity_terms, norm
 from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 
 if TYPE_CHECKING:
@@ -336,12 +336,17 @@ def _tangents_plot(c1: Circle, c2: Circle, tangents: list[Tangent]) -> SvgPlot:
     seen_kinds: set[str] = set()
     for t in tangents:
         color = "#d62728" if t.kind == "inner" else "#ff7f0e"
-        along = tilde(t.direction_e) * (0.15 * t.lam)
-        p1 = t.touch1 - along
-        p2 = t.touch2 + along
+        # Each segment runs 15% of lam past the touch points, along tilde(e).
+        reach = 0.15 * t.lam
+        along_x, along_y = -t.direction_e.y * reach, t.direction_e.x * reach
+        x1, y1 = t.touch1.x - along_x, t.touch1.y - along_y
+        x2, y2 = t.touch2.x + along_x, t.touch2.y + along_y
+        if not (math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2)
+                and math.isfinite(y2)):
+            raise NumericalOverflowError("tangent segment overflows")
         label = t.kind if t.kind not in seen_kinds else None
         seen_kinds.add(t.kind)
-        plot.segment(p1.x, p1.y, p2.x, p2.y, color=color, width=1.2, label=label)
+        plot.segment(x1, y1, x2, y2, color=color, width=1.2, label=label)
         plot.marker(t.touch1.x, t.touch1.y, color="#333333")
         plot.marker(t.touch2.x, t.touch2.y, color="#333333")
     return plot

@@ -82,13 +82,16 @@ class Vec2:
 _set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
 
 
-def _vec2(x: float, y: float) -> Vec2:
+def _vec2(x: float, y: float, _new=object.__new__, _cls=Vec2, _set_x=_set_x,
+          _set_y=_set_y) -> Vec2:
     """``Vec2(x, y)`` for components the caller has already checked finite.
 
     Fills the slots directly, skipping the dataclass ``__init__`` and the
-    ``__post_init__`` check; the public constructor still validates.
+    ``__post_init__`` check; the public constructor still validates.  The
+    defaults bind the builder's globals as locals; callers pass only ``x``
+    and ``y``.
     """
-    v = object.__new__(Vec2)
+    v = _new(_cls)
     _set_x(v, x)
     _set_y(v, y)
     return v
@@ -195,7 +198,9 @@ def directed_angle(a: Vec2, b: Vec2) -> float:
         ax, ay, _ = _rescaled(a.x, a.y)
         bx, by, _ = _rescaled(b.x, b.y)
         area, inner = ax * by - ay * bx, ax * bx + ay * by
-    return wrap_angle(math.atan2(area, inner))
+    angle = math.atan2(area, inner)
+    # atan2 lies in [-pi, pi]; wrap_angle changes only -pi, to pi.
+    return math.pi if angle == -math.pi else angle
 
 
 def similarity(a: Vec2, c: float, d: float) -> Vec2:
@@ -203,19 +208,52 @@ def similarity(a: Vec2, c: float, d: float) -> Vec2:
 
     Identical to complex multiplication ``(a.x + i*a.y) * (c + i*d)``;
     with ``c = cos(phi)``, ``d = sin(phi)`` it is a pure rotation.
+    Raises :class:`NumericalOverflowError` when the result overflows.
     """
-    return Vec2(c * a.x - d * a.y, c * a.y + d * a.x)
+    x = c * a.x - d * a.y
+    y = c * a.y + d * a.x
+    if not (math.isfinite(x) and math.isfinite(y)):
+        _check_scale(c, d)
+        raise NumericalOverflowError(f"similarity of ({a.x}, {a.y}) overflows")
+    # x and y were checked finite just above.
+    return _vec2(x, y)
+
+
+def _check_scale(c: float, d: float) -> None:
+    """Reject a non-finite similarity scale ``c + i*d`` as invalid input."""
+    if not (math.isfinite(c) and math.isfinite(d)):
+        raise ValueError(f"similarity scale must be finite, got ({c}, {d})")
 
 
 def similarity_div(a: Vec2, c: float, d: float) -> Vec2:
     """Inverse similarity ``(c*a - d*tilde(a)) / (c^2 + d^2)``.
 
-    Identical to complex division ``(a.x + i*a.y) / (c + i*d)``.
+    Identical to complex division ``(a.x + i*a.y) / (c + i*d)``.  When
+    ``c^2 + d^2`` is not a finite normal float, or a numerator overflows,
+    the quotient is formed on ``a`` and ``c + i*d`` rescaled by powers of
+    two and scaled back, as :func:`inverse` does, so
+    ``similarity_div(Vec2(1, 2), 1e-200, 0)`` is ``(1e200, 2e200)``.
+    Raises :class:`DegenerateScaleError` for ``c == d == 0`` and
+    :class:`NumericalOverflowError` when the quotient itself overflows.
     """
     s = c * c + d * d
-    if s == 0.0:
+    if _FLOAT_MIN <= s < math.inf:
+        x, y = (c * a.x + d * a.y) / s, (c * a.y - d * a.x) / s
+        if math.isfinite(x) and math.isfinite(y):
+            return _vec2(x, y)
+    elif c == 0.0 and d == 0.0:
         raise DegenerateScaleError("similarity scale c + i*d must be nonzero")
-    return Vec2((c * a.x + d * a.y) / s, (c * a.y - d * a.x) / s)
+    _check_scale(c, d)
+    ax, ay, ka = _rescaled(a.x, a.y)
+    cs, ds, kc = _rescaled(c, d)
+    s = cs * cs + ds * ds
+    try:
+        x = math.ldexp((cs * ax + ds * ay) / s, ka - kc)
+        y = math.ldexp((cs * ay - ds * ax) / s, ka - kc)
+    except OverflowError as exc:
+        raise NumericalOverflowError(f"similarity quotient of ({a.x}, {a.y}) overflows") from exc
+    # ldexp of a finite quotient is finite or raises.
+    return _vec2(x, y)
 
 
 def rotate(a: Vec2, phi: float) -> Vec2:
@@ -239,12 +277,14 @@ class IdentityResiduals(NamedTuple):
 
     def magnitudes(self) -> dict[str, float]:
         """Absolute size of each residual (norms for vectors, abs for scalars)."""
+        jacobi, full, lagrange, reduced, binet_cauchy = self
+        hypot = math.hypot
         return {
-            "jacobi": norm(self.jacobi),
-            "grassmann_full": norm(self.grassmann_full),
-            "lagrange": abs(self.lagrange),
-            "grassmann_reduced": norm(self.grassmann_reduced),
-            "binet_cauchy": abs(self.binet_cauchy),
+            "jacobi": hypot(jacobi.x, jacobi.y),
+            "grassmann_full": hypot(full.x, full.y),
+            "lagrange": abs(lagrange),
+            "grassmann_reduced": hypot(reduced.x, reduced.y),
+            "binet_cauchy": abs(binet_cauchy),
         }
 
 
@@ -265,8 +305,8 @@ def identity_residuals(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> IdentityResiduals:
     jx, jy, fx, fy, lagrange, rx, ry, binet_cauchy = _identity_terms(
         a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
     # Every component was checked finite by the kernel.
-    return IdentityResiduals(_vec2(jx, jy), _vec2(fx, fy), lagrange, _vec2(rx, ry),
-                             binet_cauchy)
+    return tuple.__new__(IdentityResiduals, (_vec2(jx, jy), _vec2(fx, fy), lagrange,
+                                             _vec2(rx, ry), binet_cauchy))
 
 
 def _identity_terms(ax: float, ay: float, bx: float, by: float, cx: float, cy: float,

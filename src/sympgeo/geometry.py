@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, _rescaled, _vec2, norm, symp, tilde
+from .core import ATOL, Vec2, _rescaled, _set_x, _set_y, _vec2, norm, symp, tilde
 from .errors import (
     CoincidentCentersError,
     DegenerateDenominatorError,
@@ -153,7 +153,7 @@ def intersect_lines(line1: Line, line2: Line) -> Intersection:
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(mu)):
         raise NumericalOverflowError("line intersection overflows")
     # x and y were checked finite just above.
-    return Intersection(_vec2(x, y), lam, mu)
+    return tuple.__new__(Intersection, (_vec2(x, y), lam, mu))
 
 
 def jacobi_triangle_residual(u: Vec2, v: Vec2, a: Vec2) -> Vec2:
@@ -192,7 +192,10 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
     scale = math.ldexp(1.0, -k)
     a2 = ax * ax + ay * ay
     families = (("outer", r1 - r2, -1.0), ("inner", r1 + r2, 1.0))
+    isfinite, ldexp, new, new_tuple = math.isfinite, math.ldexp, object.__new__, tuple.__new__
+    set_x, set_y = _set_x, _set_y
     tangents: list[Tangent] = []
+    append = tangents.append
     try:
         for kind, reach, sigma in families[:1] if outer_only else families:
             reach *= scale
@@ -200,17 +203,26 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
             if radicand < 0.0:
                 continue
             root = math.sqrt(radicand)
+            reach2 = sigma * r2
             for lam in (root, -root):
                 ex = (ax * reach - -ay * lam) / a2
                 ey = (ay * reach - ax * lam) / a2
                 t1x, t1y = x1 + ex * r1, y1 + ey * r1
-                t2x, t2y = x2 - ex * (sigma * r2), y2 - ey * (sigma * r2)
-                if not (math.isfinite(t1x) and math.isfinite(t1y)
-                        and math.isfinite(t2x) and math.isfinite(t2y)):
+                t2x, t2y = x2 - ex * reach2, y2 - ey * reach2
+                if not (isfinite(t1x) and isfinite(t1y) and isfinite(t2x) and isfinite(t2y)):
                     raise NumericalOverflowError("common tangent overflows")
                 # Touch points checked just above; e is finite: reach**2 <= a2 and a2 >= 1/4.
-                tangents.append(Tangent(_vec2(t1x, t1y), _vec2(t2x, t2y), _vec2(ex, ey),
-                                        kind, math.ldexp(lam, k)))
+                # Each Vec2 is _vec2, inlined.
+                touch1 = new(Vec2)
+                set_x(touch1, t1x)
+                set_y(touch1, t1y)
+                touch2 = new(Vec2)
+                set_x(touch2, t2x)
+                set_y(touch2, t2y)
+                e = new(Vec2)
+                set_x(e, ex)
+                set_y(e, ey)
+                append(new_tuple(Tangent, (touch1, touch2, e, kind, ldexp(lam, k))))
     except OverflowError as exc:  # ldexp, an out-of-range lam
         raise NumericalOverflowError("common tangent overflows") from exc
     return tangents
@@ -267,4 +279,4 @@ def tangent_distance_error(t: Tangent, c1: Circle, c2: Circle) -> float:
     e2 = abs(abs((c2.center.x - tx) * ex + (c2.center.y - ty) * ey) - c2.radius)
     if not (math.isfinite(e1) and math.isfinite(e2)):
         raise NumericalOverflowError("tangent distance overflows")
-    return max(e1, e2)
+    return e2 if e2 > e1 else e1

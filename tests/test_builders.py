@@ -20,13 +20,17 @@ from sympgeo import (
     Circle,
     CoincidentCentersError,
     CrankConfig,
+    IdentityResiduals,
+    Intersection,
     Line,
     NumericalOverflowError,
     OscillatorParams,
     ParallelLinesError,
     PhaseState,
     SingularPositionError,
+    Tangent,
     Vec2,
+    ZeroDirectionError,
     analytic_oscillator,
     circle_tangents,
     crank_position,
@@ -35,6 +39,9 @@ from sympgeo import (
     identity_residuals,
     intersect_lines,
     point_circle_tangents,
+    rotate,
+    similarity,
+    similarity_div,
     simulate,
 )
 from sympgeo.core import _vec2
@@ -185,3 +192,74 @@ def test_overflowing_touch_point_raises_a_typed_overflow():
     lowered = [Circle(Vec2(c.center.x, 0.0), c.radius) for c in (first, second)]
     assert len(circle_tangents(*lowered)) == 4
     assert _finite(circle_tangents(*lowered))
+
+
+def _same_vec2(v):
+    """``v`` cannot be told apart from ``Vec2(v.x, v.y)``."""
+    assert type(v) is Vec2
+    public = Vec2(v.x, v.y)
+    assert v == public and hash(v) == hash(public) and repr(v) == repr(public)
+    for name in ("x", "y"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, 0.0)
+
+
+def _same_record(record, cls):
+    """A record built in place equals the one its class constructor builds, field by field."""
+    assert type(record) is cls
+    public = cls(*record)
+    assert record == public and hash(record) == hash(public) and repr(record) == repr(public)
+    for field in record:
+        if isinstance(field, Vec2):
+            _same_vec2(field)
+
+
+def test_records_built_in_place_match_their_constructors():
+    rng = random.Random(8104)
+    values = [value for value in _floats(rng, 300) if abs(value) < 1e150]
+    scales = (1e-150, 1.0, 1e150)
+
+    def vec():
+        return Vec2(rng.choice(values), rng.choice(values))
+
+    seen = dict.fromkeys(("tangents", "point tangents", "intersections", "identities",
+                          "vectors"), 0)
+    for _ in range(1500):
+        scale = rng.choice(scales)
+        c1 = Circle(Vec2(rng.uniform(-3, 3) * scale, rng.uniform(-3, 3) * scale),
+                    rng.uniform(0, 2) * scale)
+        c2 = Circle(Vec2(rng.uniform(-3, 3) * scale, rng.uniform(-3, 3) * scale),
+                    rng.choice((0.0, c1.radius, rng.uniform(0, 2) * scale)))
+        try:
+            tangents = circle_tangents(c1, c2)
+        except CoincidentCentersError:
+            tangents = []
+        for t in tangents:
+            _same_record(t, Tangent)
+            seen["tangents"] += 1
+        for t in point_circle_tangents(c2.center, c1):
+            _same_record(t, Tangent)
+            seen["point tangents"] += 1
+        try:
+            meet = intersect_lines(Line(vec(), vec()), Line(vec(), vec()))
+        except (ParallelLinesError, NumericalOverflowError, ZeroDirectionError):
+            pass
+        else:
+            _same_record(meet, Intersection)
+            seen["intersections"] += 1
+        try:
+            residuals = identity_residuals(vec(), vec(), vec(), vec())
+        except NumericalOverflowError:
+            pass
+        else:
+            _same_record(residuals, IdentityResiduals)
+            seen["identities"] += 1
+        a, c, d = vec(), rng.uniform(-2, 2), rng.uniform(-2, 2)
+        for call in (lambda: rotate(a, c), lambda: similarity(a, c, d),
+                     lambda: similarity_div(a, c * scale, d * scale)):
+            try:
+                _same_vec2(call())
+            except NumericalOverflowError:
+                continue
+            seen["vectors"] += 1
+    assert min(seen.values()) > 0, seen

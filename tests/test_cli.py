@@ -783,6 +783,21 @@ def test_exit_code_three_on_an_overflowing_svg_span(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_exit_code_three_on_an_overflowing_tangent_segment(tmp_path, capsys):
+    # The tangents are finite, but each outer segment reaches 15% of lam
+    # (about 1.7e308) past the second touch point, beyond the largest float.
+    path = tmp_path / "tangents.svg"
+    argv = ["tangents", "--c1", "0,0,1", "--c2", "1.7e308,0,1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code = main(argv + ["--svg", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical singularity: tangent segment overflows" in captured.err
+    assert captured.out == ""
+    assert not path.exists()
+
+
 def test_crank_svg_written(tmp_path, capsys):
     path = tmp_path / "crank.svg"
     base = ["--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "73"]

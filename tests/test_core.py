@@ -7,6 +7,9 @@ on that (symp(a, a) must vanish identically, not merely approximately).
 """
 
 import math
+import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -307,6 +310,74 @@ def test_similarity_div_anchor_values():
 def test_similarity_div_zero_scale_raises():
     with pytest.raises(DegenerateScaleError):
         similarity_div(Vec2(1.0, 1.0), 0.0, 0.0)
+    with pytest.raises(DegenerateScaleError):
+        similarity_div(Vec2(1.0, 1.0), -0.0, 0.0)
+
+
+def test_similarity_overflow_raises_a_typed_overflow():
+    with pytest.raises(NumericalOverflowError, match="similarity of"):
+        similarity(Vec2(1e308, 1e308), 2.0, 0.0)
+    # A scale that is not finite is invalid input, not an overflow.
+    with pytest.raises(ValueError, match="similarity scale must be finite"):
+        similarity(Vec2(1.0, 1.0), math.nan, 0.0)
+
+
+def test_rotate_overflow_raises_a_typed_overflow():
+    # The rotated x stays finite (about 9.9e307); y leaves the float range.
+    with pytest.raises(NumericalOverflowError, match="similarity of"):
+        rotate(Vec2(1.5e308, 1.5e308), 0.3)
+
+
+def test_similarity_div_at_the_ends_of_the_float_range():
+    # c*c + d*d underflows to 0, but the quotient is finite.
+    assert similarity_div(Vec2(1.0, 2.0), 1e-200, 0.0) == Vec2(1e200, 2e200)
+    # c*c + d*d overflows; the quotient is representable.
+    assert similarity_div(Vec2(1.0, 1.0), 1e200, 0.0) == Vec2(1e-200, 1e-200)
+    # A numerator that overflows with a finite quotient.
+    big = sys.float_info.max
+    assert similarity_div(Vec2(big, big), 1.0, 1.0) == Vec2(big, 0.0)
+    # The quotient itself leaves the float range.
+    with pytest.raises(NumericalOverflowError, match="similarity quotient"):
+        similarity_div(Vec2(1e300, 1e300), 1e-10, 0.0)
+    with pytest.raises(ValueError, match="similarity scale must be finite"):
+        similarity_div(Vec2(1.0, 1.0), math.inf, 0.0)
+
+
+def _exact_quotient(a, c, d):
+    """``(a.x + i*a.y) / (c + i*d)`` in exact rational arithmetic."""
+    s = Fraction(c) ** 2 + Fraction(d) ** 2
+    return ((Fraction(c) * Fraction(a.x) + Fraction(d) * Fraction(a.y)) / s,
+            (Fraction(c) * Fraction(a.y) - Fraction(d) * Fraction(a.x)) / s)
+
+
+def test_similarity_div_is_accurate_across_the_float_range():
+    rng = random.Random(1515)
+
+    def value(low, high):
+        return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(low, high)
+
+    returned = overflowed = 0
+    for _ in range(3000):
+        # The scale spans the whole float range.  The vector stays within
+        # 1e+-100, so where c*c + d*d is normal no product underflows.
+        a = Vec2(value(-100, 99), value(-100, 99))
+        c, d = value(-320, 307), value(-320, 307)
+        exact = _exact_quotient(a, c, d)
+        bound = Fraction(sys.float_info.max)
+        try:
+            got = similarity_div(a, c, d)
+        except NumericalOverflowError:
+            # Raised only when a component is out of range, allowing one rounding.
+            assert max(abs(exact[0]), abs(exact[1])) > bound * (1 - Fraction(1, 2 ** 50))
+            overflowed += 1
+            continue
+        returned += 1
+        scale = max(abs(exact[0]), abs(exact[1]))
+        for component, want in zip((got.x, got.y), exact):
+            # A few roundings relative to the larger component, or the
+            # subnormal spacing where the result underflows.
+            assert abs(Fraction(component) - want) <= scale * Fraction(1, 2 ** 50) + Fraction(5e-324)
+    assert returned > 0 and overflowed > 0
 
 
 @given(st.builds(Vec2,
