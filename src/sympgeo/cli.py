@@ -15,9 +15,14 @@ the ``--svg`` diagram); with ``--svg`` it draws and writes the diagram;
 and it lays out the report: the envelope, the ``input`` echo of the
 command line (:func:`_echo`) and ``wall_time_ms``.  The CSV and JSON
 writers share each tabular subcommand's fixed row schema, a
-:class:`_Table`, and format each row from a ``%``-template.  Each runner
-imports the layers it runs, so a run loads ``core``, ``errors`` and only
-the layers of its subcommand (``svgplot`` only with ``--svg``).
+:class:`_Table`, and format each row from a ``%``-template.  Every row is
+complete before the first byte is written, so a run that fails leaves
+stdout empty; the report is then written in pieces, the row texts
+:data:`_CHUNK` (256) rows at a time.  The runners keep no sweep entries or
+trajectory states beside their rows, so the row tuples are what a large
+run's peak memory holds.  Each runner imports the layers it runs, so a
+run loads ``core``, ``errors`` and only the layers of its subcommand
+(``svgplot`` only with ``--svg``).
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.
@@ -31,14 +36,14 @@ import math
 import random
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Vec2, _identity_terms, norm
 from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 
 if TYPE_CHECKING:
-    from .dynamics import Trajectory
+    from .dynamics import OscillatorParams, PhaseState
     from .geometry import Circle, Tangent
     from .svgplot import SvgPlot
 
@@ -195,20 +200,41 @@ def _json_item(cells: list[str], keys: tuple[str, ...] | None = None) -> str:
             + "\n      }")
 
 
-def _csv_text(table: _Table, rows: list[tuple]) -> str:
-    return ",".join(table.columns) + "\r\n" + "".join(table.csv_rows(rows))
+#: Rows formatted and written per piece of a tabular report.
+_CHUNK = 256
 
 
-def _json_text(envelope: dict, table: _Table | None, rows: list[tuple]) -> str:
-    """``json.dumps(report, indent=2)`` of the envelope with its row array filled in."""
+def _row_chunks(rows: list[tuple], texts: Callable[[list[tuple]], list[str]],
+                sep: str) -> Iterator[str]:
+    """``sep.join(texts(rows))`` in pieces of :data:`_CHUNK` rows each."""
+    for start in range(0, len(rows), _CHUNK):
+        piece = sep.join(texts(rows[start:start + _CHUNK]))
+        yield piece if start == 0 else sep + piece
+
+
+def _csv_pieces(table: _Table, rows: list[tuple]) -> Iterator[str]:
+    """The CSV report in pieces: the header line, then the rows a chunk at a time."""
+    yield ",".join(table.columns) + "\r\n"
+    yield from _row_chunks(rows, table.csv_rows, "")
+
+
+def _json_pieces(envelope: dict, table: _Table | None, rows: list[tuple]) -> Iterator[str]:
+    """``json.dumps(report, indent=2)`` of the envelope with its row array filled in, in pieces.
+
+    The envelope's text up to the row array, the rows a chunk at a time, then
+    the rest of the envelope's text.
+    """
     text = json.dumps(envelope, indent=2)
     if table is None or table.array is None or not rows:
-        return text
+        yield text
+        return
     # Every string value in the envelope is escaped, so the unescaped key
     # followed by ``: []`` occurs only where the row array belongs.
     head = f'"{table.array}": ['
-    return text.replace(head + "]", head + "\n" + ",\n".join(table.json_rows(rows)) + "\n    ]",
-                        1)
+    cut = text.index(head + "]") + len(head)
+    yield text[:cut] + "\n"
+    yield from _row_chunks(rows, table.json_rows, ",\n")
+    yield "\n    " + text[cut:]
 
 
 def _build_parser() -> _Parser:
@@ -420,11 +446,12 @@ def _crank_plot(rows: list[tuple]) -> SvgPlot:
 
 
 def _run_crank(args: argparse.Namespace) -> _Result:
-    from .kinematics import CrankConfig, crank_sweep, loop_residuals
+    from .kinematics import CrankConfig, _grid, _sweep, loop_residuals
 
     cfg = CrankConfig(args.length, args.pivot, args.phidot)
     unit = _DEG if args.degrees else 1.0  # scaling by 1.0 is exact, -0.0 included
-    entries = crank_sweep(cfg, getattr(args, "from") * unit, args.to * unit, args.steps)
+    # The entries are consumed as the sweep yields them; only the rows are kept.
+    entries = _sweep(cfg, _grid(getattr(args, "from") * unit, args.to * unit, args.steps))
     isfinite = math.isfinite
     m_position = m_velocity = m_acceleration = 0.0
     rows = []
@@ -460,23 +487,23 @@ def _run_crank(args: argparse.Namespace) -> _Result:
     return _Result({"entries": []}, residuals, rows, EXIT_OK, lambda: _crank_plot(rows))
 
 
-def _oscillator_plot(trajectory: Trajectory) -> SvgPlot:
+def _oscillator_plot(rows: list[tuple], params: OscillatorParams, initial: PhaseState,
+                     integrator: str) -> SvgPlot:
     from .dynamics import analytic_oscillator
     from .svgplot import SvgPlot
 
     plot = SvgPlot("phase portrait")
-    initial = trajectory.states[0]
-    period = 2.0 * math.pi / trajectory.params.omega
+    period = 2.0 * math.pi / params.omega
     if not math.isfinite(period):
         raise NumericalOverflowError(f"phase-portrait period overflows (omega = "
-                                     f"{trajectory.params.omega})")
+                                     f"{params.omega})")
     ellipse = []
     for i in range(257):
-        s = analytic_oscillator(period * i / 256.0, initial, trajectory.params)
+        s = analytic_oscillator(period * i / 256.0, initial, params)
         ellipse.append((s.q, s.p))
     plot.polyline(ellipse, color="#7f7f7f", width=1.0, label="energy ellipse")
-    plot.polyline([(s.q, s.p) for s in trajectory.states], color="#1f77b4",
-                  label=trajectory.integrator)
+    # Each row's q and p are the trajectory state's own floats.
+    plot.polyline([(row[1], row[2]) for row in rows], color="#1f77b4", label=integrator)
     plot.marker(initial.q, initial.p, color="#d62728", label="initial state")
     return plot
 
@@ -486,8 +513,10 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
 
     params = OscillatorParams(args.mass, args.stiffness)
     initial = PhaseState(args.q0, args.p0, 0.0)
-    trajectory = simulate(initial, params, args.dt, args.steps, _METHOD_NAMES[args.method])
-    rows = [(s.t, s.q, s.p, hamiltonian(s, params)) for s in trajectory.states]
+    method = _METHOD_NAMES[args.method]
+    # The trajectory is not kept: each state becomes its row in one pass.
+    rows = [(s.t, s.q, s.p, hamiltonian(s, params))
+            for s in simulate(initial, params, args.dt, args.steps, method).states]
     initial_energy = rows[0][3]
     max_drift = 0.0
     for row in rows:
@@ -498,7 +527,7 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
     t, q, p, energy = rows[-1]
     return _Result({"final": {"t": t, "q": q, "p": p, "energy": energy}, "states": []},
                    {"max_energy_drift": max_drift}, rows, EXIT_OK,
-                   lambda: _oscillator_plot(trajectory))
+                   lambda: _oscillator_plot(rows, params, initial, method))
 
 
 _OSCILLATOR_CSV = "%.17g,%.17g,%.17g,%.17g\r\n"
@@ -550,12 +579,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sympgeo: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "csv", False):
-        sys.stdout.write(_csv_text(table, result.rows))
+        sys.stdout.writelines(_csv_pieces(table, result.rows))
     else:
         report = {"subcommand": args.subcommand, "input": _echo(args),
                   "results": result.results, "residuals": result.residuals,
                   "wall_time_ms": (time.perf_counter() - started) * 1000.0}
-        sys.stdout.write(_json_text(report, table, result.rows) + "\n")
+        sys.stdout.writelines(_json_pieces(report, table, result.rows))
+        sys.stdout.write("\n")
     return result.exit_code
 
 

@@ -230,16 +230,22 @@ def similarity_div(a: Vec2, c: float, d: float) -> Vec2:
 
     Identical to complex division ``(a.x + i*a.y) / (c + i*d)``.  When
     ``c^2 + d^2`` is not a finite normal float, or a numerator overflows,
-    the quotient is formed on ``a`` and ``c + i*d`` rescaled by powers of
-    two and scaled back, as :func:`inverse` does, so
-    ``similarity_div(Vec2(1, 2), 1e-200, 0)`` is ``(1e200, 2e200)``.
+    or a numerator of a nonzero ``a`` comes out subnormal or zero, the
+    quotient is formed on ``a`` and ``c + i*d`` rescaled by powers of two
+    and scaled back, as :func:`inverse` does, so
+    ``similarity_div(Vec2(1, 2), 1e-200, 0)`` is ``(1e200, 2e200)`` and
+    ``similarity_div(Vec2(1e-300, 0), 1e-100, 0)`` is ``(1e-200, 0)``.
     Raises :class:`DegenerateScaleError` for ``c == d == 0`` and
     :class:`NumericalOverflowError` when the quotient itself overflows.
     """
     s = c * c + d * d
     if _FLOAT_MIN <= s < math.inf:
-        x, y = (c * a.x + d * a.y) / s, (c * a.y - d * a.x) / s
-        if math.isfinite(x) and math.isfinite(y):
+        nx, ny = c * a.x + d * a.y, c * a.y - d * a.x
+        x, y = nx / s, ny / s
+        # A numerator below the normal range may have lost its digits to
+        # underflow, which the division by s then magnifies.
+        if math.isfinite(x) and math.isfinite(y) and (
+                _FLOAT_MIN <= min(abs(nx), abs(ny)) or (a.x == 0.0 and a.y == 0.0)):
             return _vec2(x, y)
     elif c == 0.0 and d == 0.0:
         raise DegenerateScaleError("similarity scale c + i*d must be nonzero")

@@ -1,6 +1,7 @@
 """Command-line layer: exit codes, schema, determinism, CSV and SVG output."""
 
 import argparse
+import contextlib
 import copy
 import csv
 import hashlib
@@ -10,6 +11,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -557,13 +559,20 @@ def _reference_csv(columns, rows):
 def test_row_writers_match_the_generic_encoders(subcommand, array, make_rows):
     rng = random.Random(subcommand)
     table = cli._SUBCOMMANDS[subcommand].table
-    for n in (0, 1, 2, 7, 200):
+    chunk = cli._CHUNK
+    # Row counts on both sides of each chunk seam, as well as within one chunk.
+    for n in (0, 1, 2, 7, 200, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        chunks = -(-n // chunk)
         for _ in range(5):
             rows = make_rows(rng, n)
             envelope = _envelope(subcommand, rng, array)
             expected = json.dumps(_full_report(envelope, array, rows), indent=2)
-            assert cli._json_text(envelope, table, rows) == expected
-            assert cli._csv_text(table, rows) == _reference_csv(table.columns, rows)
+            pieces = list(cli._json_pieces(envelope, table, rows))
+            assert "".join(pieces) == expected
+            assert len(pieces) == (chunks + 2 if n else 1)
+            pieces = list(cli._csv_pieces(table, rows))
+            assert "".join(pieces) == _reference_csv(table.columns, rows)
+            assert len(pieces) == chunks + 1
 
 
 def test_row_writers_match_the_generic_encoders_on_degree_rows():
@@ -576,8 +585,9 @@ def test_row_writers_match_the_generic_encoders_on_degree_rows():
     envelope = {"subcommand": "crank", "input": cli._echo(args), "results": result.results,
                 "residuals": result.residuals, "wall_time_ms": 1.25}
     expected = json.dumps(_full_report(envelope, "entries", result.rows), indent=2)
-    assert cli._json_text(envelope, table, result.rows) == expected
-    assert cli._csv_text(table, result.rows) == _reference_csv(table.columns, result.rows)
+    assert "".join(cli._json_pieces(envelope, table, result.rows)) == expected
+    assert ("".join(cli._csv_pieces(table, result.rows))
+            == _reference_csv(table.columns, result.rows))
 
 
 def test_csv_runs_never_call_json_dumps(capsys, monkeypatch):
@@ -592,6 +602,35 @@ def test_csv_runs_never_call_json_dumps(capsys, monkeypatch):
                   "--p0", "0", "--dt", "0.1", "--steps", "10", "--method", "euler"]):
         assert main(argv + ["--csv"]) == 0
         assert capsys.readouterr().out.count("\r\n") >= 6
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that discards what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("argv, bytes_per_row", [
+    (["crank", "--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
+      "--from", "0", "--to", "12.566370614359172"], 450),
+    (["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0", "1", "--p0", "0.5",
+      "--dt", "0.01", "--method", "leapfrog"], 320),
+], ids=["crank", "oscillator"])
+def test_csv_peak_memory_is_bounded_by_the_rows(argv, bytes_per_row):
+    # A run holds its row tuples and one chunk of row texts at a time: not
+    # the sweep entries or trajectory states, nor the whole report text.
+    rows = 20000
+    with contextlib.redirect_stdout(_Sink()):
+        # A short run first, so the peak below counts no import.
+        assert main(argv + ["--steps", "3", "--csv"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--steps", str(rows), "--csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= bytes_per_row * rows
 
 
 # --------------------------------------------------------------------- CSV
@@ -648,6 +687,14 @@ CRANK_CSV_SHA256 = {
     "degrees": (["--length", "1", "--pivot", "3,0.5", "--phidot", "2",
                  "--from", "-90", "--to", "270", "--steps", "91", "--degrees"],
                 "21233c547e87f47de437dd20a33227c6b465b853ee12e0f41631fc950c87dde2"),
+    # The benchmark's crank-sweep argv as CSV: 2,001 rows, several chunks.
+    "benchmark": (["--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
+                   "--from", "0", "--to", "12.566370614359172", "--steps", "2001"],
+                  "c71e3a912eab07996cc869e532ba563b35e6dd56b64c08d88a37a8477015b13a"),
+    "benchmark-pivot-on-circle": (
+        ["--length", "1", "--pivot", "1,0", "--phidot", "1",
+         "--from", "0", "--to", "12.566370614359172", "--steps", "2001"],
+        "9ed7cdc9a5d8d18f6e7ce4da493ab7f51d713db4623ccd992e289376be0fd413"),
 }
 
 

@@ -336,6 +336,12 @@ def test_similarity_div_at_the_ends_of_the_float_range():
     # A numerator that overflows with a finite quotient.
     big = sys.float_info.max
     assert similarity_div(Vec2(big, big), 1.0, 1.0) == Vec2(big, 0.0)
+    # Numerators that underflow although the quotient is normal.
+    got = similarity_div(Vec2(1e-300, 0.0), 1e-100, 0.0)
+    assert math.isclose(got.x, 1e-200, rel_tol=1e-15) and got.y == 0.0
+    got = similarity_div(Vec2(3e-300, 4e-300), 1e-100, 1e-100)
+    assert math.isclose(got.x, 3.5e-200, rel_tol=1e-15)
+    assert math.isclose(got.y, 0.5e-200, rel_tol=1e-15)
     # The quotient itself leaves the float range.
     with pytest.raises(NumericalOverflowError, match="similarity quotient"):
         similarity_div(Vec2(1e300, 1e300), 1e-10, 0.0)
@@ -357,10 +363,11 @@ def test_similarity_div_is_accurate_across_the_float_range():
         return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(low, high)
 
     returned = overflowed = 0
-    for _ in range(3000):
-        # The scale spans the whole float range.  The vector stays within
-        # 1e+-100, so where c*c + d*d is normal no product underflows.
-        a = Vec2(value(-100, 99), value(-100, 99))
+    # The scale spans the whole float range.  Within 1e+-100 the vector
+    # makes no product underflow where c*c + d*d is normal; at 1e+-300 it
+    # makes numerators underflow that a scale below 1 then magnifies.
+    for exponents in [(-100, 99)] * 3000 + [(-300, 299)] * 3000:
+        a = Vec2(value(*exponents), value(*exponents))
         c, d = value(-320, 307), value(-320, 307)
         exact = _exact_quotient(a, c, d)
         bound = Fraction(sys.float_info.max)
