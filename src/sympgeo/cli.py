@@ -19,8 +19,10 @@ writers share each tabular subcommand's fixed row schema, a
 complete before the first byte is written, so a run that fails leaves
 stdout empty; the report is then written in pieces, the row texts
 :data:`_CHUNK` (256) rows at a time.  The runners keep no sweep entries or
-trajectory states beside their rows, so the row tuples are what a large
-run's peak memory holds.  Each runner imports the layers it runs, so a
+trajectory states beside their rows, so the rows are what a large run's
+peak memory holds: one tuple per ``crank`` row, and for ``oscillator`` four
+packed floats per row (:func:`_row_view`), the trajectory stepped
+:data:`_CHUNK` steps at a time.  Each runner imports the layers it runs, so a
 run loads ``core``, ``errors`` and only the layers of its subcommand
 (``svgplot`` only with ``--svg``).
 
@@ -36,13 +38,15 @@ import math
 import random
 import sys
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Vec2, _identity_terms, norm
 from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 
 if TYPE_CHECKING:
+    from array import array
+
     from .dynamics import OscillatorParams, PhaseState
     from .geometry import Circle, Tangent
     from .svgplot import SvgPlot
@@ -146,13 +150,14 @@ class _Result(NamedTuple):
 
     ``results`` and ``residuals`` are the report sections of those names,
     with the row array under ``results``, if any, left empty; ``rows``
-    holds one tuple per sample in the column order of the subcommand's
-    :class:`_Table`; ``plot`` builds the ``--svg`` diagram.
+    holds one row per sample in the column order of the subcommand's
+    :class:`_Table`, as a tuple or as a row of a :func:`_row_view`; ``plot``
+    builds the ``--svg`` diagram.
     """
 
     results: dict
     residuals: dict
-    rows: list[tuple]
+    rows: Sequence
     exit_code: int
     plot: Callable[[], SvgPlot] | None = None
 
@@ -165,9 +170,9 @@ class _Table(NamedTuple):
     """
 
     columns: tuple[str, ...]
-    csv_rows: Callable[[list[tuple]], list[str]]
+    csv_rows: Callable[[Sequence], list[str]]
     array: str | None = None
-    json_rows: Callable[[list[tuple]], list[str]] | None = None
+    json_rows: Callable[[Sequence], list[str]] | None = None
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -204,7 +209,20 @@ def _json_item(cells: list[str], keys: tuple[str, ...] | None = None) -> str:
 _CHUNK = 256
 
 
-def _row_chunks(rows: list[tuple], texts: Callable[[list[tuple]], list[str]],
+def _row_view(store: array, width: int) -> memoryview:
+    """The flat float array ``store`` read as rows of ``width`` cells.
+
+    A 2-D view: ``len()`` counts rows, a slice takes rows and ``tolist()``
+    gives one list per row, with no copy of the floats until then.  An
+    empty store stays a 1-D view, since a view cannot be cast to a shape
+    with a zero.
+    """
+    if not store:
+        return memoryview(store)
+    return memoryview(store).cast("B").cast("d", (len(store) // width, width))
+
+
+def _row_chunks(rows: Sequence, texts: Callable[[Sequence], list[str]],
                 sep: str) -> Iterator[str]:
     """``sep.join(texts(rows))`` in pieces of :data:`_CHUNK` rows each."""
     for start in range(0, len(rows), _CHUNK):
@@ -212,13 +230,13 @@ def _row_chunks(rows: list[tuple], texts: Callable[[list[tuple]], list[str]],
         yield piece if start == 0 else sep + piece
 
 
-def _csv_pieces(table: _Table, rows: list[tuple]) -> Iterator[str]:
+def _csv_pieces(table: _Table, rows: Sequence) -> Iterator[str]:
     """The CSV report in pieces: the header line, then the rows a chunk at a time."""
     yield ",".join(table.columns) + "\r\n"
     yield from _row_chunks(rows, table.csv_rows, "")
 
 
-def _json_pieces(envelope: dict, table: _Table | None, rows: list[tuple]) -> Iterator[str]:
+def _json_pieces(envelope: dict, table: _Table | None, rows: Sequence) -> Iterator[str]:
     """``json.dumps(report, indent=2)`` of the envelope with its row array filled in, in pieces.
 
     The envelope's text up to the row array, the rows a chunk at a time, then
@@ -487,7 +505,7 @@ def _run_crank(args: argparse.Namespace) -> _Result:
     return _Result({"entries": []}, residuals, rows, EXIT_OK, lambda: _crank_plot(rows))
 
 
-def _oscillator_plot(rows: list[tuple], params: OscillatorParams, initial: PhaseState,
+def _oscillator_plot(store: array, params: OscillatorParams, initial: PhaseState,
                      integrator: str) -> SvgPlot:
     from .dynamics import analytic_oscillator
     from .svgplot import SvgPlot
@@ -502,32 +520,60 @@ def _oscillator_plot(rows: list[tuple], params: OscillatorParams, initial: Phase
         s = analytic_oscillator(period * i / 256.0, initial, params)
         ellipse.append((s.q, s.p))
     plot.polyline(ellipse, color="#7f7f7f", width=1.0, label="energy ellipse")
-    # Each row's q and p are the trajectory state's own floats.
-    plot.polyline([(row[1], row[2]) for row in rows], color="#1f77b4", label=integrator)
+    # The q and p columns of the packed (t, q, p, energy) rows.
+    cells = memoryview(store)
+    plot.polyline(zip(cells[1::4], cells[2::4]), color="#1f77b4", label=integrator)
     plot.marker(initial.q, initial.p, color="#d62728", label="initial state")
     return plot
 
 
 def _run_oscillator(args: argparse.Namespace) -> _Result:
+    # ``array`` is a shared extension module in CPython's usual builds, so only
+    # this runner loads it: every other subcommand's spawn stays as small.
+    from array import array
+
     from .dynamics import OscillatorParams, PhaseState, hamiltonian, simulate
 
     params = OscillatorParams(args.mass, args.stiffness)
     initial = PhaseState(args.q0, args.p0, 0.0)
     method = _METHOD_NAMES[args.method]
-    # The trajectory is not kept: each state becomes its row in one pass.
-    rows = [(s.t, s.q, s.p, hamiltonian(s, params))
-            for s in simulate(initial, params, args.dt, args.steps, method).states]
-    initial_energy = rows[0][3]
+    # The run is stepped in pieces of _CHUNK steps, each from the last state
+    # of the one before.  The step loop carries only q, p and t, so the states
+    # are bit for bit those of one simulate call; only one piece's states are
+    # alive at a time, and each becomes its (t, q, p, energy) row in the store.
+    store = array("d")
+    append = store.append
+    # An energy that overflows is raised only after the whole run has been
+    # stepped, as a state that overflows later in the run takes precedence.
+    energy_error = None
+    last, skip = initial, 0  # every later piece starts with a state already stored
+    for done in range(0, args.steps, _CHUNK):
+        states = simulate(last, params, args.dt, min(_CHUNK, args.steps - done), method).states
+        last = states[-1]
+        if energy_error is None:
+            try:
+                for s in states[skip:]:
+                    append(s.t)
+                    append(s.q)
+                    append(s.p)
+                    append(hamiltonian(s, params))
+            except NumericalOverflowError as exc:
+                energy_error = exc
+        skip = 1
+    if energy_error is not None:
+        raise energy_error
+    energies = memoryview(store)[3::4]
+    initial_energy = energies[0]
     max_drift = 0.0
-    for row in rows:
+    for energy in energies:
         # The energies are finite, so this fold keeps max()'s result.
-        drift = abs(row[3] - initial_energy)
+        drift = abs(energy - initial_energy)
         if drift > max_drift:
             max_drift = drift
-    t, q, p, energy = rows[-1]
+    t, q, p, energy = store[-4:]
     return _Result({"final": {"t": t, "q": q, "p": p, "energy": energy}, "states": []},
-                   {"max_energy_drift": max_drift}, rows, EXIT_OK,
-                   lambda: _oscillator_plot(rows, params, initial, method))
+                   {"max_energy_drift": max_drift}, _row_view(store, 4), EXIT_OK,
+                   lambda: _oscillator_plot(store, params, initial, method))
 
 
 _OSCILLATOR_CSV = "%.17g,%.17g,%.17g,%.17g\r\n"
@@ -549,8 +595,9 @@ _SUBCOMMANDS = {
         _CRANK_COLUMNS, lambda rows: _crank_texts(rows, _CRANK_CSV),
         "entries", lambda rows: _crank_texts(rows, _CRANK_JSON))),
     "oscillator": _Subcommand(_run_oscillator, _Table(
-        ("t", "q", "p", "energy"), lambda rows: [_OSCILLATOR_CSV % row for row in rows],
-        "states", lambda rows: [_OSCILLATOR_JSON % row[:3] for row in rows])),
+        ("t", "q", "p", "energy"),
+        lambda rows: [_OSCILLATOR_CSV % tuple(row) for row in rows.tolist()],
+        "states", lambda rows: [_OSCILLATOR_JSON % (t, q, p) for t, q, p, _ in rows.tolist()])),
 }
 
 

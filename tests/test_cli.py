@@ -12,13 +12,14 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
 from sympgeo import cli, dynamics
 from sympgeo.cli import main
 from sympgeo.core import Vec2, identity_residuals, norm
-from sympgeo.dynamics import hamiltonian
+from sympgeo.dynamics import OscillatorParams, PhaseState, hamiltonian, simulate
 
 
 def _reject_constant(name):
@@ -163,13 +164,24 @@ def test_exit_code_three_on_oscillator_energy_overflow(capsys, extra):
     assert "numerical singularity: energy overflows at t=0.0" in captured.err
 
 
+def test_a_later_state_overflow_wins_over_an_earlier_energy_overflow(capsys):
+    # The energy overflows at t=28, in the first piece of _CHUNK steps; the
+    # state only at t=1052, five pieces on.  The whole run is stepped first.
+    code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "0",
+                 "--p0", "1e150", "--dt", "1", "--steps", "2000", "--method", "euler", "--csv"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical singularity: phase state overflows at t=1052.0" in captured.err
+
+
 def test_intersect_at_the_overflow_limit(capsys):
     # Perpendicular directions of magnitude 1e300 were reported parallel.
     code, report = run_json(capsys, ["intersect", "--a", "0,0", "--u", "1e300,0",
                                      "--b", "1,1", "--v", "0,1e300"])
     assert code == 0
     assert report["results"]["point"] == pytest.approx([1.0, 0.0], abs=1e-15)
-    assert report["results"]["lambda"] == pytest.approx(1e-300, rel=1e-15)
+    assert report["results"]["lambda"] == pytest.approx(1e-300, rel=1e-15, abs=0)
     # The anchor offset 2e308 overflows, but the lines meet at (0, 1e308).
     code, report = run_json(capsys, ["intersect", "--a=-1e308,0", "--u", "1,1",
                                      "--b", "1e308,0", "--v", "1,-1"])
@@ -509,7 +521,13 @@ def _crank_rows(rng, n):
 
 
 def _oscillator_rows(rng, n):
-    return [tuple(_float(rng) for _ in range(4)) for _ in range(n)]
+    """``n`` packed ``(t, q, p, energy)`` rows, as ``sympgeo oscillator`` keeps them."""
+    return cli._row_view(array("d", [_float(rng) for _ in range(4 * n)]), 4)
+
+
+def _tuples(rows):
+    """The rows as tuples; a packed row view is unpacked."""
+    return [tuple(row) for row in rows.tolist()] if isinstance(rows, memoryview) else rows
 
 
 def _envelope(subcommand, rng, array):
@@ -528,6 +546,7 @@ def _envelope(subcommand, rng, array):
 
 def _full_report(envelope, array, rows):
     report = copy.deepcopy(envelope)
+    rows = _tuples(rows)
     if array == "entries":
         report["results"][array] = [dict(zip(cli._CRANK_COLUMNS, row)) for row in rows]
     else:
@@ -548,7 +567,7 @@ def _reference_csv(columns, rows):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(columns)
-    writer.writerows([cell(v) for v in row] for row in rows)
+    writer.writerows([cell(v) for v in row] for row in _tuples(rows))
     return buffer.getvalue()
 
 
@@ -611,22 +630,27 @@ class _Sink(io.TextIOBase):
         return len(text)
 
 
+_OSCILLATOR_ARGV = ["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0", "1",
+                    "--p0", "0.5", "--dt", "0.01", "--method", "leapfrog"]
+
+
 @pytest.mark.parametrize("argv, bytes_per_row", [
     (["crank", "--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
-      "--from", "0", "--to", "12.566370614359172"], 450),
-    (["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0", "1", "--p0", "0.5",
-      "--dt", "0.01", "--method", "leapfrog"], 320),
-], ids=["crank", "oscillator"])
+      "--from", "0", "--to", "12.566370614359172", "--csv"], 450),
+    (_OSCILLATOR_ARGV + ["--csv"], 64),
+    (_OSCILLATOR_ARGV, 64),
+], ids=["crank", "oscillator", "oscillator-json"])
 def test_csv_peak_memory_is_bounded_by_the_rows(argv, bytes_per_row):
-    # A run holds its row tuples and one chunk of row texts at a time: not
-    # the sweep entries or trajectory states, nor the whole report text.
+    # A run holds its rows and one chunk of row texts at a time: not the
+    # sweep entries or trajectory states, nor the whole report text.  An
+    # oscillator row is four packed floats (32 bytes), CSV or JSON.
     rows = 20000
     with contextlib.redirect_stdout(_Sink()):
         # A short run first, so the peak below counts no import.
-        assert main(argv + ["--steps", "3", "--csv"]) == 0
+        assert main(argv + ["--steps", "3"]) == 0
         tracemalloc.start()
         try:
-            assert main(argv + ["--steps", str(rows), "--csv"]) == 0
+            assert main(argv + ["--steps", str(rows)]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -723,6 +747,29 @@ def test_oscillator_csv_digest_is_pinned(capsys, method):
                                   "--steps", "10000", "--method", method, "--csv"])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == OSCILLATOR_CSV_SHA256[method]
+
+
+@pytest.mark.parametrize("method", dynamics.METHODS)
+@pytest.mark.parametrize("steps", [1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
+                                   2 * cli._CHUNK + 1])
+def test_oscillator_rows_match_one_simulate_call_across_chunk_seams(capsys, method, steps):
+    # The CLI steps the run _CHUNK steps at a time; every row must be the
+    # state of a single simulate call over the whole run, bit for bit.
+    params = OscillatorParams(1.5, 0.75)
+    states = simulate(PhaseState(1.0, 0.5, 0.0), params, 0.01, steps, method).states
+    rows = [(s.t, s.q, s.p, hamiltonian(s, params)) for s in states]
+    name = next(k for k, v in cli._METHOD_NAMES.items() if v == method)
+    argv = ["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0", "1", "--p0", "0.5",
+            "--dt", "0.01", "--steps", str(steps), "--method", name]
+    code, text = run_csv(capsys, argv + ["--csv"])
+    assert code == 0
+    assert text == _reference_csv(("t", "q", "p", "energy"), rows)
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    # Compared as text, so that a -0.0 cannot pass for 0.0.
+    assert (json.dumps(report["results"]["states"])
+            == json.dumps([list(row[:3]) for row in rows]))
+    assert report["results"]["final"] == dict(zip(("t", "q", "p", "energy"), rows[-1]))
 
 
 def test_oscillator_evaluates_each_energy_once(capsys, monkeypatch):
@@ -899,6 +946,15 @@ def test_oscillator_svg_written(tmp_path, capsys):
         assert code == 0
         assert "</svg>" in path.read_text()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_oscillator_svg_digest_is_pinned(tmp_path, capsys):
+    # The benchmark's phase-flow argv: 10,001 states drawn from the packed rows.
+    path = tmp_path / "phase.svg"
+    assert main(_OSCILLATOR_ARGV + ["--steps", "10000", "--svg", str(path)]) == 0
+    capsys.readouterr()
+    digest = "4f7ed4b67952d1c0ab22a65120b9b8a2f629b341580896685a3b2c6cc4ee0994"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_svg_write_failure_exits_with_usage_code(tmp_path, capsys):
