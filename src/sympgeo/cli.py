@@ -21,9 +21,9 @@ stdout empty; the report is then written in pieces, the row texts
 :data:`_CHUNK` (256) rows at a time.  The runners keep no sweep entries or
 trajectory states beside their rows, so the rows are what a large run's
 peak memory holds: one tuple per ``crank`` row, and for ``oscillator`` four
-packed floats per row (:func:`_row_view`), the trajectory stepped
-:data:`_CHUNK` steps at a time.  Each runner imports the layers it runs, so a
-run loads ``core``, ``errors`` and only the layers of its subcommand
+packed floats per row (:func:`_row_view`), taken from each state as the
+phase flow yields it.  Each runner imports the layers it runs, so a run
+loads ``core``, ``errors`` and only the layers of its subcommand
 (``svgplot`` only with ``--svg``).
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
@@ -532,34 +532,27 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
     # this runner loads it: every other subcommand's spawn stays as small.
     from array import array
 
-    from .dynamics import OscillatorParams, PhaseState, hamiltonian, simulate
+    from .dynamics import OscillatorParams, PhaseState, _flow, hamiltonian
 
     params = OscillatorParams(args.mass, args.stiffness)
     initial = PhaseState(args.q0, args.p0, 0.0)
     method = _METHOD_NAMES[args.method]
-    # The run is stepped in pieces of _CHUNK steps, each from the last state
-    # of the one before.  The step loop carries only q, p and t, so the states
-    # are bit for bit those of one simulate call; only one piece's states are
-    # alive at a time, and each becomes its (t, q, p, energy) row in the store.
+    # Each state becomes its (t, q, p, energy) row in the store as the flow
+    # yields it; no state is kept.  An energy that overflows is raised only
+    # after the whole run has been stepped, as a state that overflows later
+    # in the run takes precedence.
     store = array("d")
     append = store.append
-    # An energy that overflows is raised only after the whole run has been
-    # stepped, as a state that overflows later in the run takes precedence.
     energy_error = None
-    last, skip = initial, 0  # every later piece starts with a state already stored
-    for done in range(0, args.steps, _CHUNK):
-        states = simulate(last, params, args.dt, min(_CHUNK, args.steps - done), method).states
-        last = states[-1]
+    for s in _flow(initial, params, args.dt, args.steps, method):
         if energy_error is None:
             try:
-                for s in states[skip:]:
-                    append(s.t)
-                    append(s.q)
-                    append(s.p)
-                    append(hamiltonian(s, params))
+                append(s.t)
+                append(s.q)
+                append(s.p)
+                append(hamiltonian(s, params))
             except NumericalOverflowError as exc:
                 energy_error = exc
-        skip = 1
     if energy_error is not None:
         raise energy_error
     energies = memoryview(store)[3::4]

@@ -12,13 +12,19 @@ The area-preserving pair are splitting methods.  For the separable energy
 the flow splits into a kick (``p`` moved by ``-dH/dq``) and a drift (``q``
 moved by ``dH/dp``), and each method is a row of :data:`SPLITTINGS`: a
 sequence of ``(a, b)`` stages, each a kick of ``a*dt`` followed by a drift
-of ``b*dt``.  :func:`simulate` turns the row into those step sizes once
-per run, before its step loop; explicit Euler is the method with no stages.
+of ``b*dt``.  Explicit Euler is the method with no stages.
+
+One generator, ``_flow``, holds the step loop: it turns the row into those
+step sizes once per run and yields the states one at a time.
+:func:`simulate` collects them into a :class:`Trajectory`, :func:`step`
+takes the one after its start, and ``sympgeo oscillator`` turns each into
+its report row as it comes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,7 +152,10 @@ def step(s: PhaseState, params: OscillatorParams, dt: float,
 
     Raises :class:`NumericalOverflowError` when the new state overflows.
     """
-    return simulate(s, params, dt, 1, method).states[1]
+    # Unpacking runs the one-step flow to its end, as crank_state does its
+    # one-angle sweep, and builds no Trajectory or list.
+    _, after = _flow(s, params, dt, 1, method)
+    return after
 
 
 def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
@@ -160,10 +169,21 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
       ``q += (b*dt)*(p/m)``.  ``symplectic_euler`` is one full kick and
       drift, ``leapfrog`` is half-kick, drift, half-kick (time-reversible).
 
-    The arguments are checked once, and each stage's kick and drift step
-    sizes ``a*dt`` and ``b*dt`` are computed once, before the first step.
-    Every step runs on plain floats and builds only its state, stamped
-    with the running sum of ``dt``.
+    Every state stamp is the running sum of ``dt``.
+    Raises :class:`NumericalOverflowError` when a state overflows.
+    """
+    return Trajectory(params, dt, list(_flow(initial, params, dt, n_steps, method)), method)
+
+
+def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int,
+          method: str) -> Iterator[PhaseState]:
+    """The step loop of :func:`simulate`: yields ``initial``, then each new state.
+
+    The arguments are checked once, when the first state is asked for, and
+    each stage's kick and drift step sizes ``a*dt`` and ``b*dt`` are
+    computed once, before the first step.  Every step runs on plain floats
+    and builds only its state, stamped with the running sum of ``dt``.
+    :func:`simulate`, :func:`step` and ``sympgeo oscillator`` all drain it.
     Raises :class:`NumericalOverflowError` when a state overflows.
     """
     if n_steps < 1:
@@ -181,8 +201,7 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
               for a, b in SPLITTINGS.get(method, ())]
     isfinite, new, set_q, set_p, set_t = math.isfinite, object.__new__, _set_q, _set_p, _set_t
     q, p, t = initial.q, initial.p, initial.t
-    states = [initial]
-    append = states.append
+    yield initial
     for _ in range(n_steps):
         if euler:
             q, p = q + dt * (p / m), p + dt * (-(k * q))
@@ -199,8 +218,7 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
         set_q(s, q)
         set_p(s, p)
         set_t(s, t)
-        append(s)
-    return Trajectory(params, dt, states, method)
+        yield s
 
 
 def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams) -> PhaseState:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, _rescaled, _set_x, _set_y, _vec2, norm, symp, tilde
+from .core import ATOL, Vec2, _rescaled, _set_x, _set_y, _vec2, symp, tilde
 from .errors import (
     CoincidentCentersError,
     DegenerateDenominatorError,
@@ -91,8 +91,13 @@ def is_collinear(a: Vec2, b: Vec2, c: Vec2, tol: float = 1e-9) -> bool:
     """Thresholded collinearity test, invariant under uniform scaling of the figure."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tolerance must be finite and >= 0")
-    scale = max(1.0, norm(a) * norm(b), norm(b) * norm(c), norm(c) * norm(a))
-    return abs(collinearity_residual(a, b, c)) <= tol * scale
+    # The residual as symp(b - a, c - a), against products of edge lengths:
+    # both are unchanged when the figure moves, and the edge differences are
+    # exact to rounding, so a small figure far out and a thin needle through
+    # the origin get the verdict they get at unit scale.
+    abx, aby, acx, acy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
+    ab, ac, bc = math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(c.x - b.x, c.y - b.y)
+    return abs(abx * acy - aby * acx) <= tol * max(ab * ac, ab * bc, ac * bc)
 
 
 def simple_ratio(a: Vec2, b: Vec2, c: Vec2) -> float:
@@ -184,12 +189,14 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
     ay = y2 - y1
     if not (math.isfinite(ax) and math.isfinite(ay)):
         raise NumericalOverflowError("circle center offset overflows")
-    if math.hypot(ax, ay) <= ATOL:
+    if ax == 0.0 and ay == 0.0:
         raise CoincidentCentersError("circle centers coincide; tangent directions undefined")
     ax, ay, k = _rescaled(ax, ay)
     # The reaches are scaled by a product, not ldexp: a reach that overflows
-    # to inf has no real root, as an exact reach beyond |a| has none.
-    scale = math.ldexp(1.0, -k)
+    # to inf has no real root, as an exact reach beyond |a| has none.  For a
+    # subnormal offset 2**-k is no float, so it is applied in two halves.
+    half = -k // 2 if k <= -1024 else 0
+    scale, scale2 = math.ldexp(1.0, -k - half), math.ldexp(1.0, half)
     a2 = ax * ax + ay * ay
     families = (("outer", r1 - r2, -1.0), ("inner", r1 + r2, 1.0))
     isfinite, ldexp, new, new_tuple = math.isfinite, math.ldexp, object.__new__, tuple.__new__
@@ -198,7 +205,7 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
     append = tangents.append
     try:
         for kind, reach, sigma in families[:1] if outer_only else families:
-            reach *= scale
+            reach = reach * scale * scale2
             radicand = a2 - reach * reach
             if radicand < 0.0:
                 continue

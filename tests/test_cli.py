@@ -164,9 +164,23 @@ def test_exit_code_three_on_oscillator_energy_overflow(capsys, extra):
     assert "numerical singularity: energy overflows at t=0.0" in captured.err
 
 
+@pytest.mark.parametrize("dt, shown", [(["--dt=-0.01"], "-0.01"), (["--dt", "0"], "0.0")])
+@pytest.mark.parametrize("output", ["json", "csv", "svg"])
+def test_exit_code_three_on_an_invalid_oscillator_step(tmp_path, capsys, dt, shown, output):
+    svg = tmp_path / "phase.svg"
+    extra = {"json": [], "csv": ["--csv"], "svg": ["--svg", str(svg)]}[output]
+    code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
+                 *dt, "--steps", "10", "--method", "leapfrog", *extra])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"numerical singularity: dt must be finite and > 0, got {shown}" in captured.err
+    assert not svg.exists()
+
+
 def test_a_later_state_overflow_wins_over_an_earlier_energy_overflow(capsys):
-    # The energy overflows at t=28, in the first piece of _CHUNK steps; the
-    # state only at t=1052, five pieces on.  The whole run is stepped first.
+    # The energy overflows at t=28, the state only at t=1052.  The whole run
+    # is stepped first.
     code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "0",
                  "--p0", "1e150", "--dt", "1", "--steps", "2000", "--method", "euler", "--csv"])
     assert code == 3
@@ -235,6 +249,20 @@ def test_tangents_near_the_overflow_limit(capsys):
     assert report["results"]["count"] == 4
     bound = 1e-9 * (1.0 + math.hypot(4e155, 1e155))
     assert report["residuals"]["max_tangency_error"] <= bound
+
+
+def test_tangents_of_tiny_circles_with_distinct_centers(capsys):
+    # Centers 1e-13 apart are distinct: only an exactly zero offset coincides.
+    code, report = run_json(capsys, ["tangents", "--c1", "0,0,1e-14", "--c2", "1e-13,0,1e-14"])
+    assert code == 0
+    assert report["results"]["count"] == 4
+
+
+def test_tangents_of_circles_at_a_subnormal_offset(capsys):
+    # Equal unit circles 1e-320 apart: two outer tangents, no inner one.
+    code, report = run_json(capsys, ["tangents", "--c1", "0,0,1", "--c2", "1e-320,0,1"])
+    assert code == 0
+    assert report["results"]["count"] == 2
 
 
 def test_containment_is_success_not_an_error(capsys):
@@ -753,8 +781,9 @@ def test_oscillator_csv_digest_is_pinned(capsys, method):
 @pytest.mark.parametrize("steps", [1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
                                    2 * cli._CHUNK + 1])
 def test_oscillator_rows_match_one_simulate_call_across_chunk_seams(capsys, method, steps):
-    # The CLI steps the run _CHUNK steps at a time; every row must be the
-    # state of a single simulate call over the whole run, bit for bit.
+    # The CLI writes its rows _CHUNK at a time from the one step loop; every
+    # row must be the state of a single simulate call over the whole run, bit
+    # for bit, on both sides of each chunk seam.
     params = OscillatorParams(1.5, 0.75)
     states = simulate(PhaseState(1.0, 0.5, 0.0), params, 0.01, steps, method).states
     rows = [(s.t, s.q, s.p, hamiltonian(s, params)) for s in states]

@@ -67,6 +67,17 @@ def test_is_collinear_anchor_values():
     assert is_collinear(Vec2(0.0, 1.0), Vec2(1.0, 1.0 + 1e-12), Vec2(3.0, 1.0))
 
 
+@pytest.mark.parametrize("k", [-15, -40, -60])
+def test_is_collinear_verdicts_hold_at_small_scales(k):
+    # The scale is the figure's own, with no floor at 1.0.
+    s = 2.0 ** k
+    assert not is_collinear(Vec2(0.0, 0.0), Vec2(s, 0.0), Vec2(0.0, s))
+    assert is_collinear(Vec2(0.0, 0.0), Vec2(s, 0.0), Vec2(2.0 * s, 0.0))
+    # A needle with a vertex at the origin: every point is within s*1e-25
+    # of one line.
+    assert is_collinear(Vec2(0.0, 0.0), Vec2(s, 0.0), Vec2(0.0, s * 1e-25))
+
+
 def test_is_collinear_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         is_collinear(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(2.0, 0.0), tol=-1.0)
@@ -349,6 +360,33 @@ def test_circle_tangents_containment_has_none():
 def test_circle_tangents_coincident_centers_raise():
     with pytest.raises(CoincidentCentersError):
         circle_tangents(Circle(Vec2(1.0, 2.0), 1.0), Circle(Vec2(1.0, 2.0), 2.0))
+
+
+@pytest.mark.parametrize("k", [-20, -40, -60, -200, 200])
+def test_disjoint_circles_keep_four_tangents_at_every_power_of_two_scale(k):
+    # Only an exactly zero center offset coincides, so the verdict scales.
+    def tangents(s):
+        return circle_tangents(Circle(Vec2(0.0, 0.0), s / 4), Circle(Vec2(s, 0.0), s / 4))
+
+    s = 2.0 ** k
+    base, scaled = tangents(1.0), tangents(s)
+    assert len(scaled) == 4
+    assert [t.touch1 for t in scaled] == [t.touch1 * s for t in base]
+    assert [t.touch2 for t in scaled] == [t.touch2 * s for t in base]
+    assert [t.lam for t in scaled] == [t.lam * s for t in base]
+
+
+def test_point_outside_a_tiny_circle_gets_two_tangents():
+    assert len(point_circle_tangents(Vec2(1e-13, 0.0), Circle(Vec2(0.0, 0.0), 1e-14))) == 2
+
+
+def test_subnormal_center_offsets_get_their_tangents():
+    # 2**-k for such an offset exceeds the float range.
+    unit = Circle(Vec2(0.0, 0.0), 1.0)
+    assert point_circle_tangents(Vec2(1e-320, 0.0), unit) == []
+    assert len(point_circle_tangents(Vec2(5e-321, 0.0), Circle(Vec2(0.0, 0.0), 1e-321))) == 2
+    tangents = circle_tangents(unit, Circle(Vec2(1e-320, 0.0), 1.0))
+    assert [(t.kind, t.lam) for t in tangents] == [("outer", 1e-320), ("outer", -1e-320)]
 
 
 def test_circle_rejects_negative_radius():
