@@ -10,7 +10,7 @@ fixed command line apart from the wall-time field.
 A run is parse -> run -> plot -> report, all driven by :func:`main`.  It
 parses the command line; the subcommand's runner computes a
 :class:`_Result` (the report's ``results`` and ``residuals`` sections,
-for the tabular subcommands one row tuple per sample, and a builder of
+for the tabular subcommands one row per sample, and a builder of
 the ``--svg`` diagram); with ``--svg`` it draws and writes the diagram;
 and it lays out the report: the envelope, the ``input`` echo of the
 command line (:func:`_echo`) and ``wall_time_ms``.  The CSV and JSON
@@ -20,9 +20,9 @@ complete before the first byte is written, so a run that fails leaves
 stdout empty; the report is then written in pieces, the row texts
 :data:`_CHUNK` (256) rows at a time.  The runners keep no sweep entries or
 trajectory states beside their rows, so the rows are what a large run's
-peak memory holds: one tuple per ``crank`` row, and for ``oscillator`` four
-packed floats per row (:func:`_row_view`), taken from each state as the
-phase flow yields it.  Each runner imports the layers it runs, so a run
+peak memory holds: packed floats (:func:`_row_view`), ten per ``crank``
+row and four per ``oscillator`` row, taken from each sweep entry or state
+as it is yielded.  Each runner imports the layers it runs, so a run
 loads ``core``, ``errors`` and only the layers of its subcommand
 (``svgplot`` only with ``--svg``).
 
@@ -317,20 +317,22 @@ def _run_identities(args: argparse.Namespace) -> _Result:
     if not math.isfinite(span + span):
         raise NumericalOverflowError(f"identity sample range overflows: the draws from "
                                      f"[-{abs(span)!r}, {abs(span)!r}] are not finite")
-    uniform = random.Random(args.seed).uniform
+    # Each draw is ``Random.uniform(lo, span)``'s body, bit for bit.
+    rand = random.Random(args.seed).random
     lo = -span
+    width = span - lo
     hypot = math.hypot
     m_jacobi = m_full = m_lagrange = m_reduced = m_binet = 0.0
     within = True
     for _ in range(args.samples):
-        ax = uniform(lo, span)
-        ay = uniform(lo, span)
-        bx = uniform(lo, span)
-        by = uniform(lo, span)
-        cx = uniform(lo, span)
-        cy = uniform(lo, span)
-        dx = uniform(lo, span)
-        dy = uniform(lo, span)
+        ax = lo + width * rand()
+        ay = lo + width * rand()
+        bx = lo + width * rand()
+        by = lo + width * rand()
+        cx = lo + width * rand()
+        cy = lo + width * rand()
+        dx = lo + width * rand()
+        dy = lo + width * rand()
         jx, jy, fx, fy, lagrange, rx, ry, binet = _identity_terms(ax, ay, bx, by, cx, cy, dx, dy)
         # ``IdentityResiduals.magnitudes()`` and the ``norm`` products, bit for bit.
         jacobi = hypot(jx, jy)
@@ -421,6 +423,8 @@ _CRANK_COLUMNS = ("phi", "s", "psi", "psi_unwrapped", "s_dot", "psi_dot", "s_ddo
 #: The ``(singular, near_singular)`` flag pairs a row can carry; a singular
 #: sweep entry is always near-singular.
 _CRANK_FLAGS = ((False, False), (False, True), (True, True))
+#: The cells after ``phi`` of a packed singular row: placeholders no writer reads.
+_CRANK_SINGULAR = (math.nan,) * 7 + (1.0, 1.0)
 
 
 def _crank_cells(singular: bool, near_singular: bool, number: str, null: str) -> list[str]:
@@ -435,35 +439,33 @@ _CRANK_JSON = {flags: _json_item(_crank_cells(*flags, "%r", "null"), _CRANK_COLU
                for flags in _CRANK_FLAGS}
 
 
-def _crank_texts(rows: list[tuple], templates: dict[tuple[bool, bool], str]) -> list[str]:
-    """One text per row from the template of its flag pair; a singular row fills in ``phi``."""
-    return [templates[row[8:]] % (row[:1] if row[8] else row[:8]) for row in rows]
+def _crank_texts(rows: memoryview, templates: dict[tuple[bool, bool], str]) -> list[str]:
+    """One text per packed row from the template of its flags, whose cells 0.0 and 1.0
+    key as False and True; a singular row fills in ``phi``."""
+    return [templates[row[8], row[9]] % tuple(row[:1] if row[8] else row[:8])
+            for row in rows.tolist()]
 
 
-def _crank_plot(rows: list[tuple]) -> SvgPlot:
+def _crank_plot(store: array) -> SvgPlot:
     from .svgplot import PALETTE, SvgPlot
 
     plot = SvgPlot("slider-crank sweep")
+    cells = memoryview(store)
+    phi = cells[0::10].tolist()  # one float object per angle, shared by every curve
+    # Every curve is drawn over the runs of two or more rows between singular rows.
+    breaks = [-1] + [i for i, singular in enumerate(cells[8::10]) if singular] + [len(phi)]
+    runs = [slice(a + 1, b) for a, b in zip(breaks, breaks[1:]) if b - a > 2]
     series = ("s", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot")
     for name, color in zip(series, PALETTE):
-        column = _CRANK_COLUMNS.index(name)
-        runs: list[list[tuple[float, float]]] = [[]]
-        for row in rows:
-            if row[column] is None:
-                if runs[-1]:
-                    runs.append([])
-                continue
-            runs[-1].append((row[0], row[column]))
-        labeled = False
-        for run in runs:
-            if len(run) < 2:
-                continue
-            plot.polyline(run, color=color, label=None if labeled else name)
-            labeled = True
+        column = cells[_CRANK_COLUMNS.index(name)::10].tolist()
+        for k, run in enumerate(runs):
+            plot.polyline(zip(phi[run], column[run]), color=color, label=None if k else name)
     return plot
 
 
 def _run_crank(args: argparse.Namespace) -> _Result:
+    from array import array  # a shared extension module: only the packing runners load it
+
     from .kinematics import CrankConfig, _grid, _sweep, loop_residuals
 
     cfg = CrankConfig(args.length, args.pivot, args.phidot)
@@ -472,15 +474,15 @@ def _run_crank(args: argparse.Namespace) -> _Result:
     entries = _sweep(cfg, _grid(getattr(args, "from") * unit, args.to * unit, args.steps))
     isfinite = math.isfinite
     m_position = m_velocity = m_acceleration = 0.0
-    rows = []
-    # One row tuple per entry in ``_CRANK_COLUMNS`` order, angles converted
-    # on the way out.  Of the converted cells only the rod's angular rates
-    # can overflow: phi converts back to a given angle, and psi_unwrapped
-    # moves at most pi per sample.
-    for phi, singular, near_singular, state, psi_unwrapped in entries:
+    store = array("d")
+    extend = store.extend
+    # Ten packed cells per entry in ``_CRANK_COLUMNS`` order, the flags as
+    # 0.0/1.0 and angles converted on the way out.  Of the converted cells
+    # only the rod's angular rates can overflow: phi converts back to a given
+    # angle, and psi_unwrapped moves at most pi per sample.
+    for phi, _, near_singular, state, psi_unwrapped in entries:
         if state is None:
-            rows.append((phi / unit, None, None, None, None, None, None, None, singular,
-                         near_singular))
+            extend((phi / unit,) + _CRANK_SINGULAR)
             continue
         position, velocity, acceleration = loop_residuals(cfg, state)
         # The closures are finite, so this fold keeps max()'s result.
@@ -495,14 +497,15 @@ def _run_crank(args: argparse.Namespace) -> _Result:
         psi_ddot /= unit
         if not (isfinite(psi_dot) and isfinite(psi_ddot)):
             raise NumericalOverflowError(f"rod angle rates overflow in degrees at phi={phi / unit}")
-        rows.append((phi / unit, s, psi / unit, psi_unwrapped / unit, s_dot, psi_dot,
-                     s_ddot, psi_ddot, singular, near_singular))
+        extend((phi / unit, s, psi / unit, psi_unwrapped / unit, s_dot, psi_dot,
+                s_ddot, psi_ddot, 0.0, near_singular))
     residuals = {
         "max_position_closure": m_position,
         "max_velocity_closure": m_velocity,
         "max_acceleration_closure": m_acceleration,
     }
-    return _Result({"entries": []}, residuals, rows, EXIT_OK, lambda: _crank_plot(rows))
+    return _Result({"entries": []}, residuals, _row_view(store, 10), EXIT_OK,
+                   lambda: _crank_plot(store))
 
 
 def _oscillator_plot(store: array, params: OscillatorParams, initial: PhaseState,
@@ -528,8 +531,6 @@ def _oscillator_plot(store: array, params: OscillatorParams, initial: PhaseState
 
 
 def _run_oscillator(args: argparse.Namespace) -> _Result:
-    # ``array`` is a shared extension module in CPython's usual builds, so only
-    # this runner loads it: every other subcommand's spawn stays as small.
     from array import array
 
     from .dynamics import OscillatorParams, PhaseState, _flow, hamiltonian

@@ -95,8 +95,19 @@ def is_collinear(a: Vec2, b: Vec2, c: Vec2, tol: float = 1e-9) -> bool:
     # both are unchanged when the figure moves, and the edge differences are
     # exact to rounding, so a small figure far out and a thin needle through
     # the origin get the verdict they get at unit scale.
-    abx, aby, acx, acy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
-    ab, ac, bc = math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(c.x - b.x, c.y - b.y)
+    pairs = ((a.x, b.x), (a.y, b.y), (a.x, c.x), (a.y, c.y), (b.x, c.x), (b.y, c.y))
+    edges = [q - p for p, q in pairs]
+    largest = max(map(abs, edges))
+    if largest == math.inf:
+        # A difference overflows: take the figure at half size, exact this large.
+        edges = [0.5 * q - 0.5 * p for p, q in pairs]
+        largest = max(map(abs, edges))
+    # One power of two brings the largest edge component into [0.5, 1), as
+    # ``core._rescaled`` does, so the residual and the products neither
+    # underflow nor overflow; in the normal range the verdict is unchanged.
+    k = math.frexp(largest)[1]
+    abx, aby, acx, acy, bcx, bcy = [math.ldexp(e, -k) for e in edges]
+    ab, ac, bc = math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(bcx, bcy)
     return abs(abx * acy - aby * acx) <= tol * max(ab * ac, ab * bc, ac * bc)
 
 

@@ -12,7 +12,7 @@ written: a shape whose data hold a NaN or an infinity is rejected with
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .errors import NumericalOverflowError
 
@@ -128,27 +128,21 @@ class SvgPlot:
         offset_y = MARGIN + ((HEIGHT - 2.0 * MARGIN) - span_y * scale) / 2.0
         return scale, offset_x, offset_y
 
-    def to_svg(self) -> str:
-        scale, offset_x, offset_y = self._transform()
+    def _pieces(self, scale: float, offset_x: float, offset_y: float) -> Iterator[str]:
+        """The document in pieces, under the transform ``_transform()`` gave."""
         min_x, min_y = self._min_x, self._min_y
         # SVG y grows downward; data y grows upward.
         x0 = offset_x + (0.0 - min_x) * scale
         y0 = HEIGHT - (offset_y + (0.0 - min_y) * scale)
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        ]
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+               f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>\n')
         if math.isfinite(self._min_x):
             if self._min_x <= 0.0 <= self._max_x:
-                parts.append(
-                    f'<line x1="{x0:.2f}" y1="{MARGIN:.2f}" x2="{x0:.2f}" '
-                    f'y2="{HEIGHT - MARGIN:.2f}" stroke="#cccccc" stroke-width="1"/>'
-                )
+                yield (f'<line x1="{x0:.2f}" y1="{MARGIN:.2f}" x2="{x0:.2f}" '
+                       f'y2="{HEIGHT - MARGIN:.2f}" stroke="#cccccc" stroke-width="1"/>\n')
             if self._min_y <= 0.0 <= self._max_y:
-                parts.append(
-                    f'<line x1="{MARGIN:.2f}" y1="{y0:.2f}" x2="{WIDTH - MARGIN:.2f}" '
-                    f'y2="{y0:.2f}" stroke="#cccccc" stroke-width="1"/>'
-                )
+                yield (f'<line x1="{MARGIN:.2f}" y1="{y0:.2f}" x2="{WIDTH - MARGIN:.2f}" '
+                       f'y2="{y0:.2f}" stroke="#cccccc" stroke-width="1"/>\n')
         for head, xs, ys, radius, tail in self._shapes:
             # The screen coordinates, interleaved x, y, x, y, ...
             coords = [0.0] * (2 * len(xs))
@@ -156,26 +150,23 @@ class SvgPlot:
             coords[1::2] = [HEIGHT - (offset_y + (y - min_y) * scale) for y in ys]
             if radius is not None:
                 coords.append(radius * scale)
-            parts.append(head % tuple(coords) + tail)
+            yield head % tuple(coords)
+            yield tail + "\n"
         if self.title:
-            parts.append(
-                f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="16" fill="#222222">'
-                f'{self.title.translate(_XML_ESCAPES)}</text>'
-            )
+            yield (f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" '
+                   f'font-family="sans-serif" font-size="16" fill="#222222">'
+                   f'{self.title.translate(_XML_ESCAPES)}</text>\n')
         for i, (label, color) in enumerate(self._legend):
             y = 46 + 18 * i
-            parts.append(
-                f'<rect x="12" y="{y - 9}" width="14" height="4" fill="{color}"/>'
-            )
-            parts.append(
-                f'<text x="32" y="{y}" font-family="sans-serif" font-size="12" '
-                f'fill="#222222">{label}</text>'
-            )
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+            yield (f'<rect x="12" y="{y - 9}" width="14" height="4" fill="{color}"/>\n'
+                   f'<text x="32" y="{y}" font-family="sans-serif" font-size="12" '
+                   f'fill="#222222">{label}</text>\n')
+        yield "</svg>\n"
+
+    def to_svg(self) -> str:
+        return "".join(self._pieces(*self._transform()))
 
     def write(self, path: str) -> None:
-        text = self.to_svg()  # before opening, so a failed render leaves no file
+        transform = self._transform()  # before opening, so a failed render leaves no file
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(self._pieces(*transform))

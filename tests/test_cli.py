@@ -524,9 +524,10 @@ def test_oscillator_json_digest_is_pinned(capsys, method):
 
 # ----------------------------------------------------------- row writers
 
-# Each tabular subcommand keeps one row tuple per sample; the JSON and CSV
-# writers format them from per-row templates.  The references below are the
-# generic encoders those templates replace.
+# Each tabular subcommand keeps one row per sample, ``crank`` and
+# ``oscillator`` as packed floats; the JSON and CSV writers format them from
+# per-row templates.  The references below are the generic encoders those
+# templates replace, fed the rows as tuples.
 
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
              1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, 1.0 / 3.0)
@@ -539,13 +540,17 @@ def _float(rng):
 
 
 def _crank_rows(rng, n):
-    rows = []
+    """``n`` packed crank rows, as ``sympgeo crank`` keeps them.
+
+    The flags are 0.0 or 1.0; a singular row's seven state cells hold
+    arbitrary floats, which no writer may read.
+    """
+    store = array("d")
     for _ in range(n):
-        if rng.random() < 0.2:
-            rows.append((_float(rng),) + (None,) * 7 + (True, True))
-        else:
-            rows.append(tuple(_float(rng) for _ in range(8)) + (False, rng.random() < 0.3))
-    return rows
+        singular = rng.random() < 0.2
+        store.extend([_float(rng) for _ in range(8)])
+        store.extend((1.0, 1.0) if singular else (0.0, float(rng.random() < 0.3)))
+    return cli._row_view(store, 10)
 
 
 def _oscillator_rows(rng, n):
@@ -554,8 +559,17 @@ def _oscillator_rows(rng, n):
 
 
 def _tuples(rows):
-    """The rows as tuples; a packed row view is unpacked."""
-    return [tuple(row) for row in rows.tolist()] if isinstance(rows, memoryview) else rows
+    """The rows as tuples; a packed row view is unpacked.
+
+    A packed crank row gets its flags as booleans and, if singular, None
+    in its seven state cells.
+    """
+    if not isinstance(rows, memoryview):
+        return rows
+    if rows.ndim == 2 and rows.shape[1] == 10:
+        return [(row[0],) + (None,) * 7 + (True, True) if row[8]
+                else tuple(row[:8]) + (False, bool(row[9])) for row in rows.tolist()]
+    return [tuple(row) for row in rows.tolist()]
 
 
 def _envelope(subcommand, rng, array):
@@ -627,7 +641,8 @@ def test_row_writers_match_the_generic_encoders_on_degree_rows():
         ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1", "--from", "-90",
          "--to", "630", "--steps", "41", "--degrees"])
     result = cli._run_crank(args)
-    assert any(row[8] for row in result.rows) and not all(row[8] for row in result.rows)
+    rows = result.rows.tolist()
+    assert any(row[8] for row in rows) and not all(row[8] for row in rows)
     table = cli._SUBCOMMANDS["crank"].table
     envelope = {"subcommand": "crank", "input": cli._echo(args), "results": result.results,
                 "residuals": result.residuals, "wall_time_ms": 1.25}
@@ -662,16 +677,24 @@ _OSCILLATOR_ARGV = ["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0"
                     "--p0", "0.5", "--dt", "0.01", "--method", "leapfrog"]
 
 
+_CRANK_SWEEP_ARGV = ["crank", "--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
+                     "--from", "0", "--to", "12.566370614359172"]
+
+
 @pytest.mark.parametrize("argv, bytes_per_row", [
-    (["crank", "--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
-      "--from", "0", "--to", "12.566370614359172", "--csv"], 450),
+    (_CRANK_SWEEP_ARGV + ["--csv"], 128),
+    (_CRANK_SWEEP_ARGV + ["--svg", "{tmp}/crank.svg"], 600),
     (_OSCILLATOR_ARGV + ["--csv"], 64),
     (_OSCILLATOR_ARGV, 64),
-], ids=["crank", "oscillator", "oscillator-json"])
-def test_csv_peak_memory_is_bounded_by_the_rows(argv, bytes_per_row):
+], ids=["crank", "crank-json-svg", "oscillator", "oscillator-json"])
+def test_csv_peak_memory_is_bounded_by_the_rows(argv, bytes_per_row, tmp_path):
     # A run holds its rows and one chunk of row texts at a time: not the
-    # sweep entries or trajectory states, nor the whole report text.  An
-    # oscillator row is four packed floats (32 bytes), CSV or JSON.
+    # sweep entries or trajectory states, nor the whole report text.  A
+    # crank row is ten packed floats (80 bytes) and an oscillator row four
+    # (32 bytes), CSV or JSON.  With --svg a crank run also holds the six
+    # curves of the plot, which share one phi float per row, and one shape's
+    # text at a time as the SVG is written.
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     rows = 20000
     with contextlib.redirect_stdout(_Sink()):
         # A short run first, so the peak below counts no import.

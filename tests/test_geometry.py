@@ -78,6 +78,22 @@ def test_is_collinear_verdicts_hold_at_small_scales(k):
     assert is_collinear(Vec2(0.0, 0.0), Vec2(s, 0.0), Vec2(0.0, s * 1e-25))
 
 
+@pytest.mark.parametrize("k", [-540, -560, -600])
+def test_is_collinear_verdicts_hold_where_the_edge_products_underflow(k):
+    # symp and every product of two edge lengths round to 0.0 unscaled.
+    s = 2.0 ** k
+    assert not is_collinear(Vec2(0.0, 0.0), Vec2(s, 0.0), Vec2(0.0, s))
+    assert is_collinear(Vec2(0.0, 0.0), Vec2(s, 0.0), Vec2(2.0 * s, 0.0))
+
+
+def test_is_collinear_verdicts_hold_where_the_edge_products_overflow():
+    assert not is_collinear(Vec2(1e200, 0.0), Vec2(-1e200, 0.0), Vec2(0.0, 1e200))
+    assert is_collinear(Vec2(1e200, 0.0), Vec2(-1e200, 0.0), Vec2(0.0, 0.0))
+    # Here the edge differences overflow too.
+    assert not is_collinear(Vec2(-1.5e308, 0.0), Vec2(1.5e308, 0.0), Vec2(0.0, 1.5e308))
+    assert is_collinear(Vec2(-1.5e308, 0.0), Vec2(0.0, 0.0), Vec2(1.5e308, 0.0))
+
+
 def test_is_collinear_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         is_collinear(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(2.0, 0.0), tol=-1.0)

@@ -226,3 +226,58 @@ def test_an_overflowing_span_raises_a_typed_overflow(draw):
     draw(plot)
     with pytest.raises(NumericalOverflowError, match="plot span overflows"):
         plot.to_svg()
+
+
+def _polylines(plot):
+    rng = random.Random(5)
+    plot.polyline([(rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0)) for _ in range(600)],
+                  label="first")
+    plot.polyline([(0.0, 1.0), (3.5, -2.5)], color="#123456", width=0.8, label="second")
+
+
+def _circles(plot):
+    plot.circle(0.0, 0.0, 1.0, label="unit")
+    plot.circle(2.5, -1.0, -0.5, color="#2ca02c", width=2.0)
+
+
+def _segments(plot):
+    plot.segment(-1.0, 0.0, 1.0, 0.0, label="axis")
+    plot.segment(0.25, -3.0, 0.5, 3.0, color="#d62728", width=1.2)
+
+
+def _markers(plot):
+    plot.marker(0.0, 0.0, label="origin")
+    plot.marker(-2.0, 1.5, color="#333333")
+
+
+def _escaped(plot):
+    plot.title = 'a & b < "c" > d'
+    plot.marker(0.0, 0.0, color='red" onload="x', label="<tag> & more")
+    plot.segment(0.0, 0.0, 1.0, 1.0, label='"quoted" & <b>')
+
+
+@pytest.mark.parametrize("build", [
+    lambda plot: None, _polylines, _circles, _segments, _markers, _escaped,
+    lambda plot: [draw(plot) for draw in (_polylines, _circles, _segments, _markers)],
+], ids=["empty", "polylines", "circles", "segments", "markers", "escaped", "mixed"])
+def test_write_writes_exactly_to_svg(tmp_path, build):
+    # The file is written in pieces; its bytes are those of the joined document.
+    plot = SvgPlot("pieces")
+    build(plot)
+    target = tmp_path / "plot.svg"
+    plot.write(str(target))
+    assert target.read_bytes() == plot.to_svg().encode("utf-8")
+
+
+@pytest.mark.parametrize("draw", [
+    lambda plot: plot.polyline([(-1e308, 0.0), (1e308, 1.0)]),
+    lambda plot: plot.circle(0.0, 1e308, 1e308),
+    lambda plot: (plot.marker(0.0, -1.7e308), plot.marker(0.0, 1.7e308)),
+], ids=["polyline", "circle", "markers"])
+def test_an_overflowing_span_writes_no_file(tmp_path, draw):
+    plot = SvgPlot("too wide")
+    draw(plot)
+    target = tmp_path / "plot.svg"
+    with pytest.raises(NumericalOverflowError, match="plot span overflows"):
+        plot.write(str(target))
+    assert not target.exists()
