@@ -172,10 +172,16 @@ def inverse(a: Vec2) -> Vec2:
 
 
 def to_polar(a: Vec2) -> Polar:
-    """Split a nonzero vector into a magnitude >= 0 and a direction angle."""
+    """Split a nonzero vector into a magnitude >= 0 and a direction angle.
+
+    Raises :class:`NumericalOverflowError` when the magnitude overflows.
+    """
     if a.x == 0.0 and a.y == 0.0:
         raise ZeroVectorError("the zero vector has no direction angle")
-    return Polar(norm(a), math.atan2(a.y, a.x))
+    magnitude = norm(a)
+    if magnitude == math.inf:
+        raise NumericalOverflowError(f"magnitude of ({a.x}, {a.y}) overflows")
+    return Polar(magnitude, math.atan2(a.y, a.x))
 
 
 def from_polar(p: Polar) -> Vec2:

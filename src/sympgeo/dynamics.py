@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import _FLOAT_MIN, Vec2, _vec2
+from .core import _FLOAT_MIN, Vec2, _vec2, tilde
 from .errors import InvalidStepError, NumericalOverflowError
 
 EXPLICIT_EULER = "explicit_euler"
@@ -136,14 +136,11 @@ def hamiltonian_field(s: PhaseState, params: OscillatorParams) -> tuple[float, f
 
     ``-tilde((k*q, p/m))`` evaluates to ``(p/m, -k*q)``; the momentum
     component is Newton's law, and the field is everywhere orthogonal to
-    the gradient, i.e. tangent to the energy level sets.  Computed on
-    floats, bit for bit equal to ``-tilde(hamiltonian_gradient(s, params))``.
-    Raises :class:`NumericalOverflowError` when a component overflows.
+    the gradient, i.e. tangent to the energy level sets.  Raises
+    :class:`NumericalOverflowError` when a gradient component overflows.
     """
-    q_dot, p_dot = s.p / params.mass, -(params.stiffness * s.q)
-    if not (math.isfinite(q_dot) and math.isfinite(p_dot)):
-        raise NumericalOverflowError(f"phase-flow field overflows at t={s.t}")
-    return (q_dot, p_dot)
+    field = -tilde(hamiltonian_gradient(s, params))
+    return (field.x, field.y)
 
 
 def step(s: PhaseState, params: OscillatorParams, dt: float,

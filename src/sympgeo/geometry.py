@@ -35,8 +35,18 @@ class Line:
             raise ZeroDirectionError("line direction must be nonzero")
 
     def at(self, t: float) -> Vec2:
-        """Point ``point + t*direction``."""
-        return self.point + self.direction * t
+        """Point ``point + t*direction``.
+
+        Raises :class:`NumericalOverflowError` when the point overflows; a
+        non-finite ``t`` is a ``ValueError``.
+        """
+        try:
+            return self.point + self.direction * t
+        except ValueError as exc:
+            # Only a Vec2 with a non-finite component raises here.
+            if not math.isfinite(t):
+                raise
+            raise NumericalOverflowError(f"point of the line at t={t} overflows") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,21 +125,36 @@ def simple_ratio(a: Vec2, b: Vec2, c: Vec2) -> float:
     """Signed ratio ``AB/BC`` of collinear points as ``symp(a,b)/symp(b,c)``.
 
     The middle argument only contributes its direction: scaling ``b`` by
-    any nonzero factor leaves the ratio unchanged.
+    any nonzero factor leaves the ratio unchanged.  Raises
+    :class:`NumericalOverflowError` when an area or the ratio overflows.
     """
-    denominator = symp(b, c)
+    numerator, denominator = symp(a, b), symp(b, c)
     if abs(denominator) <= ATOL:
         raise DegenerateDenominatorError("symp(b, c) vanishes; simple ratio undefined")
-    return symp(a, b) / denominator
+    ratio = numerator / denominator
+    # The areas are checked too: an overflowed one can still give a finite
+    # quotient, as 1e308 / inf is 0.0.
+    if not (math.isfinite(numerator) and math.isfinite(denominator) and math.isfinite(ratio)):
+        raise NumericalOverflowError("simple ratio overflows")
+    return ratio
 
 
 def cross_ratio(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> float:
-    """Projective cross ratio ``(symp(a,c)*symp(b,d)) / (symp(b,c)*symp(a,d))``."""
+    """Projective cross ratio ``(symp(a,c)*symp(b,d)) / (symp(b,c)*symp(a,d))``.
+
+    Raises :class:`NumericalOverflowError` when an area, a product of two
+    areas or the ratio overflows.
+    """
     bc = symp(b, c)
     ad = symp(a, d)
     if abs(bc) <= ATOL or abs(ad) <= ATOL:
         raise DegenerateDenominatorError("cross-ratio denominator vanishes")
-    return (symp(a, c) * symp(b, d)) / (bc * ad)
+    # A product is not finite when one of its areas is not.
+    numerator, denominator = symp(a, c) * symp(b, d), bc * ad
+    ratio = numerator / denominator
+    if not (math.isfinite(numerator) and math.isfinite(denominator) and math.isfinite(ratio)):
+        raise NumericalOverflowError("cross ratio overflows")
+    return ratio
 
 
 def intersect_lines(line1: Line, line2: Line) -> Intersection:
@@ -177,8 +202,13 @@ def jacobi_triangle_residual(u: Vec2, v: Vec2, a: Vec2) -> Vec2:
 
     This is the intersection loop multiplied out by its common area
     denominator; numerically it measures how well the closed form closes.
+    Raises :class:`NumericalOverflowError` when the residual overflows.
     """
-    return a * symp(u, v) + u * symp(v, a) + v * symp(a, u)
+    try:
+        return a * symp(u, v) + u * symp(v, a) + v * symp(a, u)
+    except ValueError as exc:
+        # Only a Vec2 with a non-finite component raises here.
+        raise NumericalOverflowError("Jacobi triangle residual overflows") from exc
 
 
 def project_point_onto_line(p: Vec2, line: Line) -> Vec2:

@@ -65,15 +65,20 @@ def polar_kinematics(m: PolarMotion) -> PolarKinematics:
         acceleration = (r_ddot - phi_dot^2*r)*e + (phi_ddot*r + 2*phi_dot*r_dot)*tilde(e)
 
     The tilde(e) components are the familiar transverse and Coriolis terms.
+    Raises :class:`NumericalOverflowError` when a result overflows.
     """
     e = Vec2(math.cos(m.phi), math.sin(m.phi))
     te = tilde(e)
-    position = e * m.r
-    velocity = e * m.r_dot + te * (m.phi_dot * m.r)
-    acceleration = (
-        e * (m.r_ddot - m.phi_dot * m.phi_dot * m.r)
-        + te * (m.phi_ddot * m.r + 2.0 * m.phi_dot * m.r_dot)
-    )
+    try:
+        position = e * m.r
+        velocity = e * m.r_dot + te * (m.phi_dot * m.r)
+        acceleration = (
+            e * (m.r_ddot - m.phi_dot * m.phi_dot * m.r)
+            + te * (m.phi_ddot * m.r + 2.0 * m.phi_dot * m.r_dot)
+        )
+    except ValueError as exc:
+        # The fields are finite, so only an overflowed Vec2 component raises here.
+        raise NumericalOverflowError(f"polar kinematics overflow at phi={m.phi}") from exc
     return PolarKinematics(position, velocity, acceleration)
 
 

@@ -372,6 +372,20 @@ def test_identities_seeded_run_stays_within_documented_bound(capsys):
     assert all(v <= bound for v in report["residuals"].values())
 
 
+def test_identities_over_tolerance_exits_three_with_its_report(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "IDENTITY_RTOL", 0.0)
+    argv = ["identities", "--samples", "50", "--seed", "3"]
+    code, report = run_json(capsys, argv)
+    assert code == 3
+    assert report["results"]["within_tolerance"] is False
+    assert max(report["residuals"].values()) > 0.0
+    code, text = run_csv(capsys, argv + ["--csv"])
+    assert code == 3
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["identity", "max_residual"]
+    assert [(name, float(value)) for name, value in rows[1:]] == list(report["residuals"].items())
+
+
 def _reference_identities(samples, seed, span):
     """The identity fuzz run on the public record path: ``Vec2``s, records and ``norm``."""
     rng = random.Random(seed)
@@ -400,23 +414,6 @@ def test_identities_runner_matches_the_record_path(span, seed):
     assert result.residuals == maxima
     assert result.results["within_tolerance"] is within
     assert result.exit_code == (0 if within else 3)
-
-
-IDENTITIES_JSON_SHA256 = {
-    "seed 42": (["--samples", "1000", "--seed", "42"],
-                "b2ebd6a55c1952d2c73f3504cb29a398a98ca2a2439da50aeb2471f5f8b020eb"),
-    "subnormal products": (["--samples", "200", "--seed", "5", "--range", "1e-160"],
-                           "52fd2fbc7635912fd573cce383552e977151c78fecd35a059319f5093841833f"),
-}
-
-
-@pytest.mark.parametrize("case", IDENTITIES_JSON_SHA256)
-def test_identities_json_digest_is_pinned(capsys, case):
-    argv, digest = IDENTITIES_JSON_SHA256[case]
-    code = main(["identities", *argv])
-    out = capsys.readouterr().out.encode()
-    assert code == 0
-    assert hashlib.sha256(strip_timing(out)).hexdigest() == digest
 
 
 def test_oscillator_report_shape(capsys):
@@ -474,52 +471,165 @@ def test_csv_output_is_fully_byte_identical():
     assert first.stdout == second.stdout
 
 
-TANGENTS_JSON_SHA256 = {
-    "four tangents": (["--c1", "0,0,1", "--c2", "4,0,1"],
-                      "5f3282e917a91b83a6c4d02690e05d4b1acc2600b1182b90fa2d990b5f6d3f13"),
-    "tangent pair": (["--c1", "0,0,1", "--c2", "3,0,2"],
-                     "82f64a1866fcd247d51cee351cca9cf3e552ecebcec18343e8151c308848355b"),
+# The benchmark's crank-sweep and phase-flow argv (perfbench), less --steps
+# and, for the phase flow, --method.
+_CRANK_SWEEP_ARGV = ["crank", "--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
+                     "--from", "0", "--to", "12.566370614359172"]
+_PHASE_FLOW_ARGV = ["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0", "1",
+                    "--p0", "0.5", "--dt", "0.01"]
+_OSCILLATOR_ARGV = _PHASE_FLOW_ARGV + ["--method", "leapfrog"]
+# The benchmark's sweep length and --svg path, which the JSON report echoes.
+_BENCHMARK_SVG = ["--steps", "2001", "--svg", "perfbench/_work/crank.svg"]
+# Two turns with the pivot on the crank circle, less --steps: singular rows
+# at 0, 2pi and 4pi split each SVG curve.
+_ON_CIRCLE_ARGV = ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1",
+                   "--from", "0", "--to", "12.566370614359172"]
+_CRANK_ON_CIRCLE = _ON_CIRCLE_ARGV + ["--steps", "17"]
+_CRANK_REGULAR = ["crank", "--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
+                  "--from", "0", "--to", "6.283185307179586", "--steps", "181"]
+_CRANK_DEGREES = ["crank", "--length", "1", "--pivot", "3,0.5", "--phidot", "2",
+                  "--from", "-90", "--to", "270", "--steps", "91", "--degrees"]
+# Singular rows at 0, 360 and 720 degrees among converted regular rows.
+_CRANK_DEGREE_TURNS = ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1",
+                       "--from", "0", "--to", "720", "--steps", "2001", "--degrees"]
+_CRANK_SMALL = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "73"]
+_OSCILLATOR_SMALL = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1",
+                     "--p0", "0", "--dt", "0.05", "--steps", "200"]
+
+# Every pinned CLI output: ``(argv, target, sha256)``.  The target is
+# "stdout", taken after ``strip_timing`` for a JSON report, or "svg", the
+# file that ``--svg`` names.  A deliberate output change re-pins here and
+# in perfbench's ``cli_sha256``.
+PINNED_OUTPUTS = {
+    "identities-json-seed-42": (
+        ["identities", "--samples", "1000", "--seed", "42"], "stdout",
+        "b2ebd6a55c1952d2c73f3504cb29a398a98ca2a2439da50aeb2471f5f8b020eb"),
+    "identities-json-subnormal-products": (
+        ["identities", "--samples", "200", "--seed", "5", "--range", "1e-160"], "stdout",
+        "52fd2fbc7635912fd573cce383552e977151c78fecd35a059319f5093841833f"),
+    "identities-csv": (
+        ["identities", "--samples", "6000", "--seed", "11", "--csv"], "stdout",
+        "5ebb783a3561ba636d166e327e673db12a293ebce253f2bb53dd60957bdad895"),
+    "intersect-json": (
+        ["intersect", "--a", "0,0", "--u", "1,0", "--b", "0,1", "--v", "1,1"], "stdout",
+        "9b4dbedf93e08b7dca791aa54bfc44e58051a7dee580073dd6c0d7f1329d8797"),
+    "tangents-json-four-tangents": (
+        ["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], "stdout",
+        "5f3282e917a91b83a6c4d02690e05d4b1acc2600b1182b90fa2d990b5f6d3f13"),
+    "tangents-json-tangent-pair": (
+        ["tangents", "--c1", "0,0,1", "--c2", "3,0,2"], "stdout",
+        "82f64a1866fcd247d51cee351cca9cf3e552ecebcec18343e8151c308848355b"),
+    "tangents-svg": (
+        ["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "tangents.svg"], "svg",
+        "73706c693486acb292c166290b9d6d6563fa1e1ee221d3496478932109aeadc9"),
+    "crank-json-regular": (
+        _CRANK_REGULAR, "stdout",
+        "ee81d1f7819c90eb7eeb4002380fca0c4295b853c086b11796497692588412b5"),
+    "crank-json-pivot-on-circle": (
+        _CRANK_ON_CIRCLE, "stdout",
+        "055c9710a9c0b8e6a02a488069f77039302dafa4276060d4d674b99ba771e9b6"),
+    "crank-json-degrees": (
+        _CRANK_DEGREES, "stdout",
+        "cae0890a400638ce19e9a00005374e35334e781b06d48322b87644c7b0234f90"),
+    "crank-csv-regular": (
+        _CRANK_REGULAR + ["--csv"], "stdout",
+        "8eead8cf5c0cb130b3776591013908e02e242fcc462c1fd067209ed7b3a34758"),
+    "crank-csv-pivot-on-circle": (
+        _CRANK_ON_CIRCLE + ["--csv"], "stdout",
+        "4f3db82a54ec52155ddf33314657a74a5f714af77778e1539dfa234bdbeb6312"),
+    "crank-csv-degrees": (
+        _CRANK_DEGREES + ["--csv"], "stdout",
+        "21233c547e87f47de437dd20a33227c6b465b853ee12e0f41631fc950c87dde2"),
+    "crank-svg-regular": (
+        _CRANK_REGULAR + ["--svg", "crank.svg"], "svg",
+        "3b568085a87014dd662e750cae80f84525c143d210fccddb873d8a30411d0139"),
+    "crank-svg-pivot-on-circle": (
+        _CRANK_ON_CIRCLE + ["--svg", "crank.svg"], "svg",
+        "e8687590559b12197c82f6b5c13dfca55729839ae9f8526620e7a64a38f68da6"),
+    "crank-svg-degrees": (
+        _CRANK_DEGREES + ["--svg", "crank.svg"], "svg",
+        "77228dbd66ff59d4a6d5d0f113daa195b26b4e08c6f2cf718fe2017e72e807fe"),
+    "crank-svg-one-turn": (
+        _CRANK_SMALL + ["--from", "0", "--to", "6.283185307179586", "--svg", "crank.svg"], "svg",
+        "2beb43696091b47bc5e7285a77a178ed7fe3c11598d431585045113a9e5bc6d4"),
+    "crank-svg-one-turn-degrees": (
+        _CRANK_SMALL + ["--from", "0", "--to", "360", "--degrees", "--svg", "crank.svg"], "svg",
+        "384b5ba4f16cb7571c82e0894f2333c081bc88a044ef81fe150af2ff29629702"),
+    # The benchmark's crank sweeps: 2,001 rows, written in several chunks.
+    "crank-json-benchmark": (
+        _CRANK_SWEEP_ARGV + _BENCHMARK_SVG, "stdout",
+        "51ac69932f955d93d17236c1f914c87bdf74d8f7a47b960080af914adef424c8"),
+    "crank-svg-benchmark": (
+        _CRANK_SWEEP_ARGV + _BENCHMARK_SVG, "svg",
+        "eccda83f18cb62543b7ec9688be353d3fcd7eaf0048841d529d0fe02fd8404af"),
+    "crank-csv-benchmark": (
+        _CRANK_SWEEP_ARGV + ["--steps", "2001", "--csv"], "stdout",
+        "c71e3a912eab07996cc869e532ba563b35e6dd56b64c08d88a37a8477015b13a"),
+    "crank-json-benchmark-pivot-on-circle": (
+        _ON_CIRCLE_ARGV + _BENCHMARK_SVG, "stdout",
+        "1508a14eaaba11e5340634d4b1c066aa005280d24045531b59710f5f8a6953c9"),
+    "crank-svg-benchmark-pivot-on-circle": (
+        _ON_CIRCLE_ARGV + _BENCHMARK_SVG, "svg",
+        "849287c357c7667b1ff45fc8a6901df6c78fbf758f96d3b549bd91863626e44c"),
+    "crank-csv-benchmark-pivot-on-circle": (
+        _ON_CIRCLE_ARGV + ["--steps", "2001", "--csv"], "stdout",
+        "9ed7cdc9a5d8d18f6e7ce4da493ab7f51d713db4623ccd992e289376be0fd413"),
+    "crank-json-degree-turns": (
+        _CRANK_DEGREE_TURNS, "stdout",
+        "4117894b88a18986e48b7843a309229db47905730a4c9f4e3d356b6db784bccb"),
+    "crank-csv-degree-turns": (
+        _CRANK_DEGREE_TURNS + ["--csv"], "stdout",
+        "d151393e5aa97ccc8005eea4864a29ff44b98ef6cda5904aa2dc999b3f12b333"),
+    "oscillator-json-leapfrog": (
+        _OSCILLATOR_ARGV + ["--steps", "10000"], "stdout",
+        "f69bd4beef6074168ce734f9a58771bf9b9d51b59701fb9d2fc0687f776af13f"),
+    "oscillator-json-euler": (
+        _PHASE_FLOW_ARGV + ["--steps", "10000", "--method", "euler"], "stdout",
+        "40b9f85f6f0cff204e987cb27378ac8dc84d934325a661c962db58002e25ab17"),
+    "oscillator-json-symplectic-euler": (
+        _PHASE_FLOW_ARGV + ["--steps", "10000", "--method", "symplectic-euler"], "stdout",
+        "9b2eb6b652b66bd5ab9e7fd21eec14d92a1f9bedcda0ac9ede52000ede28cfa1"),
+    "oscillator-csv-leapfrog": (
+        _OSCILLATOR_ARGV + ["--steps", "10000", "--csv"], "stdout",
+        "025f6d3c9fbf2d2afa9a5b06b0d9560b54fe417231ccb78f0d06dd3e8eb6a2fb"),
+    "oscillator-csv-euler": (
+        _PHASE_FLOW_ARGV + ["--steps", "10000", "--method", "euler", "--csv"], "stdout",
+        "7ad8d728d28d0224bb558f6fd7229b8b23df91b201b4d5ca9c365fa29b1e2744"),
+    "oscillator-csv-symplectic-euler": (
+        _PHASE_FLOW_ARGV + ["--steps", "10000", "--method", "symplectic-euler", "--csv"],
+        "stdout", "1256440aeb74498656e49a4089369d651a3bf980ed61e9749eecddff1bf9cdc4"),
+    # 10,001 states drawn from the packed rows.
+    "oscillator-svg-benchmark": (
+        _OSCILLATOR_ARGV + ["--steps", "10000", "--svg", "phase.svg"], "svg",
+        "4f7ed4b67952d1c0ab22a65120b9b8a2f629b341580896685a3b2c6cc4ee0994"),
+    "oscillator-svg-symplectic-euler": (
+        _OSCILLATOR_SMALL + ["--method", "symplectic-euler", "--svg", "phase.svg"], "svg",
+        "87f8b5843fca9fc6d23f9ef5a4334969a0584e1ef89b1304aa784931ca2c5f18"),
+    "oscillator-svg-euler": (
+        _OSCILLATOR_SMALL + ["--method", "euler", "--svg", "phase.svg"], "svg",
+        "942d6ad63e915cb007b1677e61afc9c90c962414043352c130ddfb66b3ee1231"),
+    "oscillator-svg-leapfrog": (
+        _OSCILLATOR_SMALL + ["--method", "leapfrog", "--svg", "phase.svg"], "svg",
+        "1281477bc95ced32ee42d230c1e0b3c5c1b07cbda70f0b620ddd21bdd389a080"),
 }
 
 
-@pytest.mark.parametrize("case", TANGENTS_JSON_SHA256)
-def test_tangents_json_digest_is_pinned(case):
-    argv, digest = TANGENTS_JSON_SHA256[case]
-    result = run_subprocess(["tangents", *argv])
-    assert result.returncode == 0
-    assert hashlib.sha256(strip_timing(result.stdout)).hexdigest() == digest
-
-
-CRANK_JSON_SHA256 = {
-    "regular": "ee81d1f7819c90eb7eeb4002380fca0c4295b853c086b11796497692588412b5",
-    "pivot-on-circle": "055c9710a9c0b8e6a02a488069f77039302dafa4276060d4d674b99ba771e9b6",
-    "degrees": "cae0890a400638ce19e9a00005374e35334e781b06d48322b87644c7b0234f90",
-}
-
-
-@pytest.mark.parametrize("case", CRANK_JSON_SHA256)
-def test_crank_json_digest_is_pinned(capsys, case):
-    argv, _ = CRANK_CSV_SHA256[case]
-    code = main(["crank", *argv])
+@pytest.mark.parametrize("case", PINNED_OUTPUTS)
+def test_pinned_output(tmp_path, monkeypatch, capsys, case):
+    # Run from an empty directory, so that a relative --svg path is echoed
+    # and written the same way wherever the suite runs.
+    argv, target, digest = PINNED_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    if "--svg" in argv:
+        svg = tmp_path / argv[argv.index("--svg") + 1]
+        svg.parent.mkdir(parents=True, exist_ok=True)
+    assert main(argv) == 0
     out = capsys.readouterr().out.encode()
-    assert code == 0
-    assert hashlib.sha256(strip_timing(out)).hexdigest() == CRANK_JSON_SHA256[case]
-
-
-OSCILLATOR_JSON_SHA256 = {
-    "leapfrog": "f69bd4beef6074168ce734f9a58771bf9b9d51b59701fb9d2fc0687f776af13f",
-    "euler": "40b9f85f6f0cff204e987cb27378ac8dc84d934325a661c962db58002e25ab17",
-    "symplectic-euler": "9b2eb6b652b66bd5ab9e7fd21eec14d92a1f9bedcda0ac9ede52000ede28cfa1",
-}
-
-
-@pytest.mark.parametrize("method", OSCILLATOR_JSON_SHA256)
-def test_oscillator_json_digest_is_pinned(capsys, method):
-    code = main(["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0", "1",
-                 "--p0", "0.5", "--dt", "0.01", "--steps", "10000", "--method", method])
-    out = capsys.readouterr().out.encode()
-    assert code == 0
-    assert hashlib.sha256(strip_timing(out)).hexdigest() == OSCILLATOR_JSON_SHA256[method]
+    if target == "svg":
+        out = svg.read_bytes()
+    elif "--csv" not in argv:
+        out = strip_timing(out)
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 # ----------------------------------------------------------- row writers
@@ -673,14 +783,6 @@ class _Sink(io.TextIOBase):
         return len(text)
 
 
-_OSCILLATOR_ARGV = ["oscillator", "--mass", "1.5", "--stiffness", "0.75", "--q0", "1",
-                    "--p0", "0.5", "--dt", "0.01", "--method", "leapfrog"]
-
-
-_CRANK_SWEEP_ARGV = ["crank", "--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
-                     "--from", "0", "--to", "12.566370614359172"]
-
-
 @pytest.mark.parametrize("argv, bytes_per_row", [
     (_CRANK_SWEEP_ARGV + ["--csv"], 128),
     (_CRANK_SWEEP_ARGV + ["--svg", "{tmp}/crank.svg"], 600),
@@ -727,16 +829,6 @@ def test_crank_csv_round_trips_at_full_precision(capsys):
         assert row[8] == "false" and row[9] == "false"
 
 
-def test_crank_csv_blanks_singular_cells(capsys):
-    _, text = run_csv(capsys, ["crank", "--length", "1", "--pivot", "1,0",
-                               "--phidot", "1", "--from", "0", "--to", "6.283185307179586",
-                               "--steps", "9", "--csv"])
-    rows = list(csv.reader(text.splitlines()))
-    assert rows[1][8] == "true"
-    assert rows[1][1] == ""
-    assert rows[1][0] != ""
-
-
 def test_crank_csv_tiny_regular_crank_has_regular_rows(capsys):
     # The rod never gets shorter than one crank length; the singularity
     # floor scales with the mechanism, so no row is flagged.
@@ -752,52 +844,13 @@ def test_crank_csv_tiny_regular_crank_has_regular_rows(capsys):
         assert float(row[1]) >= 1e-150
 
 
-CRANK_CSV_SHA256 = {
-    "regular": (["--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
-                 "--from", "0", "--to", "6.283185307179586", "--steps", "181"],
-                "8eead8cf5c0cb130b3776591013908e02e242fcc462c1fd067209ed7b3a34758"),
-    "pivot-on-circle": (["--length", "1", "--pivot", "1,0", "--phidot", "1",
-                         "--from", "0", "--to", "12.566370614359172", "--steps", "17"],
-                        "4f3db82a54ec52155ddf33314657a74a5f714af77778e1539dfa234bdbeb6312"),
-    "degrees": (["--length", "1", "--pivot", "3,0.5", "--phidot", "2",
-                 "--from", "-90", "--to", "270", "--steps", "91", "--degrees"],
-                "21233c547e87f47de437dd20a33227c6b465b853ee12e0f41631fc950c87dde2"),
-    # The benchmark's crank-sweep argv as CSV: 2,001 rows, several chunks.
-    "benchmark": (["--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5",
-                   "--from", "0", "--to", "12.566370614359172", "--steps", "2001"],
-                  "c71e3a912eab07996cc869e532ba563b35e6dd56b64c08d88a37a8477015b13a"),
-    "benchmark-pivot-on-circle": (
-        ["--length", "1", "--pivot", "1,0", "--phidot", "1",
-         "--from", "0", "--to", "12.566370614359172", "--steps", "2001"],
-        "9ed7cdc9a5d8d18f6e7ce4da493ab7f51d713db4623ccd992e289376be0fd413"),
-}
-
-
-@pytest.mark.parametrize("case", CRANK_CSV_SHA256)
-def test_crank_csv_digest_is_pinned(capsys, case):
-    argv, digest = CRANK_CSV_SHA256[case]
-    code, text = run_csv(capsys, ["crank", *argv, "--csv"])
+def test_crank_csv_blanks_singular_cells(capsys):
+    code, text = run_csv(capsys, _CRANK_ON_CIRCLE + ["--csv"])
     assert code == 0
-    if case == "pivot-on-circle":
-        singular = [row for row in csv.reader(text.splitlines()[1:]) if row[8] == "true"]
-        assert len(singular) == 3 and all(cell == "" for cell in singular[0][1:8])
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-OSCILLATOR_CSV_SHA256 = {
-    "leapfrog": "025f6d3c9fbf2d2afa9a5b06b0d9560b54fe417231ccb78f0d06dd3e8eb6a2fb",
-    "euler": "7ad8d728d28d0224bb558f6fd7229b8b23df91b201b4d5ca9c365fa29b1e2744",
-    "symplectic-euler": "1256440aeb74498656e49a4089369d651a3bf980ed61e9749eecddff1bf9cdc4",
-}
-
-
-@pytest.mark.parametrize("method", OSCILLATOR_CSV_SHA256)
-def test_oscillator_csv_digest_is_pinned(capsys, method):
-    code, text = run_csv(capsys, ["oscillator", "--mass", "1.5", "--stiffness", "0.75",
-                                  "--q0", "1", "--p0", "0.5", "--dt", "0.01",
-                                  "--steps", "10000", "--method", method, "--csv"])
-    assert code == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == OSCILLATOR_CSV_SHA256[method]
+    singular = [row for row in csv.reader(text.splitlines()[1:]) if row[8] == "true"]
+    assert len(singular) == 3
+    for row in singular:
+        assert row[0] != "" and all(cell == "" for cell in row[1:8])
 
 
 @pytest.mark.parametrize("method", dynamics.METHODS)
@@ -852,13 +905,6 @@ def test_oscillator_csv_shape(capsys):
     assert float(rows[1][1]) == 1.0
 
 
-def test_identities_csv_digest_is_pinned(capsys):
-    code, text = run_csv(capsys, ["identities", "--samples", "6000", "--seed", "11", "--csv"])
-    assert code == 0
-    digest = "5ebb783a3561ba636d166e327e673db12a293ebce253f2bb53dd60957bdad895"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
 def test_identities_csv_lists_the_five_families(capsys):
     _, text = run_csv(capsys, ["identities", "--samples", "20", "--csv"])
     rows = list(csv.reader(text.splitlines()))
@@ -906,18 +952,6 @@ def test_crank_degrees_matches_radians(capsys):
 # --------------------------------------------------------------------- SVG
 
 
-def test_tangents_svg_written(tmp_path, capsys):
-    path = tmp_path / "tangents.svg"
-    code = main(["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", str(path)])
-    capsys.readouterr()
-    assert code == 0
-    text = path.read_text()
-    assert text.startswith("<svg")
-    assert text.rstrip().endswith("</svg>")
-    digest = "73706c693486acb292c166290b9d6d6563fa1e1ee221d3496478932109aeadc9"
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
 def test_exit_code_three_on_an_overflowing_svg_span(tmp_path, capsys):
     # The tangents are finite, but the diagram spans x from -1e308 to 1.5e308.
     path = tmp_path / "tangents.svg"
@@ -944,69 +978,12 @@ def test_exit_code_three_on_an_overflowing_tangent_segment(tmp_path, capsys):
     assert not path.exists()
 
 
-def test_crank_svg_written(tmp_path, capsys):
+def test_crank_svg_splits_curves_at_singular_rows(tmp_path, capsys):
     path = tmp_path / "crank.svg"
-    base = ["--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "73"]
-    for argv, digest in [
-        (base + ["--from", "0", "--to", "6.283185307179586"],
-         "2beb43696091b47bc5e7285a77a178ed7fe3c11598d431585045113a9e5bc6d4"),
-        (base + ["--from", "0", "--to", "360", "--degrees"],
-         "384b5ba4f16cb7571c82e0894f2333c081bc88a044ef81fe150af2ff29629702"),
-        # The benchmark's crank-sweep argv.
-        (["--length", "1.25", "--pivot", "2.5,0.75", "--phidot", "1.5", "--from", "0",
-          "--to", "12.566370614359172", "--steps", "2001"],
-         "eccda83f18cb62543b7ec9688be353d3fcd7eaf0048841d529d0fe02fd8404af"),
-    ]:
-        code = main(["crank", *argv, "--svg", str(path)])
-        capsys.readouterr()
-        assert code == 0
-        assert "</svg>" in path.read_text()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-CRANK_SVG_SHA256 = {
-    "regular": "3b568085a87014dd662e750cae80f84525c143d210fccddb873d8a30411d0139",
-    "pivot-on-circle": "e8687590559b12197c82f6b5c13dfca55729839ae9f8526620e7a64a38f68da6",
-    "degrees": "77228dbd66ff59d4a6d5d0f113daa195b26b4e08c6f2cf718fe2017e72e807fe",
-}
-
-
-@pytest.mark.parametrize("case", CRANK_SVG_SHA256)
-def test_crank_svg_digest_is_pinned(tmp_path, capsys, case):
-    argv, _ = CRANK_CSV_SHA256[case]
-    path = tmp_path / "crank.svg"
-    assert main(["crank", *argv, "--svg", str(path)]) == 0
+    assert main(_CRANK_ON_CIRCLE + ["--svg", str(path)]) == 0
     capsys.readouterr()
-    text = path.read_text()
-    if case == "pivot-on-circle":
-        # Six curves, each split in two at the singular middle row.
-        assert text.count("<polyline") == 12
-    assert hashlib.sha256(text.encode()).hexdigest() == CRANK_SVG_SHA256[case]
-
-
-def test_oscillator_svg_written(tmp_path, capsys):
-    path = tmp_path / "phase.svg"
-    for method, digest in [
-        ("symplectic-euler", "87f8b5843fca9fc6d23f9ef5a4334969a0584e1ef89b1304aa784931ca2c5f18"),
-        ("euler", "942d6ad63e915cb007b1677e61afc9c90c962414043352c130ddfb66b3ee1231"),
-        ("leapfrog", "1281477bc95ced32ee42d230c1e0b3c5c1b07cbda70f0b620ddd21bdd389a080"),
-    ]:
-        code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1",
-                     "--p0", "0", "--dt", "0.05", "--steps", "200",
-                     "--method", method, "--svg", str(path)])
-        capsys.readouterr()
-        assert code == 0
-        assert "</svg>" in path.read_text()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-def test_oscillator_svg_digest_is_pinned(tmp_path, capsys):
-    # The benchmark's phase-flow argv: 10,001 states drawn from the packed rows.
-    path = tmp_path / "phase.svg"
-    assert main(_OSCILLATOR_ARGV + ["--steps", "10000", "--svg", str(path)]) == 0
-    capsys.readouterr()
-    digest = "4f7ed4b67952d1c0ab22a65120b9b8a2f629b341580896685a3b2c6cc4ee0994"
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # Six curves, each split in two at the singular middle row.
+    assert path.read_text().count("<polyline") == 12
 
 
 def test_svg_write_failure_exits_with_usage_code(tmp_path, capsys):

@@ -189,6 +189,12 @@ def test_to_polar_zero_raises():
         to_polar(Vec2(0.0, 0.0))
 
 
+def test_to_polar_magnitude_overflow_raises_a_typed_overflow():
+    assert to_polar(Vec2(1.7e308, 0.0)).magnitude == 1.7e308
+    with pytest.raises(NumericalOverflowError, match="magnitude of"):
+        to_polar(Vec2(1.7e308, 1.7e308))
+
+
 def test_polar_normalizes_angle():
     assert Polar(1.0, 3.0 * math.pi).angle == pytest.approx(math.pi, abs=1e-12)
     with pytest.raises(ValueError):

@@ -131,6 +131,19 @@ def test_simple_ratio_degenerate_denominator():
         simple_ratio(Vec2(1.0, 0.0), Vec2(2.0, 0.0), Vec2(4.0, 0.0))
 
 
+@pytest.mark.parametrize("a, b, c", [
+    # Both areas overflow: inf / -inf is NaN.
+    (Vec2(1e300, 1e300), Vec2(1e300, -1e300), Vec2(1e300, 1e300)),
+    # Only the denominator 1e310 overflows: 1e308 / inf is 0.0, not 0.01.
+    (Vec2(1e8, 0.0), Vec2(0.0, 1e300), Vec2(-1e10, 0.0)),
+    # Finite areas 1e300 and 1e-10, but the ratio 1e310 overflows.
+    (Vec2(1.0, 0.0), Vec2(0.0, 1e300), Vec2(-1e-310, 0.0)),
+])
+def test_simple_ratio_overflow_raises_a_typed_overflow(a, b, c):
+    with pytest.raises(NumericalOverflowError, match="simple ratio overflows"):
+        simple_ratio(a, b, c)
+
+
 # ------------------------------------------------------------- cross ratio
 
 
@@ -153,6 +166,17 @@ def test_cross_ratio_degenerate_denominator():
     a = Vec2(1.0, 1.0)
     with pytest.raises(DegenerateDenominatorError):
         cross_ratio(a, a, Vec2(2.0, 2.0), a)
+
+
+@pytest.mark.parametrize("a, b, c, d", [
+    # symp(b, c) and symp(b, d) overflow.
+    (Vec2(1e300, 0.0), Vec2(0.0, 1e300), Vec2(1e300, 1e300), Vec2(-1e300, 1e300)),
+    # Every area is +-1e200, finite, but both products overflow; the ratio is -1.
+    (Vec2(1e100, 0.0), Vec2(0.0, 1e100), Vec2(-1e100, 1e100), Vec2(1e100, 1e100)),
+])
+def test_cross_ratio_overflow_raises_a_typed_overflow(a, b, c, d):
+    with pytest.raises(NumericalOverflowError, match="cross ratio overflows"):
+        cross_ratio(a, b, c, d)
 
 
 def test_cross_ratio_is_translation_invariant_for_collinear_points():
@@ -204,6 +228,16 @@ def test_intersect_lines_anchor_point_on_first_line():
 def test_line_rejects_zero_direction():
     with pytest.raises(ZeroDirectionError):
         Line(Vec2(1.0, 1.0), Vec2(0.0, 0.0))
+
+
+def test_line_point_overflow_raises_a_typed_overflow():
+    line = Line(Vec2(0.0, 0.0), Vec2(1e300, 0.0))
+    assert line.at(1e8) == Vec2(1e308, 0.0)
+    with pytest.raises(NumericalOverflowError, match="at t=10000000000.0 overflows"):
+        line.at(1e10)
+    # A non-finite parameter is invalid input, not an overflow.
+    with pytest.raises(ValueError, match="must be finite"):
+        Line(Vec2(0.0, 0.0), Vec2(0.0, 1.0)).at(math.inf)
 
 
 @given(points, points, points, points)
@@ -299,6 +333,11 @@ def test_jacobi_triangle_residual_anchor():
     assert jacobi_triangle_residual(Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(3.0, -4.0)) == Vec2(0.0, 0.0)
     u, v = Vec2(2.0, 1.0), Vec2(-1.0, 3.0)
     assert jacobi_triangle_residual(u, v, Vec2(0.0, 0.0)) == Vec2(0.0, 0.0)
+
+
+def test_jacobi_triangle_residual_overflow_raises_a_typed_overflow():
+    with pytest.raises(NumericalOverflowError, match="Jacobi triangle residual overflows"):
+        jacobi_triangle_residual(Vec2(1e300, 0.0), Vec2(0.0, 1e300), Vec2(1e300, 1e300))
 
 
 def test_jacobi_triangle_residual_random_sweep():

@@ -71,6 +71,12 @@ def test_polar_kinematics_against_finite_differences():
     assert norm(fd_acceleration - k.acceleration) <= 1e-5
 
 
+def test_polar_kinematics_overflow_raises_a_typed_overflow():
+    # The fields are finite; the centripetal term phi_dot**2 * r is not.
+    with pytest.raises(NumericalOverflowError, match="polar kinematics overflow at phi=0.5"):
+        polar_kinematics(PolarMotion(1e308, 0.0, 0.0, 0.5, 10.0, 0.0))
+
+
 def test_polar_motion_rejects_non_finite_fields():
     with pytest.raises(ValueError):
         PolarMotion(1.0, 0.0, math.nan, 0.0, 0.0, 0.0)
@@ -97,6 +103,8 @@ def test_crank_position_singularity():
     cfg = CrankConfig(1.0, Vec2(1.0, 0.0), 1.0)
     with pytest.raises(SingularPositionError):
         crank_position(cfg, 0.0)
+    with pytest.raises(SingularPositionError, match=r"^rod length vanishes at phi=0\.0$"):
+        crank_state(cfg, 0.0)
 
 
 def test_crank_config_validation():
