@@ -92,9 +92,15 @@ class Tangent(NamedTuple):
 def collinearity_residual(a: Vec2, b: Vec2, c: Vec2) -> float:
     """``symp(a,b) + symp(b,c) + symp(c,a)``: twice the signed area of ABC.
 
-    Zero exactly when the three points are collinear.
+    Zero exactly when the three points are collinear.  Raises
+    :class:`NumericalOverflowError` when an area or the sum overflows.
     """
-    return symp(a, b) + symp(b, c) + symp(c, a)
+    residual = symp(a, b) + symp(b, c) + symp(c, a)
+    # An overflowed area makes the sum infinite, or NaN where two of them
+    # cancel.
+    if not math.isfinite(residual):
+        raise NumericalOverflowError("collinearity residual overflows")
+    return residual
 
 
 def is_collinear(a: Vec2, b: Vec2, c: Vec2, tol: float = 1e-9) -> bool:

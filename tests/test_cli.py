@@ -794,8 +794,9 @@ def test_csv_peak_memory_is_bounded_by_the_rows(argv, bytes_per_row, tmp_path):
     # sweep entries or trajectory states, nor the whole report text.  A
     # crank row is ten packed floats (80 bytes) and an oscillator row four
     # (32 bytes), CSV or JSON.  With --svg a crank run also holds the six
-    # curves of the plot, which share one phi float per row, and one shape's
-    # text at a time as the SVG is written.
+    # curves of the plot, which share one phi float per row, and as the SVG
+    # is written one shape's text at a time and the screen-x texts of each
+    # distinct x column, which the six curves share.
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     rows = 20000
     with contextlib.redirect_stdout(_Sink()):

@@ -61,6 +61,17 @@ def test_collinearity_residual_matches_shoelace(a, b, c):
     assert abs(collinearity_residual(a, b, c) - shoelace_doubled_area(a, b, c)) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("a, b, c", [
+    (Vec2(0.0, 0.0), Vec2(1e200, 1e200), Vec2(1e200, 1e200)),
+    (Vec2(1e300, 1e300), Vec2(-1e300, 1e300), Vec2(1e300, -1e300)),
+    (Vec2(1e308, 1e308), Vec2(-1e308, 1e308), Vec2(1e308, -1e308)),
+], ids=["coincident-1e200", "triangle-1e300", "triangle-1e308"])
+def test_collinearity_residual_overflow_is_typed(a, b, c):
+    # Finite points whose areas overflow: the sum would be NaN or infinite.
+    with pytest.raises(NumericalOverflowError, match="collinearity residual overflows"):
+        collinearity_residual(a, b, c)
+
+
 def test_is_collinear_anchor_values():
     assert is_collinear(Vec2(0.0, 1.0), Vec2(1.0, 1.0), Vec2(3.0, 1.0))
     assert not is_collinear(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 1.0))

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from sympgeo.errors import NumericalOverflowError
-from sympgeo.svgplot import HEIGHT, MARGIN, WIDTH, SvgPlot
+from sympgeo.svgplot import HEIGHT, MARGIN, PALETTE, WIDTH, SvgPlot
 
 
 def test_empty_plot_is_still_a_valid_document():
@@ -281,3 +281,132 @@ def test_an_overflowing_span_writes_no_file(tmp_path, draw):
     with pytest.raises(NumericalOverflowError, match="plot span overflows"):
         plot.write(str(target))
     assert not target.exists()
+
+
+def _reference_svg(plot, calls):
+    """``plot``'s document rendered the old way, as an independent check.
+
+    Every shape formats its own x again, "%.2f,%.2f" per point, under the
+    same ``_transform()``.  ``calls`` lists the ``(shape, args, color,
+    width, label)`` calls that built ``plot``, with plain colours and labels.
+    """
+    scale, offset_x, offset_y = plot._transform()
+
+    def sx(x):
+        return "%.2f" % (offset_x + (x - plot._min_x) * scale)
+
+    def sy(y):
+        return "%.2f" % (HEIGHT - (offset_y + (y - plot._min_y) * scale))
+
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
+             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>']
+    if plot._min_x <= 0.0 <= plot._max_x:
+        lines.append(f'<line x1="{sx(0.0)}" y1="{MARGIN:.2f}" x2="{sx(0.0)}" '
+                     f'y2="{HEIGHT - MARGIN:.2f}" stroke="#cccccc" stroke-width="1"/>')
+    if plot._min_y <= 0.0 <= plot._max_y:
+        lines.append(f'<line x1="{MARGIN:.2f}" y1="{sy(0.0)}" x2="{WIDTH - MARGIN:.2f}" '
+                     f'y2="{sy(0.0)}" stroke="#cccccc" stroke-width="1"/>')
+    legend = []
+    for shape, args, color, width, label in calls:
+        stroke = f'stroke="{color}" stroke-width="{width}"/>'
+        if shape == "polyline":
+            points = " ".join(f"{sx(x)},{sy(y)}" for x, y in args[0])
+            lines.append(f'<polyline points="{points}" fill="none" {stroke}')
+        elif shape == "circle":
+            cx, cy, r = args
+            lines.append(f'<circle cx="{sx(cx)}" cy="{sy(cy)}" r="{r * scale:.2f}" '
+                         f'fill="none" {stroke}')
+        elif shape == "segment":
+            x1, y1, x2, y2 = args
+            lines.append(f'<line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" y2="{sy(y2)}" '
+                         f'{stroke}')
+        else:
+            x, y = args
+            lines.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="3.5" fill="{color}"/>')
+        if label:
+            legend.append((label, color))
+    if plot.title:
+        lines.append(f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="16" fill="#222222">'
+                     f'{plot.title}</text>')
+    for i, (label, color) in enumerate(legend):
+        y = 46 + 18 * i
+        lines.append(f'<rect x="12" y="{y - 9}" width="14" height="4" fill="{color}"/>')
+        lines.append(f'<text x="32" y="{y}" font-family="sans-serif" font-size="12" '
+                     f'fill="#222222">{label}</text>')
+    return "\n".join(lines) + "\n</svg>\n"
+
+
+def _six_curves_over_one_column():
+    # As the crank plot draws them: one list of x floats shared by six
+    # curves, each split into runs around a gap.
+    rng = random.Random(21)
+    phi = [0.01 * i for i in range(400)]
+    calls = []
+    for k, color in enumerate(PALETTE[:6]):
+        column = [rng.uniform(-3.0, 3.0) * (k + 1) for _ in phi]
+        for run in (slice(0, 180), slice(181, 400)):
+            calls.append(("polyline", (list(zip(phi[run], column[run])),), color, 1.6,
+                          None if run.start else f"curve {k}"))
+    return calls
+
+
+def _equal_columns_of_distinct_floats():
+    xs = [0.37 * i - 5.0 for i in range(50)]
+    copies = [float(repr(x)) for x in xs]
+    assert all(a is not b and a == b for a, b in zip(xs, copies))
+    return [("polyline", (list(zip(xs, [math.sin(x) for x in xs])),), "#1f77b4", 1.6, "sin"),
+            ("polyline", (list(zip(copies, [math.cos(x) for x in xs])),), "#d62728", 0.8,
+             "cos")]
+
+
+def _columns_differing_in_the_last_element():
+    xs = [0.5 * i for i in range(20)]
+    return [("polyline", (list(zip(xs, xs)),), "#1f77b4", 1.6, "first"),
+            ("polyline", (list(zip(xs[:-1] + [xs[-1] + 0.25], xs)),), "#d62728", 1.6,
+             "last moved"),
+            ("polyline", (list(zip(xs[:-1] + [-xs[-1]], xs)),), "#2ca02c", 1.6, None)]
+
+
+def _negative_zero_first():
+    return [("polyline", ([(-0.0, 1.0), (2.0, -1.0)],), "#1f77b4", 1.6, "negative zero"),
+            ("polyline", ([(0.0, -2.0), (2.0, 0.5)],), "#d62728", 1.6, "positive zero"),
+            ("marker", (-0.0, 0.0), "#000000", None, None),
+            ("marker", (0.0, 1.5), "#333333", None, None)]
+
+
+def _positive_zero_first():
+    return _negative_zero_first()[::-1]
+
+
+def _shapes_sharing_a_polyline_x():
+    return [("polyline", ([(1.0, 0.0), (3.5, 2.0)],), "#1f77b4", 1.6, "two points"),
+            ("segment", (1.0, -1.0, 3.5, 1.0), "#d62728", 1.2, "segment"),
+            ("polyline", ([(1.0, 2.5)],), "#2ca02c", 1.6, None),
+            ("marker", (1.0, -0.5), "#000000", None, "marker"),
+            ("circle", (1.0, 1.0, 0.75), "#333333", 2.0, "circle"),
+            ("circle", (3.5, 0.0, -0.5), "#9467bd", 1.6, None),
+            ("segment", (3.5, 2.0, 1.0, 0.0), "#333333", 1.6, None)]
+
+
+@pytest.mark.parametrize("build", [
+    _six_curves_over_one_column, _equal_columns_of_distinct_floats,
+    _columns_differing_in_the_last_element, _negative_zero_first, _positive_zero_first,
+    _shapes_sharing_a_polyline_x,
+], ids=["six-curves", "equal-columns", "last-element", "negative-zero-first",
+        "positive-zero-first", "shared-x"])
+def test_shared_x_columns_match_a_per_shape_reference(tmp_path, build):
+    calls = build()
+    plot = SvgPlot("shared columns")
+    for shape, args, color, width, label in calls:
+        if shape == "marker":
+            plot.marker(*args, color=color, label=label)
+        else:
+            getattr(plot, shape)(*args, color=color, width=width, label=label)
+    text = plot.to_svg()
+    assert text == _reference_svg(plot, calls)
+    # The formatted columns live for one render only.
+    assert plot.to_svg() == text
+    target = tmp_path / "plot.svg"
+    plot.write(str(target))
+    assert target.read_bytes() == text.encode("utf-8")
