@@ -79,21 +79,32 @@ class Vec2:
         return Vec2(self.x / scalar, self.y / scalar)
 
 
-_set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
+def _slot_twin(cls: type) -> type:
+    """A plain class with the slots of the frozen slots dataclass ``cls``.
+
+    A result whose fields are already checked is built as a twin, with
+    plain slot stores, and then given ``__class__ = cls``: that skips the
+    dataclass ``__init__``, its frozen ``__setattr__`` and the
+    ``__post_init__`` check.  CPython allows the class assignment only
+    between equal slot layouts and raises :class:`TypeError` otherwise.
+    """
+    return type(f"_{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
 
 
-def _vec2(x: float, y: float, _new=object.__new__, _cls=Vec2, _set_x=_set_x,
-          _set_y=_set_y) -> Vec2:
+_Vec2Twin = _slot_twin(Vec2)
+
+
+def _vec2(x: float, y: float, _twin=_Vec2Twin, _cls=Vec2) -> Vec2:
     """``Vec2(x, y)`` for components the caller has already checked finite.
 
-    Fills the slots directly, skipping the dataclass ``__init__`` and the
-    ``__post_init__`` check; the public constructor still validates.  The
-    defaults bind the builder's globals as locals; callers pass only ``x``
-    and ``y``.
+    Built through the slot twin of :func:`_slot_twin`; the public
+    constructor still validates.  The defaults bind the builder's globals
+    as locals; callers pass only ``x`` and ``y``.
     """
-    v = _new(_cls)
-    _set_x(v, x)
-    _set_y(v, y)
+    v = _twin()
+    v.x = x
+    v.y = y
+    v.__class__ = _cls
     return v
 
 

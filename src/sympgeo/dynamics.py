@@ -18,7 +18,9 @@ One generator, ``_flow``, holds the step loop: it turns the row into those
 step sizes once per run and yields the states one at a time.
 :func:`simulate` collects them into a :class:`Trajectory`, :func:`step`
 takes the one after its start, and ``sympgeo oscillator`` turns each into
-its report row as it comes.
+its report row as it comes.  Each new state is built as a slot twin of
+:class:`PhaseState`, and :func:`ellipse_residual` keeps the last initial
+energy, so the residuals of one trajectory take it once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import _FLOAT_MIN, Vec2, _vec2, tilde
+from .core import _FLOAT_MIN, Vec2, _slot_twin, _vec2, tilde
 from .errors import InvalidStepError, NumericalOverflowError
 
 EXPLICIT_EULER = "explicit_euler"
@@ -83,19 +85,20 @@ class PhaseState:
             raise ValueError("phase-state fields must be finite")
 
 
-_set_q, _set_p, _set_t = PhaseState.q.__set__, PhaseState.p.__set__, PhaseState.t.__set__
+_PhaseStateTwin = _slot_twin(PhaseState)
 
 
 def _phase_state(q: float, p: float, t: float) -> PhaseState:
     """``PhaseState(q, p, t)`` for fields the caller has already checked finite.
 
-    Fills the slots directly, skipping the dataclass ``__init__`` and the
-    ``__post_init__`` check; the public constructor still validates.
+    Built through the slot twin of :func:`~sympgeo.core._slot_twin`; the
+    public constructor still validates.
     """
-    s = object.__new__(PhaseState)
-    _set_q(s, q)
-    _set_p(s, p)
-    _set_t(s, t)
+    s = _PhaseStateTwin()
+    s.q = q
+    s.p = p
+    s.t = t
+    s.__class__ = PhaseState
     return s
 
 
@@ -179,7 +182,8 @@ def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int
     The arguments are checked once, when the first state is asked for, and
     each stage's kick and drift step sizes ``a*dt`` and ``b*dt`` are
     computed once, before the first step.  Every step runs on plain floats
-    and builds only its state, stamped with the running sum of ``dt``.
+    and builds only its state, as :func:`_phase_state` does through the slot
+    twin, stamped with the running sum of ``dt``.
     :func:`simulate`, :func:`step` and ``sympgeo oscillator`` all drain it.
     Raises :class:`NumericalOverflowError` when a state overflows.
     """
@@ -196,7 +200,7 @@ def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int
     # coefficient, so a step size that underflows to 0.0 still runs.
     stages = [(a * dt if a else None, b * dt if b else None)
               for a, b in SPLITTINGS.get(method, ())]
-    isfinite, new, set_q, set_p, set_t = math.isfinite, object.__new__, _set_q, _set_p, _set_t
+    isfinite, twin, cls = math.isfinite, _PhaseStateTwin, PhaseState
     q, p, t = initial.q, initial.p, initial.t
     yield initial
     for _ in range(n_steps):
@@ -211,10 +215,11 @@ def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int
         if not (isfinite(q) and isfinite(p) and isfinite(t)):
             raise NumericalOverflowError(f"phase state overflows at t={t}")
         # q, p and t were checked finite just above: _phase_state, inlined.
-        s = new(PhaseState)
-        set_q(s, q)
-        set_p(s, p)
-        set_t(s, t)
+        s = twin()
+        s.q = q
+        s.p = p
+        s.t = t
+        s.__class__ = cls
         yield s
 
 
@@ -249,22 +254,29 @@ def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams)
     raise NumericalOverflowError(f"analytic state overflows at t={initial.t + t}")
 
 
+#: The last finite ``(initial, params, H(initial))`` of :func:`ellipse_residual`.
+_initial_energy: tuple = (None, None, 0.0)
+
+
 def ellipse_residual(s: PhaseState, initial: PhaseState, params: OscillatorParams) -> float:
     """Energy offset ``H(s) - H(initial)`` from the level-set ellipse.
 
-    Both energies are :func:`hamiltonian`'s expression, evaluated here in
-    its operation order.  Raises :class:`NumericalOverflowError` when an
-    energy overflows, naming the time of ``s`` first.
+    ``H(s)`` is :func:`hamiltonian`'s expression, evaluated here in its
+    operation order.  ``H(initial)`` is :func:`hamiltonian` itself, kept in
+    a one-entry memo keyed by the identities of ``initial`` and ``params``,
+    both frozen, so the residuals of one trajectory take it once.  Raises
+    :class:`NumericalOverflowError` when an energy overflows, naming the
+    time of ``s`` first; an overflowing initial energy is never kept.
     """
-    m2, k = 2.0 * params.mass, params.stiffness
+    global _initial_energy
     p, q = s.p, s.q
-    energy = p * p / m2 + k * q * q / 2.0
+    energy = p * p / (2.0 * params.mass) + params.stiffness * q * q / 2.0
     if not math.isfinite(energy):
         raise NumericalOverflowError(f"energy overflows at t={s.t}")
-    p, q = initial.p, initial.q
-    initial_energy = p * p / m2 + k * q * q / 2.0
-    if not math.isfinite(initial_energy):
-        raise NumericalOverflowError(f"energy overflows at t={initial.t}")
+    last_initial, last_params, initial_energy = _initial_energy
+    if last_initial is not initial or last_params is not params:
+        initial_energy = hamiltonian(initial, params)
+        _initial_energy = (initial, params, initial_energy)
     return energy - initial_energy
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, _rescaled, _set_x, _set_y, _vec2, symp, tilde
+from .core import ATOL, Vec2, _rescaled, _vec2, _Vec2Twin, symp, tilde
 from .errors import (
     CoincidentCentersError,
     DegenerateDenominatorError,
@@ -246,8 +246,7 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
     scale, scale2 = math.ldexp(1.0, -k - half), math.ldexp(1.0, half)
     a2 = ax * ax + ay * ay
     families = (("outer", r1 - r2, -1.0), ("inner", r1 + r2, 1.0))
-    isfinite, ldexp, new, new_tuple = math.isfinite, math.ldexp, object.__new__, tuple.__new__
-    set_x, set_y = _set_x, _set_y
+    isfinite, ldexp, new_tuple, twin = math.isfinite, math.ldexp, tuple.__new__, _Vec2Twin
     tangents: list[Tangent] = []
     append = tangents.append
     try:
@@ -267,15 +266,18 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
                     raise NumericalOverflowError("common tangent overflows")
                 # Touch points checked just above; e is finite: reach**2 <= a2 and a2 >= 1/4.
                 # Each Vec2 is _vec2, inlined.
-                touch1 = new(Vec2)
-                set_x(touch1, t1x)
-                set_y(touch1, t1y)
-                touch2 = new(Vec2)
-                set_x(touch2, t2x)
-                set_y(touch2, t2y)
-                e = new(Vec2)
-                set_x(e, ex)
-                set_y(e, ey)
+                touch1 = twin()
+                touch1.x = t1x
+                touch1.y = t1y
+                touch1.__class__ = Vec2
+                touch2 = twin()
+                touch2.x = t2x
+                touch2.y = t2y
+                touch2.__class__ = Vec2
+                e = twin()
+                e.x = ex
+                e.y = ey
+                e.__class__ = Vec2
                 append(new_tuple(Tangent, (touch1, touch2, e, kind, ldexp(lam, k))))
     except OverflowError as exc:  # ldexp, an out-of-range lam
         raise NumericalOverflowError("common tangent overflows") from exc

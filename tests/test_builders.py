@@ -1,12 +1,16 @@
 """Builders of already-checked results, and the functions that use them.
 
-``core._vec2`` and ``dynamics._phase_state`` fill a frozen slots dataclass
-without running its validation.  The objects they build must be
+Every build site that skips validation fills a plain twin class with the
+record's slots (``core._slot_twin``) and then sets its ``__class__`` to
+the frozen slots dataclass: ``core._vec2`` (which ``_sweep`` calls for
+each ``e_psi``), ``dynamics._phase_state`` and the loops of
+``_common_tangents`` and ``_flow``.  The objects they build must be
 indistinguishable from the public constructors', and every function that
-calls them must still return only finite fields or raise
+builds them must still return only finite fields or raise
 :class:`NumericalOverflowError`.
 """
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -35,6 +39,7 @@ from sympgeo import (
     circle_tangents,
     crank_position,
     crank_state,
+    crank_sweep,
     hamiltonian_gradient,
     identity_residuals,
     intersect_lines,
@@ -43,9 +48,10 @@ from sympgeo import (
     similarity,
     similarity_div,
     simulate,
+    step,
 )
-from sympgeo.core import _vec2
-from sympgeo.dynamics import _phase_state
+from sympgeo.core import _vec2, _Vec2Twin
+from sympgeo.dynamics import _phase_state, _PhaseStateTwin
 
 _MAX = sys.float_info.max
 _SPECIALS = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min / 3.0, 1e-300, -1e300,
@@ -87,13 +93,50 @@ def test_phase_state_builder_matches_the_public_constructor():
         _same_object(_phase_state(q, p, t), PhaseState(q, p, t))
 
 
+def _same_built(built):
+    """``built`` matches its public constructor, copies and all, and stays frozen."""
+    cls = type(built)
+    public = cls(**dataclasses.asdict(built))
+    _same_object(built, public)
+    for copied in (copy.copy(built), copy.deepcopy(built), dataclasses.replace(built)):
+        _same_object(copied, public)
+    for field in dataclasses.fields(built):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, field.name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, field.name)
+
+
 def test_built_objects_stay_frozen():
     for built in (_vec2(1.0, -0.0), _phase_state(1.0, 2.0, 3.0)):
-        for field in dataclasses.fields(built):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(built, field.name, 0.0)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(built, field.name)
+        _same_built(built)
+
+
+def test_flow_and_sweep_results_match_the_public_constructors():
+    params = OscillatorParams(1.3, 0.7)
+    initial = PhaseState(0.75, -0.25, 0.5)
+    built = [analytic_oscillator(2.5, initial, params)]
+    for method in METHODS:
+        built += simulate(initial, params, 0.125, 40, method).states[1:]
+        built.append(step(initial, params, 0.125, method))
+    # The pivot (1, 0) lies on the crank circle, so the rows at phi = 0, 2*pi
+    # and 4*pi are singular and carry no state.
+    for pivot in (Vec2(3.0, 0.5), Vec2(1.0, 0.0)):
+        sweep = crank_sweep(CrankConfig(1.0, pivot, 2.0), 0.0, 4.0 * math.pi, 33)
+        built += [entry.state.e_psi for entry in sweep if entry.state is not None]
+    assert len(built) == 1 + 3 * 41 + 33 + 30
+    for record in built:
+        _same_built(record)
+
+
+def test_twins_share_the_layout_of_their_records():
+    for twin, cls in ((_Vec2Twin, Vec2), (_PhaseStateTwin, PhaseState)):
+        assert twin.__slots__ == cls.__slots__
+        assert not hasattr(twin(), "__dict__")
+    # Class assignment checks the layout: a Vec2 twin cannot become a PhaseState.
+    v = _Vec2Twin()
+    with pytest.raises(TypeError):
+        v.__class__ = PhaseState
 
 
 def _finite(result):

@@ -295,6 +295,44 @@ def test_ellipse_residual_is_the_difference_of_the_public_energies():
     assert raised["s"] >= 2 and raised["initial"] >= 1
 
 
+
+def test_ellipse_residual_keeps_one_initial_energy_per_initial_and_params():
+    # The memo of the last initial energy is keyed by the identities of both
+    # initial and params: interleaved streams must each get their own energy.
+    other = OscillatorParams(mass=2.0, stiffness=0.5)
+    first, second = PhaseState(1.0, 0.5), PhaseState(-0.25, 2.0, 1.0)
+    equal = PhaseState(1.0, 0.5)  # equal to first, another object
+    order = [(first, UNIT), (first, UNIT), (second, UNIT), (first, UNIT), (first, other),
+             (second, other), (equal, UNIT), (first, other), (second, UNIT), (second, UNIT)]
+    rng = random.Random(2301)
+    for n in range(200):
+        s = PhaseState(_coordinate(rng), _coordinate(rng), float(n))
+        for initial, params in order:
+            want = hamiltonian(s, params) - hamiltonian(initial, params)
+            assert repr(ellipse_residual(s, initial, params)) == repr(want)
+        # New starts, each dropped after its call, so the next may reuse its id.
+        for _ in range(2):
+            q0, p0 = _coordinate(rng), _coordinate(rng)
+            want = hamiltonian(s, UNIT) - hamiltonian(PhaseState(q0, p0), UNIT)
+            assert repr(ellipse_residual(s, PhaseState(q0, p0), UNIT)) == repr(want)
+
+
+def test_ellipse_residual_never_keeps_an_overflowing_initial_energy():
+    s = PhaseState(0.5, 1.0, 1.5)
+    huge = PhaseState(1e200, 0.0, 2.5)
+    for _ in range(3):
+        with pytest.raises(NumericalOverflowError, match=r"^energy overflows at t=2\.5$"):
+            ellipse_residual(s, huge, UNIT)
+    initial = PhaseState(1.0, 0.0)
+    want = hamiltonian(s, UNIT) - hamiltonian(initial, UNIT)
+    assert repr(ellipse_residual(s, initial, UNIT)) == repr(want)
+    # With the initial energy kept, an overflowing s is still named first.
+    with pytest.raises(NumericalOverflowError, match=r"^energy overflows at t=3\.5$"):
+        ellipse_residual(PhaseState(0.0, 1e200, 3.5), initial, UNIT)
+    with pytest.raises(NumericalOverflowError, match=r"^energy overflows at t=3\.5$"):
+        ellipse_residual(PhaseState(0.0, 1e200, 3.5), huge, UNIT)
+    assert repr(ellipse_residual(s, initial, UNIT)) == repr(want)
+
 # --------------------------------------------------------------- simulate
 
 
