@@ -14,11 +14,14 @@ moved by ``dH/dp``), and each method is a row of :data:`SPLITTINGS`: a
 sequence of ``(a, b)`` stages, each a kick of ``a*dt`` followed by a drift
 of ``b*dt``.  Explicit Euler is the method with no stages.
 
-One generator, ``_flow``, holds the step loop: it turns the row into those
-step sizes once per run and yields the states one at a time.
-:func:`simulate` collects them into a :class:`Trajectory`, :func:`step`
-takes the one after its start, and ``sympgeo oscillator`` turns each into
-its report row as it comes.  Each new state is built as a slot twin of
+Each method's step loop is written out once from its row, on the method's
+first run: one template, with a kick statement for each nonzero ``a`` and
+a drift statement for each nonzero ``b``, so no step loops over stages.
+``_flow`` returns that loop's generator, which takes the step sizes once
+per run and yields the states one at a time.  :func:`simulate` collects
+them into a :class:`Trajectory`, :func:`step` takes the one after its
+start, and ``sympgeo oscillator`` turns each into its report row as it
+comes.  Each new state is built as a slot twin of
 :class:`PhaseState`, and :func:`ellipse_residual` keeps the last initial
 energy, so the residuals of one trajectory take it once.
 """
@@ -26,7 +29,7 @@ energy, so the residuals of one trajectory take it once.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -169,6 +172,9 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
       ``q += (b*dt)*(p/m)``.  ``symplectic_euler`` is one full kick and
       drift, ``leapfrog`` is half-kick, drift, half-kick (time-reversible).
 
+    Each method's loop is written out once from its row (or from the field,
+    for explicit Euler), as its own statements, so no step loops over stages.
+
     Every state stamp is the running sum of ``dt``.
     Raises :class:`NumericalOverflowError` when a state overflows.
     """
@@ -179,41 +185,63 @@ def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int
           method: str) -> Iterator[PhaseState]:
     """The step loop of :func:`simulate`: yields ``initial``, then each new state.
 
-    The arguments are checked once, when the first state is asked for, and
-    each stage's kick and drift step sizes ``a*dt`` and ``b*dt`` are
-    computed once, before the first step.  Every step runs on plain floats
-    and builds only its state, as :func:`_phase_state` does through the slot
-    twin, stamped with the running sum of ``dt``.
+    Returns the generator of ``method``'s own loop, which
+    :func:`_build_flow` writes out once from the method's row, on the
+    method's first run.  The arguments are checked when the first state is
+    asked for: ``n_steps``, then ``dt``, then ``method``.
     :func:`simulate`, :func:`step` and ``sympgeo oscillator`` all drain it.
     Raises :class:`NumericalOverflowError` when a state overflows.
     """
+    if method not in METHODS:
+        return _unknown_method(n_steps, dt, method)
+    loop = _LOOPS.get(method)
+    if loop is None:
+        # The module's own string names the code, not the caller's.
+        name = METHODS[METHODS.index(method)]
+        loop = _LOOPS[name] = _build_flow(SPLITTINGS.get(name), name)
+    return loop(initial, params, dt, n_steps)
+
+
+def _check_steps(n_steps: int, dt: float) -> None:
+    """Raise :class:`InvalidStepError` unless ``n_steps >= 1`` and ``dt`` is finite and > 0."""
     if n_steps < 1:
         raise InvalidStepError(f"n_steps must be >= 1, got {n_steps}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidStepError(f"dt must be finite and > 0, got {dt}")
-    if method not in METHODS:
-        raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
+
+
+def _unknown_method(n_steps: int, dt: float, method: str) -> Iterator[PhaseState]:
+    """The flow of a method outside :data:`METHODS`: the step checks, then the method's."""
+    _check_steps(n_steps, dt)
+    raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
+    yield  # A generator, so that the checks wait for the first state.
+
+
+#: A method's step loop: ``loop(initial, params, dt, n_steps)`` is its flow.
+_Loop = Callable[[PhaseState, OscillatorParams, float, int], Iterator[PhaseState]]
+
+#: Each method's step loop, built by :func:`_build_flow` on its first run.
+#: Threads racing on a method's first run may each build one; the loops are
+#: the same, and the last one stored is kept.
+_LOOPS: dict[str, _Loop] = {}
+
+#: The source of every step loop.  ``{sizes}`` takes each stage's step
+#: sizes once per run and ``{steps}`` is the body of one step.  Every step
+#: runs on plain floats and builds only its state, through the slot twin as
+#: :func:`_phase_state` does, stamped with the running sum of ``dt``.
+_FLOW_TEMPLATE = """\
+def _flow(initial, params, dt, n_steps):
+    _check_steps(n_steps, dt)
     k, m = params.stiffness, params.mass
-    euler = method == EXPLICIT_EULER
-    # A zero coefficient skips its half-stage (None): adding ``0.0`` would
-    # turn a ``-0.0`` coordinate into ``+0.0``.  The test is on the
-    # coefficient, so a step size that underflows to 0.0 still runs.
-    stages = [(a * dt if a else None, b * dt if b else None)
-              for a, b in SPLITTINGS.get(method, ())]
+{sizes}
     isfinite, twin, cls = math.isfinite, _PhaseStateTwin, PhaseState
     q, p, t = initial.q, initial.p, initial.t
     yield initial
     for _ in range(n_steps):
-        if euler:
-            q, p = q + dt * (p / m), p + dt * (-(k * q))
-        for kick, drift in stages:
-            if kick is not None:
-                p = p + kick * (-(k * q))
-            if drift is not None:
-                q = q + drift * (p / m)
+{steps}
         t = t + dt
         if not (isfinite(q) and isfinite(p) and isfinite(t)):
-            raise NumericalOverflowError(f"phase state overflows at t={t}")
+            raise NumericalOverflowError(f"phase state overflows at t={{t}}")
         # q, p and t were checked finite just above: _phase_state, inlined.
         s = twin()
         s.q = q
@@ -221,6 +249,44 @@ def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int
         s.t = t
         s.__class__ = cls
         yield s
+"""
+
+
+def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str) -> _Loop:
+    """Compile the step loop of one method from its row.
+
+    ``row`` is a sequence of ``(a, b)`` stages, each a kick
+    ``p = p + kick_i * (-(k * q))`` and then a drift
+    ``q = q + drift_i * (p / m)``, with ``kick_i = a*dt`` and
+    ``drift_i = b*dt`` taken once per run; ``None`` is explicit Euler, one
+    tuple assignment from the current field.  A zero coefficient writes no
+    half-stage: adding ``0.0`` would turn a ``-0.0`` coordinate into
+    ``+0.0``.  The test is on the coefficient, so a step size that
+    underflows to 0.0 still runs.  Only the stage indices enter the source;
+    each coefficient is bound in the loop's globals as ``a_i`` or ``b_i``.
+    ``name`` names the code, as ``<sympgeo.dynamics._flow NAME>``, in
+    tracebacks and profiles.  Every call compiles anew; :func:`_flow` keeps
+    one loop per method.
+    """
+    namespace = {"__name__": __name__, "math": math, "_check_steps": _check_steps,
+                 "_PhaseStateTwin": _PhaseStateTwin, "PhaseState": PhaseState,
+                 "NumericalOverflowError": NumericalOverflowError}
+    sizes, steps = [], []
+    if row is None:
+        steps.append("q, p = q + dt * (p / m), p + dt * (-(k * q))")
+    for i, (a, b) in enumerate(row or ()):
+        if a:
+            namespace[f"a_{i}"] = a
+            sizes.append(f"kick_{i} = a_{i} * dt")
+            steps.append(f"p = p + kick_{i} * (-(k * q))")
+        if b:
+            namespace[f"b_{i}"] = b
+            sizes.append(f"drift_{i} = b_{i} * dt")
+            steps.append(f"q = q + drift_{i} * (p / m)")
+    source = _FLOW_TEMPLATE.format(sizes="\n".join(f"    {line}" for line in sizes),
+                                   steps="\n".join(f"        {line}" for line in steps))
+    exec(compile(source, f"<{__name__}._flow {name}>", "exec"), namespace)
+    return namespace["_flow"]
 
 
 def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams) -> PhaseState:

@@ -8,6 +8,8 @@ and frozen here.
 
 import math
 import random
+import re
+import subprocess
 import sys
 
 import pytest
@@ -32,7 +34,8 @@ from sympgeo import (
     step,
     tilde,
 )
-from sympgeo.dynamics import SPLITTINGS
+from sympgeo import dynamics
+from sympgeo.dynamics import SPLITTINGS, _flow
 
 UNIT = OscillatorParams(mass=1.0, stiffness=1.0)
 
@@ -236,6 +239,97 @@ def test_splitting_rows_match_a_stepwise_reference(method):
         assert repr(simulate(*tiny[0], method).states[1].p) == "0.0"
 
 
+def _splitting_cases():
+    """The seeded cases of test_splitting_rows_match_a_stepwise_reference."""
+    rng = random.Random(12)
+    cases = [(PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0)),
+              OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)),
+              10.0 ** rng.uniform(-6, 0), rng.randint(1, 4)) for _ in range(5000)]
+    cases += [(PhaseState(-1.0, -0.0), UNIT, 5e-324, 1),
+              (PhaseState(1.0, -0.0), UNIT, 5e-324, 2)]
+    cases += [(PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1e-6, 3),
+              (PhaseState(0.0, 1e200), OscillatorParams(1e-300, 1.0), 1.0, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("row", [
+    ((0.5, 0.5), (0.0, 0.5), (0.5, 0.0)),      # zero kick in the middle, zero trailing drift
+    ((0.0, 0.5), (1.0, 0.5)),                  # drift first
+    ((0.5, 1.5), (-0.5, -1.0), (0.5, 0.5), (0.5, 0.0)),   # negative coefficients
+    ((0.0, 0.0),),                              # no half-stage at all
+], ids=["zero-kick-inside", "drift-first", "negative", "identity"])
+def test_built_loops_match_a_stepwise_reference_for_any_row(row):
+    # The loop builder takes a row, not a method, so a row that no method has
+    # yet is written out by the same code and keeps the stage-by-stage bits.
+    loops = dict(dynamics._LOOPS)
+    loop = dynamics._build_flow(row, "synthetic")
+    assert dynamics._LOOPS == loops
+    assert loop.__code__.co_filename == "<sympgeo.dynamics._flow synthetic>"
+    overflowed = 0
+    for initial, params, dt, n_steps in _splitting_cases():
+        want, overflow_t = _stepwise_splitting(initial, params, dt, n_steps, row)
+        if overflow_t is not None:
+            overflowed += 1
+            with pytest.raises(NumericalOverflowError, match=f"at t={overflow_t}$"):
+                list(loop(initial, params, dt, n_steps))
+            continue
+        assert repr(list(loop(initial, params, dt, n_steps))) == repr(want)
+    assert overflowed >= 2 or not any(a or b for a, b in row)
+    # Each kick of 0.5*5e-324 underflows to 0.0, yet a kick with a nonzero
+    # coefficient still runs and adds +0.0 to p = -0.0.
+    if {abs(a) for a, _ in row} <= {0.0, 0.5}:
+        _, after = loop(PhaseState(-1.0, -0.0), UNIT, 5e-324, 1)
+        assert repr(after.p) == ("0.0" if any(a for a, _ in row) else "-0.0")
+    assert dynamics._LOOPS == loops
+
+
+@pytest.mark.parametrize("method", [*METHODS, "rk4", ["leapfrog"]])
+def test_flow_checks_its_arguments_lazily_and_in_order(method):
+    # Calling _flow checks nothing; the first state checks n_steps, then dt,
+    # then the method.
+    initial = PhaseState(1.0, 0.0)
+    for n_steps, dt, error, message in [
+            (0, -1.0, InvalidStepError, "n_steps must be >= 1, got 0"),
+            (1, -1.0, InvalidStepError, "dt must be finite and > 0, got -1.0"),
+            (1, math.nan, InvalidStepError, "dt must be finite and > 0, got nan")]:
+        flow = _flow(initial, UNIT, dt, n_steps, method)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            next(flow)
+    flow = _flow(initial, UNIT, 0.5, 1, method)
+    if method in METHODS:
+        assert next(flow) is initial
+    else:
+        message = f"unknown integrator {method!r}; expected one of {METHODS}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(flow)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_loop_is_built_once_and_names_its_method(method):
+    first = _flow(PhaseState(1.0, 0.0), UNIT, 0.5, 1, method)
+    assert _flow(PhaseState(0.0, 1.0), UNIT, 0.25, 2, method).gi_code is first.gi_code
+    loop = dynamics._LOOPS[method]
+    assert loop.__module__ == "sympgeo.dynamics"
+    assert loop.__code__.co_name == "_flow"
+    # An overflow inside the loop names the method in its innermost frame.
+    with pytest.raises(NumericalOverflowError) as caught:
+        simulate(PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1.0, 3, method)
+    tb = caught.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_filename == f"<sympgeo.dynamics._flow {method}>"
+
+
+def test_loops_are_built_on_first_use():
+    code = ("import sympgeo.dynamics as d\n"
+            "assert d._LOOPS == {}\n"
+            "d.step(d.PhaseState(1.0, 0.0), d.OscillatorParams(1.0, 1.0), 0.5, d.LEAPFROG)\n"
+            "assert list(d._LOOPS) == [d.LEAPFROG]\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("s, params, dt", [
     (PhaseState(0.0, 1e200), OscillatorParams(1e-300, 1.0), 1.0),   # p/m overflows
@@ -264,8 +358,9 @@ def test_energy_overflow_raises_a_typed_singularity():
 
 
 def test_ellipse_residual_is_the_difference_of_the_public_energies():
-    # ellipse_residual evaluates both energies itself; the bits and the
-    # overflow messages must stay those of two hamiltonian calls.
+    # ellipse_residual takes H(initial) through hamiltonian, once per
+    # (initial, params); the bits and the overflow messages must stay those
+    # of two hamiltonian calls.
     rng = random.Random(31)
     cases = [(PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0)),
               PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(10.0, 20.0)),
