@@ -28,6 +28,7 @@ energy, so the residuals of one trajectory take it once.
 
 from __future__ import annotations
 
+import linecache
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -265,8 +266,10 @@ def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str) -> _Loop
     underflows to 0.0 still runs.  Only the stage indices enter the source;
     each coefficient is bound in the loop's globals as ``a_i`` or ``b_i``.
     ``name`` names the code, as ``<sympgeo.dynamics._flow NAME>``, in
-    tracebacks and profiles.  Every call compiles anew; :func:`_flow` keeps
-    one loop per method.
+    tracebacks and profiles, and the source is registered with
+    :mod:`linecache` under that name, so a traceback shows the failing
+    line.  Every call compiles anew; :func:`_flow` keeps one loop per
+    method.
     """
     namespace = {"__name__": __name__, "math": math, "_check_steps": _check_steps,
                  "_PhaseStateTwin": _PhaseStateTwin, "PhaseState": PhaseState,
@@ -285,7 +288,10 @@ def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str) -> _Loop
             steps.append(f"q = q + drift_{i} * (p / m)")
     source = _FLOW_TEMPLATE.format(sizes="\n".join(f"    {line}" for line in sizes),
                                    steps="\n".join(f"        {line}" for line in steps))
-    exec(compile(source, f"<{__name__}._flow {name}>", "exec"), namespace)
+    filename = f"<{__name__}._flow {name}>"
+    # No modification time: linecache.checkcache keeps the entry.
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace["_flow"]
 
 

@@ -3,19 +3,26 @@
 Collects polylines, circles, segments, and markers in data coordinates,
 then scales everything uniformly into a fixed 800x600 view box on save.
 Good enough for construction diagrams, sweep curves, and phase portraits;
-plots are a convenience here, never load-bearing.  Each distinct x data
-column is formatted once per render, so curves drawn over one shared
-column, such as the six crank curves over the crank angle, share its
-screen texts.  Only finite numbers are written: a shape whose data hold a
-NaN or an infinity is rejected with :class:`ValueError`, and saving a plot
-whose data span overflows raises
-:class:`~sympgeo.errors.NumericalOverflowError`.
+plots are a convenience here, never load-bearing.
+
+Each shape keeps a head, a two-stage ``%`` format over its data columns:
+``%.2f`` for each x and ``%%.2f`` for each y (and a circle's radius).  A
+render formats the screen xs into a head once per distinct head and x
+column, which leaves a template holding only the y fields, and then
+formats each shape's screen ys into its template.  So curves drawn over
+one shared column, such as the six crank curves over the crank angle,
+format that column once.
+Colours, labels and the title never pass through a ``%`` format.  Only
+finite numbers are written: a shape whose data hold a NaN or an infinity
+is rejected with :class:`ValueError`, and saving a plot whose data span
+overflows raises :class:`~sympgeo.errors.NumericalOverflowError`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 
 from .errors import NumericalOverflowError
 
@@ -37,9 +44,9 @@ class SvgPlot:
 
     def __init__(self, title: str = "") -> None:
         self.title = title
-        # Per shape: a %-format over its flat screen coordinates, x as "%s"
-        # texts and y (and the scaled radius) as "%.2f" floats; its x and y
-        # data columns, its radius or None, and the closing text.
+        # Per shape: its two-stage head, "%.2f" for each screen x and "%%.2f"
+        # for each screen y (then the scaled radius); its x and y data
+        # columns, its radius or None, and the closing text.
         self._shapes: list[tuple[str, tuple[float, ...], tuple[float, ...], float | None,
                                  str]] = []
         self._legend: list[tuple[str, str]] = []
@@ -80,11 +87,23 @@ class SvgPlot:
 
     def polyline(self, points: Iterable[tuple[float, float]], color: str | None = None,
                  width: float = 1.6, label: str | None = None) -> None:
-        columns = tuple(zip(*points))
-        if not columns:
+        """Connect ``points``, ``(x, y)`` pairs in order, with a line.
+
+        ``points`` may be any iterable, a one-shot iterator included; no
+        points draw nothing.  A point with more than two coordinates is
+        drawn at its first two.  Raises :class:`ValueError`, leaving the
+        plot unchanged, when a point has fewer than two.
+        """
+        points = list(points)
+        if not points:
             return
-        xs, ys = columns
-        self._record('<polyline points="' + ("%s,%.2f " * len(xs))[:-1],
+        try:
+            # Neither column makes a GC-tracked object per point.
+            xs = tuple(map(itemgetter(0), points))
+            ys = tuple(map(itemgetter(1), points))
+        except IndexError:
+            raise ValueError("plot points need two coordinates") from None
+        self._record('<polyline points="' + ("%.2f,%%.2f " * len(xs))[:-1],
                      f'" fill="none" stroke="%s" stroke-width="{width}"/>', xs, ys,
                      PALETTE[self._series % len(PALETTE)] if color is None else color, label)
         if color is None:
@@ -92,20 +111,20 @@ class SvgPlot:
 
     def circle(self, cx: float, cy: float, r: float, color: str = "#333333",
                width: float = 1.6, label: str | None = None) -> None:
-        self._record('<circle cx="%s" cy="%.2f" r="%.2f"',
+        self._record('<circle cx="%.2f" cy="%%.2f" r="%%.2f"',
                      f' fill="none" stroke="%s" stroke-width="{width}"/>',
                      (cx,), (cy,), color, label, r)
 
     def segment(self, x1: float, y1: float, x2: float, y2: float,
                 color: str = "#333333", width: float = 1.6,
                 label: str | None = None) -> None:
-        self._record('<line x1="%s" y1="%.2f" x2="%s" y2="%.2f"',
+        self._record('<line x1="%.2f" y1="%%.2f" x2="%.2f" y2="%%.2f"',
                      f' stroke="%s" stroke-width="{width}"/>', (x1, x2), (y1, y2), color, label)
 
     def marker(self, x: float, y: float, color: str = "#000000",
                label: str | None = None) -> None:
         """Small dot of fixed screen size at a data point."""
-        self._record('<circle cx="%s" cy="%.2f"', ' r="3.5" fill="%s"/>',
+        self._record('<circle cx="%.2f" cy="%%.2f"', ' r="3.5" fill="%s"/>',
                      (x,), (y,), color, label)
 
     def _transform(self) -> tuple[float, float, float]:
@@ -146,23 +165,21 @@ class SvgPlot:
             if self._min_y <= 0.0 <= self._max_y:
                 yield (f'<line x1="{MARGIN:.2f}" y1="{y0:.2f}" x2="{WIDTH - MARGIN:.2f}" '
                        f'y2="{y0:.2f}" stroke="#cccccc" stroke-width="1"/>\n')
-        # Each distinct x column is formatted once per render: its "%.2f"
-        # screen texts are kept here by column, for every shape over an equal
-        # column.  Equal columns give bitwise-equal screen x, since x - min_x
-        # >= 0 and offset_x > 0, so even a -0.0 keyed as 0.0 is exact.
-        x_texts: dict[tuple[float, ...], list[str]] = {}
+        # Each distinct (head, x column) is formatted once per render, into a
+        # template that keeps only the "%.2f" y fields; every shape with an
+        # equal head and column fills its own ys into it.  Equal columns give
+        # bitwise-equal screen x, since x - min_x >= 0 and offset_x > 0, so
+        # even a -0.0 keyed as 0.0 is exact.
+        templates: dict[tuple[str, tuple[float, ...]], str] = {}
         for head, xs, ys, radius, tail in self._shapes:
-            texts = x_texts.get(xs)
-            if texts is None:
-                texts = x_texts[xs] = ("%.2f\n" * len(xs) % tuple(
-                    [offset_x + (x - min_x) * scale for x in xs])).splitlines()
-            # The screen coordinates, interleaved x, y, x, y, ...
-            coords: list[str | float] = [0.0] * (2 * len(xs))
-            coords[::2] = texts
-            coords[1::2] = [HEIGHT - (offset_y + (y - min_y) * scale) for y in ys]
+            template = templates.get((head, xs))
+            if template is None:
+                template = templates[head, xs] = head % tuple(
+                    [offset_x + (x - min_x) * scale for x in xs])
+            screen = [HEIGHT - (offset_y + (y - min_y) * scale) for y in ys]
             if radius is not None:
-                coords.append(radius * scale)
-            yield head % tuple(coords)
+                screen.append(radius * scale)
+            yield template % tuple(screen)
             yield tail + "\n"
         if self.title:
             yield (f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" '

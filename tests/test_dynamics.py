@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import traceback
 
 import pytest
 
@@ -208,24 +209,35 @@ def _stepwise_splitting(initial, params, dt, n_steps, stages):
     return states, None
 
 
-@pytest.mark.parametrize("method", SPLITTINGS)
-def test_splitting_rows_match_a_stepwise_reference(method):
-    # simulate precomputes a*dt and b*dt; each state must keep the bits of
-    # the stage-by-stage update, signed zeros and subnormals included.
+# 0.5*5e-324 underflows to 0.0, yet a = 0.5 is not a zero coefficient: the
+# half kick still runs and adds +0.0 to p = -0.0.
+_TINY = [(PhaseState(-1.0, -0.0), UNIT, 5e-324, 1),
+         (PhaseState(1.0, -0.0), UNIT, 5e-324, 2)]
+
+
+def _splitting_cases():
+    """Seeded ``(initial, params, dt, n_steps)`` cases for the splitting loops.
+
+    Signed zeros and subnormals from ``_coordinate``, then the two
+    ``_TINY`` underflow cases and two that overflow.
+    """
     rng = random.Random(12)
     cases = [(PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0)),
               OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)),
               10.0 ** rng.uniform(-6, 0), rng.randint(1, 4)) for _ in range(5000)]
-    # 0.5*5e-324 underflows to 0.0, yet a = 0.5 is not a zero coefficient:
-    # the half kick still runs and adds +0.0 to p = -0.0.
-    tiny = [(PhaseState(-1.0, -0.0), UNIT, 5e-324, 1),
-            (PhaseState(1.0, -0.0), UNIT, 5e-324, 2)]
-    cases += tiny
+    cases += _TINY
     cases += [(PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1e-6, 3),
               (PhaseState(0.0, 1e200), OscillatorParams(1e-300, 1.0), 1.0, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("method", SPLITTINGS)
+def test_splitting_rows_match_a_stepwise_reference(method):
+    # simulate precomputes a*dt and b*dt; each state must keep the bits of
+    # the stage-by-stage update, signed zeros and subnormals included.
     stages = SPLITTINGS[method]
     overflowed = 0
-    for initial, params, dt, n_steps in cases:
+    for initial, params, dt, n_steps in _splitting_cases():
         want, overflow_t = _stepwise_splitting(initial, params, dt, n_steps, stages)
         if overflow_t is not None:
             overflowed += 1
@@ -236,20 +248,7 @@ def test_splitting_rows_match_a_stepwise_reference(method):
         assert repr(got) == repr(want)
     assert overflowed >= 2
     if method == LEAPFROG:
-        assert repr(simulate(*tiny[0], method).states[1].p) == "0.0"
-
-
-def _splitting_cases():
-    """The seeded cases of test_splitting_rows_match_a_stepwise_reference."""
-    rng = random.Random(12)
-    cases = [(PhaseState(_coordinate(rng), _coordinate(rng), rng.uniform(0.0, 10.0)),
-              OscillatorParams(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)),
-              10.0 ** rng.uniform(-6, 0), rng.randint(1, 4)) for _ in range(5000)]
-    cases += [(PhaseState(-1.0, -0.0), UNIT, 5e-324, 1),
-              (PhaseState(1.0, -0.0), UNIT, 5e-324, 2)]
-    cases += [(PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1e-6, 3),
-              (PhaseState(0.0, 1e200), OscillatorParams(1e-300, 1.0), 1.0, 3)]
-    return cases
+        assert repr(simulate(*_TINY[0], method).states[1].p) == "0.0"
 
 
 @pytest.mark.parametrize("row", [
@@ -318,6 +317,20 @@ def test_each_loop_is_built_once_and_names_its_method(method):
     while tb.tb_next is not None:
         tb = tb.tb_next
     assert tb.tb_frame.f_code.co_filename == f"<sympgeo.dynamics._flow {method}>"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_traceback_through_a_loop_shows_the_failing_line(method):
+    # The generated source is registered with linecache, so the innermost
+    # frame of an overflow prints its raise statement.
+    with pytest.raises(NumericalOverflowError) as caught:
+        simulate(PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1.0, 3, method)
+    lines = "".join(traceback.format_exception(caught.value)).splitlines()
+    head = f'  File "<sympgeo.dynamics._flow {method}>", line '
+    frame = max(i for i, line in enumerate(lines) if line.startswith(head))
+    assert lines[frame].endswith(", in _flow")
+    assert lines[frame + 1].strip() == (
+        'raise NumericalOverflowError(f"phase state overflows at t={t}")')
 
 
 def test_loops_are_built_on_first_use():

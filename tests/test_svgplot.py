@@ -1,5 +1,6 @@
 """Plot writer: structural checks, and the rule that only finite numbers are written."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -410,3 +411,85 @@ def test_shared_x_columns_match_a_per_shape_reference(tmp_path, build):
     target = tmp_path / "plot.svg"
     plot.write(str(target))
     assert target.read_bytes() == text.encode("utf-8")
+
+
+def test_a_long_polyline_and_its_render_trigger_at_most_one_collection():
+    # Splitting the points into columns makes no GC-tracked object per point,
+    # so a long curve does not fill the young generation by itself.
+    rng = random.Random(25)
+    points = [(0.001 * i, rng.uniform(-1.0, 1.0)) for i in range(5000)]
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        plot = SvgPlot("long")
+        plot.polyline(points, label="curve")
+        plot.to_svg()
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) <= 1, collections
+
+
+@pytest.mark.parametrize("bad", [[(1.0,)], [(0.0, 0.0), (1.0,)], [(1.0,), (2.0,)],
+                                 [(0.0, 0.0), ()], [()]],
+                         ids=["one-point", "second-point", "all-points", "empty-point",
+                              "only-empty"])
+def test_a_point_with_fewer_than_two_coordinates_is_rejected(bad):
+    reference = SvgPlot("points")
+    reference.polyline([(0.0, 0.0), (1.0, 2.0)], label="kept")
+    plot = SvgPlot("points")
+    plot.polyline([(0.0, 0.0), (1.0, 2.0)], label="kept")
+    with pytest.raises(ValueError):
+        plot.polyline(bad, label="rejected")
+    with pytest.raises(ValueError):
+        plot.polyline(iter(bad))
+    # No bound, shape, legend entry or palette colour was taken.
+    plot.polyline([(2.0, 1.0), (3.0, 0.5)])
+    reference.polyline([(2.0, 1.0), (3.0, 0.5)])
+    assert plot.to_svg() == reference.to_svg()
+
+
+def test_a_point_with_extra_coordinates_is_drawn_at_its_first_two():
+    pairs = [(0.0, 1.0), (1.5, -2.0), (3.0, 0.25)]
+    reference = SvgPlot("extra")
+    reference.polyline(pairs, label="curve")
+    plot = SvgPlot("extra")
+    plot.polyline([(0.0, 1.0, 7.0), [1.5, -2.0, math.nan, "z"], (3.0, 0.25)], label="curve")
+    assert plot.to_svg() == reference.to_svg()
+    # Every point with a third coordinate, as (x, y, t) rows.
+    plot = SvgPlot("extra")
+    plot.polyline(iter([(x, y, 0.1 * i) for i, (x, y) in enumerate(pairs)]), label="curve")
+    assert plot.to_svg() == reference.to_svg()
+
+
+# Texts that a second pass of "%" formatting would eat or fail on.
+_PERCENT_TEXTS = ("%s", "%%", "%.2f", "100%% of %s at %.2f%")
+
+
+@pytest.mark.parametrize("text", _PERCENT_TEXTS)
+def test_percent_signs_in_colours_labels_and_titles_render_verbatim(text):
+    # Two polylines share an x column and so one template; the other shapes
+    # each have their own.
+    xs = [0.0, 1.0, 2.5]
+    calls = [("polyline", (list(zip(xs, [0.5, -1.0, 2.0])),), text, 1.6, text),
+             ("polyline", (list(zip(xs, [1.5, 0.0, -0.5])),), text, 0.8, text + "2"),
+             ("polyline", ([(-1.0, 0.0), (0.5, 1.0)],), text, 1.6, None),
+             ("circle", (1.0, 0.5, 0.75), text, 2.0, text),
+             ("segment", (-0.5, -1.0, 2.0, 1.5), text, 1.2, text),
+             ("marker", (0.0, 0.0), text, None, text)]
+    plot = SvgPlot(text)
+    for shape, args, color, width, label in calls:
+        if shape == "marker":
+            plot.marker(*args, color=color, label=label)
+        else:
+            getattr(plot, shape)(*args, color=color, width=width, label=label)
+    svg = plot.to_svg()
+    assert svg == _reference_svg(plot, calls)
+    # The colour of each shape and of each legend swatch.
+    assert svg.count(f'"{text}"') == len(calls) + sum(1 for *_, label in calls if label)
