@@ -14,14 +14,14 @@ moved by ``dH/dp``), and each method is a row of :data:`SPLITTINGS`: a
 sequence of ``(a, b)`` stages, each a kick of ``a*dt`` followed by a drift
 of ``b*dt``.  Explicit Euler is the method with no stages.
 
-Each method's step loop is written out once from its row, on the method's
-first run: one template, with a kick statement for each nonzero ``a`` and
-a drift statement for each nonzero ``b``, so no step loops over stages.
-``_flow`` returns that loop's generator, which takes the step sizes once
-per run and yields the states one at a time.  :func:`simulate` collects
-them into a :class:`Trajectory`, :func:`step` takes the one after its
-start, and ``sympgeo oscillator`` turns each into its report row as it
-comes.  Each new state is built as a slot twin of
+Each method's step loop is written out once from its row, at import: one
+template, with a kick statement for each nonzero ``a`` and a drift
+statement for each nonzero ``b``, so no step loops over stages.  ``_flow``
+checks a run's arguments and returns that loop's generator, which takes
+the step sizes once per run and yields the states one at a time.
+:func:`simulate` collects them into a :class:`Trajectory`, :func:`step`
+takes the one after its start, and ``sympgeo oscillator`` turns each into
+its report row as it comes.  Each new state is built as a slot twin of
 :class:`PhaseState`, and :func:`ellipse_residual` keeps the last initial
 energy, so the residuals of one trajectory take it once.
 """
@@ -186,45 +186,20 @@ def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int
           method: str) -> Iterator[PhaseState]:
     """The step loop of :func:`simulate`: yields ``initial``, then each new state.
 
-    Returns the generator of ``method``'s own loop, which
-    :func:`_build_flow` writes out once from the method's row, on the
-    method's first run.  The arguments are checked when the first state is
-    asked for: ``n_steps``, then ``dt``, then ``method``.
+    Checks ``n_steps``, then ``dt``, then ``method``, and returns the
+    generator of ``method``'s own loop, which :func:`_build_flow` writes out
+    once from the method's row, at import.
     :func:`simulate`, :func:`step` and ``sympgeo oscillator`` all drain it.
     Raises :class:`NumericalOverflowError` when a state overflows.
     """
-    if method not in METHODS:
-        return _unknown_method(n_steps, dt, method)
-    loop = _LOOPS.get(method)
-    if loop is None:
-        # The module's own string names the code, not the caller's.
-        name = METHODS[METHODS.index(method)]
-        loop = _LOOPS[name] = _build_flow(SPLITTINGS.get(name), name)
-    return loop(initial, params, dt, n_steps)
-
-
-def _check_steps(n_steps: int, dt: float) -> None:
-    """Raise :class:`InvalidStepError` unless ``n_steps >= 1`` and ``dt`` is finite and > 0."""
     if n_steps < 1:
         raise InvalidStepError(f"n_steps must be >= 1, got {n_steps}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidStepError(f"dt must be finite and > 0, got {dt}")
+    if method not in METHODS:
+        raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
+    return _LOOPS[method](initial, params, dt, n_steps)
 
-
-def _unknown_method(n_steps: int, dt: float, method: str) -> Iterator[PhaseState]:
-    """The flow of a method outside :data:`METHODS`: the step checks, then the method's."""
-    _check_steps(n_steps, dt)
-    raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
-    yield  # A generator, so that the checks wait for the first state.
-
-
-#: A method's step loop: ``loop(initial, params, dt, n_steps)`` is its flow.
-_Loop = Callable[[PhaseState, OscillatorParams, float, int], Iterator[PhaseState]]
-
-#: Each method's step loop, built by :func:`_build_flow` on its first run.
-#: Threads racing on a method's first run may each build one; the loops are
-#: the same, and the last one stored is kept.
-_LOOPS: dict[str, _Loop] = {}
 
 #: The source of every step loop.  ``{sizes}`` takes each stage's step
 #: sizes once per run and ``{steps}`` is the body of one step.  Every step
@@ -232,7 +207,6 @@ _LOOPS: dict[str, _Loop] = {}
 #: :func:`_phase_state` does, stamped with the running sum of ``dt``.
 _FLOW_TEMPLATE = """\
 def _flow(initial, params, dt, n_steps):
-    _check_steps(n_steps, dt)
     k, m = params.stiffness, params.mass
 {sizes}
     isfinite, twin, cls = math.isfinite, _PhaseStateTwin, PhaseState
@@ -253,7 +227,8 @@ def _flow(initial, params, dt, n_steps):
 """
 
 
-def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str) -> _Loop:
+def _build_flow(row: tuple[tuple[float, float], ...] | None,
+                name: str) -> Callable[..., Iterator[PhaseState]]:
     """Compile the step loop of one method from its row.
 
     ``row`` is a sequence of ``(a, b)`` stages, each a kick
@@ -268,12 +243,10 @@ def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str) -> _Loop
     ``name`` names the code, as ``<sympgeo.dynamics._flow NAME>``, in
     tracebacks and profiles, and the source is registered with
     :mod:`linecache` under that name, so a traceback shows the failing
-    line.  Every call compiles anew; :func:`_flow` keeps one loop per
-    method.
+    line.  Every call compiles anew; :data:`_LOOPS` keeps one per method.
     """
-    namespace = {"__name__": __name__, "math": math, "_check_steps": _check_steps,
-                 "_PhaseStateTwin": _PhaseStateTwin, "PhaseState": PhaseState,
-                 "NumericalOverflowError": NumericalOverflowError}
+    namespace = {"__name__": __name__, "math": math, "_PhaseStateTwin": _PhaseStateTwin,
+                 "PhaseState": PhaseState, "NumericalOverflowError": NumericalOverflowError}
     sizes, steps = [], []
     if row is None:
         steps.append("q, p = q + dt * (p / m), p + dt * (-(k * q))")
@@ -371,3 +344,7 @@ def area_residual(params: OscillatorParams, dt: float, method: str = LEAPFROG) -
     if not math.isfinite(residual):
         raise NumericalOverflowError(f"area residual overflows at dt={dt}")
     return residual
+
+
+#: Each method's step loop: ``_LOOPS[method](initial, params, dt, n_steps)``.
+_LOOPS = {name: _build_flow(SPLITTINGS.get(name), name) for name in METHODS}

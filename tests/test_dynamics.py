@@ -284,23 +284,20 @@ def test_built_loops_match_a_stepwise_reference_for_any_row(row):
 
 @pytest.mark.parametrize("method", [*METHODS, "rk4", ["leapfrog"]])
 def test_flow_checks_its_arguments_lazily_and_in_order(method):
-    # Calling _flow checks nothing; the first state checks n_steps, then dt,
-    # then the method.
+    # The _flow call itself checks n_steps, then dt, then the method.
     initial = PhaseState(1.0, 0.0)
     for n_steps, dt, error, message in [
             (0, -1.0, InvalidStepError, "n_steps must be >= 1, got 0"),
             (1, -1.0, InvalidStepError, "dt must be finite and > 0, got -1.0"),
             (1, math.nan, InvalidStepError, "dt must be finite and > 0, got nan")]:
-        flow = _flow(initial, UNIT, dt, n_steps, method)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            next(flow)
-    flow = _flow(initial, UNIT, 0.5, 1, method)
+            _flow(initial, UNIT, dt, n_steps, method)
     if method in METHODS:
-        assert next(flow) is initial
+        assert next(_flow(initial, UNIT, 0.5, 1, method)) is initial
     else:
         message = f"unknown integrator {method!r}; expected one of {METHODS}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            next(flow)
+            _flow(initial, UNIT, 0.5, 1, method)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -333,11 +330,18 @@ def test_a_traceback_through_a_loop_shows_the_failing_line(method):
         'raise NumericalOverflowError(f"phase state overflows at t={t}")')
 
 
-def test_loops_are_built_on_first_use():
+def test_loops_are_built_at_import():
+    # Importing the module builds every method's loop, and no run builds
+    # another.
     code = ("import sympgeo.dynamics as d\n"
-            "assert d._LOOPS == {}\n"
-            "d.step(d.PhaseState(1.0, 0.0), d.OscillatorParams(1.0, 1.0), 0.5, d.LEAPFROG)\n"
-            "assert list(d._LOOPS) == [d.LEAPFROG]\n")
+            "assert list(d._LOOPS) == list(d.METHODS)\n"
+            "loops = dict(d._LOOPS)\n"
+            "unit = d.OscillatorParams(1.0, 1.0)\n"
+            "for method in d.METHODS:\n"
+            "    d.simulate(d.PhaseState(1.0, 0.0), unit, 0.5, 3, method)\n"
+            "    d.step(d.PhaseState(0.0, 1.0), unit, 0.5, method)\n"
+            "assert list(d._LOOPS) == list(loops)\n"
+            "assert all(d._LOOPS[m] is loop for m, loop in loops.items())\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=60)
     assert result.returncode == 0, result.stderr

@@ -66,8 +66,15 @@ def test_mixed_plot_digest_is_pinned():
     plot.circle(1.0, 0.5, 1.25, label="disc")
     plot.segment(-1.0, -1.0, 4.5, 2.5, color="#d62728", label="chord")
     plot.marker(2.0, 2.0, label="point")
-    digest = hashlib.sha256(plot.to_svg().encode()).hexdigest()
-    assert digest == "6cbdeaec95c019b247d5b5264870ff7234cea14125b8093a5d0daf8c5154362a"
+    # One shape of each kind, as the stdlib-only CI check draws them.
+    four = SvgPlot("stdlib only")
+    four.polyline([(0.0, 0.0), (1.0, 2.0), (2.5, -0.5)], label="curve")
+    four.circle(0.5, 0.5, 0.25, label="circle")
+    four.segment(0.0, 1.0, 2.0, 0.0)
+    four.marker(1.0, 1.0)
+    assert [hashlib.sha256(p.to_svg().encode()).hexdigest() for p in (plot, four)] == [
+        "6cbdeaec95c019b247d5b5264870ff7234cea14125b8093a5d0daf8c5154362a",
+        "3565544b577e35d9a1ea9c37a81d27f80b4694bda73414c6cf7782c1526d5d46"]
 
 
 # Edge coordinates: NaN, signed zeros and magnitudes at both ends of the float
