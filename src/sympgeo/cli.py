@@ -23,8 +23,9 @@ trajectory states beside their rows, so the rows are what a large run's
 peak memory holds: packed floats (:func:`_row_view`), ten per ``crank``
 row and four per ``oscillator`` row, taken from each sweep entry or state
 as it is yielded.  Each runner imports the layers it runs, so a run
-loads ``core``, ``errors`` and only the layers of its subcommand
-(``svgplot`` only with ``--svg``).
+loads ``errors``, the float kernels of ``_kernels`` and only the layers
+of its subcommand (``svgplot`` only with ``--svg``): ``identities`` and
+``intersect`` run on the kernels alone and load no record type.
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.
@@ -41,12 +42,13 @@ import time
 from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import Vec2, _identity_terms, norm
-from .errors import DegeneracyError, NumericalOverflowError, SingularityError
+from ._kernels import _identity_terms, _meet
+from .errors import DegeneracyError, NumericalOverflowError, SingularityError, ZeroDirectionError
 
 if TYPE_CHECKING:
     from array import array
 
+    from .core import Vec2
     from .dynamics import OscillatorParams, PhaseState
     from .geometry import Circle, Tangent
     from .svgplot import SvgPlot
@@ -95,17 +97,16 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _parse_vec(text: str) -> Vec2:
+def _parse_vec(text: str) -> tuple[float, float]:
+    """An ``x,y`` option as a pair of floats, each finite by :func:`_finite_float`."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected x,y, got {text!r}")
-    try:
-        return Vec2(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return _finite_float(parts[0]), _finite_float(parts[1])
 
 
 def _parse_circle(text: str) -> Circle:
+    from .core import Vec2
     from .geometry import Circle
 
     parts = text.split(",")
@@ -178,14 +179,15 @@ class _Table(NamedTuple):
 def _echo(args: argparse.Namespace) -> dict:
     """The report's ``input`` section: every run argument in declaration order.
 
-    A ``Vec2`` is written as ``[x, y]`` and a ``Circle`` as ``[x, y, r]``.
+    An ``x,y`` pair is written as ``[x, y]``, as :func:`_vec_json` writes a
+    ``Vec2``, and a ``Circle`` as ``[x, y, r]``.
     """
     echo = {}
     for name, value in vars(args).items():
         if name in ("subcommand", "json", "csv"):
             continue
-        if isinstance(value, Vec2):
-            value = _vec_json(value)
+        if isinstance(value, tuple):
+            value = list(value)
         elif hasattr(value, "radius"):  # a Circle; ``geometry`` may not be loaded
             value = _vec_json(value.center) + [value.radius]
         echo[name] = value
@@ -360,17 +362,25 @@ def _run_identities(args: argparse.Namespace) -> _Result:
 
 
 def _run_intersect(args: argparse.Namespace) -> _Result:
-    from .geometry import Line, intersect_lines
-
-    line1 = Line(args.a, args.u)
-    line2 = Line(args.b, args.v)
-    result = intersect_lines(line1, line2)
+    (ax, ay), (ux, uy), (bx, by), (vx, vy) = args.a, args.u, args.b, args.v
+    # ``Line``'s check, in the order the two lines are built.
+    for dx, dy in ((ux, uy), (vx, vy)):
+        if dx == 0.0 and dy == 0.0:
+            raise ZeroDirectionError("line direction must be nonzero")
+    x, y, lam, mu = _meet(ax, ay, ux, uy, bx, by, vx, vy)
     # Where the anchor offset overflows, the loop is closed at half scale,
-    # as intersect_lines forms it; the factor 1.0 leaves every other loop exact.
-    k = 1.0 if math.isfinite(args.b.x - args.a.x) and math.isfinite(args.b.y - args.a.y) else 0.5
-    closure = (args.b * k - args.a * k) + args.v * (result.mu * k) - args.u * (result.lam * k)
-    return _Result({"point": _vec_json(result.point), "lambda": result.lam, "mu": result.mu},
-                   {"loop_closure": norm(closure) / k}, [], EXIT_OK)
+    # as _meet forms it; the factor 1.0 leaves every other loop exact.  The
+    # closure is ``(b*k - a*k) + v*(mu*k) - u*(lam*k)`` in ``Vec2``'s
+    # operation order, and its length is ``norm``'s.
+    k = 1.0 if math.isfinite(bx - ax) and math.isfinite(by - ay) else 0.5
+    mk, lk = mu * k, lam * k
+    closure = math.hypot(((bx * k - ax * k) + vx * mk) - ux * lk,
+                         ((by * k - ay * k) + vy * mk) - uy * lk) / k
+    # An infinite term makes a sum infinite or NaN, and hypot keeps either.
+    if not math.isfinite(closure):
+        raise NumericalOverflowError("loop closure of the line intersection overflows")
+    return _Result({"point": [x, y], "lambda": lam, "mu": mu},
+                   {"loop_closure": closure}, [], EXIT_OK)
 
 
 def _tangents_plot(c1: Circle, c2: Circle, tangents: list[Tangent]) -> SvgPlot:
@@ -466,9 +476,10 @@ def _crank_plot(store: array) -> SvgPlot:
 def _run_crank(args: argparse.Namespace) -> _Result:
     from array import array  # a shared extension module: only the packing runners load it
 
+    from .core import Vec2
     from .kinematics import CrankConfig, _grid, _sweep, loop_residuals
 
-    cfg = CrankConfig(args.length, args.pivot, args.phidot)
+    cfg = CrankConfig(args.length, Vec2(*args.pivot), args.phidot)
     unit = _DEG if args.degrees else 1.0  # scaling by 1.0 is exact, -0.0 included
     # The entries are consumed as the sweep yields them; only the rows are kept.
     entries = _sweep(cfg, _grid(getattr(args, "from") * unit, args.to * unit, args.steps))

@@ -21,10 +21,11 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+# ATOL, the absolute floor for approximate comparisons and degeneracy
+# thresholds, is defined beside the float kernels and re-exported here.
+from ._kernels import ATOL, _identity_terms, _rescaled
 from .errors import DegenerateScaleError, NumericalOverflowError, ZeroVectorError
 
-#: Absolute floor for approximate comparisons and degeneracy thresholds.
-ATOL = 1e-12
 #: Relative factor applied to the operand scale in approximate comparisons.
 RTOL = 1e-9
 
@@ -147,17 +148,6 @@ def symp(a: Vec2, b: Vec2) -> float:
 def norm(a: Vec2) -> float:
     """Euclidean length ``sqrt(dot(a, a))``."""
     return math.hypot(a.x, a.y)
-
-
-def _rescaled(x: float, y: float) -> tuple[float, float, int]:
-    """``(x*2**-k, y*2**-k, k)`` with the larger magnitude in ``[0.5, 1)``.
-
-    A power-of-two scale is exact in the normal range, so products of the
-    scaled components are the unscaled ones times ``2**-k``, but cannot
-    overflow.  Callers pass a nonzero vector.
-    """
-    k = math.frexp(max(abs(x), abs(y)))[1]
-    return math.ldexp(x, -k), math.ldexp(y, -k), k
 
 
 def inverse(a: Vec2) -> Vec2:
@@ -322,7 +312,7 @@ def identity_residuals(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> IdentityResiduals:
 
     Only the last identity uses ``d``.
 
-    Evaluated on plain floats by :func:`_identity_terms`.  Raises
+    Evaluated on plain floats by :func:`sympgeo._kernels._identity_terms`.  Raises
     :class:`NumericalOverflowError` when a residual overflows.
     """
     jx, jy, fx, fy, lagrange, rx, ry, binet_cauchy = _identity_terms(
@@ -330,40 +320,3 @@ def identity_residuals(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> IdentityResiduals:
     # Every component was checked finite by the kernel.
     return tuple.__new__(IdentityResiduals, (_vec2(jx, jy), _vec2(fx, fy), lagrange,
                                              _vec2(rx, ry), binet_cauchy))
-
-
-def _identity_terms(ax: float, ay: float, bx: float, by: float, cx: float, cy: float,
-                    dx: float, dy: float) -> tuple[float, ...]:
-    """The eight residual components of :func:`identity_residuals` on plain floats.
-
-    Returns ``(jacobi_x, jacobi_y, grassmann_full_x, grassmann_full_y, lagrange,
-    grassmann_reduced_x, grassmann_reduced_y, binet_cauchy)``, each checked
-    finite.  The formulas are evaluated in the order they are written, with
-    each product computed once (``dot`` is symmetric bit for bit).  Raises
-    :class:`NumericalOverflowError` when a residual overflows.
-    """
-    s_bc = bx * cy - by * cx
-    s_ca = cx * ay - cy * ax
-    s_ab = ax * by - ay * bx
-    s_ba = bx * ay - by * ax
-    d_ca = cx * ax + cy * ay
-    d_ab = ax * bx + ay * by
-    d_aa = ax * ax + ay * ay
-    d_bb = bx * bx + by * by
-    jacobi_x = -ay * s_bc + -by * s_ca + -cy * s_ab
-    jacobi_y = ax * s_bc + bx * s_ca + cx * s_ab
-    full_x = -ay * s_bc + bx * d_ca - cx * d_ab
-    full_y = ax * s_bc + by * d_ca - cy * d_ab
-    try:
-        lagrange = s_ab ** 2 + d_ab ** 2 - d_aa * d_bb
-    except OverflowError as exc:
-        raise NumericalOverflowError("identity residuals overflow") from exc
-    reduced_x = -ay * s_ba + bx * d_aa - ax * d_ab
-    reduced_y = ax * s_ba + by * d_aa - ay * d_ab
-    binet_cauchy = (s_ab * (cx * dy - cy * dx)
-                    - (d_ca * (bx * dx + by * dy) - (ax * dx + ay * dy) * (bx * cx + by * cy)))
-    if not (math.isfinite(jacobi_x) and math.isfinite(jacobi_y) and math.isfinite(full_x)
-            and math.isfinite(full_y) and math.isfinite(lagrange) and math.isfinite(reduced_x)
-            and math.isfinite(reduced_y) and math.isfinite(binet_cauchy)):
-        raise NumericalOverflowError("identity residuals overflow")
-    return jacobi_x, jacobi_y, full_x, full_y, lagrange, reduced_x, reduced_y, binet_cauchy

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, _rescaled, _vec2, _Vec2Twin, symp, tilde
+from ._kernels import ATOL, _meet, _rescaled
+from .core import Vec2, _vec2, _Vec2Twin, symp, tilde
 from .errors import (
     CoincidentCentersError,
     DegenerateDenominatorError,
     NumericalOverflowError,
-    ParallelLinesError,
     ZeroDirectionError,
 )
 
@@ -119,7 +119,7 @@ def is_collinear(a: Vec2, b: Vec2, c: Vec2, tol: float = 1e-9) -> bool:
         edges = [0.5 * q - 0.5 * p for p, q in pairs]
         largest = max(map(abs, edges))
     # One power of two brings the largest edge component into [0.5, 1), as
-    # ``core._rescaled`` does, so the residual and the products neither
+    # ``_kernels._rescaled`` does, so the residual and the products neither
     # underflow nor overflow; in the normal range the verdict is unchanged.
     k = math.frexp(largest)[1]
     abx, aby, acx, acy, bcx, bcy = [math.ldexp(e, -k) for e in edges]
@@ -170,36 +170,18 @@ def intersect_lines(line1: Line, line2: Line) -> Intersection:
     anchor points) by multiplying with the perpendiculars of ``v`` and
     ``u``, each of which kills one unknown.
 
-    Each direction is rescaled by ``2**-k`` so that its larger component
-    lies in ``[0.5, 1)``; in the normal range that scale is exact, so the
-    parallel test, ``lam`` and ``mu`` come out bit for bit as from the
-    unscaled formulas, and directions near 1e300 no longer overflow them.
-    When the anchor offset overflows, it is formed from the halved anchors
-    instead, so anchors near 1e308 on opposite sides still meet.  Raises
+    Wraps the float kernel :func:`sympgeo._kernels._meet`, which the
+    ``intersect`` subcommand runs directly.  It rescales each direction by
+    a power of two, exact in the normal range, so directions near 1e300 do
+    not overflow the formulas, and it halves the anchors where their offset
+    overflows, so anchors near 1e308 on opposite sides still meet.  Raises
+    :class:`ParallelLinesError` for parallel lines and
     :class:`NumericalOverflowError` when the result overflows.
     """
     p, u = line1.point, line1.direction
-    ux, uy, ku = _rescaled(u.x, u.y)
-    vx, vy, kv = _rescaled(line2.direction.x, line2.direction.y)
-    denominator = ux * vy - uy * vx
-    if abs(denominator) <= ATOL * math.hypot(ux, uy) * math.hypot(vx, vy):
-        raise ParallelLinesError("lines are parallel; no finite intersection")
-    ax, ay = line2.point.x - p.x, line2.point.y - p.y
-    if not (math.isfinite(ax) and math.isfinite(ay)):
-        # Halved anchors are exact and their offset stays finite; a factor 2
-        # on lam and mu undoes the halving.
-        ax, ay = line2.point.x * 0.5 - p.x * 0.5, line2.point.y * 0.5 - p.y * 0.5
-        ku -= 1
-        kv -= 1
-    try:
-        lam = math.ldexp(-(vx * ay - vy * ax) / denominator, -ku)
-        mu = math.ldexp((ax * uy - ay * ux) / denominator, -kv)
-    except OverflowError as exc:
-        raise NumericalOverflowError("line intersection overflows") from exc
-    x, y = p.x + u.x * lam, p.y + u.y * lam
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(mu)):
-        raise NumericalOverflowError("line intersection overflows")
-    # x and y were checked finite just above.
+    q, v = line2.point, line2.direction
+    x, y, lam, mu = _meet(p.x, p.y, u.x, u.y, q.x, q.y, v.x, v.y)
+    # The kernel checked x and y finite.
     return tuple.__new__(Intersection, (_vec2(x, y), lam, mu))
 
 

@@ -20,6 +20,8 @@ from sympgeo import cli, dynamics
 from sympgeo.cli import main
 from sympgeo.core import Vec2, identity_residuals, norm
 from sympgeo.dynamics import OscillatorParams, PhaseState, hamiltonian, simulate
+from sympgeo.errors import DegeneracyError, SingularityError
+from sympgeo.geometry import Line, intersect_lines
 
 
 def _reject_constant(name):
@@ -124,6 +126,21 @@ def test_float_flags_must_be_finite(capsys, subcommand, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: expected a finite number, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["intersect", "--a", "inf,0", "--u", "1,0", "--b", "0,1", "--v", "0,1"],
+     "argument --a: expected a finite number, got 'inf'"),
+    (["intersect", "--a", "0,0", "--u", "1,0", "--b", "0,1", "--v", "1,x"],
+     "argument --v: expected a number, got 'x'"),
+    (["crank", "--length", "1", "--pivot", "nan,1", "--phidot", "1", "--from", "0", "--to", "1",
+      "--steps", "3"], "argument --pivot: expected a finite number, got 'nan'"),
+])
+def test_vector_flags_share_the_number_rule(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("span", ["1e308", "-1e308", "8.98846567431158e307"])
@@ -348,6 +365,103 @@ def test_intersect_anchor_report(capsys):
     assert report["residuals"]["loop_closure"] <= 1e-12
     assert report["input"] == {"a": [0.0, 0.0], "u": [1.0, 0.0],
                                "b": [2.0, 2.0], "v": [0.0, 1.0]}
+
+
+# ``intersect`` runs on the float kernel ``_meet`` and builds no record; the
+# reference is the record path it replaced, ``intersect_lines`` on two
+# ``Line``s and the loop closure as a ``Vec2`` expression.
+
+_LINE_VALUES = (0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, -1.0, 3.0, 1e150, 1e300, -1e300, 1.7e308)
+
+
+def _line_value(rng):
+    value = rng.choice(_LINE_VALUES)
+    return -value if rng.random() < 0.5 else value
+
+
+def _intersect_case(rng):
+    """Anchors and directions ``(a, u, b, v)``, a fifth of the pairs parallel,
+    a fifth near-parallel and a tenth with a zero direction."""
+    a, u, b, v = [(_line_value(rng), _line_value(rng)) for _ in range(4)]
+    roll = rng.random()
+    if roll < 0.4:
+        if roll < 0.2:
+            scale = _line_value(rng)
+            near = (u[0] * scale, u[1] * scale)
+        else:
+            near = (u[0] * (1.0 + rng.choice((1e-15, 1e-12, 1e-9))), u[1])
+        if math.isfinite(near[0]) and math.isfinite(near[1]):
+            v = near
+    elif roll < 0.5:
+        zero = (rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+        if rng.random() < 0.5:
+            u = zero
+        else:
+            v = zero
+    return a, u, b, v
+
+
+def _reference_intersect(a, u, b, v):
+    """``(exit code, intersection or error message, loop closure)`` by the record
+    path; the closure is None where its ``Vec2`` expression is not finite."""
+    try:
+        result = intersect_lines(Line(Vec2(*a), Vec2(*u)), Line(Vec2(*b), Vec2(*v)))
+    except DegeneracyError as exc:
+        return 2, f"geometric degeneracy: {exc}", None
+    except SingularityError as exc:
+        return 3, f"numerical singularity: {exc}", None
+    a, u, b, v = Vec2(*a), Vec2(*u), Vec2(*b), Vec2(*v)
+    k = 1.0 if math.isfinite(b.x - a.x) and math.isfinite(b.y - a.y) else 0.5
+    try:
+        closure = norm((b * k - a * k) + v * (result.mu * k) - u * (result.lam * k)) / k
+    except ValueError:
+        return 0, result, None
+    return 0, result, closure if math.isfinite(closure) else None
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_intersect_matches_the_record_path(capsys, monkeypatch, seed):
+    # One parser serves every run: building it costs ten times the run.
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(1000):
+        a, u, b, v = _intersect_case(rng)
+        argv = ["intersect"] + [f"--{name}={x!r},{y!r}"
+                                for name, (x, y) in zip("aubv", (a, u, b, v))]
+        code = main(argv)
+        captured = capsys.readouterr()
+        expected, result, closure = _reference_intersect(a, u, b, v)
+        codes.append(expected)
+        if expected == 0 and closure is None:
+            # The record path's closure overflows: a typed overflow, not a ValueError.
+            assert code == 3, argv
+            assert "loop closure of the line intersection overflows" in captured.err
+            continue
+        assert code == expected, argv
+        if code:
+            assert captured.out == ""
+            assert result in captured.err, argv
+            continue
+        report = strict_json(captured.out)
+        got = report["results"]
+        assert [repr(c) for c in got["point"]] == [repr(result.point.x), repr(result.point.y)]
+        assert repr(got["lambda"]) == repr(result.lam), argv
+        assert repr(got["mu"]) == repr(result.mu), argv
+        assert repr(report["residuals"]["loop_closure"]) == repr(closure), argv
+    # The seeded mix reaches every exit path.
+    assert {0, 2, 3} <= set(codes)
+
+
+def test_exit_code_three_on_a_loop_closure_overflow(capsys, monkeypatch):
+    # No input found makes the closure overflow once ``_meet`` succeeds, so
+    # the kernel is stood in for: ``v*mu`` is 1e309.
+    monkeypatch.setattr(cli, "_meet", lambda *args: (0.0, 0.0, 0.0, 1e308))
+    assert main(["intersect", "--a", "0,0", "--u", "0,1", "--b", "0,0", "--v", "10,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical singularity: loop closure of the line intersection overflows" in captured.err
 
 
 def test_tangents_anchor_report(capsys):

@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,8 +85,8 @@ def test_import_loads_no_layer():
 
 def test_layer_resolves_after_plain_import():
     code = "import sympgeo\nassert sympgeo.kinematics.__name__ == 'sympgeo.kinematics'"
-    assert loaded_modules(code) == ["sympgeo", "sympgeo.core", "sympgeo.errors",
-                                    "sympgeo.kinematics"]
+    assert loaded_modules(code) == ["sympgeo", "sympgeo._kernels", "sympgeo.core",
+                                    "sympgeo.errors", "sympgeo.kinematics"]
 
 
 def test_cli_methods_name_the_dynamics_methods():
@@ -95,7 +96,7 @@ def test_cli_methods_name_the_dynamics_methods():
     assert sorted(cli._METHOD_NAMES.values()) == sorted(METHODS)
 
 
-_CLI_BASE = ["sympgeo", "sympgeo.cli", "sympgeo.core", "sympgeo.errors"]
+_CLI_BASE = ["sympgeo", "sympgeo._kernels", "sympgeo.cli", "sympgeo.errors"]
 _RUN_MAIN = ("import contextlib, io, sys\nfrom sympgeo.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert main(sys.argv[1:]) == 0")
@@ -103,15 +104,33 @@ _RUN_MAIN = ("import contextlib, io, sys\nfrom sympgeo.cli import main\n"
 
 @pytest.mark.parametrize("argv, layers", [
     (["identities", "--samples", "5"], []),
-    (["intersect", "--a", "0,0", "--u", "1,0", "--b", "1,1", "--v", "0,1"], ["geometry"]),
-    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], ["geometry"]),
+    (["intersect", "--a", "0,0", "--u", "1,0", "--b", "1,1", "--v", "0,1"], []),
+    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], ["core", "geometry"]),
     (["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from", "0",
-      "--to", "1", "--steps", "5", "--csv"], ["kinematics"]),
+      "--to", "1", "--steps", "5", "--csv"], ["core", "kinematics"]),
     (["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0", "--dt", "0.1",
-      "--steps", "5", "--method", "leapfrog"], ["dynamics"]),
-    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "{svg}"], ["geometry", "svgplot"]),
+      "--steps", "5", "--method", "leapfrog"], ["core", "dynamics"]),
+    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "{svg}"],
+     ["core", "geometry", "svgplot"]),
 ], ids=["identities", "intersect", "tangents", "crank", "oscillator", "tangents-svg"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, layers):
     argv = [arg.format(svg=tmp_path / "t.svg") for arg in argv]
     expected = sorted(_CLI_BASE + [f"sympgeo.{layer}" for layer in layers])
     assert loaded_modules(_RUN_MAIN, *argv) == expected
+
+
+def test_kernel_subcommands_load_no_dataclass_machinery():
+    # -S keeps site-packages out, so only the interpreter's start-up and the
+    # two runs can have loaded a module.
+    src = str(Path(sympgeo.__file__).resolve().parent.parent)
+    script = (f"import sys\nsys.path.insert(0, {src!r})\n"
+              "import contextlib, io\nfrom sympgeo.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['identities', '--samples', '5']) == 0\n"
+              "    assert main(['intersect', '--a', '0,0', '--u', '1,0', '--b', '1,1',"
+              " '--v', '0,1']) == 0\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
