@@ -80,7 +80,11 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
     parallel test, ``lam`` and ``mu`` come out bit for bit as from the
     unscaled formulas, and directions near 1e300 do not overflow them.
     When the anchor offset overflows, it is formed from the halved anchors
-    instead, so anchors near 1e308 on opposite sides still meet.  Raises
+    instead, so anchors near 1e308 on opposite sides still meet.  When
+    ``lam`` or ``mu`` overflows on the unscaled offset, both are formed
+    again on the offset rescaled the same way and scaled back by its
+    exponent, so a large offset over a direction far from unit scale
+    still meets where the result is finite.  Raises
     :class:`ParallelLinesError` for parallel lines and
     :class:`NumericalOverflowError` when the result overflows.
     """
@@ -96,9 +100,18 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
         ax, ay = qx * 0.5 - px * 0.5, qy * 0.5 - py * 0.5
         ku -= 1
         kv -= 1
+    lam = -(svx * ay - svy * ax) / denominator
+    mu = (ax * suy - ay * sux) / denominator
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        # The offset is rescaled like the directions; its exponent joins theirs.
+        sax, say, ka = _rescaled(ax, ay)
+        lam = -(svx * say - svy * sax) / denominator
+        mu = (sax * suy - say * sux) / denominator
+        ku -= ka
+        kv -= ka
     try:
-        lam = math.ldexp(-(svx * ay - svy * ax) / denominator, -ku)
-        mu = math.ldexp((ax * suy - ay * sux) / denominator, -kv)
+        lam = math.ldexp(lam, -ku)
+        mu = math.ldexp(mu, -kv)
     except OverflowError as exc:
         raise NumericalOverflowError("line intersection overflows") from exc
     x, y = px + ux * lam, py + uy * lam

@@ -8,7 +8,10 @@ JSON by default (CSV for the tabular subcommands), deterministic for a
 fixed command line apart from the wall-time field.
 
 A run is parse -> run -> plot -> report, all driven by :func:`main`.  It
-parses the command line; the subcommand's runner computes a
+parses the command line to plain numbers: an ``x,y`` or ``x,y,r`` option
+is a tuple of floats, each component finite by the one number rule of
+:func:`_finite_float`.  Records, and the rules they own (as a circle's
+radius), are built only in the runners.  The subcommand's runner computes a
 :class:`_Result` (the report's ``results`` and ``residuals`` sections,
 for the tabular subcommands one row per sample, and a builder of
 the ``--svg`` diagram); with ``--svg`` it draws and writes the diagram;
@@ -34,6 +37,7 @@ error, 2 geometric degeneracy, 3 numerical singularity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -48,7 +52,6 @@ from .errors import DegeneracyError, NumericalOverflowError, SingularityError, Z
 if TYPE_CHECKING:
     from array import array
 
-    from .core import Vec2
     from .dynamics import OscillatorParams, PhaseState
     from .geometry import Circle, Tangent
     from .svgplot import SvgPlot
@@ -97,25 +100,15 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _parse_vec(text: str) -> tuple[float, float]:
-    """An ``x,y`` option as a pair of floats, each finite by :func:`_finite_float`."""
+def _parse_floats(text: str, shape: str) -> tuple[float, ...]:
+    """An ``x,y`` or ``x,y,r`` option, as ``shape`` names, as a tuple of floats.
+
+    Each component is finite by :func:`_finite_float`.
+    """
     parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected x,y, got {text!r}")
-    return _finite_float(parts[0]), _finite_float(parts[1])
-
-
-def _parse_circle(text: str) -> Circle:
-    from .core import Vec2
-    from .geometry import Circle
-
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,r, got {text!r}")
-    try:
-        return Circle(Vec2(float(parts[0]), float(parts[1])), float(parts[2]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if len(parts) != shape.count(",") + 1:
+        raise argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
+    return tuple(map(_finite_float, parts))
 
 
 def _finite_float(text: str) -> float:
@@ -136,10 +129,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
-
-
-def _vec_json(v: Vec2) -> list[float]:
-    return [v.x, v.y]
 
 
 #: ``true``/``false`` as both writers spell them.
@@ -179,18 +168,13 @@ class _Table(NamedTuple):
 def _echo(args: argparse.Namespace) -> dict:
     """The report's ``input`` section: every run argument in declaration order.
 
-    An ``x,y`` pair is written as ``[x, y]``, as :func:`_vec_json` writes a
-    ``Vec2``, and a ``Circle`` as ``[x, y, r]``.
+    An ``x,y`` or ``x,y,r`` option is written as the list ``[x, y]`` or ``[x, y, r]``.
     """
     echo = {}
     for name, value in vars(args).items():
         if name in ("subcommand", "json", "csv"):
             continue
-        if isinstance(value, tuple):
-            value = list(value)
-        elif hasattr(value, "radius"):  # a Circle; ``geometry`` may not be loaded
-            value = _vec_json(value.center) + [value.radius]
-        echo[name] = value
+        echo[name] = list(value) if isinstance(value, tuple) else value
     return echo
 
 
@@ -260,6 +244,8 @@ def _json_pieces(envelope: dict, table: _Table | None, rows: Sequence) -> Iterat
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sympgeo", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    vec = functools.partial(_parse_floats, shape="x,y")
+    circle = functools.partial(_parse_floats, shape="x,y,r")
 
     p_id = sub.add_parser("identities",
                           help="fuzz the five product identities with seeded random vectors")
@@ -273,21 +259,21 @@ def _build_parser() -> _Parser:
 
     p_int = sub.add_parser("intersect",
                            help="intersect two lines given as point and direction")
-    p_int.add_argument("--a", type=_parse_vec, required=True, help="anchor of line 1 (x,y)")
-    p_int.add_argument("--u", type=_parse_vec, required=True, help="direction of line 1 (x,y)")
-    p_int.add_argument("--b", type=_parse_vec, required=True, help="anchor of line 2 (x,y)")
-    p_int.add_argument("--v", type=_parse_vec, required=True, help="direction of line 2 (x,y)")
+    p_int.add_argument("--a", type=vec, required=True, help="anchor of line 1 (x,y)")
+    p_int.add_argument("--u", type=vec, required=True, help="direction of line 1 (x,y)")
+    p_int.add_argument("--b", type=vec, required=True, help="anchor of line 2 (x,y)")
+    p_int.add_argument("--v", type=vec, required=True, help="direction of line 2 (x,y)")
 
     p_tan = sub.add_parser("tangents",
                            help="common tangents of two circles")
-    p_tan.add_argument("--c1", type=_parse_circle, required=True, help="first circle (x,y,r)")
-    p_tan.add_argument("--c2", type=_parse_circle, required=True, help="second circle (x,y,r)")
+    p_tan.add_argument("--c1", type=circle, required=True, help="first circle (x,y,r)")
+    p_tan.add_argument("--c2", type=circle, required=True, help="second circle (x,y,r)")
     p_tan.add_argument("--svg", metavar="PATH", help="write a construction diagram")
 
     p_crank = sub.add_parser("crank",
                              help="sweep the inverted slider crank over a crank-angle interval")
     p_crank.add_argument("--length", type=_finite_float, required=True, help="crank length")
-    p_crank.add_argument("--pivot", type=_parse_vec, required=True, help="pivot block (x,y)")
+    p_crank.add_argument("--pivot", type=vec, required=True, help="pivot block (x,y)")
     p_crank.add_argument("--phidot", type=_finite_float, required=True, help="drive rate")
     p_crank.add_argument("--from", type=_finite_float, required=True, help="first crank angle")
     p_crank.add_argument("--to", type=_finite_float, required=True, help="last crank angle")
@@ -368,16 +354,19 @@ def _run_intersect(args: argparse.Namespace) -> _Result:
         if dx == 0.0 and dy == 0.0:
             raise ZeroDirectionError("line direction must be nonzero")
     x, y, lam, mu = _meet(ax, ay, ux, uy, bx, by, vx, vy)
-    # Where the anchor offset overflows, the loop is closed at half scale,
-    # as _meet forms it; the factor 1.0 leaves every other loop exact.  The
-    # closure is ``(b*k - a*k) + v*(mu*k) - u*(lam*k)`` in ``Vec2``'s
-    # operation order, and its length is ``norm``'s.
-    k = 1.0 if math.isfinite(bx - ax) and math.isfinite(by - ay) else 0.5
-    mk, lk = mu * k, lam * k
-    closure = math.hypot(((bx * k - ax * k) + vx * mk) - ux * lk,
-                         ((by * k - ay * k) + vy * mk) - uy * lk) / k
-    # An infinite term makes a sum infinite or NaN, and hypot keeps either.
-    if not math.isfinite(closure):
+    # The closure ``(b*k - a*k) + v*(mu*k) - u*(lam*k)`` in ``Vec2``'s
+    # operation order, with ``norm``'s length, is formed at unit scale and,
+    # only where that overflows, at half scale: every term of a finite meet
+    # is then finite, as ``|v*mu| = |point - b|`` is at most twice the
+    # largest float.  An infinite term makes a sum infinite or NaN, and
+    # hypot keeps either.
+    for k in (1.0, 0.5):
+        mk, lk = mu * k, lam * k
+        closure = math.hypot(((bx * k - ax * k) + vx * mk) - ux * lk,
+                             ((by * k - ay * k) + vy * mk) - uy * lk) / k
+        if math.isfinite(closure):
+            break
+    else:
         raise NumericalOverflowError("loop closure of the line intersection overflows")
     return _Result({"point": [x, y], "lambda": lam, "mu": mu},
                    {"loop_closure": closure}, [], EXIT_OK)
@@ -409,23 +398,26 @@ def _tangents_plot(c1: Circle, c2: Circle, tangents: list[Tangent]) -> SvgPlot:
 
 
 def _run_tangents(args: argparse.Namespace) -> _Result:
-    from .geometry import circle_tangents, tangent_distance_error
+    from .core import Vec2
+    from .geometry import Circle, circle_tangents, tangent_distance_error
 
-    tangents = circle_tangents(args.c1, args.c2)
+    (x1, y1, r1), (x2, y2, r2) = args.c1, args.c2
+    c1, c2 = Circle(Vec2(x1, y1), r1), Circle(Vec2(x2, y2), r2)
+    tangents = circle_tangents(c1, c2)
     max_error = 0.0
     entries = []
     for t in tangents:
-        max_error = max(max_error, tangent_distance_error(t, args.c1, args.c2))
+        max_error = max(max_error, tangent_distance_error(t, c1, c2))
         entries.append({
             "kind": t.kind,
             "lambda": t.lam,
-            "touch1": _vec_json(t.touch1),
-            "touch2": _vec_json(t.touch2),
-            "e": _vec_json(t.direction_e),
+            "touch1": [t.touch1.x, t.touch1.y],
+            "touch2": [t.touch2.x, t.touch2.y],
+            "e": [t.direction_e.x, t.direction_e.y],
         })
     return _Result({"count": len(tangents), "tangents": entries},
                    {"max_tangency_error": max_error}, [], EXIT_OK,
-                   lambda: _tangents_plot(args.c1, args.c2, tangents))
+                   lambda: _tangents_plot(c1, c2, tangents))
 
 
 _CRANK_COLUMNS = ("phi", "s", "psi", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot",

@@ -73,8 +73,8 @@ class Vec2:
     def __mul__(self, scalar: float) -> Vec2:
         return Vec2(self.x * scalar, self.y * scalar)
 
-    def __rmul__(self, scalar: float) -> Vec2:
-        return Vec2(scalar * self.x, scalar * self.y)
+    # IEEE multiplication commutes bit for bit, signed zeros included.
+    __rmul__ = __mul__
 
     def __truediv__(self, scalar: float) -> Vec2:
         return Vec2(self.x / scalar, self.y / scalar)

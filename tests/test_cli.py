@@ -135,9 +135,23 @@ def test_float_flags_must_be_finite(capsys, subcommand, flag, value):
      "argument --v: expected a number, got 'x'"),
     (["crank", "--length", "1", "--pivot", "nan,1", "--phidot", "1", "--from", "0", "--to", "1",
       "--steps", "3"], "argument --pivot: expected a finite number, got 'nan'"),
+    (["tangents", "--c1", "inf,0,1", "--c2", "4,0,1"],
+     "argument --c1: expected a finite number, got 'inf'"),
+    (["tangents", "--c1", "0,0,1", "--c2", "1,x,1"], "argument --c2: expected a number, got 'x'"),
 ])
 def test_vector_flags_share_the_number_rule(capsys, argv, message):
     assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("c1, message", [
+    ("0,0", "argument --c1: expected x,y,r, got '0,0'"),
+    ("0,0,-1", "sympgeo: invalid value: circle radius must be finite and >= 0, got -1.0"),
+])
+def test_circle_flags_keep_their_shape_and_radius_rules(capsys, c1, message):
+    assert main(["tangents", "--c1", c1, "--c2", "4,0,1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
@@ -452,6 +466,16 @@ def test_intersect_matches_the_record_path(capsys, monkeypatch, seed):
         assert repr(report["residuals"]["loop_closure"]) == repr(closure), argv
     # The seeded mix reaches every exit path.
     assert {0, 2, 3} <= set(codes)
+
+
+def test_intersect_over_a_large_offset_and_a_direction_far_from_unit_scale(capsys):
+    # mu's quotient on the unscaled offset overflowed; the closure, whose
+    # unit-scale terms overflow, is formed at half scale.
+    code, report = run_json(capsys, ["intersect", "--a", "8e307,0", "--u", "1,1",
+                                     "--b", "-8e307,0", "--v", "3e300,1e300"])
+    assert code == 0
+    assert report["results"] == {"point": [1.6e308, 8e307], "lambda": 8e307, "mu": 8e7}
+    assert math.isfinite(report["residuals"]["loop_closure"])
 
 
 def test_exit_code_three_on_a_loop_closure_overflow(capsys, monkeypatch):
@@ -1114,6 +1138,101 @@ def test_svg_write_failure_exits_with_usage_code(tmp_path, capsys):
         assert code == 1
         assert captured.out == ""
         assert "sympgeo: cannot write output:" in captured.err
+
+
+# ------------------------------------------------------------ error contract
+
+# Every numeric option of the seeded fuzz is drawn from these values; a
+# radius from their magnitudes and -1, so the radius rule is reached.
+_FUZZ_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-13, 1e-8, 0.5, 1.0, -1.0, 2.0, 3.0, 7.0,
+                1e150, 1e160, 1e300, -1e300, 1.7e308)
+_FUZZ_RADII = tuple(sorted({abs(v) for v in _FUZZ_VALUES})) + (-1.0,)
+#: The domain rules a valid-looking command line may break, exiting 1.
+_DOMAIN_MESSAGES = ("invalid value: crank_length must be", "invalid value: mass must be",
+                    "invalid value: stiffness must be", "invalid value: steps must be >= 2",
+                    "invalid value: circle radius must be")
+
+
+def _fuzz_argv(rng):
+    """One command line: 1 to 20 steps or samples, ``--csv`` and ``--degrees`` at
+    random, every number from :data:`_FUZZ_VALUES`."""
+    def value():
+        return repr(rng.choice(_FUZZ_VALUES))
+
+    def pair():
+        return f"{value()},{value()}"
+
+    def circle():
+        return f"{pair()},{rng.choice(_FUZZ_RADII)!r}"
+
+    subcommand = rng.choice(("identities", "intersect", "tangents", "crank", "oscillator"))
+    if subcommand == "identities":
+        argv = [f"--samples={rng.randint(1, 20)}", f"--seed={rng.randint(0, 99)}",
+                f"--range={value()}"]
+    elif subcommand == "intersect":
+        argv = [f"--{name}={pair()}" for name in "aubv"]
+    elif subcommand == "tangents":
+        argv = [f"--c1={circle()}", f"--c2={circle()}"]
+    elif subcommand == "crank":
+        argv = [f"--length={value()}", f"--pivot={pair()}", f"--phidot={value()}",
+                f"--from={value()}", f"--to={value()}", f"--steps={rng.randint(1, 20)}"]
+        if rng.random() < 0.5:
+            argv.append("--degrees")
+    else:
+        argv = [f"--{name}={value()}" for name in ("mass", "stiffness", "q0", "p0", "dt")]
+        argv += [f"--steps={rng.randint(1, 20)}",
+                 f"--method={rng.choice(sorted(cli._METHOD_NAMES))}"]
+    if subcommand in ("identities", "crank", "oscillator") and rng.random() < 0.5:
+        argv.append("--csv")
+    return [subcommand] + argv
+
+
+def _check_csv(text, subcommand):
+    """Each row of a ``--csv`` report has the header's width and finite numbers;
+    only a singular crank row leaves its state cells empty."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert rows
+    for row in rows:
+        assert len(row) == len(header)
+        cells = row
+        if subcommand == "identities":
+            cells = row[1:]
+        elif subcommand == "crank":
+            assert row[-2:] in (["false", "false"], ["false", "true"], ["true", "true"])
+            cells = row[:1] if row[-2] == "true" else row[:-2]
+            assert row[1:-2] == [""] * 7 or row[-2] == "false"
+        assert all(math.isfinite(float(cell)) for cell in cells)
+
+
+@pytest.mark.parametrize("seed", [28])
+def test_the_error_contract_holds_over_a_seeded_fuzz(capsys, monkeypatch, seed):
+    # One parser serves every run: building it costs ten times the run.
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    rng = random.Random(seed)
+    codes, rules = [], set()
+    for index in range(2000):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - the contract is that none escapes
+            pytest.fail(f"run {index} {argv} raised {exc!r}")
+        out, err = capsys.readouterr()
+        codes.append(code)
+        if code == 0:
+            if "--csv" in argv:
+                _check_csv(out, argv[0])
+            else:
+                strict_json(out)
+            continue
+        assert out == "", (index, argv)
+        if code == 1:
+            broken = [m for m in _DOMAIN_MESSAGES if m in err]
+            assert "usage: sympgeo" in err or broken, (index, argv, err)
+            rules.update(broken)
+    # The mix reaches every exit code and every listed rule, the radius rule included.
+    assert set(codes) == {0, 1, 2, 3}
+    assert rules == set(_DOMAIN_MESSAGES)
 
 
 # ------------------------------------------------------------------ module

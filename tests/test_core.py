@@ -124,6 +124,26 @@ def test_vec2_arithmetic():
     assert a / 2.0 == Vec2(0.5, 1.0)
 
 
+def test_scaling_from_either_side_is_the_same_product():
+    # Signed zeros, ints, subnormals and magnitudes near the overflow limit.
+    pool = (0.0, -0.0, 0, 1, -3, 7, 5e-324, -5e-324, 2.5e-310, 1e300, -1.7e300, 3e8, 0.1)
+    rng = random.Random(2801)
+    raised = 0
+    for _ in range(2000):
+        s = rng.choice(pool) * rng.choice((1, 1.0, 1.5, -2.0))
+        v = Vec2(rng.choice(pool) * rng.uniform(0.5, 2.0), rng.choice(pool))
+        try:
+            right = repr(v * s)
+        except ValueError as exc:
+            raised += 1
+            with pytest.raises(ValueError) as info:
+                s * v
+            assert str(info.value) == str(exc)
+            continue
+        assert repr(s * v) == right
+    assert raised > 0
+
+
 def test_norm_anchor_values():
     assert norm(Vec2(3.0, 4.0)) == 5.0
     assert norm(Vec2(0.0, 0.0)) == 0.0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -338,6 +339,42 @@ def test_intersect_lines_overflow_raises_a_typed_singularity():
     with pytest.raises(NumericalOverflowError, match="intersection overflows"):
         intersect_lines(Line(Vec2(0.0, 0.0), Vec2(1e-300, 0.0)),
                         Line(Vec2(1e10, 1.0), Vec2(0.0, 1.0)))
+
+
+def test_intersect_lines_over_a_large_offset_and_a_direction_far_from_unit_scale():
+    # mu's quotient on the unscaled offset, 3.4e308, overflows before 2**-kv
+    # brings it back to 8e7; these lines were reported as overflowing.
+    hit = intersect_lines(Line(Vec2(8e307, 0.0), Vec2(1.0, 1.0)),
+                          Line(Vec2(-8e307, 0.0), Vec2(3e300, 1e300)))
+    assert repr(tuple(hit)) == repr((Vec2(1.6e308, 8e307), 8e307, 8e7))
+    rng = random.Random(2800)
+    largest = Fraction(sys.float_info.max)
+    met = 0
+    for _ in range(500):
+        p = Vec2(rng.uniform(1e307, 8e307), rng.uniform(-1e307, 1e307))
+        q = Vec2(-rng.uniform(1e307, 8e307), rng.uniform(-1e307, 1e307))
+        angle = rng.uniform(-math.pi, math.pi)
+        turn = angle + rng.uniform(0.3, math.pi - 0.3)
+        scale = rng.choice((1e-300, 1e200, 1e300))
+        u = Vec2(math.cos(angle), math.sin(angle))
+        v = Vec2(math.cos(turn) * scale, math.sin(turn) * scale)
+        # Exact solution in rationals: p + lam*u == q + mu*v.
+        fu, fv = (Fraction(u.x), Fraction(u.y)), (Fraction(v.x), Fraction(v.y))
+        ax, ay = Fraction(q.x) - Fraction(p.x), Fraction(q.y) - Fraction(p.y)
+        den = fu[0] * fv[1] - fu[1] * fv[0]
+        lam = (ax * fv[1] - ay * fv[0]) / den
+        mu = (ax * fu[1] - ay * fu[0]) / den
+        exact = (lam, mu, Fraction(p.x) + fu[0] * lam, Fraction(p.y) + fu[1] * lam)
+        if any(abs(want) > largest for want in exact):
+            with pytest.raises(NumericalOverflowError, match="intersection overflows"):
+                intersect_lines(Line(p, u), Line(q, v))
+            continue
+        hit = intersect_lines(Line(p, u), Line(q, v))
+        met += 1
+        condition = math.sqrt((fu[0] ** 2 + fu[1] ** 2) * (fv[0] ** 2 + fv[1] ** 2) / den ** 2)
+        for got, want in zip((hit.lam, hit.mu, hit.point.x, hit.point.y), exact):
+            assert abs(Fraction(got) - want) <= Fraction(1e-8 * condition) * (1 + abs(want))
+    assert met >= 250
 
 
 def test_jacobi_triangle_residual_anchor():

@@ -134,3 +134,19 @@ def test_kernel_subcommands_load_no_dataclass_machinery():
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_parsing_builds_no_record():
+    # Circle options parse to floats; the records are built by the runner.
+    src = str(Path(sympgeo.__file__).resolve().parent.parent)
+    script = (f"import sys\nsys.path.insert(0, {src!r})\n"
+              "from sympgeo import cli\n"
+              "args = cli._build_parser().parse_args(['tangents', '--c1', '0,0,1',"
+              " '--c2', '4,0,-1'])\n"
+              "assert args.c1 == (0.0, 0.0, 1.0) and args.c2 == (4.0, 0.0, -1.0), args\n"
+              "print(sorted({'sympgeo.core', 'sympgeo.geometry', 'dataclasses'}"
+              " & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
