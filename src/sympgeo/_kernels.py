@@ -4,8 +4,10 @@ Each kernel takes and returns floats and builds no record, so this module
 imports only :mod:`math` and :mod:`sympgeo.errors`: the ``identities``
 and ``intersect`` subcommands run on it without loading ``core``,
 ``geometry`` or ``dataclasses``.  :func:`sympgeo.core.identity_residuals`
-wraps :func:`_identity_terms` and :func:`sympgeo.geometry.intersect_lines`
-wraps :func:`_meet`, so each formula has one copy.
+wraps :func:`_identity_terms`, :func:`sympgeo.geometry.intersect_lines`
+wraps :func:`_meet`, and :func:`_meet` and the common-tangent kernel of
+:mod:`sympgeo.geometry` both form their loop vector with :func:`_offset`,
+so each formula has one copy.
 """
 
 from __future__ import annotations
@@ -27,6 +29,20 @@ def _rescaled(x: float, y: float) -> tuple[float, float, int]:
     """
     k = math.frexp(max(abs(x), abs(y)))[1]
     return math.ldexp(x, -k), math.ldexp(y, -k), k
+
+
+def _offset(px: float, py: float, qx: float, qy: float) -> tuple[float, float, int]:
+    """``(dx, dy, h)`` with ``(dx, dy) * 2**h`` the offset ``q - p``.
+
+    ``h`` is 0 where ``q - p`` is finite.  Where it overflows, the offset
+    of the halved points, which is exact at that magnitude and finite,
+    comes with ``h = 1``.  The offset is not rescaled otherwise, so a
+    finite difference keeps its bits.
+    """
+    dx, dy = qx - px, qy - py
+    if math.isfinite(dx) and math.isfinite(dy):
+        return dx, dy, 0
+    return qx * 0.5 - px * 0.5, qy * 0.5 - py * 0.5, 1
 
 
 def _identity_terms(ax: float, ay: float, bx: float, by: float, cx: float, cy: float,
@@ -79,8 +95,8 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
     lies in ``[0.5, 1)``; in the normal range that scale is exact, so the
     parallel test, ``lam`` and ``mu`` come out bit for bit as from the
     unscaled formulas, and directions near 1e300 do not overflow them.
-    When the anchor offset overflows, it is formed from the halved anchors
-    instead, so anchors near 1e308 on opposite sides still meet.  When
+    The anchor offset is :func:`_offset`'s, halved where it overflows, so
+    anchors near 1e308 on opposite sides still meet.  When
     ``lam`` or ``mu`` overflows on the unscaled offset, both are formed
     again on the offset rescaled the same way and scaled back by its
     exponent, so a large offset over a direction far from unit scale
@@ -93,13 +109,10 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
     denominator = sux * svy - suy * svx
     if abs(denominator) <= ATOL * math.hypot(sux, suy) * math.hypot(svx, svy):
         raise ParallelLinesError("lines are parallel; no finite intersection")
-    ax, ay = qx - px, qy - py
-    if not (math.isfinite(ax) and math.isfinite(ay)):
-        # Halved anchors are exact and their offset stays finite; a factor 2
-        # on lam and mu undoes the halving.
-        ax, ay = qx * 0.5 - px * 0.5, qy * 0.5 - py * 0.5
-        ku -= 1
-        kv -= 1
+    # Where the offset was halved, a factor 2 on lam and mu undoes it.
+    ax, ay, h = _offset(px, py, qx, qy)
+    ku -= h
+    kv -= h
     lam = -(svx * ay - svy * ax) / denominator
     mu = (ax * suy - ay * sux) / denominator
     if not (math.isfinite(lam) and math.isfinite(mu)):

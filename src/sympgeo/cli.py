@@ -10,8 +10,12 @@ fixed command line apart from the wall-time field.
 A run is parse -> run -> plot -> report, all driven by :func:`main`.  It
 parses the command line to plain numbers: an ``x,y`` or ``x,y,r`` option
 is a tuple of floats, each component finite by the one number rule of
-:func:`_finite_float`.  Records, and the rules they own (as a circle's
-radius), are built only in the runners.  The subcommand's runner computes a
+:func:`_finite_float`.  Each subcommand's parser sets its runner, and for
+a tabular subcommand its row schema, as the ``run`` and ``table``
+defaults of the parsed arguments, so :func:`main` dispatches from the
+parse alone and no second registry names the subcommands.  Records, and
+the rules they own (as a circle's radius), are built only in the
+runners.  The subcommand's runner computes a
 :class:`_Result` (the report's ``results`` and ``residuals`` sections,
 for the tabular subcommands one row per sample, and a builder of
 the ``--svg`` diagram); with ``--svg`` it draws and writes the diagram;
@@ -169,10 +173,12 @@ def _echo(args: argparse.Namespace) -> dict:
     """The report's ``input`` section: every run argument in declaration order.
 
     An ``x,y`` or ``x,y,r`` option is written as the list ``[x, y]`` or ``[x, y, r]``.
+    The subcommand's name, the format flags and the dispatch defaults ``run``
+    and ``table`` are left out.
     """
     echo = {}
     for name, value in vars(args).items():
-        if name in ("subcommand", "json", "csv"):
+        if name in ("subcommand", "json", "csv", "run", "table"):
             continue
         echo[name] = list(value) if isinstance(value, tuple) else value
     return echo
@@ -256,6 +262,7 @@ def _build_parser() -> _Parser:
     fmt = p_id.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report (default)")
     fmt.add_argument("--csv", action="store_true", help="one row per identity family")
+    p_id.set_defaults(run=_run_identities, table=_IDENTITIES_TABLE)
 
     p_int = sub.add_parser("intersect",
                            help="intersect two lines given as point and direction")
@@ -263,12 +270,14 @@ def _build_parser() -> _Parser:
     p_int.add_argument("--u", type=vec, required=True, help="direction of line 1 (x,y)")
     p_int.add_argument("--b", type=vec, required=True, help="anchor of line 2 (x,y)")
     p_int.add_argument("--v", type=vec, required=True, help="direction of line 2 (x,y)")
+    p_int.set_defaults(run=_run_intersect, table=None)
 
     p_tan = sub.add_parser("tangents",
                            help="common tangents of two circles")
     p_tan.add_argument("--c1", type=circle, required=True, help="first circle (x,y,r)")
     p_tan.add_argument("--c2", type=circle, required=True, help="second circle (x,y,r)")
     p_tan.add_argument("--svg", metavar="PATH", help="write a construction diagram")
+    p_tan.set_defaults(run=_run_tangents, table=None)
 
     p_crank = sub.add_parser("crank",
                              help="sweep the inverted slider crank over a crank-angle interval")
@@ -282,6 +291,7 @@ def _build_parser() -> _Parser:
                          help="angles in degrees on input and output")
     p_crank.add_argument("--csv", action="store_true", help="CSV table instead of JSON")
     p_crank.add_argument("--svg", metavar="PATH", help="write curves of s, psi, and derivatives")
+    p_crank.set_defaults(run=_run_crank, table=_CRANK_TABLE)
 
     p_osc = sub.add_parser("oscillator",
                            help="integrate the harmonic oscillator in phase space")
@@ -294,6 +304,7 @@ def _build_parser() -> _Parser:
     p_osc.add_argument("--method", choices=sorted(_METHOD_NAMES), required=True)
     p_osc.add_argument("--csv", action="store_true", help="CSV table instead of JSON")
     p_osc.add_argument("--svg", metavar="PATH", help="write a phase portrait")
+    p_osc.set_defaults(run=_run_oscillator, table=_OSCILLATOR_TABLE)
 
     return parser
 
@@ -576,26 +587,15 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
 _OSCILLATOR_CSV = "%.17g,%.17g,%.17g,%.17g\r\n"
 _OSCILLATOR_JSON = _json_item(["%r"] * 3)  # [t, q, p]; the energy is CSV only
 
-class _Subcommand(NamedTuple):
-    """A subcommand's runner and, for a tabular one, its row schema."""
-
-    run: Callable[[argparse.Namespace], _Result]
-    table: _Table | None = None
-
-
-_SUBCOMMANDS = {
-    "identities": _Subcommand(_run_identities, _Table(
-        ("identity", "max_residual"), lambda rows: ["%s,%.17g\r\n" % row for row in rows])),
-    "intersect": _Subcommand(_run_intersect),
-    "tangents": _Subcommand(_run_tangents),
-    "crank": _Subcommand(_run_crank, _Table(
-        _CRANK_COLUMNS, lambda rows: _crank_texts(rows, _CRANK_CSV),
-        "entries", lambda rows: _crank_texts(rows, _CRANK_JSON))),
-    "oscillator": _Subcommand(_run_oscillator, _Table(
-        ("t", "q", "p", "energy"),
-        lambda rows: [_OSCILLATOR_CSV % tuple(row) for row in rows.tolist()],
-        "states", lambda rows: [_OSCILLATOR_JSON % (t, q, p) for t, q, p, _ in rows.tolist()])),
-}
+#: The row schemas of the tabular subcommands, each its parser's ``table`` default.
+_IDENTITIES_TABLE = _Table(("identity", "max_residual"),
+                           lambda rows: ["%s,%.17g\r\n" % row for row in rows])
+_CRANK_TABLE = _Table(_CRANK_COLUMNS, lambda rows: _crank_texts(rows, _CRANK_CSV),
+                      "entries", lambda rows: _crank_texts(rows, _CRANK_JSON))
+_OSCILLATOR_TABLE = _Table(
+    ("t", "q", "p", "energy"),
+    lambda rows: [_OSCILLATOR_CSV % tuple(row) for row in rows.tolist()],
+    "states", lambda rows: [_OSCILLATOR_JSON % (t, q, p) for t, q, p, _ in rows.tolist()])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -604,10 +604,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    run, table = _SUBCOMMANDS[args.subcommand]
     started = time.perf_counter()
     try:
-        result = run(args)
+        result = args.run(args)
         if getattr(args, "svg", None):
             result.plot().write(args.svg)
     except DegeneracyError as exc:
@@ -623,12 +622,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sympgeo: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "csv", False):
-        sys.stdout.writelines(_csv_pieces(table, result.rows))
+        sys.stdout.writelines(_csv_pieces(args.table, result.rows))
     else:
         report = {"subcommand": args.subcommand, "input": _echo(args),
                   "results": result.results, "residuals": result.residuals,
                   "wall_time_ms": (time.perf_counter() - started) * 1000.0}
-        sys.stdout.writelines(_json_pieces(report, table, result.rows))
+        sys.stdout.writelines(_json_pieces(report, args.table, result.rows))
         sys.stdout.write("\n")
     return result.exit_code
 

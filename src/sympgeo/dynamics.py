@@ -238,12 +238,12 @@ def _build_flow(row: tuple[tuple[float, float], ...] | None,
     tuple assignment from the current field.  A zero coefficient writes no
     half-stage: adding ``0.0`` would turn a ``-0.0`` coordinate into
     ``+0.0``.  The test is on the coefficient, so a step size that
-    underflows to 0.0 still runs.  Only the stage indices enter the source;
-    each coefficient is bound in the loop's globals as ``a_i`` or ``b_i``.
-    ``name`` names the code, as ``<sympgeo.dynamics._flow NAME>``, in
-    tracebacks and profiles, and the source is registered with
-    :mod:`linecache` under that name, so a traceback shows the failing
-    line.  Every call compiles anew; :data:`_LOOPS` keeps one per method.
+    underflows to 0.0 still runs.  Each coefficient enters the source as
+    its ``repr``, which reads back as the same float.  ``name`` names the
+    code, as ``<sympgeo.dynamics._flow NAME>``, in tracebacks and profiles,
+    and the source is registered with :mod:`linecache` under that name, so
+    a traceback shows the failing line, coefficients included.  Every call
+    compiles anew; :data:`_LOOPS` keeps one per method.
     """
     namespace = {"__name__": __name__, "math": math, "_PhaseStateTwin": _PhaseStateTwin,
                  "PhaseState": PhaseState, "NumericalOverflowError": NumericalOverflowError}
@@ -252,12 +252,10 @@ def _build_flow(row: tuple[tuple[float, float], ...] | None,
         steps.append("q, p = q + dt * (p / m), p + dt * (-(k * q))")
     for i, (a, b) in enumerate(row or ()):
         if a:
-            namespace[f"a_{i}"] = a
-            sizes.append(f"kick_{i} = a_{i} * dt")
+            sizes.append(f"kick_{i} = {a!r} * dt")
             steps.append(f"p = p + kick_{i} * (-(k * q))")
         if b:
-            namespace[f"b_{i}"] = b
-            sizes.append(f"drift_{i} = b_{i} * dt")
+            sizes.append(f"drift_{i} = {b!r} * dt")
             steps.append(f"q = q + drift_{i} * (p / m)")
     source = _FLOW_TEMPLATE.format(sizes="\n".join(f"    {line}" for line in sizes),
                                    steps="\n".join(f"        {line}" for line in steps))

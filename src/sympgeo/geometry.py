@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._kernels import ATOL, _meet, _rescaled
+from ._kernels import ATOL, _meet, _offset, _rescaled
 from .core import Vec2, _vec2, _Vec2Twin, symp, tilde
 from .errors import (
     CoincidentCentersError,
@@ -173,9 +173,10 @@ def intersect_lines(line1: Line, line2: Line) -> Intersection:
     Wraps the float kernel :func:`sympgeo._kernels._meet`, which the
     ``intersect`` subcommand runs directly.  It rescales each direction by
     a power of two, exact in the normal range, so directions near 1e300 do
-    not overflow the formulas, and it halves the anchors where their offset
-    overflows, so anchors near 1e308 on opposite sides still meet.  Raises
-    :class:`ParallelLinesError` for parallel lines and
+    not overflow the formulas, and it forms the anchor offset with
+    :func:`sympgeo._kernels._offset`, the offset of the halved anchors
+    where theirs overflows, so anchors near 1e308 on opposite sides still
+    meet.  Raises :class:`ParallelLinesError` for parallel lines and
     :class:`NumericalOverflowError` when the result overflows.
     """
     p, u = line1.point, line1.direction
@@ -208,32 +209,34 @@ def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: 
                      outer_only: bool) -> list[Tangent]:
     """Shared float kernel of :func:`circle_tangents` and :func:`point_circle_tangents`.
 
-    ``outer_only`` skips the inner family.  The center offset and the
-    reaches are rescaled by ``2**-k`` so that the larger offset component
-    lies in ``[0.5, 1)``.  A power-of-two scale is exact in the normal
-    range, so ``e`` comes out bit for bit as from the unscaled formulas
-    and ``ldexp`` recovers ``lam`` exactly.
+    ``outer_only`` skips the inner family.  The center offset is
+    :func:`sympgeo._kernels._offset`'s, halved where it overflows.  It and
+    the reaches are rescaled by ``2**-k`` so that the larger offset
+    component lies in ``[0.5, 1)``.  A power-of-two scale is exact in the
+    normal range, so ``e`` comes out bit for bit as from the unscaled
+    formulas and ``ldexp`` recovers ``lam`` exactly.
     """
-    ax = x2 - x1
-    ay = y2 - y1
-    if not (math.isfinite(ax) and math.isfinite(ay)):
-        raise NumericalOverflowError("circle center offset overflows")
+    ax, ay, h = _offset(x1, y1, x2, y2)
     if ax == 0.0 and ay == 0.0:
         raise CoincidentCentersError("circle centers coincide; tangent directions undefined")
     ax, ay, k = _rescaled(ax, ay)
-    # The reaches are scaled by a product, not ldexp: a reach that overflows
-    # to inf has no real root, as an exact reach beyond |a| has none.  For a
-    # subnormal offset 2**-k is no float, so it is applied in two halves.
+    k += h
+    # The reaches are scaled by a product, not ldexp: a scaled reach that
+    # overflows to inf has no real root, as an exact reach beyond |a| has
+    # none.  The inner reach sums the scaled radii, since r1 + r2 can
+    # overflow below an |a| beyond the float range (halving the radii
+    # instead would round a subnormal one).  For a subnormal offset 2**-k
+    # is no float, so it is applied in two halves.
     half = -k // 2 if k <= -1024 else 0
     scale, scale2 = math.ldexp(1.0, -k - half), math.ldexp(1.0, half)
     a2 = ax * ax + ay * ay
-    families = (("outer", r1 - r2, -1.0), ("inner", r1 + r2, 1.0))
+    families = (("outer", (r1 - r2) * scale * scale2, -1.0),
+                ("inner", r1 * scale * scale2 + r2 * scale * scale2, 1.0))
     isfinite, ldexp, new_tuple, twin = math.isfinite, math.ldexp, tuple.__new__, _Vec2Twin
     tangents: list[Tangent] = []
     append = tangents.append
     try:
         for kind, reach, sigma in families[:1] if outer_only else families:
-            reach = reach * scale * scale2
             radicand = a2 - reach * reach
             if radicand < 0.0:
                 continue
@@ -282,9 +285,12 @@ def circle_tangents(c1: Circle, c2: Circle) -> list[Tangent]:
 
     The closed form is evaluated on ``a`` and the reaches rescaled by a
     power of two, which is exact in the normal range, so ``dot(a, a)``
-    cannot overflow and circles near 1e155 still get their tangents.
-    Raises :class:`NumericalOverflowError` when the center offset, a touch
-    point or ``lam`` itself overflows.
+    cannot overflow and circles near 1e155 still get their tangents.  A
+    center offset that overflows is formed from the halved centers, as
+    :func:`intersect_lines` forms its anchor offset, so tangents scale by
+    exactly ``2**k`` wherever they stay finite.  Raises
+    :class:`NumericalOverflowError` only when a touch point or ``lam``
+    itself overflows.
     """
     return _common_tangents(c1.center.x, c1.center.y, c1.radius,
                             c2.center.x, c2.center.y, c2.radius, outer_only=False)

@@ -58,6 +58,14 @@ def test_exit_code_one_on_usage_errors(capsys):
     assert main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1",
                  "--p0", "0", "--dt", "0.1", "--steps", "10", "--method", "rk4"]) == 1
     capsys.readouterr()
+    crank = ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1", "--from", "0",
+             "--to", "1"]
+    for argv, shown in ((["identities", "--samples", "2.5"], "'2.5'"),
+                        (crank + ["--steps", "x"], "'x'")):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"expected an integer, got {shown}" in err
 
 
 def test_exit_code_one_on_invalid_values(capsys):
@@ -280,6 +288,14 @@ def test_tangents_near_the_overflow_limit(capsys):
     assert report["results"]["count"] == 4
     bound = 1e-9 * (1.0 + math.hypot(4e155, 1e155))
     assert report["residuals"]["max_tangency_error"] <= bound
+
+
+def test_tangents_over_a_center_offset_beyond_the_float_range(capsys):
+    # The center offset 1.81e308 overflows, so it is formed at half size.
+    code, report = run_json(capsys, ["tangents", "--c1=-9e307,0,1.7e308",
+                                     "--c2", "9.1e307,0,1e300"])
+    assert code == 0
+    assert report["results"]["count"] == 4
 
 
 def test_tangents_of_tiny_circles_with_distinct_centers(capsys):
@@ -867,7 +883,7 @@ def _reference_csv(columns, rows):
 ])
 def test_row_writers_match_the_generic_encoders(subcommand, array, make_rows):
     rng = random.Random(subcommand)
-    table = cli._SUBCOMMANDS[subcommand].table
+    table = {"crank": cli._CRANK_TABLE, "oscillator": cli._OSCILLATOR_TABLE}[subcommand]
     chunk = cli._CHUNK
     # Row counts on both sides of each chunk seam, as well as within one chunk.
     for n in (0, 1, 2, 7, 200, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
@@ -891,7 +907,7 @@ def test_row_writers_match_the_generic_encoders_on_degree_rows():
     result = cli._run_crank(args)
     rows = result.rows.tolist()
     assert any(row[8] for row in rows) and not all(row[8] for row in rows)
-    table = cli._SUBCOMMANDS["crank"].table
+    table = cli._CRANK_TABLE
     envelope = {"subcommand": "crank", "input": cli._echo(args), "results": result.results,
                 "residuals": result.residuals, "wall_time_ms": 1.25}
     expected = json.dumps(_full_report(envelope, "entries", result.rows), indent=2)

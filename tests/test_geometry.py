@@ -490,6 +490,12 @@ def test_subnormal_center_offsets_get_their_tangents():
     assert len(point_circle_tangents(Vec2(5e-321, 0.0), Circle(Vec2(0.0, 0.0), 1e-321))) == 2
     tangents = circle_tangents(unit, Circle(Vec2(1e-320, 0.0), 1.0))
     assert [(t.kind, t.lam) for t in tangents] == [("outer", 1e-320), ("outer", -1e-320)]
+    # The unit figure at 2**-1074: the inner reach adds the two radii of one
+    # subnormal step exactly, so every direction is the unit figure's.
+    tiny = circle_tangents(Circle(Vec2(0.0, 0.0), 5e-324), Circle(Vec2(1e-322, 0.0), 5e-324))
+    base = circle_tangents(unit, Circle(Vec2(20.0, 0.0), 1.0))
+    assert [t.direction_e for t in tiny] == [t.direction_e for t in base]
+    assert [t.lam for t in tiny] == [t.lam * 2.0 ** -1074 for t in base]
 
 
 def test_circle_rejects_negative_radius():
@@ -555,8 +561,53 @@ def test_scaled_figures_keep_their_tangent_directions_exactly():
         assert [t.lam for t in scaled] == [t.lam * s for t in base]
 
 
+def test_circle_tangents_meet_over_a_center_offset_beyond_the_float_range():
+    # |a| is about 1.9e308 with both components finite, so r1 + r2 = 1.8e308
+    # overflows; the inner pair is still real, with lam = +-sqrt(32)*1e307.
+    tangents = circle_tangents(Circle(Vec2(-5e307, -8e307), 5e307),
+                               Circle(Vec2(5e307, 8e307), 1.3e308))
+    assert [t.kind for t in tangents] == ["outer", "outer", "inner", "inner"]
+    assert [t.lam for t in tangents[2:]] == [5.656854249492377e+307, -5.656854249492377e+307]
+
+
+def _scaled_tangents(tangents, s):
+    """Each tangent's ``(kind, direction_e, lam, touch1, touch2)`` with the lengths
+    times ``s``, or ``"overflow"`` where one of those is not finite."""
+    rows = [(t.kind, t.direction_e.x, t.direction_e.y, t.lam * s, t.touch1.x * s,
+             t.touch1.y * s, t.touch2.x * s, t.touch2.y * s) for t in tangents]
+    return rows if all(math.isfinite(v) for row in rows for v in row[1:]) else "overflow"
+
+
+def test_tangents_scale_by_a_power_of_two_up_to_the_overflow_limit():
+    # At 2**k the figure's tangents are its unit-scale ones times 2**k, bit
+    # for bit, wherever those stay finite; otherwise the call raises.  Near
+    # the top of the range the center offset can overflow, or r1 + r2, or
+    # |a| while both offset components stay finite.
+    def outcome(construct, *args):
+        try:
+            return _scaled_tangents(construct(*args), 1.0)
+        except NumericalOverflowError:
+            return "overflow"
+
+    rng = random.Random(29)
+    for _ in range(3000):
+        x1, y1, x2, y2 = [rng.uniform(-1.2, 1.2) for _ in range(4)]
+        r1, r2 = [0.0 if rng.random() < 0.3 else rng.uniform(0.0, 2.0) for _ in range(2)]
+        if x1 == x2 and y1 == y2:
+            continue
+        base = circle_tangents(Circle(Vec2(x1, y1), r1), Circle(Vec2(x2, y2), r2))
+        base_points = point_circle_tangents(Vec2(x2, y2), Circle(Vec2(x1, y1), r1))
+        for k in (1021, 1022, 1023):
+            s = 2.0 ** k
+            c1 = Circle(Vec2(x1 * s, y1 * s), r1 * s)
+            assert (outcome(circle_tangents, c1, Circle(Vec2(x2 * s, y2 * s), r2 * s))
+                    == _scaled_tangents(base, s))
+            assert (outcome(point_circle_tangents, Vec2(x2 * s, y2 * s), c1)
+                    == _scaled_tangents(base_points, s))
+
+
 def test_circle_tangents_overflow_raises_a_typed_singularity():
-    with pytest.raises(NumericalOverflowError):  # the center offset
+    with pytest.raises(NumericalOverflowError):  # the offset overflows, and so does lam = |a|
         circle_tangents(Circle(Vec2(-1.5e308, 0.0), 1.0), Circle(Vec2(1.5e308, 0.0), 1.0))
     with pytest.raises(NumericalOverflowError):  # lam = |a| exceeds the float range
         circle_tangents(Circle(Vec2(0.0, 0.0), 0.0), Circle(Vec2(1.7e308, 1.7e308), 0.0))

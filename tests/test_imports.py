@@ -150,3 +150,31 @@ def test_parsing_builds_no_record():
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_every_module_imports_from_the_standard_library_alone():
+    # -S keeps site-packages out, so any third-party import fails here.  A
+    # plain ``import sympgeo`` loads no layer, so every module (the float
+    # kernels too) is imported and every public name resolved explicitly;
+    # importing sympgeo.dynamics compiles every integrator's step loop.  One
+    # plot of all four shapes runs the two-stage SVG render, whose digest
+    # test_svgplot.py pins.
+    src = str(Path(sympgeo.__file__).resolve().parent.parent)
+    script = (f"import sys\nsys.path.insert(0, {src!r})\n"
+              "import hashlib\n"
+              "import sympgeo._kernels, sympgeo.core, sympgeo.errors, sympgeo.geometry\n"
+              "import sympgeo.kinematics, sympgeo.dynamics, sympgeo.svgplot, sympgeo.cli\n"
+              "for name in sympgeo.__all__:\n"
+              "    getattr(sympgeo, name)\n"
+              "from sympgeo.svgplot import SvgPlot\n"
+              "plot = SvgPlot('stdlib only')\n"
+              "plot.polyline([(0.0, 0.0), (1.0, 2.0), (2.5, -0.5)], label='curve')\n"
+              "plot.circle(0.5, 0.5, 0.25, label='circle')\n"
+              "plot.segment(0.0, 1.0, 2.0, 0.0)\n"
+              "plot.marker(1.0, 1.0)\n"
+              "print(hashlib.sha256(plot.to_svg().encode()).hexdigest())")
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == (
+        "3565544b577e35d9a1ea9c37a81d27f80b4694bda73414c6cf7782c1526d5d46")

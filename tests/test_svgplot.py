@@ -66,7 +66,7 @@ def test_mixed_plot_digest_is_pinned():
     plot.circle(1.0, 0.5, 1.25, label="disc")
     plot.segment(-1.0, -1.0, 4.5, 2.5, color="#d62728", label="chord")
     plot.marker(2.0, 2.0, label="point")
-    # One shape of each kind, as the stdlib-only CI check draws them.
+    # One shape of each kind, as test_imports.py's stdlib-only child draws them.
     four = SvgPlot("stdlib only")
     four.polyline([(0.0, 0.0), (1.0, 2.0), (2.5, -0.5)], label="curve")
     four.circle(0.5, 0.5, 0.25, label="circle")
