@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericalOverflowError, ParallelLinesError
+from .errors import NumericalOverflowError, ParallelLinesError, ZeroDirectionError
 
-#: Absolute floor for approximate comparisons and degeneracy thresholds.
+#: Degeneracy tolerance: the relative factor of the parallel test and of the
+#: crank's singular-rod floor, and the absolute floor of the ratio denominators.
 ATOL = 1e-12
 
 
@@ -86,10 +87,10 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
           vy: float) -> tuple[float, float, float, float]:
     """``(x, y, lam, mu)`` where the line ``p + lam*u`` meets the line ``q + mu*v``.
 
-    The body of :func:`sympgeo.geometry.intersect_lines` on plain floats;
-    the directions must be nonzero.  Closes the triangle
-    ``a + mu*v - lam*u = 0`` (``a = q - p``) by multiplying with the
-    perpendiculars of ``v`` and ``u``, each of which kills one unknown.
+    The body of :func:`sympgeo.geometry.intersect_lines` on plain floats.
+    Closes the triangle ``a + mu*v - lam*u = 0`` (``a = q - p``) by
+    multiplying with the perpendiculars of ``v`` and ``u``, each of which
+    kills one unknown.
 
     Each direction is rescaled by ``2**-k`` so that its larger component
     lies in ``[0.5, 1)``; in the normal range that scale is exact, so the
@@ -101,13 +102,18 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
     again on the offset rescaled the same way and scaled back by its
     exponent, so a large offset over a direction far from unit scale
     still meets where the result is finite.  Raises
-    :class:`ParallelLinesError` for parallel lines and
+    :class:`ZeroDirectionError` when ``u``, then when ``v``, is zero,
+    :class:`ParallelLinesError` for other parallel lines and
     :class:`NumericalOverflowError` when the result overflows.
     """
     sux, suy, ku = _rescaled(ux, uy)
     svx, svy, kv = _rescaled(vx, vy)
     denominator = sux * svy - suy * svx
     if abs(denominator) <= ATOL * math.hypot(sux, suy) * math.hypot(svx, svy):
+        # A zero direction fails the parallel test too, so only this branch
+        # checks for one and the meeting path pays nothing.
+        if (ux == 0.0 and uy == 0.0) or (vx == 0.0 and vy == 0.0):
+            raise ZeroDirectionError("line direction must be nonzero")
         raise ParallelLinesError("lines are parallel; no finite intersection")
     # Where the offset was halved, a factor 2 on lam and mu undoes it.
     ax, ay, h = _offset(px, py, qx, qy)

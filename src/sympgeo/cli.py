@@ -35,7 +35,10 @@ of its subcommand (``svgplot`` only with ``--svg``): ``identities`` and
 ``intersect`` run on the kernels alone and load no record type.
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
-error, 2 geometric degeneracy, 3 numerical singularity.
+error, 2 geometric degeneracy, 3 numerical singularity.  Each failure is
+raised by the layer that meets it, in the order it meets it (a run stops
+at its first), and :func:`main` maps its error family to the exit code
+and the words of its stderr line from the one table :data:`_FAILURES`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._kernels import _identity_terms, _meet
-from .errors import DegeneracyError, NumericalOverflowError, SingularityError, ZeroDirectionError
+from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 
 if TYPE_CHECKING:
     from array import array
@@ -360,10 +363,6 @@ def _run_identities(args: argparse.Namespace) -> _Result:
 
 def _run_intersect(args: argparse.Namespace) -> _Result:
     (ax, ay), (ux, uy), (bx, by), (vx, vy) = args.a, args.u, args.b, args.v
-    # ``Line``'s check, in the order the two lines are built.
-    for dx, dy in ((ux, uy), (vx, vy)):
-        if dx == 0.0 and dy == 0.0:
-            raise ZeroDirectionError("line direction must be nonzero")
     x, y, lam, mu = _meet(ax, ay, ux, uy, bx, by, vx, vy)
     # The closure ``(b*k - a*k) + v*(mu*k) - u*(lam*k)`` in ``Vec2``'s
     # operation order, with ``norm``'s length, is formed at unit scale and,
@@ -553,23 +552,15 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
     initial = PhaseState(args.q0, args.p0, 0.0)
     method = _METHOD_NAMES[args.method]
     # Each state becomes its (t, q, p, energy) row in the store as the flow
-    # yields it; no state is kept.  An energy that overflows is raised only
-    # after the whole run has been stepped, as a state that overflows later
-    # in the run takes precedence.
+    # yields it; no state is kept.  The first overflow in step order, of a
+    # state or of its energy, ends the run.
     store = array("d")
     append = store.append
-    energy_error = None
     for s in _flow(initial, params, args.dt, args.steps, method):
-        if energy_error is None:
-            try:
-                append(s.t)
-                append(s.q)
-                append(s.p)
-                append(hamiltonian(s, params))
-            except NumericalOverflowError as exc:
-                energy_error = exc
-    if energy_error is not None:
-        raise energy_error
+        append(s.t)
+        append(s.q)
+        append(s.p)
+        append(hamiltonian(s, params))
     energies = memoryview(store)[3::4]
     initial_energy = energies[0]
     max_drift = 0.0
@@ -598,6 +589,14 @@ _OSCILLATOR_TABLE = _Table(
     "states", lambda rows: [_OSCILLATOR_JSON % (t, q, p) for t, q, p, _ in rows.tolist()])
 
 
+#: The failure families a run maps to an exit code, each with the words of
+#: its stderr line, in match order: the first family an error belongs to wins.
+_FAILURES = ((DegeneracyError, EXIT_DEGENERATE, "geometric degeneracy"),
+             (SingularityError, EXIT_SINGULAR, "numerical singularity"),
+             (ValueError, EXIT_USAGE, "invalid value"),
+             (OSError, EXIT_USAGE, "cannot write output"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -609,18 +608,12 @@ def main(argv: list[str] | None = None) -> int:
         result = args.run(args)
         if getattr(args, "svg", None):
             result.plot().write(args.svg)
-    except DegeneracyError as exc:
-        print(f"sympgeo: geometric degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except SingularityError as exc:
-        print(f"sympgeo: numerical singularity: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except ValueError as exc:
-        print(f"sympgeo: invalid value: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"sympgeo: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for family, code, words in _FAILURES:
+            if isinstance(exc, family):
+                print(f"sympgeo: {words}: {exc}", file=sys.stderr)
+                return code
+        raise
     if getattr(args, "csv", False):
         sys.stdout.writelines(_csv_pieces(args.table, result.rows))
     else:

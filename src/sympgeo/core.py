@@ -21,8 +21,8 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# ATOL, the absolute floor for approximate comparisons and degeneracy
-# thresholds, is defined beside the float kernels and re-exported here.
+# ATOL, the degeneracy tolerance, is defined beside the float kernels and
+# re-exported here.
 from ._kernels import ATOL, _identity_terms, _rescaled
 from .errors import DegenerateScaleError, NumericalOverflowError, ZeroVectorError
 

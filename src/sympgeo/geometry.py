@@ -176,7 +176,9 @@ def intersect_lines(line1: Line, line2: Line) -> Intersection:
     not overflow the formulas, and it forms the anchor offset with
     :func:`sympgeo._kernels._offset`, the offset of the halved anchors
     where theirs overflows, so anchors near 1e308 on opposite sides still
-    meet.  Raises :class:`ParallelLinesError` for parallel lines and
+    meet.  The kernel's zero-direction check is never reached here, as
+    :class:`Line` rejects a zero direction first.  Raises
+    :class:`ParallelLinesError` for parallel lines and
     :class:`NumericalOverflowError` when the result overflows.
     """
     p, u = line1.point, line1.direction
@@ -315,12 +317,25 @@ def point_circle_tangents(p: Vec2, c: Circle) -> list[Tangent]:
 def tangent_distance_error(t: Tangent, c1: Circle, c2: Circle) -> float:
     """Worst deviation of the tangent line's center distances from the radii.
 
-    Raises :class:`NumericalOverflowError` when a distance overflows.
+    Where a term is not finite, both are formed again over :func:`_offset`'s
+    center offset, halved where the unhalved one overflows, so a finite term
+    keeps its bits.  Raises :class:`NumericalOverflowError` when a distance
+    itself overflows.
     """
     tx, ty = t.touch1.x, t.touch1.y
     ex, ey = t.direction_e.x, t.direction_e.y
     e1 = abs(abs((c1.center.x - tx) * ex + (c1.center.y - ty) * ey) - c1.radius)
     e2 = abs(abs((c2.center.x - tx) * ex + (c2.center.y - ty) * ey) - c2.radius)
     if not (math.isfinite(e1) and math.isfinite(e2)):
-        raise NumericalOverflowError("tangent distance overflows")
+        e1, e2 = _distance_error(tx, ty, ex, ey, c1), _distance_error(tx, ty, ex, ey, c2)
     return e2 if e2 > e1 else e1
+
+
+def _distance_error(tx: float, ty: float, ex: float, ey: float, c: Circle) -> float:
+    """One term of :func:`tangent_distance_error` over :func:`_offset`'s center offset."""
+    dx, dy, h = _offset(tx, ty, c.center.x, c.center.y)
+    # Where the offset was halved, the factor 2 that undoes it is exact.
+    error = abs(abs(dx * ex + dy * ey) * (h + 1) - c.radius)
+    if not math.isfinite(error):
+        raise NumericalOverflowError("tangent distance overflows")
+    return error

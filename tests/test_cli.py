@@ -184,12 +184,13 @@ def test_largest_identity_range_draws_finite_samples(capsys):
 
 @pytest.mark.parametrize("method", ["euler", "symplectic-euler", "leapfrog"])
 def test_exit_code_three_on_oscillator_state_overflow(capsys, method):
-    code = main(["oscillator", "--mass", "1e-300", "--stiffness", "1", "--q0", "0",
-                 "--p0", "1e200", "--dt", "1", "--steps", "3", "--method", method, "--csv"])
+    # Every energy is finite before the step that overflows the state.
+    code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1e150",
+                 "--p0", "0", "--dt", "1e200", "--steps", "3", "--method", method, "--csv"])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "numerical singularity: phase state overflows at t=1.0" in captured.err
+    assert "numerical singularity: phase state overflows at t=1e+200" in captured.err
 
 
 @pytest.mark.parametrize("extra", [[], ["--csv"]])
@@ -217,15 +218,23 @@ def test_exit_code_three_on_an_invalid_oscillator_step(tmp_path, capsys, dt, sho
     assert not svg.exists()
 
 
-def test_a_later_state_overflow_wins_over_an_earlier_energy_overflow(capsys):
-    # The energy overflows at t=28, the state only at t=1052.  The whole run
-    # is stepped first.
+def test_the_first_overflow_in_step_order_ends_an_oscillator_run(capsys):
+    # The energy overflows at t=28, the state only at t=1052: the run stops at t=28.
     code = main(["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "0",
                  "--p0", "1e150", "--dt", "1", "--steps", "2000", "--method", "euler", "--csv"])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "numerical singularity: phase state overflows at t=1052.0" in captured.err
+    assert "numerical singularity: energy overflows at t=28.0" in captured.err
+
+
+def test_an_error_outside_the_failure_families_escapes_main(monkeypatch):
+    def fail(args):
+        raise RuntimeError("not a failure family")
+
+    monkeypatch.setattr(cli, "_run_intersect", fail)
+    with pytest.raises(RuntimeError, match="not a failure family"):
+        main(["intersect", "--a", "0,0", "--u", "1,0", "--b", "0,1", "--v", "0,1"])
 
 
 def test_intersect_at_the_overflow_limit(capsys):
@@ -296,6 +305,16 @@ def test_tangents_over_a_center_offset_beyond_the_float_range(capsys):
                                      "--c2", "9.1e307,0,1e300"])
     assert code == 0
     assert report["results"]["count"] == 4
+
+
+def test_tangent_distances_over_a_center_offset_beyond_the_float_range(capsys):
+    # Each center's offset from a touch point overflows, so the distance
+    # error is formed over the halved offset.
+    code, report = run_json(capsys, ["tangents", "--c1=-5e307,-8e307,5e307",
+                                     "--c2", "5e307,8e307,1.3e308"])
+    assert code == 0
+    assert report["results"]["count"] == 4
+    assert report["residuals"]["max_tangency_error"] == 2.9937604643020797e+292
 
 
 def test_tangents_of_tiny_circles_with_distinct_centers(capsys):

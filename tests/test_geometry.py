@@ -33,6 +33,7 @@ from sympgeo import (
     symp,
     tangent_distance_error,
 )
+from sympgeo._kernels import _meet
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 points = st.builds(Vec2, coords, coords)
@@ -240,6 +241,18 @@ def test_intersect_lines_anchor_point_on_first_line():
 def test_line_rejects_zero_direction():
     with pytest.raises(ZeroDirectionError):
         Line(Vec2(1.0, 1.0), Vec2(0.0, 0.0))
+
+
+@pytest.mark.parametrize("zero", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+def test_meet_rejects_a_zero_direction_before_parallel_lines(zero):
+    # ``_meet`` checks ``u``, then ``v``; a zero direction also makes the lines
+    # look parallel, and the zero direction is the error named.
+    with pytest.raises(ZeroDirectionError, match="line direction must be nonzero"):
+        _meet(0.0, 0.0, *zero, 1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ZeroDirectionError, match="line direction must be nonzero"):
+        _meet(0.0, 0.0, 1.0, 0.0, 1.0, 1.0, *zero)
+    with pytest.raises(ParallelLinesError):
+        _meet(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, -2.0, -2.0)
 
 
 def test_line_point_overflow_raises_a_typed_overflow():
@@ -619,10 +632,15 @@ def test_circle_tangents_overflow_raises_a_typed_singularity():
 
 def test_tangent_distance_overflow_raises_a_typed_singularity():
     t = Tangent(Vec2(-1.5e308, 0.0), Vec2(-1.5e308, 1.0), Vec2(0.0, 1.0), "outer", 0.0)
-    # (c1 - touch1).x overflows and meets e.x == 0: the NaN must not hide in max().
-    with pytest.raises(NumericalOverflowError):
-        tangent_distance_error(t, Circle(Vec2(1.5e308, 0.0), 1.0),
-                               Circle(Vec2(-1.5e308, 1.0), 1.0))
+    # (c1 - touch1).x overflows and meets e.x == 0: formed over the halved
+    # offset, the distance is 0, so the error is the radius.
+    assert tangent_distance_error(t, Circle(Vec2(1.5e308, 0.0), 1.0),
+                                  Circle(Vec2(-1.5e308, 1.0), 1.0)) == 1.0
+    # Here the distance itself, 3.4e308, overflows.
+    t = Tangent(Vec2(-1.7e308, 0.0), Vec2(-1.7e308, 1.0), Vec2(1.0, 0.0), "outer", 0.0)
+    with pytest.raises(NumericalOverflowError, match="tangent distance overflows"):
+        tangent_distance_error(t, Circle(Vec2(1.7e308, 0.0), 1.0),
+                               Circle(Vec2(-1.7e308, 1.0), 1.0))
 
 
 def brute_force_tangent_count(c1, c2, samples=100_000):
