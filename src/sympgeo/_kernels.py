@@ -1,20 +1,44 @@
-"""Plain-float kernels of the signed-area formulas, shared by the record layers and the CLI.
+"""Plain-float kernels of the signed-area formulas and the phase flow, shared by the record layers and the CLI.
 
 Each kernel takes and returns floats and builds no record, so this module
-imports only :mod:`math` and :mod:`sympgeo.errors`: the ``identities``
-and ``intersect`` subcommands run on it without loading ``core``,
-``geometry`` or ``dataclasses``.  :func:`sympgeo.core.identity_residuals`
-wraps :func:`_identity_terms`, :func:`sympgeo.geometry.intersect_lines`
-wraps :func:`_meet`, and :func:`_meet` and the common-tangent kernel of
-:mod:`sympgeo.geometry` both form their loop vector with :func:`_offset`,
-so each formula has one copy.
+imports only :mod:`math` and :mod:`sympgeo.errors`: the ``identities``,
+``intersect`` and ``oscillator`` subcommands run on it without loading
+``core``, ``geometry``, ``dynamics`` or ``dataclasses``.
+:func:`sympgeo.core.identity_residuals` wraps :func:`_identity_terms`,
+:func:`sympgeo.geometry.intersect_lines` wraps :func:`_meet`, and
+:func:`_meet` and the common-tangent kernel of :mod:`sympgeo.geometry`
+both form their loop vector with :func:`_offset`, so each formula has one
+copy.
+
+The phase flow's step loops are written out here too, from one template
+(:data:`_FLOW_TEMPLATE`) by one builder (:func:`_build_flow`): the kick
+and drift statements of a method's :data:`SPLITTINGS` row, the step sizes
+taken once per run, the time stamp and the state-overflow check.  A
+caller's shape says only what becomes of each state:
+:mod:`sympgeo.dynamics` builds and yields a ``PhaseState`` record, and
+``sympgeo oscillator`` appends the state's ``(t, q, p, energy)`` row.
+:func:`_check_run` is the run-argument rule of both,
+:func:`_check_oscillator` the mass/stiffness rule of
+:class:`sympgeo.dynamics.OscillatorParams`, and :func:`_energy` the
+expression and message of :func:`sympgeo.dynamics.hamiltonian`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NumericalOverflowError, ParallelLinesError, ZeroDirectionError
+from .errors import (
+    InvalidStepError,
+    NumericalOverflowError,
+    ParallelLinesError,
+    ZeroDirectionError,
+)
+
+# A static type checker takes TYPE_CHECKING as true and reads the type-only
+# imports; at run time they stay unevaluated, so no ``typing`` loads.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Sequence
 
 #: Degeneracy tolerance: the relative factor of the parallel test and of the
 #: crank's singular-rod floor, and the absolute floor of the ratio denominators.
@@ -137,3 +161,130 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(mu)):
         raise NumericalOverflowError("line intersection overflows")
     return x, y, lam, mu
+
+
+EXPLICIT_EULER = "explicit_euler"
+SYMPLECTIC_EULER = "symplectic_euler"
+LEAPFROG = "leapfrog"
+
+#: Kick/drift coefficients ``(a, b)`` per stage of each splitting method.
+SPLITTINGS = {
+    SYMPLECTIC_EULER: ((1.0, 1.0),),
+    LEAPFROG: ((0.5, 1.0), (0.5, 0.0)),
+}
+METHODS = (EXPLICIT_EULER, *SPLITTINGS)
+
+
+def _check_oscillator(mass: float, stiffness: float) -> None:
+    """The rule of :class:`sympgeo.dynamics.OscillatorParams`: mass, then stiffness, finite and > 0.
+
+    Raises :class:`ValueError` naming the first value that breaks it.
+    """
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be finite and > 0, got {mass}")
+    if not (math.isfinite(stiffness) and stiffness > 0.0):
+        raise ValueError(f"stiffness must be finite and > 0, got {stiffness}")
+
+
+def _energy(q: float, p: float, t: float, mass: float, stiffness: float) -> float:
+    """Total energy ``p^2/(2m) + k*q^2/2`` of the state ``(q, p)`` stamped ``t``.
+
+    The body of :func:`sympgeo.dynamics.hamiltonian` on plain floats.
+    Raises :class:`NumericalOverflowError` naming ``t`` when the energy
+    overflows.
+    """
+    energy = p * p / (2.0 * mass) + stiffness * q * q / 2.0
+    if not math.isfinite(energy):
+        raise NumericalOverflowError(f"energy overflows at t={t}")
+    return energy
+
+
+def _check_run(n_steps: int, dt: float, method: str) -> None:
+    """The arguments of a fixed-step run: ``n_steps``, then ``dt``, then ``method``.
+
+    Raises :class:`InvalidStepError` for a step count below 1 or a step
+    size that is not finite and positive, and :class:`ValueError` for a
+    method outside :data:`METHODS`.
+    """
+    if n_steps < 1:
+        raise InvalidStepError(f"n_steps must be >= 1, got {n_steps}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidStepError(f"dt must be finite and > 0, got {dt}")
+    if method not in METHODS:
+        raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
+
+
+#: The source of every step loop.  A shape fills in ``{args}``, ``{head}``
+#: (set-up before the step sizes), ``{start}`` (set-up after them, ending
+#: with what becomes of the initial state) and ``{each}`` (what becomes of
+#: each new state); :func:`_build_flow` fills in ``{sizes}``, each stage's
+#: step sizes taken once per run, and ``{steps}``, the body of one step.
+#: Every step runs on plain floats, stamped with the running sum of ``dt``,
+#: and a state is checked finite before its shape sees it.
+_FLOW_TEMPLATE = """\
+def _flow({args}):
+{head}
+{sizes}
+{start}
+    for _ in range(n_steps):
+{steps}
+        t = t + dt
+        if not (isfinite(q) and isfinite(p) and isfinite(t)):
+            raise NumericalOverflowError(f"phase state overflows at t={{t}}")
+{each}
+"""
+
+
+def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str,
+                shape: tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]],
+                names: dict) -> Callable:
+    """Compile the step loop of one method from its row, in one caller's shape.
+
+    ``row`` is a sequence of ``(a, b)`` stages, each a kick
+    ``p = p + kick_i * (-(k * q))`` and then a drift
+    ``q = q + drift_i * (p / m)``, with ``kick_i = a*dt`` and
+    ``drift_i = b*dt`` taken once per run; ``None`` is explicit Euler, one
+    tuple assignment from the current field.  A zero coefficient writes no
+    half-stage: adding ``0.0`` would turn a ``-0.0`` coordinate into
+    ``+0.0``.  The test is on the coefficient, so a step size that
+    underflows to 0.0 still runs.  Each coefficient enters the source as
+    its ``repr``, which reads back as the same float.
+
+    ``shape`` is ``(args, head, start, each)``: the loop's parameter list,
+    which names ``dt`` and ``n_steps``, and three sequences of statements.
+    ``head`` and ``start`` leave ``k``, ``m``, ``q``, ``p``, ``t`` and
+    ``isfinite`` bound.  ``names`` holds the module globals the shape's
+    statements use besides ``math`` and :class:`NumericalOverflowError`,
+    and ``__name__``, the caller's module: the code is named
+    ``<MODULE._flow NAME>`` in tracebacks and profiles, and the source is
+    registered with :mod:`linecache` under that name, so a traceback shows
+    the failing line, coefficients included.  Every call compiles anew.
+    """
+    # Only a compiled loop needs linecache; the other kernels' callers never load it.
+    import linecache
+
+    sizes, steps = [], []
+    if row is None:
+        steps.append("q, p = q + dt * (p / m), p + dt * (-(k * q))")
+    for i, (a, b) in enumerate(row or ()):
+        if a:
+            sizes.append(f"kick_{i} = {a!r} * dt")
+            steps.append(f"p = p + kick_{i} * (-(k * q))")
+        if b:
+            sizes.append(f"drift_{i} = {b!r} * dt")
+            steps.append(f"q = q + drift_{i} * (p / m)")
+    args, head, start, each = shape
+    source = _FLOW_TEMPLATE.format(args=args, head=_indent(head, 4), sizes=_indent(sizes, 4),
+                                   start=_indent(start, 4), steps=_indent(steps, 8),
+                                   each=_indent(each, 8))
+    namespace = {"math": math, "NumericalOverflowError": NumericalOverflowError, **names}
+    filename = f"<{names['__name__']}._flow {name}>"
+    # No modification time: linecache.checkcache keeps the entry.
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_flow"]
+
+
+def _indent(lines: Sequence[str], width: int) -> str:
+    """``lines`` as one block of source, each line indented by ``width`` spaces."""
+    return "\n".join(" " * width + line for line in lines)

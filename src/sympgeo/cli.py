@@ -16,23 +16,28 @@ defaults of the parsed arguments, so :func:`main` dispatches from the
 parse alone and no second registry names the subcommands.  Records, and
 the rules they own (as a circle's radius), are built only in the
 runners.  The subcommand's runner computes a
-:class:`_Result` (the report's ``results`` and ``residuals`` sections,
+:data:`_Result` (the report's ``results`` and ``residuals`` sections,
 for the tabular subcommands one row per sample, and a builder of
 the ``--svg`` diagram); with ``--svg`` it draws and writes the diagram;
 and it lays out the report: the envelope, the ``input`` echo of the
 command line (:func:`_echo`) and ``wall_time_ms``.  The CSV and JSON
 writers share each tabular subcommand's fixed row schema, a
-:class:`_Table`, and format each row from a ``%``-template.  Every row is
+:data:`_Table`, and format each row from a ``%``-template.  Every row is
 complete before the first byte is written, so a run that fails leaves
 stdout empty; the report is then written in pieces, the row texts
 :data:`_CHUNK` (256) rows at a time.  The runners keep no sweep entries or
 trajectory states beside their rows, so the rows are what a large run's
 peak memory holds: packed floats (:func:`_row_view`), ten per ``crank``
-row and four per ``oscillator`` row, taken from each sweep entry or state
-as it is yielded.  Each runner imports the layers it runs, so a run
+row and four per ``oscillator`` row, taken from each sweep entry as it is
+yielded and from each state as it is stepped.  Each runner imports the layers it runs, so a run
 loads ``errors``, the float kernels of ``_kernels`` and only the layers
-of its subcommand (``svgplot`` only with ``--svg``): ``identities`` and
-``intersect`` run on the kernels alone and load no record type.
+of its subcommand (``svgplot`` only with ``--svg``): ``identities``,
+``intersect`` and ``oscillator`` run on the kernels alone and load no
+record type, so no ``dataclasses``.  ``oscillator`` compiles one step
+loop, for its method only, from the template of ``_kernels``; that loop
+appends each state's packed row, and only ``--svg`` loads ``dynamics``,
+for the plot's analytic orbit.  Only a JSON report imports ``json``, and
+this module imports no ``typing``.
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.  Each failure is
@@ -45,21 +50,30 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import random
 import sys
 import time
-from collections.abc import Callable, Iterator, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
-from ._kernels import _identity_terms, _meet
+from ._kernels import (
+    SPLITTINGS,
+    _build_flow,
+    _check_oscillator,
+    _check_run,
+    _energy,
+    _identity_terms,
+    _meet,
+)
 from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 
+# A static type checker takes TYPE_CHECKING as true and reads the type-only
+# imports; at run time they stay unevaluated, so no ``typing`` loads.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from array import array
+    from collections.abc import Callable, Iterator, Sequence
 
-    from .dynamics import OscillatorParams, PhaseState
     from .geometry import Circle, Tangent
     from .svgplot import SvgPlot
 
@@ -142,34 +156,24 @@ def _positive_int(text: str) -> int:
 _BOOL_TEXT = {False: "false", True: "true"}
 
 
-class _Result(NamedTuple):
-    """What a runner computed, and nothing of the report's layout.
+#: What a runner computed, and nothing of the report's layout.
+#:
+#: ``results`` and ``residuals`` are the report sections of those names,
+#: with the row array under ``results``, if any, left empty; ``rows``
+#: holds one row per sample in the column order of the subcommand's
+#: :data:`_Table`, as a tuple or as a row of a :func:`_row_view`; ``plot``
+#: builds the ``--svg`` diagram (default None).
+_Result = namedtuple("_Result", ("results", "residuals", "rows", "exit_code", "plot"),
+                     defaults=(None,))
 
-    ``results`` and ``residuals`` are the report sections of those names,
-    with the row array under ``results``, if any, left empty; ``rows``
-    holds one row per sample in the column order of the subcommand's
-    :class:`_Table`, as a tuple or as a row of a :func:`_row_view`; ``plot``
-    builds the ``--svg`` diagram.
-    """
-
-    results: dict
-    residuals: dict
-    rows: Sequence
-    exit_code: int
-    plot: Callable[[], SvgPlot] | None = None
-
-
-class _Table(NamedTuple):
-    """Fixed row schema of one tabular subcommand and its two row writers.
-
-    Each writer maps the row list to one text per row.  ``array`` names the
-    JSON row array under ``results``; None when the report holds none.
-    """
-
-    columns: tuple[str, ...]
-    csv_rows: Callable[[Sequence], list[str]]
-    array: str | None = None
-    json_rows: Callable[[Sequence], list[str]] | None = None
+#: Fixed row schema of one tabular subcommand and its two row writers.
+#:
+#: ``columns`` names the cells; each writer, ``csv_rows`` and ``json_rows``
+#: (default None), maps the row list to one text per row.  ``array`` names
+#: the JSON row array under ``results``; None (the default) when the
+#: report holds none.
+_Table = namedtuple("_Table", ("columns", "csv_rows", "array", "json_rows"),
+                    defaults=(None, None))
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -237,6 +241,8 @@ def _json_pieces(envelope: dict, table: _Table | None, rows: Sequence) -> Iterat
     The envelope's text up to the row array, the rows a chunk at a time, then
     the rest of the envelope's text.
     """
+    import json  # only a JSON report loads it; a CSV run never does
+
     text = json.dumps(envelope, indent=2)
     if table is None or table.array is None or not rows:
         yield text
@@ -521,11 +527,13 @@ def _run_crank(args: argparse.Namespace) -> _Result:
                    lambda: _crank_plot(store))
 
 
-def _oscillator_plot(store: array, params: OscillatorParams, initial: PhaseState,
+def _oscillator_plot(store: array, mass: float, stiffness: float, q0: float, p0: float,
                      integrator: str) -> SvgPlot:
-    from .dynamics import analytic_oscillator
+    from .dynamics import OscillatorParams, PhaseState, analytic_oscillator
     from .svgplot import SvgPlot
 
+    params = OscillatorParams(mass, stiffness)
+    initial = PhaseState(q0, p0, 0.0)
     plot = SvgPlot("phase portrait")
     period = 2.0 * math.pi / params.omega
     if not math.isfinite(period):
@@ -543,24 +551,40 @@ def _oscillator_plot(store: array, params: OscillatorParams, initial: PhaseState
     return plot
 
 
+#: The oscillator's row loop, in the shape of :func:`sympgeo._kernels._build_flow`:
+#: each state, the initial one first, appends its ``(t, q, p, energy)`` row.
+_ROW_CELLS = ("append(t)", "append(q)", "append(p)", "append(energy(q, p, t, m, k))")
+_ROWS = ("q, p, t, m, k, dt, n_steps, append", ("isfinite, energy = math.isfinite, _energy",),
+         _ROW_CELLS, _ROW_CELLS)
+
+
+def _build_rows(row: tuple[tuple[float, float], ...] | None, name: str) -> Callable[..., None]:
+    """Compile the row loop of one method from its row.
+
+    :func:`sympgeo._kernels._build_flow` in the shape :data:`_ROWS`:
+    ``loop(q, p, t, m, k, dt, n_steps, append)`` steps the state ``(q, p)``
+    stamped ``t`` with mass ``m`` and stiffness ``k`` and passes each
+    state's ``t``, ``q``, ``p`` and energy to ``append``.  It builds no
+    record and, like :func:`sympgeo.dynamics.hamiltonian`, takes each energy
+    from :func:`sympgeo._kernels._energy`.  The code is named
+    ``<sympgeo.cli._flow NAME>``; every call compiles anew.
+    """
+    return _build_flow(row, name, _ROWS, {"__name__": __name__, "_energy": _energy})
+
+
 def _run_oscillator(args: argparse.Namespace) -> _Result:
     from array import array
 
-    from .dynamics import OscillatorParams, PhaseState, _flow, hamiltonian
-
-    params = OscillatorParams(args.mass, args.stiffness)
-    initial = PhaseState(args.q0, args.p0, 0.0)
+    mass, stiffness, q0, p0 = args.mass, args.stiffness, args.q0, args.p0
+    _check_oscillator(mass, stiffness)
     method = _METHOD_NAMES[args.method]
-    # Each state becomes its (t, q, p, energy) row in the store as the flow
-    # yields it; no state is kept.  The first overflow in step order, of a
-    # state or of its energy, ends the run.
+    _check_run(args.steps, args.dt, method)
+    # One loop, for this method only, appends each state's row to the store
+    # as it is stepped; no state is built or kept.  The first overflow in
+    # step order, of a state or of its energy, ends the run.
     store = array("d")
-    append = store.append
-    for s in _flow(initial, params, args.dt, args.steps, method):
-        append(s.t)
-        append(s.q)
-        append(s.p)
-        append(hamiltonian(s, params))
+    _build_rows(SPLITTINGS.get(method), method)(q0, p0, 0.0, mass, stiffness, args.dt,
+                                                args.steps, store.append)
     energies = memoryview(store)[3::4]
     initial_energy = energies[0]
     max_drift = 0.0
@@ -572,7 +596,7 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
     t, q, p, energy = store[-4:]
     return _Result({"final": {"t": t, "q": q, "p": p, "energy": energy}, "states": []},
                    {"max_energy_drift": max_drift}, _row_view(store, 4), EXIT_OK,
-                   lambda: _oscillator_plot(store, params, initial, method))
+                   lambda: _oscillator_plot(store, mass, stiffness, q0, p0, method))
 
 
 _OSCILLATOR_CSV = "%.17g,%.17g,%.17g,%.17g\r\n"

@@ -14,39 +14,42 @@ moved by ``dH/dp``), and each method is a row of :data:`SPLITTINGS`: a
 sequence of ``(a, b)`` stages, each a kick of ``a*dt`` followed by a drift
 of ``b*dt``.  Explicit Euler is the method with no stages.
 
-Each method's step loop is written out once from its row, at import: one
-template, with a kick statement for each nonzero ``a`` and a drift
-statement for each nonzero ``b``, so no step loops over stages.  ``_flow``
-checks a run's arguments and returns that loop's generator, which takes
-the step sizes once per run and yields the states one at a time.
-:func:`simulate` collects them into a :class:`Trajectory`, :func:`step`
-takes the one after its start, and ``sympgeo oscillator`` turns each into
-its report row as it comes.  Each new state is built as a slot twin of
-:class:`PhaseState`, and :func:`ellipse_residual` keeps the last initial
-energy, so the residuals of one trajectory take it once.
+Each method's step loop is written out once from its row, at import, by
+the template and builder of :mod:`sympgeo._kernels`, with a kick
+statement for each nonzero ``a`` and a drift statement for each nonzero
+``b``, so no step loops over stages.  ``_flow`` checks a run's arguments
+and returns that loop's generator, which takes the step sizes once per
+run and yields the states one at a time.  :func:`simulate` collects them
+into a :class:`Trajectory` and :func:`step` takes the one after its
+start.  Each new state is built as a slot twin of :class:`PhaseState`,
+and :func:`ellipse_residual` keeps the last initial energy, so the
+residuals of one trajectory take it once.  ``sympgeo oscillator`` runs
+a loop from the same template and builder on plain floats, so only its
+``--svg`` plot loads this module; the mass/stiffness rule, the energy
+and the run-argument checks are the float kernels both share.
 """
 
 from __future__ import annotations
 
-import linecache
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import _kernels
+# The method names and rows are public names of this module too.
+from ._kernels import (
+    EXPLICIT_EULER,
+    LEAPFROG,
+    METHODS,
+    SPLITTINGS,
+    SYMPLECTIC_EULER,
+    _check_oscillator,
+    _check_run,
+    _energy,
+)
 from .core import _FLOAT_MIN, Vec2, _slot_twin, _vec2, tilde
-from .errors import InvalidStepError, NumericalOverflowError
-
-EXPLICIT_EULER = "explicit_euler"
-SYMPLECTIC_EULER = "symplectic_euler"
-LEAPFROG = "leapfrog"
-
-#: Kick/drift coefficients ``(a, b)`` per stage of each splitting method.
-SPLITTINGS = {
-    SYMPLECTIC_EULER: ((1.0, 1.0),),
-    LEAPFROG: ((0.5, 1.0), (0.5, 0.0)),
-}
-METHODS = (EXPLICIT_EULER, *SPLITTINGS)
+from .errors import NumericalOverflowError
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,10 +60,7 @@ class OscillatorParams:
     stiffness: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise ValueError(f"mass must be finite and > 0, got {self.mass}")
-        if not (math.isfinite(self.stiffness) and self.stiffness > 0.0):
-            raise ValueError(f"stiffness must be finite and > 0, got {self.stiffness}")
+        _check_oscillator(self.mass, self.stiffness)
 
     @property
     def omega(self) -> float:
@@ -120,10 +120,7 @@ def hamiltonian(s: PhaseState, params: OscillatorParams) -> float:
 
     Raises :class:`NumericalOverflowError` when the energy overflows.
     """
-    energy = s.p * s.p / (2.0 * params.mass) + params.stiffness * s.q * s.q / 2.0
-    if not math.isfinite(energy):
-        raise NumericalOverflowError(f"energy overflows at t={s.t}")
-    return energy
+    return _energy(s.q, s.p, s.t, params.mass, params.stiffness)
 
 
 def hamiltonian_gradient(s: PhaseState, params: OscillatorParams) -> Vec2:
@@ -186,84 +183,47 @@ def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int
           method: str) -> Iterator[PhaseState]:
     """The step loop of :func:`simulate`: yields ``initial``, then each new state.
 
-    Checks ``n_steps``, then ``dt``, then ``method``, and returns the
-    generator of ``method``'s own loop, which :func:`_build_flow` writes out
-    once from the method's row, at import.
-    :func:`simulate`, :func:`step` and ``sympgeo oscillator`` all drain it.
+    Checks ``n_steps``, then ``dt``, then ``method`` (the rule of
+    :func:`sympgeo._kernels._check_run`), and returns the generator of
+    ``method``'s own loop, which :func:`_build_flow` writes out once from
+    the method's row, at import.  :func:`simulate` and :func:`step` drain it.
     Raises :class:`NumericalOverflowError` when a state overflows.
     """
-    if n_steps < 1:
-        raise InvalidStepError(f"n_steps must be >= 1, got {n_steps}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidStepError(f"dt must be finite and > 0, got {dt}")
-    if method not in METHODS:
-        raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
+    _check_run(n_steps, dt, method)
     return _LOOPS[method](initial, params, dt, n_steps)
 
 
-#: The source of every step loop.  ``{sizes}`` takes each stage's step
-#: sizes once per run and ``{steps}`` is the body of one step.  Every step
-#: runs on plain floats and builds only its state, through the slot twin as
-#: :func:`_phase_state` does, stamped with the running sum of ``dt``.
-_FLOW_TEMPLATE = """\
-def _flow(initial, params, dt, n_steps):
-    k, m = params.stiffness, params.mass
-{sizes}
-    isfinite, twin, cls = math.isfinite, _PhaseStateTwin, PhaseState
-    q, p, t = initial.q, initial.p, initial.t
-    yield initial
-    for _ in range(n_steps):
-{steps}
-        t = t + dt
-        if not (isfinite(q) and isfinite(p) and isfinite(t)):
-            raise NumericalOverflowError(f"phase state overflows at t={{t}}")
-        # q, p and t were checked finite just above: _phase_state, inlined.
-        s = twin()
-        s.q = q
-        s.p = p
-        s.t = t
-        s.__class__ = cls
-        yield s
-"""
+#: What the record loop does with each state, in the shape of
+#: :func:`sympgeo._kernels._build_flow`: yield ``initial`` as given, then
+#: build each new state through the slot twin, as :func:`_phase_state` does.
+_RECORDS = (
+    "initial, params, dt, n_steps",
+    ("k, m = params.stiffness, params.mass",),
+    ("isfinite, twin, cls = math.isfinite, _PhaseStateTwin, PhaseState",
+     "q, p, t = initial.q, initial.p, initial.t",
+     "yield initial"),
+    ("# q, p and t were checked finite just above: _phase_state, inlined.",
+     "s = twin()",
+     "s.q = q",
+     "s.p = p",
+     "s.t = t",
+     "s.__class__ = cls",
+     "yield s"),
+)
 
 
 def _build_flow(row: tuple[tuple[float, float], ...] | None,
                 name: str) -> Callable[..., Iterator[PhaseState]]:
-    """Compile the step loop of one method from its row.
+    """Compile the record loop of one method from its row.
 
-    ``row`` is a sequence of ``(a, b)`` stages, each a kick
-    ``p = p + kick_i * (-(k * q))`` and then a drift
-    ``q = q + drift_i * (p / m)``, with ``kick_i = a*dt`` and
-    ``drift_i = b*dt`` taken once per run; ``None`` is explicit Euler, one
-    tuple assignment from the current field.  A zero coefficient writes no
-    half-stage: adding ``0.0`` would turn a ``-0.0`` coordinate into
-    ``+0.0``.  The test is on the coefficient, so a step size that
-    underflows to 0.0 still runs.  Each coefficient enters the source as
-    its ``repr``, which reads back as the same float.  ``name`` names the
-    code, as ``<sympgeo.dynamics._flow NAME>``, in tracebacks and profiles,
-    and the source is registered with :mod:`linecache` under that name, so
-    a traceback shows the failing line, coefficients included.  Every call
-    compiles anew; :data:`_LOOPS` keeps one per method.
+    :func:`sympgeo._kernels._build_flow` in the shape :data:`_RECORDS`:
+    ``loop(initial, params, dt, n_steps)`` yields ``initial`` and then each
+    new :class:`PhaseState`.  The code is named
+    ``<sympgeo.dynamics._flow NAME>``; every call compiles anew, and
+    :data:`_LOOPS` keeps one per method.
     """
-    namespace = {"__name__": __name__, "math": math, "_PhaseStateTwin": _PhaseStateTwin,
-                 "PhaseState": PhaseState, "NumericalOverflowError": NumericalOverflowError}
-    sizes, steps = [], []
-    if row is None:
-        steps.append("q, p = q + dt * (p / m), p + dt * (-(k * q))")
-    for i, (a, b) in enumerate(row or ()):
-        if a:
-            sizes.append(f"kick_{i} = {a!r} * dt")
-            steps.append(f"p = p + kick_{i} * (-(k * q))")
-        if b:
-            sizes.append(f"drift_{i} = {b!r} * dt")
-            steps.append(f"q = q + drift_{i} * (p / m)")
-    source = _FLOW_TEMPLATE.format(sizes="\n".join(f"    {line}" for line in sizes),
-                                   steps="\n".join(f"        {line}" for line in steps))
-    filename = f"<{__name__}._flow {name}>"
-    # No modification time: linecache.checkcache keeps the entry.
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["_flow"]
+    return _kernels._build_flow(row, name, _RECORDS, {
+        "__name__": __name__, "_PhaseStateTwin": _PhaseStateTwin, "PhaseState": PhaseState})
 
 
 def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams) -> PhaseState:

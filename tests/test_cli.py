@@ -16,7 +16,7 @@ from array import array
 
 import pytest
 
-from sympgeo import cli, dynamics
+from sympgeo import _kernels, cli, dynamics
 from sympgeo.cli import main
 from sympgeo.core import Vec2, identity_residuals, norm
 from sympgeo.dynamics import OscillatorParams, PhaseState, hamiltonian, simulate
@@ -939,7 +939,8 @@ def test_csv_runs_never_call_json_dumps(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a CSV run called json.dumps")
 
-    monkeypatch.setattr(cli.json, "dumps", forbidden)
+    # cli imports json inside the JSON writer, so the patch goes on the module itself.
+    monkeypatch.setattr(json, "dumps", forbidden)
     for argv in (["identities", "--samples", "5"],
                  ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1",
                   "--from", "0", "--to", "6.283185307179586", "--steps", "9"],
@@ -1052,20 +1053,22 @@ def test_oscillator_rows_match_one_simulate_call_across_chunk_seams(capsys, meth
 
 
 def test_oscillator_evaluates_each_energy_once(capsys, monkeypatch):
+    # The row loop takes each energy from the float kernel that hamiltonian
+    # wraps; each run builds its loop from cli's binding of that kernel.
     calls = []
 
-    def counting_hamiltonian(state, params):
-        calls.append(state)
-        return hamiltonian(state, params)
+    def counting_energy(q, p, t, mass, stiffness):
+        calls.append(t)
+        return _kernels._energy(q, p, t, mass, stiffness)
 
-    monkeypatch.setattr(dynamics, "hamiltonian", counting_hamiltonian)
+    monkeypatch.setattr(cli, "_energy", counting_energy)
     base = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
             "--dt", "0.1", "--steps", "200", "--method", "leapfrog"]
     for extra in ([], ["--csv"]):
         calls.clear()
         assert main(base + extra) == 0
         capsys.readouterr()
-        assert 0 < len(calls) <= 201
+        assert len(calls) == 201
 
 
 def test_oscillator_csv_shape(capsys):

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import traceback
+from array import array
 
 import pytest
 
@@ -35,7 +36,7 @@ from sympgeo import (
     step,
     tilde,
 )
-from sympgeo import dynamics
+from sympgeo import cli, dynamics
 from sympgeo.dynamics import SPLITTINGS, _flow
 
 UNIT = OscillatorParams(mass=1.0, stiffness=1.0)
@@ -231,6 +232,38 @@ def _splitting_cases():
     return cases
 
 
+def _assert_rows_match_the_records(records, rows):
+    """The row loop ``rows`` of ``sympgeo oscillator`` against the record loop ``records``.
+
+    Both are loops of one row.  On every case of ``_splitting_cases``, and
+    on two whose state overflows while its energy is finite, each packed row
+    must be ``(s.t, s.q, s.p, hamiltonian(s, params))`` of a record, bit for
+    bit (compared as reprs, so signed zeros and subnormals count).  Where
+    the records fail first in step order, by a state or by its energy, the
+    row loop must raise the same error with the same message.
+    """
+    cases = _splitting_cases() + [(PhaseState(0.0, 0.0, 1.7e308), UNIT, 1e308, 2),
+                                  (PhaseState(1e150, 0.0), UNIT, 1e200, 3)]
+    failures = set()
+    for initial, params, dt, n_steps in cases:
+        want = []
+        try:
+            for s in records(initial, params, dt, n_steps):
+                want += (s.t, s.q, s.p, hamiltonian(s, params))
+        except NumericalOverflowError as exc:
+            want = (type(exc), str(exc))
+            failures.add(str(exc).split(" overflows")[0])
+        store = array("d")
+        try:
+            rows(initial.q, initial.p, initial.t, params.mass, params.stiffness, dt, n_steps,
+                 store.append)
+        except NumericalOverflowError as exc:
+            assert (type(exc), str(exc)) == want
+        else:
+            assert repr(store.tolist()) == repr(want)
+    assert failures == {"energy", "phase state"}
+
+
 @pytest.mark.parametrize("method", SPLITTINGS)
 def test_splitting_rows_match_a_stepwise_reference(method):
     # simulate precomputes a*dt and b*dt; each state must keep the bits of
@@ -279,6 +312,8 @@ def test_built_loops_match_a_stepwise_reference_for_any_row(row):
     if {abs(a) for a, _ in row} <= {0.0, 0.5}:
         _, after = loop(PhaseState(-1.0, -0.0), UNIT, 5e-324, 1)
         assert repr(after.p) == ("0.0" if any(a for a, _ in row) else "-0.0")
+    # The CLI's row loop is written out by the same builder from the same row.
+    _assert_rows_match_the_records(loop, cli._build_rows(row, "synthetic"))
     assert dynamics._LOOPS == loops
 
 
@@ -314,6 +349,13 @@ def test_each_loop_is_built_once_and_names_its_method(method):
     while tb.tb_next is not None:
         tb = tb.tb_next
     assert tb.tb_frame.f_code.co_filename == f"<sympgeo.dynamics._flow {method}>"
+    # The CLI builds its row loop per run, named after its own module, and
+    # every row keeps the bits of the record loop's states and energies.
+    rows = cli._build_rows(SPLITTINGS.get(method), method)
+    assert cli._build_rows(SPLITTINGS.get(method), method) is not rows
+    assert rows.__module__ == "sympgeo.cli"
+    assert rows.__code__.co_filename == f"<sympgeo.cli._flow {method}>"
+    _assert_rows_match_the_records(loop, rows)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -1,5 +1,6 @@
 """Import contract: the lazy ``sympgeo`` namespace and the layers each CLI run loads."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -97,43 +98,56 @@ def test_cli_methods_name_the_dynamics_methods():
 
 
 _CLI_BASE = ["sympgeo", "sympgeo._kernels", "sympgeo.cli", "sympgeo.errors"]
-_RUN_MAIN = ("import contextlib, io, sys\nfrom sympgeo.cli import main\n"
+#: The standard-library modules whose loading the subcommand table pins.
+_PINNED_STDLIB = ("dataclasses", "inspect", "json", "typing")
+_ALL_PINNED = list(_PINNED_STDLIB)
+_RECORD_LOOPS = [f"<sympgeo.dynamics._flow {method}>"
+                 for method in ("explicit_euler", "symplectic_euler", "leapfrog")]
+# -S keeps site-packages out, so only the interpreter's start-up and the run
+# can have loaded a module.  The probe prints its findings with repr, since
+# importing json to print them would load it.
+_RUN_MAIN = ("import sys\nsys.path.insert(0, sys.argv.pop(1))\n"
+             "import contextlib, io\nfrom sympgeo.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    assert main(sys.argv[1:]) == 0")
+             "    assert main(sys.argv[1:]) == 0\n"
+             "cache = getattr(sys.modules.get('linecache'), 'cache', {})\n"
+             "print(repr((sorted(m for m in sys.modules if m.startswith('sympgeo')),\n"
+             "            sorted(set(" + repr(_PINNED_STDLIB) + ") & set(sys.modules)),\n"
+             "            sorted(f for f in cache if f.startswith('<sympgeo.')))))")
+
+_OSCILLATOR = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
+               "--dt", "0.1", "--steps", "5", "--method", "leapfrog"]
 
 
-@pytest.mark.parametrize("argv, layers", [
-    (["identities", "--samples", "5"], []),
-    (["intersect", "--a", "0,0", "--u", "1,0", "--b", "1,1", "--v", "0,1"], []),
-    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], ["core", "geometry"]),
+@pytest.mark.parametrize("argv, layers, stdlib, loops", [
+    (["identities", "--samples", "5"], [], ["json"], []),
+    (["intersect", "--a", "0,0", "--u", "1,0", "--b", "1,1", "--v", "0,1"], [], ["json"], []),
+    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], ["core", "geometry"], _ALL_PINNED, []),
     (["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from", "0",
-      "--to", "1", "--steps", "5", "--csv"], ["core", "kinematics"]),
-    (["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0", "--dt", "0.1",
-      "--steps", "5", "--method", "leapfrog"], ["core", "dynamics"]),
+      "--to", "1", "--steps", "5", "--csv"], ["core", "kinematics"],
+     ["dataclasses", "inspect", "typing"], []),
+    (_OSCILLATOR, [], ["json"], ["<sympgeo.cli._flow leapfrog>"]),
     (["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "{svg}"],
-     ["core", "geometry", "svgplot"]),
-], ids=["identities", "intersect", "tangents", "crank", "oscillator", "tangents-svg"])
-def test_subcommand_loads_only_its_layers(tmp_path, argv, layers):
+     ["core", "geometry", "svgplot"], _ALL_PINNED, []),
+    (_OSCILLATOR + ["--csv"], [], [], ["<sympgeo.cli._flow leapfrog>"]),
+    (_OSCILLATOR + ["--svg", "{svg}"], ["core", "dynamics", "svgplot"], _ALL_PINNED,
+     sorted(["<sympgeo.cli._flow leapfrog>", *_RECORD_LOOPS])),
+], ids=["identities", "intersect", "tangents", "crank", "oscillator", "tangents-svg",
+        "oscillator-csv", "oscillator-svg"])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, layers, stdlib, loops):
+    # Each run loads only its own layers, pins which of the heavy standard
+    # modules it pulls in, and compiles only the step loops it runs: the
+    # oscillator's one row loop for its method, and the record loops only
+    # where its --svg plot imports dynamics.
     argv = [arg.format(svg=tmp_path / "t.svg") for arg in argv]
-    expected = sorted(_CLI_BASE + [f"sympgeo.{layer}" for layer in layers])
-    assert loaded_modules(_RUN_MAIN, *argv) == expected
-
-
-def test_kernel_subcommands_load_no_dataclass_machinery():
-    # -S keeps site-packages out, so only the interpreter's start-up and the
-    # two runs can have loaded a module.
     src = str(Path(sympgeo.__file__).resolve().parent.parent)
-    script = (f"import sys\nsys.path.insert(0, {src!r})\n"
-              "import contextlib, io\nfrom sympgeo.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    assert main(['identities', '--samples', '5']) == 0\n"
-              "    assert main(['intersect', '--a', '0,0', '--u', '1,0', '--b', '1,1',"
-              " '--v', '0,1']) == 0\n"
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                            text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-S", "-c", _RUN_MAIN, src, *argv],
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    modules, loaded, compiled = ast.literal_eval(result.stdout.splitlines()[-1])
+    assert modules == sorted(_CLI_BASE + [f"sympgeo.{layer}" for layer in layers])
+    assert loaded == stdlib
+    assert compiled == loops
 
 
 def test_parsing_builds_no_record():
