@@ -13,10 +13,12 @@ copy.
 The phase flow's step loops are written out here too, from one template
 (:data:`_FLOW_TEMPLATE`) by one builder (:func:`_build_flow`): the kick
 and drift statements of a method's :data:`SPLITTINGS` row, the step sizes
-taken once per run, the time stamp and the state-overflow check.  A
-caller's shape says only what becomes of each state:
-:mod:`sympgeo.dynamics` builds and yields a ``PhaseState`` record, and
-``sympgeo oscillator`` appends the state's ``(t, q, p, energy)`` row.
+taken once per run, the time stamp and the state-overflow check.  Every
+loop takes ``(q, p, t, m, k, dt, n_steps, append)`` and leaves the
+initial state to its caller.  A caller's shape is only the statements
+run on each new state and the names they read:
+:mod:`sympgeo.dynamics` builds a ``PhaseState`` record and appends it,
+and ``sympgeo oscillator`` appends the state's ``(t, q, p, energy)`` row.
 :func:`_check_run` is the run-argument rule of both,
 :func:`_check_oscillator` the mass/stiffness rule of
 :class:`sympgeo.dynamics.OscillatorParams`, and :func:`_energy` the
@@ -214,18 +216,18 @@ def _check_run(n_steps: int, dt: float, method: str) -> None:
         raise ValueError(f"unknown integrator {method!r}; expected one of {METHODS}")
 
 
-#: The source of every step loop.  A shape fills in ``{args}``, ``{head}``
-#: (set-up before the step sizes), ``{start}`` (set-up after them, ending
-#: with what becomes of the initial state) and ``{each}`` (what becomes of
-#: each new state); :func:`_build_flow` fills in ``{sizes}``, each stage's
-#: step sizes taken once per run, and ``{steps}``, the body of one step.
-#: Every step runs on plain floats, stamped with the running sum of ``dt``,
-#: and a state is checked finite before its shape sees it.
+#: The source of every step loop.  :func:`_build_flow` fills in ``{bind}``,
+#: the shape's names bound as locals once per run, ``{sizes}``, each
+#: stage's step sizes taken once per run, ``{steps}``, the body of one
+#: step, and ``{each}``, what becomes of each new state.  Every step runs
+#: on plain floats, stamped with the running sum of ``dt``, and a state is
+#: checked finite before its shape sees it.  The caller records the
+#: initial state itself.
 _FLOW_TEMPLATE = """\
-def _flow({args}):
-{head}
+def _flow(q, p, t, m, k, dt, n_steps, append):
+    isfinite = math.isfinite
+{bind}
 {sizes}
-{start}
     for _ in range(n_steps):
 {steps}
         t = t + dt
@@ -235,10 +237,16 @@ def _flow({args}):
 """
 
 
-def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str,
-                shape: tuple[str, tuple[str, ...], tuple[str, ...], tuple[str, ...]],
-                names: dict) -> Callable:
+def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str, module: str,
+                each: Sequence[str], names: dict) -> Callable[..., None]:
     """Compile the step loop of one method from its row, in one caller's shape.
+
+    ``loop(q, p, t, m, k, dt, n_steps, append)`` steps the state ``(q, p)``
+    stamped ``t``, with mass ``m`` and stiffness ``k``, ``n_steps`` times
+    and runs the statements ``each`` on each new state; they see ``q``,
+    ``p``, ``t``, ``m``, ``k`` and ``append``, and the locals that
+    ``names`` maps to their values.  Those are taken from ``names`` when
+    the loop is built and bound once per run.
 
     ``row`` is a sequence of ``(a, b)`` stages, each a kick
     ``p = p + kick_i * (-(k * q))`` and then a drift
@@ -250,12 +258,7 @@ def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str,
     underflows to 0.0 still runs.  Each coefficient enters the source as
     its ``repr``, which reads back as the same float.
 
-    ``shape`` is ``(args, head, start, each)``: the loop's parameter list,
-    which names ``dt`` and ``n_steps``, and three sequences of statements.
-    ``head`` and ``start`` leave ``k``, ``m``, ``q``, ``p``, ``t`` and
-    ``isfinite`` bound.  ``names`` holds the module globals the shape's
-    statements use besides ``math`` and :class:`NumericalOverflowError`,
-    and ``__name__``, the caller's module: the code is named
+    ``module`` is the caller's ``__name__``: the code is named
     ``<MODULE._flow NAME>`` in tracebacks and profiles, and the source is
     registered with :mod:`linecache` under that name, so a traceback shows
     the failing line, coefficients included.  Every call compiles anew.
@@ -273,12 +276,12 @@ def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str,
         if b:
             sizes.append(f"drift_{i} = {b!r} * dt")
             steps.append(f"q = q + drift_{i} * (p / m)")
-    args, head, start, each = shape
-    source = _FLOW_TEMPLATE.format(args=args, head=_indent(head, 4), sizes=_indent(sizes, 4),
-                                   start=_indent(start, 4), steps=_indent(steps, 8),
-                                   each=_indent(each, 8))
-    namespace = {"math": math, "NumericalOverflowError": NumericalOverflowError, **names}
-    filename = f"<{names['__name__']}._flow {name}>"
+    bind = [f"{local} = _names[{local!r}]" for local in names]
+    source = _FLOW_TEMPLATE.format(bind=_indent(bind, 4), sizes=_indent(sizes, 4),
+                                   steps=_indent(steps, 8), each=_indent(each, 8))
+    namespace = {"__name__": module, "math": math,
+                 "NumericalOverflowError": NumericalOverflowError, "_names": dict(names)}
+    filename = f"<{module}._flow {name}>"
     # No modification time: linecache.checkcache keeps the entry.
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)

@@ -34,10 +34,11 @@ loads ``errors``, the float kernels of ``_kernels`` and only the layers
 of its subcommand (``svgplot`` only with ``--svg``): ``identities``,
 ``intersect`` and ``oscillator`` run on the kernels alone and load no
 record type, so no ``dataclasses``.  ``oscillator`` compiles one step
-loop, for its method only, from the template of ``_kernels``; that loop
-appends each state's packed row, and only ``--svg`` loads ``dynamics``,
-for the plot's analytic orbit.  Only a JSON report imports ``json``, and
-this module imports no ``typing``.
+loop, for its method only, from the template of ``_kernels``, with the
+signature of the library's record loops; the runner appends the initial
+state's packed row and the loop each new state's, and only ``--svg``
+loads ``dynamics``, for the plot's analytic orbit.  Only a JSON report
+imports ``json``, and this module imports no ``typing``.
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.  Each failure is
@@ -551,25 +552,23 @@ def _oscillator_plot(store: array, mass: float, stiffness: float, q0: float, p0:
     return plot
 
 
-#: The oscillator's row loop, in the shape of :func:`sympgeo._kernels._build_flow`:
-#: each state, the initial one first, appends its ``(t, q, p, energy)`` row.
+#: What the oscillator's row loop does with each new state, in the shape of
+#: :func:`sympgeo._kernels._build_flow`: append its ``(t, q, p, energy)`` row.
 _ROW_CELLS = ("append(t)", "append(q)", "append(p)", "append(energy(q, p, t, m, k))")
-_ROWS = ("q, p, t, m, k, dt, n_steps, append", ("isfinite, energy = math.isfinite, _energy",),
-         _ROW_CELLS, _ROW_CELLS)
 
 
 def _build_rows(row: tuple[tuple[float, float], ...] | None, name: str) -> Callable[..., None]:
     """Compile the row loop of one method from its row.
 
-    :func:`sympgeo._kernels._build_flow` in the shape :data:`_ROWS`:
-    ``loop(q, p, t, m, k, dt, n_steps, append)`` steps the state ``(q, p)``
-    stamped ``t`` with mass ``m`` and stiffness ``k`` and passes each
-    state's ``t``, ``q``, ``p`` and energy to ``append``.  It builds no
-    record and, like :func:`sympgeo.dynamics.hamiltonian`, takes each energy
-    from :func:`sympgeo._kernels._energy`.  The code is named
-    ``<sympgeo.cli._flow NAME>``; every call compiles anew.
+    :func:`sympgeo._kernels._build_flow` in the shape :data:`_ROW_CELLS`:
+    ``loop(q, p, t, m, k, dt, n_steps, append)`` passes each new state's
+    ``t``, ``q``, ``p`` and energy to ``append``.  It builds no record and,
+    like :func:`sympgeo.dynamics.hamiltonian`, takes each energy from
+    :func:`sympgeo._kernels._energy`, as this module binds it when the loop
+    is built.  The code is named ``<sympgeo.cli._flow NAME>``; every call
+    compiles anew.
     """
-    return _build_flow(row, name, _ROWS, {"__name__": __name__, "_energy": _energy})
+    return _build_flow(row, name, __name__, _ROW_CELLS, {"energy": _energy})
 
 
 def _run_oscillator(args: argparse.Namespace) -> _Result:
@@ -579,10 +578,11 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
     _check_oscillator(mass, stiffness)
     method = _METHOD_NAMES[args.method]
     _check_run(args.steps, args.dt, method)
-    # One loop, for this method only, appends each state's row to the store
-    # as it is stepped; no state is built or kept.  The first overflow in
-    # step order, of a state or of its energy, ends the run.
-    store = array("d")
+    # The initial row, then one loop, for this method only, appends each new
+    # state's row to the store as it is stepped; no state is built or kept.
+    # The first overflow in step order, of a state or of its energy, ends
+    # the run.
+    store = array("d", (0.0, q0, p0, _energy(q0, p0, 0.0, mass, stiffness)))
     _build_rows(SPLITTINGS.get(method), method)(q0, p0, 0.0, mass, stiffness, args.dt,
                                                 args.steps, store.append)
     energies = memoryview(store)[3::4]

@@ -17,22 +17,22 @@ of ``b*dt``.  Explicit Euler is the method with no stages.
 Each method's step loop is written out once from its row, at import, by
 the template and builder of :mod:`sympgeo._kernels`, with a kick
 statement for each nonzero ``a`` and a drift statement for each nonzero
-``b``, so no step loops over stages.  ``_flow`` checks a run's arguments
-and returns that loop's generator, which takes the step sizes once per
-run and yields the states one at a time.  :func:`simulate` collects them
-into a :class:`Trajectory` and :func:`step` takes the one after its
-start.  Each new state is built as a slot twin of :class:`PhaseState`,
-and :func:`ellipse_residual` keeps the last initial energy, so the
-residuals of one trajectory take it once.  ``sympgeo oscillator`` runs
-a loop from the same template and builder on plain floats, so only its
-``--svg`` plot loads this module; the mass/stiffness rule, the energy
-and the run-argument checks are the float kernels both share.
+``b``, so no step loops over stages.  :func:`simulate` checks a run's
+arguments, starts its list of states with the initial one and hands the
+list's ``append`` to that loop, which takes the step sizes once per run
+and appends each new state, built as a slot twin of :class:`PhaseState`;
+:func:`step` is a one-step :func:`simulate`.  :func:`ellipse_residual`
+keeps the last initial energy, so the residuals of one trajectory take
+it once.  ``sympgeo oscillator`` runs a loop from the same template and
+builder, with the same signature, on plain floats, so only its ``--svg``
+plot loads this module; the mass/stiffness rule, the energy and the
+run-argument checks are the float kernels both share.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,14 +149,12 @@ def hamiltonian_field(s: PhaseState, params: OscillatorParams) -> tuple[float, f
 
 def step(s: PhaseState, params: OscillatorParams, dt: float,
          method: str = LEAPFROG) -> PhaseState:
-    """Advance one fixed step of size ``dt``: ``simulate(s, params, dt, 1, method)``.
+    """Advance one fixed step of size ``dt``: ``simulate(s, params, dt, 1, method).states[1]``.
 
-    Raises :class:`NumericalOverflowError` when the new state overflows.
+    Checks ``dt`` and ``method`` as :func:`simulate` does, and raises
+    :class:`NumericalOverflowError` when the new state overflows.
     """
-    # Unpacking runs the one-step flow to its end, as crank_state does its
-    # one-angle sweep, and builds no Trajectory or list.
-    _, after = _flow(s, params, dt, 1, method)
-    return after
+    return simulate(s, params, dt, 1, method).states[1]
 
 
 def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
@@ -173,57 +171,42 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
     Each method's loop is written out once from its row (or from the field,
     for explicit Euler), as its own statements, so no step loops over stages.
 
-    Every state stamp is the running sum of ``dt``.
-    Raises :class:`NumericalOverflowError` when a state overflows.
-    """
-    return Trajectory(params, dt, list(_flow(initial, params, dt, n_steps, method)), method)
-
-
-def _flow(initial: PhaseState, params: OscillatorParams, dt: float, n_steps: int,
-          method: str) -> Iterator[PhaseState]:
-    """The step loop of :func:`simulate`: yields ``initial``, then each new state.
-
-    Checks ``n_steps``, then ``dt``, then ``method`` (the rule of
-    :func:`sympgeo._kernels._check_run`), and returns the generator of
-    ``method``'s own loop, which :func:`_build_flow` writes out once from
-    the method's row, at import.  :func:`simulate` and :func:`step` drain it.
-    Raises :class:`NumericalOverflowError` when a state overflows.
+    Every state stamp is the running sum of ``dt``.  Checks ``n_steps``,
+    then ``dt``, then ``method`` (the rule of
+    :func:`sympgeo._kernels._check_run`) before the first step, and
+    raises :class:`NumericalOverflowError` when a state overflows.
+    ``states[0]`` is ``initial`` itself.
     """
     _check_run(n_steps, dt, method)
-    return _LOOPS[method](initial, params, dt, n_steps)
+    states = [initial]
+    _LOOPS[method](initial.q, initial.p, initial.t, params.mass, params.stiffness, dt, n_steps,
+                   states.append)
+    return Trajectory(params, dt, states, method)
 
 
-#: What the record loop does with each state, in the shape of
-#: :func:`sympgeo._kernels._build_flow`: yield ``initial`` as given, then
-#: build each new state through the slot twin, as :func:`_phase_state` does.
-_RECORDS = (
-    "initial, params, dt, n_steps",
-    ("k, m = params.stiffness, params.mass",),
-    ("isfinite, twin, cls = math.isfinite, _PhaseStateTwin, PhaseState",
-     "q, p, t = initial.q, initial.p, initial.t",
-     "yield initial"),
-    ("# q, p and t were checked finite just above: _phase_state, inlined.",
-     "s = twin()",
-     "s.q = q",
-     "s.p = p",
-     "s.t = t",
-     "s.__class__ = cls",
-     "yield s"),
-)
+#: What the record loop does with each new state, in the shape of
+#: :func:`sympgeo._kernels._build_flow`: build it through the slot twin, as
+#: :func:`_phase_state` does, and append it.
+_RECORD = ("# q, p and t were checked finite just above: _phase_state, inlined.",
+           "s = twin()",
+           "s.q = q",
+           "s.p = p",
+           "s.t = t",
+           "s.__class__ = cls",
+           "append(s)")
 
 
-def _build_flow(row: tuple[tuple[float, float], ...] | None,
-                name: str) -> Callable[..., Iterator[PhaseState]]:
+def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str) -> Callable[..., None]:
     """Compile the record loop of one method from its row.
 
-    :func:`sympgeo._kernels._build_flow` in the shape :data:`_RECORDS`:
-    ``loop(initial, params, dt, n_steps)`` yields ``initial`` and then each
-    new :class:`PhaseState`.  The code is named
+    :func:`sympgeo._kernels._build_flow` in the shape :data:`_RECORD`:
+    ``loop(q, p, t, m, k, dt, n_steps, append)`` passes each new
+    :class:`PhaseState` to ``append``.  The code is named
     ``<sympgeo.dynamics._flow NAME>``; every call compiles anew, and
     :data:`_LOOPS` keeps one per method.
     """
-    return _kernels._build_flow(row, name, _RECORDS, {
-        "__name__": __name__, "_PhaseStateTwin": _PhaseStateTwin, "PhaseState": PhaseState})
+    return _kernels._build_flow(row, name, __name__, _RECORD,
+                                {"twin": _PhaseStateTwin, "cls": PhaseState})
 
 
 def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams) -> PhaseState:
@@ -304,5 +287,5 @@ def area_residual(params: OscillatorParams, dt: float, method: str = LEAPFROG) -
     return residual
 
 
-#: Each method's step loop: ``_LOOPS[method](initial, params, dt, n_steps)``.
+#: Each method's record loop: ``_LOOPS[method](q, p, t, m, k, dt, n_steps, append)``.
 _LOOPS = {name: _build_flow(SPLITTINGS.get(name), name) for name in METHODS}

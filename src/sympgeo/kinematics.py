@@ -294,12 +294,19 @@ def crank_sweep(cfg: CrankConfig, phi_start: float, phi_end: float, steps: int) 
 
 
 def _grid(phi_start: float, phi_end: float, steps: int) -> Iterator[float]:
-    """The ``steps`` evenly spaced crank angles of a sweep, inclusive, one at a time."""
+    """The ``steps`` evenly spaced crank angles of a sweep, inclusive, one at a time.
+
+    Where the span ``phi_end - phi_start`` overflows, the ends have
+    opposite signs and each angle is their weighted mean, whose two terms
+    have opposite signs, so no angle overflows.
+    """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     span = phi_end - phi_start
     last = steps - 1
-    return (phi_start + span * (i / last) for i in range(steps))
+    if math.isfinite(span):
+        return (phi_start + span * (i / last) for i in range(steps))
+    return (phi_start * ((last - i) / last) + phi_end * (i / last) for i in range(steps))
 
 
 def _sweep(cfg: CrankConfig, phis: Iterable[float]) -> Iterator[SweepEntry]:

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -95,6 +96,18 @@ def test_exit_code_three_on_crank_overflow(capsys):
     err = capsys.readouterr().err
     assert "numerical singularity" in err and "overflow" in err
     assert "phi=" in err
+
+
+@pytest.mark.parametrize("ends, phis", [
+    (["--from=-1.7e308", "--to", "1.7e308"], [-1.7e308, 0.0, 1.7e308]),
+    (["--from", "1.7e308", "--to=-1.7e308"], [1.7e308, 0.0, -1.7e308]),
+])
+def test_crank_sweeps_a_span_beyond_the_float_range(capsys, ends, phis):
+    # --to minus --from overflows; every grid angle is still finite.
+    code, text = run_csv(capsys, ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1",
+                                  *ends, "--steps", "3", "--csv"])
+    assert code == 0
+    assert [float(row[0]) for row in list(csv.reader(text.splitlines()))[1:]] == phis
 
 
 @pytest.mark.parametrize("span", ["1e80", "1e120"])
@@ -1183,7 +1196,7 @@ def test_svg_write_failure_exits_with_usage_code(tmp_path, capsys):
 # Every numeric option of the seeded fuzz is drawn from these values; a
 # radius from their magnitudes and -1, so the radius rule is reached.
 _FUZZ_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-13, 1e-8, 0.5, 1.0, -1.0, 2.0, 3.0, 7.0,
-                1e150, 1e160, 1e300, -1e300, 1.7e308)
+                1e150, 1e160, 1e300, -1e300, 1.7e308, -1.7e308)
 _FUZZ_RADII = tuple(sorted({abs(v) for v in _FUZZ_VALUES})) + (-1.0,)
 #: The domain rules a valid-looking command line may break, exiting 1.
 _DOMAIN_MESSAGES = ("invalid value: crank_length must be", "invalid value: mass must be",
@@ -1242,7 +1255,7 @@ def _check_csv(text, subcommand):
         assert all(math.isfinite(float(cell)) for cell in cells)
 
 
-@pytest.mark.parametrize("seed", [28])
+@pytest.mark.parametrize("seed", [28, 1])
 def test_the_error_contract_holds_over_a_seeded_fuzz(capsys, monkeypatch, seed):
     # One parser serves every run: building it costs ten times the run.
     parser = cli._build_parser()
@@ -1264,6 +1277,8 @@ def test_the_error_contract_holds_over_a_seeded_fuzz(capsys, monkeypatch, seed):
                 strict_json(out)
             continue
         assert out == "", (index, argv)
+        # A failure names the values it met; none of them is a NaN.
+        assert not re.search(r"\bnan\b", err), (index, argv, err)
         if code == 1:
             broken = [m for m in _DOMAIN_MESSAGES if m in err]
             assert "usage: sympgeo" in err or broken, (index, argv, err)

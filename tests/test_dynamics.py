@@ -6,6 +6,7 @@ is compared against the closed-form orbit or an energy bound measured once
 and frozen here.
 """
 
+import inspect
 import math
 import random
 import re
@@ -37,7 +38,7 @@ from sympgeo import (
     tilde,
 )
 from sympgeo import cli, dynamics
-from sympgeo.dynamics import SPLITTINGS, _flow
+from sympgeo.dynamics import SPLITTINGS
 
 UNIT = OscillatorParams(mass=1.0, stiffness=1.0)
 
@@ -232,12 +233,21 @@ def _splitting_cases():
     return cases
 
 
+def _record_run(loop, initial, params, dt, n_steps):
+    """The states of a record loop's run, ``initial`` first, as :func:`simulate` keeps them."""
+    states = [initial]
+    loop(initial.q, initial.p, initial.t, params.mass, params.stiffness, dt, n_steps,
+         states.append)
+    return states
+
+
 def _assert_rows_match_the_records(records, rows):
     """The row loop ``rows`` of ``sympgeo oscillator`` against the record loop ``records``.
 
-    Both are loops of one row.  On every case of ``_splitting_cases``, and
-    on two whose state overflows while its energy is finite, each packed row
-    must be ``(s.t, s.q, s.p, hamiltonian(s, params))`` of a record, bit for
+    Both are loops of one row, run on the same float arguments.  On every
+    case of ``_splitting_cases``, and on two whose state overflows while
+    its energy is finite, each packed row must be
+    ``(s.t, s.q, s.p, hamiltonian(s, params))`` of a new record, bit for
     bit (compared as reprs, so signed zeros and subnormals count).  Where
     the records fail first in step order, by a state or by its energy, the
     row loop must raise the same error with the same message.
@@ -246,17 +256,25 @@ def _assert_rows_match_the_records(records, rows):
                                   (PhaseState(1e150, 0.0), UNIT, 1e200, 3)]
     failures = set()
     for initial, params, dt, n_steps in cases:
+        args = (initial.q, initial.p, initial.t, params.mass, params.stiffness, dt, n_steps)
+        states, failure = [], None
+        try:
+            records(*args, states.append)
+        except NumericalOverflowError as exc:
+            failure = exc
         want = []
         try:
-            for s in records(initial, params, dt, n_steps):
+            # Each state the loop appended comes before its overflow in step order.
+            for s in states:
                 want += (s.t, s.q, s.p, hamiltonian(s, params))
         except NumericalOverflowError as exc:
-            want = (type(exc), str(exc))
-            failures.add(str(exc).split(" overflows")[0])
+            failure = exc
+        if failure is not None:
+            want = (type(failure), str(failure))
+            failures.add(str(failure).split(" overflows")[0])
         store = array("d")
         try:
-            rows(initial.q, initial.p, initial.t, params.mass, params.stiffness, dt, n_steps,
-                 store.append)
+            rows(*args, store.append)
         except NumericalOverflowError as exc:
             assert (type(exc), str(exc)) == want
         else:
@@ -303,14 +321,14 @@ def test_built_loops_match_a_stepwise_reference_for_any_row(row):
         if overflow_t is not None:
             overflowed += 1
             with pytest.raises(NumericalOverflowError, match=f"at t={overflow_t}$"):
-                list(loop(initial, params, dt, n_steps))
+                _record_run(loop, initial, params, dt, n_steps)
             continue
-        assert repr(list(loop(initial, params, dt, n_steps))) == repr(want)
+        assert repr(_record_run(loop, initial, params, dt, n_steps)) == repr(want)
     assert overflowed >= 2 or not any(a or b for a, b in row)
     # Each kick of 0.5*5e-324 underflows to 0.0, yet a kick with a nonzero
     # coefficient still runs and adds +0.0 to p = -0.0.
     if {abs(a) for a, _ in row} <= {0.0, 0.5}:
-        _, after = loop(PhaseState(-1.0, -0.0), UNIT, 5e-324, 1)
+        _, after = _record_run(loop, PhaseState(-1.0, -0.0), UNIT, 5e-324, 1)
         assert repr(after.p) == ("0.0" if any(a for a, _ in row) else "-0.0")
     # The CLI's row loop is written out by the same builder from the same row.
     _assert_rows_match_the_records(loop, cli._build_rows(row, "synthetic"))
@@ -319,29 +337,50 @@ def test_built_loops_match_a_stepwise_reference_for_any_row(row):
 
 @pytest.mark.parametrize("method", [*METHODS, "rk4", ["leapfrog"]])
 def test_flow_checks_its_arguments_lazily_and_in_order(method):
-    # The _flow call itself checks n_steps, then dt, then the method.
+    # simulate and step check n_steps, then dt, then the method, before the
+    # first step.
     initial = PhaseState(1.0, 0.0)
     for n_steps, dt, error, message in [
             (0, -1.0, InvalidStepError, "n_steps must be >= 1, got 0"),
             (1, -1.0, InvalidStepError, "dt must be finite and > 0, got -1.0"),
             (1, math.nan, InvalidStepError, "dt must be finite and > 0, got nan")]:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            _flow(initial, UNIT, dt, n_steps, method)
+            simulate(initial, UNIT, dt, n_steps, method)
+        if n_steps == 1:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                step(initial, UNIT, dt, method)
     if method in METHODS:
-        assert next(_flow(initial, UNIT, 0.5, 1, method)) is initial
+        assert simulate(initial, UNIT, 0.5, 1, method).states[0] is initial
     else:
         message = f"unknown integrator {method!r}; expected one of {METHODS}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            _flow(initial, UNIT, 0.5, 1, method)
+            simulate(initial, UNIT, 0.5, 1, method)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            step(initial, UNIT, 0.5, method)
+
+
+#: The positional parameters of every compiled step loop, record or row.
+_LOOP_PARAMETERS = ["q", "p", "t", "m", "k", "dt", "n_steps", "append"]
+
+
+def _assert_one_loop_signature(loop):
+    """``loop`` takes exactly :data:`_LOOP_PARAMETERS`, positionally, and yields nothing."""
+    parameters = inspect.signature(loop).parameters.values()
+    assert [param.name for param in parameters] == _LOOP_PARAMETERS
+    assert all(param.kind is param.POSITIONAL_OR_KEYWORD and param.default is param.empty
+               for param in parameters)
+    assert not inspect.isgeneratorfunction(loop)
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_each_loop_is_built_once_and_names_its_method(method):
-    first = _flow(PhaseState(1.0, 0.0), UNIT, 0.5, 1, method)
-    assert _flow(PhaseState(0.0, 1.0), UNIT, 0.25, 2, method).gi_code is first.gi_code
     loop = dynamics._LOOPS[method]
+    simulate(PhaseState(1.0, 0.0), UNIT, 0.5, 1, method)
+    step(PhaseState(0.0, 1.0), UNIT, 0.25, method)
+    assert dynamics._LOOPS[method] is loop
     assert loop.__module__ == "sympgeo.dynamics"
     assert loop.__code__.co_name == "_flow"
+    _assert_one_loop_signature(loop)
     # An overflow inside the loop names the method in its innermost frame.
     with pytest.raises(NumericalOverflowError) as caught:
         simulate(PhaseState(1e200, 0.0), OscillatorParams(1.0, 1e300), 1.0, 3, method)
@@ -355,6 +394,7 @@ def test_each_loop_is_built_once_and_names_its_method(method):
     assert cli._build_rows(SPLITTINGS.get(method), method) is not rows
     assert rows.__module__ == "sympgeo.cli"
     assert rows.__code__.co_filename == f"<sympgeo.cli._flow {method}>"
+    _assert_one_loop_signature(rows)
     _assert_rows_match_the_records(loop, rows)
 
 

@@ -8,6 +8,7 @@ h = 1e-6 for first derivatives, h = 1e-4 for second derivatives.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -426,6 +427,22 @@ def test_sweep_two_steps_reproduces_position_anchors():
 def test_sweep_with_equal_endpoints_duplicates_the_state():
     entries = crank_sweep(EXAMPLE, 0.5, 0.5, 2)
     assert entries[0].state == entries[1].state
+
+
+def test_sweep_over_a_span_beyond_the_float_range():
+    # phi_end - phi_start overflows, yet every angle of the grid is finite:
+    # the ends are exact, each angle lies between them and each state is
+    # crank_state's at its angle.
+    cfg = CrankConfig(1.0, Vec2(3.0, 0.0), 1.0)
+    entries = crank_sweep(cfg, -1.7e308, 1.7e308, 3)
+    assert [e.phi for e in entries] == [-1.7e308, 0.0, 1.7e308]
+    assert all(e.state == crank_state(cfg, e.phi) for e in entries)
+    top = sys.float_info.max
+    for start, end in ((1.7e308, -1.7e308), (1e308, -top), (-top, top), (top, -1e308)):
+        for steps in (2, 3, 7, 50):
+            phis = [e.phi for e in crank_sweep(cfg, start, end, steps)]
+            assert (phis[0], phis[-1]) == (start, end)
+            assert all(min(start, end) <= phi <= max(start, end) for phi in phis)
 
 
 def test_sweep_rejects_fewer_than_two_steps():
