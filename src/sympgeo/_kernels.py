@@ -1,14 +1,24 @@
-"""Plain-float kernels of the signed-area formulas and the phase flow, shared by the record layers and the CLI.
+"""Plain-float kernels of the signed-area formulas, the crank and the phase flow, shared by the record layers and the CLI.
 
 Each kernel takes and returns floats and builds no record, so this module
 imports only :mod:`math` and :mod:`sympgeo.errors`: the ``identities``,
-``intersect`` and ``oscillator`` subcommands run on it without loading
-``core``, ``geometry``, ``dynamics`` or ``dataclasses``.
-:func:`sympgeo.core.identity_residuals` wraps :func:`_identity_terms`,
-:func:`sympgeo.geometry.intersect_lines` wraps :func:`_meet`, and
-:func:`_meet` and the common-tangent kernel of :mod:`sympgeo.geometry`
-both form their loop vector with :func:`_offset`, so each formula has one
-copy.
+``intersect``, ``crank`` and ``oscillator`` subcommands run on it without
+loading ``core``, ``geometry``, ``kinematics``, ``dynamics`` or
+``dataclasses``.  :func:`sympgeo.core.identity_residuals` wraps
+:func:`_identity_terms`, :func:`sympgeo.geometry.intersect_lines` wraps
+:func:`_meet`, and :func:`_meet` and the common-tangent kernel of
+:mod:`sympgeo.geometry` both form their loop vector with :func:`_offset`,
+so each formula has one copy.
+
+The crank's sweep is one generator, :func:`_crank_rows`, over the angles
+of :func:`_grid`, yielding one tuple of floats per angle:
+:func:`sympgeo.kinematics.crank_sweep` and
+:func:`~sympgeo.kinematics.crank_state` build their records from its rows
+and ``sympgeo crank`` packs them.  :func:`_loop_closures` is the body of
+:func:`sympgeo.kinematics.loop_residuals`, :func:`_check_crank` the rule
+of :class:`sympgeo.kinematics.CrankConfig` and
+:func:`_singularity_floor` the rod length at which a crank position
+turns singular.
 
 The phase flow's step loops are written out here too, from one template
 (:data:`_FLOW_TEMPLATE`) by one builder (:func:`_build_flow`): the kick
@@ -40,7 +50,7 @@ from .errors import (
 # imports; at run time they stay unevaluated, so no ``typing`` loads.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Sequence
+    from collections.abc import Callable, Iterable, Iterator, Sequence
 
 #: Degeneracy tolerance: the relative factor of the parallel test and of the
 #: crank's singular-rod floor, and the absolute floor of the ratio denominators.
@@ -163,6 +173,147 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(mu)):
         raise NumericalOverflowError("line intersection overflows")
     return x, y, lam, mu
+
+
+#: Rod lengths below this fraction of the crank length are flagged in sweeps.
+NEAR_SINGULAR_FRACTION = 1e-6
+
+#: The cells after ``phi`` of a singular :func:`_crank_rows` row: no rod
+#: state, and flagged near-singular.
+_SINGULAR_CELLS = (None,) * 9 + (True,)
+
+
+def _check_crank(length: float, phi_dot: float) -> None:
+    """The rule of :class:`sympgeo.kinematics.CrankConfig`: the crank length
+    finite and > 0, then the drive rate finite.
+
+    Raises :class:`ValueError` naming the first value that breaks it.
+    """
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"crank_length must be finite and > 0, got {length}")
+    if not math.isfinite(phi_dot):
+        raise ValueError("phi_dot must be finite")
+
+
+def _singularity_floor(length: float, cx: float, cy: float) -> float:
+    """Rod length at or below which a crank position is singular.
+
+    Relative to the mechanism's scale, the crank length plus the distance
+    of the pivot ``(cx, cy)``, so a small but regular crank is not flagged
+    singular.  Each term is scaled before the sum, and the pivot distance
+    is taken of the halved pivot, so the floor stays finite where
+    ``length + |pivot|`` or ``|pivot|`` itself overflows.  The halving is
+    undone by the exact ``2.0 * ATOL``, so the pivot term is
+    ``ATOL * |pivot|`` bit for bit wherever that is finite.
+    """
+    return ATOL * length + (2.0 * ATOL) * math.hypot(0.5 * cx, 0.5 * cy)
+
+
+def _grid(phi_start: float, phi_end: float, steps: int) -> Iterator[float]:
+    """The ``steps`` evenly spaced crank angles of a sweep, inclusive, one at a time.
+
+    Where the span ``phi_end - phi_start`` overflows, the ends have
+    opposite signs and each angle is their weighted mean, whose two terms
+    have opposite signs, so no angle overflows.  Raises
+    :class:`ValueError` for fewer than two steps.
+    """
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    span = phi_end - phi_start
+    last = steps - 1
+    if math.isfinite(span):
+        return (phi_start + span * (i / last) for i in range(steps))
+    return (phi_start * ((last - i) / last) + phi_end * (i / last) for i in range(steps))
+
+
+def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
+                phis: Iterable[float]) -> Iterator[tuple]:
+    """The crank's rod state at the angles ``phis``, in order, one plain tuple at a time.
+
+    The crank of length ``length`` spins about the origin at the rate
+    ``phi_dot``; its rod slides through the pivot ``(cx, cy)``.  Each row
+    is ``(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey,
+    psi_unwrapped, near_singular)``, with ``(ex, ey)`` the unit rod
+    direction; a singular angle, where the rod length is at or below
+    :func:`_singularity_floor`, gives ``phi``, nine ``None`` and ``True``.
+
+    Writes out :func:`sympgeo.kinematics.crank_position`,
+    :func:`~sympgeo.kinematics.crank_velocity`,
+    :func:`~sympgeo.kinematics.crank_acceleration` and the
+    :func:`~sympgeo.core.wrap_angle` unwrap on floats, in their operation
+    order, so each row holds the same bits as that stepwise composition.
+    ``psi_unwrapped`` accumulates the rod angle continuously from the
+    first regular row.  Raises :class:`NumericalOverflowError` naming
+    ``phi`` when the rod length, its rates or its accelerations overflow.
+    """
+    w = phi_dot
+    floor = _singularity_floor(length, cx, cy)
+    near_length = NEAR_SINGULAR_FRACTION * length
+    cos, sin, hypot, atan2 = math.cos, math.sin, math.hypot, math.atan2
+    isfinite, remainder, tau, pi = math.isfinite, math.remainder, math.tau, math.pi
+    last_psi: float | None = None
+    last_unwrapped = 0.0
+    for phi in phis:
+        ax = length * cos(phi)
+        ay = length * sin(phi)
+        rx = cx - ax
+        ry = cy - ay
+        s = hypot(rx, ry)
+        if not isfinite(s):
+            raise NumericalOverflowError(f"rod length overflows at phi={phi}")
+        if s <= floor:
+            yield (phi,) + _SINGULAR_CELLS
+            continue
+        ex = rx / s
+        ey = ry / s
+        psi = atan2(ey, ex)
+        s_dot = w * (ax * -ey + ay * ex)
+        psi_dot = -w * (ax * ex + ay * ey) / s
+        if not (isfinite(s_dot) and isfinite(psi_dot)):
+            raise NumericalOverflowError(f"rod rates overflow at phi={phi}")
+        s_ddot = psi_dot * (psi_dot - w) * s
+        psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
+        if not (isfinite(s_ddot) and isfinite(psi_ddot)):
+            raise NumericalOverflowError(f"rod accelerations overflow at phi={phi}")
+        if last_psi is None:
+            unwrapped = psi
+        else:
+            turn = remainder(psi - last_psi, tau)
+            unwrapped = last_unwrapped + (turn + tau if turn <= -pi else turn)
+        last_psi = psi
+        last_unwrapped = unwrapped
+        # s is finite and above the floor, so |ex|, |ey| <= 1.
+        yield phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped, s < near_length
+
+
+def _loop_closures(length: float, cx: float, cy: float, phi_dot: float, phi: float, s: float,
+                   s_dot: float, psi_dot: float, s_ddot: float, psi_ddot: float, ex: float,
+                   ey: float) -> tuple[float, float, float]:
+    """Norms of the position, velocity and acceleration loop closures of one rod state.
+
+    The body of :func:`sympgeo.kinematics.loop_residuals` on plain floats:
+    the crank and pivot of :func:`_crank_rows`, and one of its regular
+    rows' ``phi``, rod length, rates, accelerations and unit direction
+    ``(ex, ey)``.  Raises :class:`NumericalOverflowError` naming ``phi``
+    when a closure overflows.
+    """
+    w = phi_dot
+    ax = length * math.cos(phi)
+    ay = length * math.sin(phi)
+    # Coefficients of tilde(e_psi) in the velocity closure and of a_vec,
+    # e_psi and tilde(e_psi) in the acceleration closure.
+    vel_te = psi_dot * s
+    acc_a = -w * w
+    acc_e = s_ddot - psi_dot * psi_dot * s
+    acc_te = psi_ddot * s + 2.0 * psi_dot * s_dot
+    position = math.hypot(ax + ex * s - cx, ay + ey * s - cy)
+    velocity = math.hypot(-ay * w + ex * s_dot + -ey * vel_te,
+                          ax * w + ey * s_dot + ex * vel_te)
+    acceleration = math.hypot(ax * acc_a + ex * acc_e + -ey * acc_te,
+                              ay * acc_a + ey * acc_e + ex * acc_te)
+    if not (math.isfinite(position) and math.isfinite(velocity) and math.isfinite(acceleration)):
+        raise NumericalOverflowError(f"loop residuals overflow at phi={phi}")
+    return (position, velocity, acceleration)
 
 
 EXPLICIT_EULER = "explicit_euler"

@@ -25,20 +25,24 @@ writers share each tabular subcommand's fixed row schema, a
 :data:`_Table`, and format each row from a ``%``-template.  Every row is
 complete before the first byte is written, so a run that fails leaves
 stdout empty; the report is then written in pieces, the row texts
-:data:`_CHUNK` (256) rows at a time.  The runners keep no sweep entries or
-trajectory states beside their rows, so the rows are what a large run's
-peak memory holds: packed floats (:func:`_row_view`), ten per ``crank``
-row and four per ``oscillator`` row, taken from each sweep entry as it is
-yielded and from each state as it is stepped.  Each runner imports the layers it runs, so a run
-loads ``errors``, the float kernels of ``_kernels`` and only the layers
-of its subcommand (``svgplot`` only with ``--svg``): ``identities``,
-``intersect`` and ``oscillator`` run on the kernels alone and load no
-record type, so no ``dataclasses``.  ``oscillator`` compiles one step
-loop, for its method only, from the template of ``_kernels``, with the
-signature of the library's record loops; the runner appends the initial
-state's packed row and the loop each new state's, and only ``--svg``
-loads ``dynamics``, for the plot's analytic orbit.  Only a JSON report
-imports ``json``, and this module imports no ``typing``.
+:data:`_CHUNK` (256) rows at a time.  The runners keep no records
+beside their rows, so the rows are what a large run's peak memory holds:
+packed floats (:func:`_row_view`), ten per ``crank`` row and four per
+``oscillator`` row, taken from each kernel row as the sweep yields it
+and from each state as it is stepped.
+Each runner imports the layers it runs, so a run loads ``errors``, the
+float kernels of ``_kernels`` and only the layers of its subcommand
+(``svgplot`` only with ``--svg``): ``identities``, ``intersect``,
+``crank`` and ``oscillator`` run on the kernels alone and load no record
+type, so no ``dataclasses``; only ``tangents`` needs ``core``.  ``crank``
+packs the rows of the sweep kernel of ``_kernels`` and folds the maxima
+of its loop closures, as the library's records would give them.
+``oscillator`` compiles one step loop, for its method only, from the
+template of ``_kernels``, with the signature of the library's record
+loops; the runner appends the initial state's packed row and the loop
+each new state's, and only ``--svg`` loads ``dynamics``, for the plot's
+analytic orbit.  Only a JSON report imports ``json``, and this module
+imports no ``typing``.
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.  Each failure is
@@ -60,10 +64,14 @@ from collections import namedtuple
 from ._kernels import (
     SPLITTINGS,
     _build_flow,
+    _check_crank,
     _check_oscillator,
     _check_run,
+    _crank_rows,
     _energy,
+    _grid,
     _identity_terms,
+    _loop_closures,
     _meet,
 )
 from .errors import DegeneracyError, NumericalOverflowError, SingularityError
@@ -485,26 +493,26 @@ def _crank_plot(store: array) -> SvgPlot:
 def _run_crank(args: argparse.Namespace) -> _Result:
     from array import array  # a shared extension module: only the packing runners load it
 
-    from .core import Vec2
-    from .kinematics import CrankConfig, _grid, _sweep, loop_residuals
-
-    cfg = CrankConfig(args.length, Vec2(*args.pivot), args.phidot)
+    length, (cx, cy), w = args.length, args.pivot, args.phidot
+    _check_crank(length, w)
     unit = _DEG if args.degrees else 1.0  # scaling by 1.0 is exact, -0.0 included
-    # The entries are consumed as the sweep yields them; only the rows are kept.
-    entries = _sweep(cfg, _grid(getattr(args, "from") * unit, args.to * unit, args.steps))
+    # The rows are consumed as the kernel yields them; only the packed cells are kept.
+    rows = _crank_rows(length, cx, cy, w,
+                       _grid(getattr(args, "from") * unit, args.to * unit, args.steps))
     isfinite = math.isfinite
     m_position = m_velocity = m_acceleration = 0.0
     store = array("d")
     extend = store.extend
-    # Ten packed cells per entry in ``_CRANK_COLUMNS`` order, the flags as
+    # Ten packed cells per row in ``_CRANK_COLUMNS`` order, the flags as
     # 0.0/1.0 and angles converted on the way out.  Of the converted cells
     # only the rod's angular rates can overflow: phi converts back to a given
     # angle, and psi_unwrapped moves at most pi per sample.
-    for phi, _, near_singular, state, psi_unwrapped in entries:
-        if state is None:
+    for phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped, near in rows:
+        if s is None:
             extend((phi / unit,) + _CRANK_SINGULAR)
             continue
-        position, velocity, acceleration = loop_residuals(cfg, state)
+        position, velocity, acceleration = _loop_closures(length, cx, cy, w, phi, s, s_dot,
+                                                          psi_dot, s_ddot, psi_ddot, ex, ey)
         # The closures are finite, so this fold keeps max()'s result.
         if position > m_position:
             m_position = position
@@ -512,13 +520,12 @@ def _run_crank(args: argparse.Namespace) -> _Result:
             m_velocity = velocity
         if acceleration > m_acceleration:
             m_acceleration = acceleration
-        _, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _ = state
         psi_dot /= unit
         psi_ddot /= unit
         if not (isfinite(psi_dot) and isfinite(psi_ddot)):
             raise NumericalOverflowError(f"rod angle rates overflow in degrees at phi={phi / unit}")
-        extend((phi / unit, s, psi / unit, psi_unwrapped / unit, s_dot, psi_dot,
-                s_ddot, psi_ddot, 0.0, near_singular))
+        extend((phi / unit, s, psi / unit, unwrapped / unit, s_dot, psi_dot,
+                s_ddot, psi_ddot, 0.0, near))
     residuals = {
         "max_position_closure": m_position,
         "max_velocity_closure": m_velocity,

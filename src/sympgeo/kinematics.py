@@ -11,24 +11,36 @@ and differentiating that loop once and twice gives the rates and
 accelerations without ever solving an equation system.
 
 :func:`crank_sweep` and :func:`crank_state` share one loop over crank
-angles on plain floats, a generator that yields each entry as it is
-formed.  It reads the configuration once per call, forms the rod, its
-rates and accelerations and the unwrapped rod angle in the operation
-order of :func:`crank_position`, :func:`crank_velocity`,
-:func:`crank_acceleration` and :func:`wrap_angle`, and builds each result
-record directly, without re-validating components it has already checked
-finite.  A non-finite result raises :class:`NumericalOverflowError`
+angles on plain floats, :func:`sympgeo._kernels._crank_rows`, which
+``sympgeo crank`` runs too.  It reads the configuration once per call,
+forms the rod, its rates and accelerations and the unwrapped rod angle in
+the operation order of :func:`crank_position`, :func:`crank_velocity`,
+:func:`crank_acceleration` and :func:`wrap_angle`, and yields each row
+as a plain tuple; these two functions build each result record from it
+directly, without re-validating components the kernel has already
+checked finite.  :func:`loop_residuals` wraps the kernel
+:func:`sympgeo._kernels._loop_closures`, and :class:`CrankConfig` checks
+its fields by :func:`sympgeo._kernels._check_crank`, so each formula has
+one copy.  A non-finite result raises :class:`NumericalOverflowError`
 instead of reaching a report.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import ATOL, Vec2, _vec2, tilde
+# NEAR_SINGULAR_FRACTION is re-exported: the flag's threshold, named here too.
+from ._kernels import (
+    NEAR_SINGULAR_FRACTION,
+    _check_crank,
+    _crank_rows,
+    _grid,
+    _loop_closures,
+    _singularity_floor,
+)
+from .core import Vec2, _vec2, tilde
 from .errors import NumericalOverflowError, SingularPositionError
 
 
@@ -92,10 +104,7 @@ class CrankConfig:
     phi_dot: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.crank_length) and self.crank_length > 0.0):
-            raise ValueError(f"crank_length must be finite and > 0, got {self.crank_length}")
-        if not math.isfinite(self.phi_dot):
-            raise ValueError("phi_dot must be finite")
+        _check_crank(self.crank_length, self.phi_dot)
 
     def crank_vector(self, phi: float) -> Vec2:
         """Crank tip position a_vec for crank angle ``phi``."""
@@ -147,23 +156,10 @@ class SweepEntry(NamedTuple):
     psi_unwrapped: float | None
 
 
-#: Rod lengths below this fraction of the crank length are flagged in sweeps.
-NEAR_SINGULAR_FRACTION = 1e-6
-
-
-def _singularity_floor(cfg: CrankConfig) -> float:
-    """Rod length at or below which a position is singular.
-
-    Relative to the mechanism's scale, the crank length plus the pivot
-    distance, so a small but regular crank is not flagged singular.  Each
-    term is scaled before the sum, and the pivot distance is taken of the
-    halved pivot, so the floor stays finite where ``crank_length + |pivot|``
-    or ``|pivot|`` itself overflows.  The halving is undone by the exact
-    ``2.0 * ATOL``, so the pivot term is ``ATOL * |pivot|`` bit for bit
-    wherever that is finite.
-    """
+def _floor(cfg: CrankConfig) -> float:
+    """The kernel's singular rod-length floor of ``cfg``."""
     pivot = cfg.pivot_c
-    return ATOL * cfg.crank_length + (2.0 * ATOL) * math.hypot(0.5 * pivot.x, 0.5 * pivot.y)
+    return _singularity_floor(cfg.crank_length, pivot.x, pivot.y)
 
 
 def _tip(length: float, phi: float) -> tuple[float, float]:
@@ -183,7 +179,7 @@ def crank_position(cfg: CrankConfig, phi: float) -> CrankPosition:
     s = math.hypot(rx, ry)
     if not math.isfinite(s):
         raise NumericalOverflowError(f"rod length overflows at phi={phi}")
-    if s <= _singularity_floor(cfg):
+    if s <= _floor(cfg):
         raise SingularPositionError(f"rod length vanishes at phi={phi}")
     ex = rx / s
     ey = ry / s
@@ -200,7 +196,7 @@ def crank_velocity(cfg: CrankConfig, phi: float, s: float, e_psi: Vec2) -> Crank
     Projecting the loop rate onto e_psi isolates s_dot (an area with the
     crank vector); projecting onto tilde(e_psi) isolates psi_dot.
     """
-    if s <= _singularity_floor(cfg):
+    if s <= _floor(cfg):
         raise SingularPositionError("rates undefined at a singular position")
     ax, ay = _tip(cfg.crank_length, phi)
     ex, ey = e_psi.x, e_psi.y
@@ -221,7 +217,7 @@ def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float)
     and tilde(e_psi) and eliminating the crank projections with the rate
     expressions; phi_ddot = 0 is baked in.
     """
-    if s <= _singularity_floor(cfg):
+    if s <= _floor(cfg):
         raise SingularPositionError("accelerations undefined at a singular position")
     w = cfg.phi_dot
     s_ddot = psi_dot * (psi_dot - w) * s
@@ -237,13 +233,16 @@ def crank_state(cfg: CrankConfig, phi: float) -> CrankState:
     Raises :class:`SingularPositionError` at a singular angle and
     :class:`NumericalOverflowError` when a result overflows.
     """
-    # Unpacking runs the one-angle sweep to its end.  A generator left
+    pivot = cfg.pivot_c
+    # Unpacking runs the one-angle kernel to its end.  A generator left
     # suspended by next() is closed by a GeneratorExit when it is freed,
     # which made each call about an eighth slower.
-    (entry,) = _sweep(cfg, (phi,))
-    if entry.singular:
+    ((_, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, _, _),) = _crank_rows(
+        cfg.crank_length, pivot.x, pivot.y, cfg.phi_dot, (phi,))
+    if s is None:
         raise SingularPositionError(f"rod length vanishes at phi={phi}")
-    return entry.state
+    return tuple.__new__(CrankState, (phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot,
+                                      _vec2(ex, ey)))
 
 
 def loop_residuals(cfg: CrankConfig, state: CrankState) -> tuple[float, float, float]:
@@ -257,28 +256,13 @@ def loop_residuals(cfg: CrankConfig, state: CrankState) -> tuple[float, float, f
         acceleration: -phi_dot^2*a_vec + (s_ddot - psi_dot^2*s)*e_psi
                       + (psi_ddot*s + 2*psi_dot*s_dot)*tilde(e_psi)
 
+    Evaluated on plain floats by :func:`sympgeo._kernels._loop_closures`.
     Raises :class:`NumericalOverflowError` when a closure overflows.
     """
-    w = cfg.phi_dot
     phi, s, _, s_dot, psi_dot, s_ddot, psi_ddot, e_psi = state
-    length = cfg.crank_length
-    ax = length * math.cos(phi)
-    ay = length * math.sin(phi)
-    ex, ey = e_psi.x, e_psi.y
-    # Coefficients of tilde(e_psi) in the velocity closure and of a_vec,
-    # e_psi and tilde(e_psi) in the acceleration closure.
-    vel_te = psi_dot * s
-    acc_a = -w * w
-    acc_e = s_ddot - psi_dot * psi_dot * s
-    acc_te = psi_ddot * s + 2.0 * psi_dot * s_dot
-    position = math.hypot(ax + ex * s - cfg.pivot_c.x, ay + ey * s - cfg.pivot_c.y)
-    velocity = math.hypot(-ay * w + ex * s_dot + -ey * vel_te,
-                          ax * w + ey * s_dot + ex * vel_te)
-    acceleration = math.hypot(ax * acc_a + ex * acc_e + -ey * acc_te,
-                              ay * acc_a + ey * acc_e + ex * acc_te)
-    if not (math.isfinite(position) and math.isfinite(velocity) and math.isfinite(acceleration)):
-        raise NumericalOverflowError(f"loop residuals overflow at phi={phi}")
-    return (position, velocity, acceleration)
+    pivot = cfg.pivot_c
+    return _loop_closures(cfg.crank_length, pivot.x, pivot.y, cfg.phi_dot, phi, s, s_dot,
+                          psi_dot, s_ddot, psi_ddot, e_psi.x, e_psi.y)
 
 
 def crank_sweep(cfg: CrankConfig, phi_start: float, phi_end: float, steps: int) -> list[SweepEntry]:
@@ -289,73 +273,20 @@ def crank_sweep(cfg: CrankConfig, phi_start: float, phi_end: float, steps: int) 
     sample; overflow still raises :class:`NumericalOverflowError`.
     ``psi_unwrapped`` accumulates the rod angle continuously from
     the first non-singular entry.
+
+    Each entry is built from one row of :func:`sympgeo._kernels._crank_rows`,
+    without re-validating the components the kernel has checked finite.
     """
-    return list(_sweep(cfg, _grid(phi_start, phi_end, steps)))
-
-
-def _grid(phi_start: float, phi_end: float, steps: int) -> Iterator[float]:
-    """The ``steps`` evenly spaced crank angles of a sweep, inclusive, one at a time.
-
-    Where the span ``phi_end - phi_start`` overflows, the ends have
-    opposite signs and each angle is their weighted mean, whose two terms
-    have opposite signs, so no angle overflows.
-    """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    span = phi_end - phi_start
-    last = steps - 1
-    if math.isfinite(span):
-        return (phi_start + span * (i / last) for i in range(steps))
-    return (phi_start * ((last - i) / last) + phi_end * (i / last) for i in range(steps))
-
-
-def _sweep(cfg: CrankConfig, phis: Iterable[float]) -> Iterator[SweepEntry]:
-    """The sweep entries at the crank angles ``phis``, in order, one at a time.
-
-    Writes out :func:`crank_position`, :func:`crank_velocity`,
-    :func:`crank_acceleration` and the :func:`wrap_angle` unwrap on floats,
-    in their operation order, so each entry holds the same bits as that
-    stepwise composition.  The overflow messages name ``phi``.
-    """
-    length = cfg.crank_length
-    cx, cy = cfg.pivot_c.x, cfg.pivot_c.y
-    w = cfg.phi_dot
-    floor = _singularity_floor(cfg)
-    near_length = NEAR_SINGULAR_FRACTION * length
-    cos, sin, hypot, atan2 = math.cos, math.sin, math.hypot, math.atan2
-    isfinite, remainder, tau, pi = math.isfinite, math.remainder, math.tau, math.pi
+    pivot = cfg.pivot_c
+    rows = _crank_rows(cfg.crank_length, pivot.x, pivot.y, cfg.phi_dot,
+                       _grid(phi_start, phi_end, steps))
     new = tuple.__new__
-    last_psi: float | None = None
-    last_unwrapped = 0.0
-    for phi in phis:
-        ax = length * cos(phi)
-        ay = length * sin(phi)
-        rx = cx - ax
-        ry = cy - ay
-        s = hypot(rx, ry)
-        if not isfinite(s):
-            raise NumericalOverflowError(f"rod length overflows at phi={phi}")
-        if s <= floor:
-            yield new(SweepEntry, (phi, True, True, None, None))
-            continue
-        ex = rx / s
-        ey = ry / s
-        psi = atan2(ey, ex)
-        s_dot = w * (ax * -ey + ay * ex)
-        psi_dot = -w * (ax * ex + ay * ey) / s
-        if not (isfinite(s_dot) and isfinite(psi_dot)):
-            raise NumericalOverflowError(f"rod rates overflow at phi={phi}")
-        s_ddot = psi_dot * (psi_dot - w) * s
-        psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
-        if not (isfinite(s_ddot) and isfinite(psi_ddot)):
-            raise NumericalOverflowError(f"rod accelerations overflow at phi={phi}")
-        if last_psi is None:
-            unwrapped = psi
+    entries = []
+    append = entries.append
+    for phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped, near in rows:
+        if s is None:
+            append(new(SweepEntry, (phi, True, True, None, None)))
         else:
-            turn = remainder(psi - last_psi, tau)
-            unwrapped = last_unwrapped + (turn + tau if turn <= -pi else turn)
-        last_psi = psi
-        last_unwrapped = unwrapped
-        # s is finite and above the floor, so |ex|, |ey| <= 1.
-        state = new(CrankState, (phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _vec2(ex, ey)))
-        yield new(SweepEntry, (phi, False, s < near_length, state, unwrapped))
+            state = new(CrankState, (phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _vec2(ex, ey)))
+            append(new(SweepEntry, (phi, False, near, state, unwrapped)))
+    return entries

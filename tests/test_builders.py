@@ -2,8 +2,8 @@
 
 Every build site that skips validation fills a plain twin class with the
 record's slots (``core._slot_twin``) and then sets its ``__class__`` to
-the frozen slots dataclass: ``core._vec2`` (which ``_sweep`` calls for
-each ``e_psi``), ``dynamics._phase_state``, the loop of
+the frozen slots dataclass: ``core._vec2`` (which ``crank_sweep`` and
+``crank_state`` call for each ``e_psi``), ``dynamics._phase_state``, the loop of
 ``_common_tangents`` and the record loops of ``dynamics._LOOPS``.  The
 objects they build must be indistinguishable from the public
 constructors', and every function that builds them must still return

@@ -21,8 +21,9 @@ from sympgeo import _kernels, cli, dynamics
 from sympgeo.cli import main
 from sympgeo.core import Vec2, identity_residuals, norm
 from sympgeo.dynamics import OscillatorParams, PhaseState, hamiltonian, simulate
-from sympgeo.errors import DegeneracyError, SingularityError
+from sympgeo.errors import DegeneracyError, NumericalOverflowError, SingularityError
 from sympgeo.geometry import Line, intersect_lines
+from sympgeo.kinematics import CrankConfig, crank_sweep, loop_residuals
 
 
 def _reject_constant(name):
@@ -1137,6 +1138,117 @@ def test_crank_degrees_matches_radians(capsys):
         assert row_d["s_dot"] == pytest.approx(row_r["s_dot"], abs=1e-12)
         assert row_d["psi"] * scale == pytest.approx(row_r["psi"], abs=1e-9)
         assert row_d["psi_dot"] * scale == pytest.approx(row_r["psi_dot"], abs=1e-9)
+
+
+def _crank_runner_rows(argv):
+    """``sympgeo crank``'s packed rows and residual maxima, or its error's class and message.
+
+    A singular row is kept as ``(phi, singular, near_singular)``, the only
+    cells a writer reads of it.
+    """
+    args = cli._build_parser().parse_args(cli._join_negative_values(argv))
+    try:
+        result = cli._run_crank(args)
+    except (ValueError, NumericalOverflowError) as exc:
+        return type(exc), str(exc)
+    rows = [tuple(row[:1] + row[8:] if row[8] else row) for row in result.rows.tolist()]
+    return rows, list(result.residuals.values())
+
+
+def _crank_record_rows(argv):
+    """What :func:`_crank_runner_rows` must give, rebuilt from the library's records.
+
+    The ``crank_sweep`` records over the same grid, each packed as the
+    runner packs it (angles and angular rates converted, flags as 0.0 and
+    1.0), the maxima of ``loop_residuals`` over the regular records, and
+    the degree rates checked as the runner checks them.  Each figure whose
+    sweep overflows does so at its first angle, so the library's first
+    error is the first in step order too.
+    """
+    args = cli._build_parser().parse_args(cli._join_negative_values(argv))
+    unit = math.pi / 180.0 if args.degrees else 1.0
+    try:
+        cfg = CrankConfig(args.length, Vec2(*args.pivot), args.phidot)
+        entries = crank_sweep(cfg, getattr(args, "from") * unit, args.to * unit, args.steps)
+        rows, maxima = [], [0.0, 0.0, 0.0]
+        for entry in entries:
+            if entry.singular:
+                rows.append((entry.phi / unit, 1.0, 1.0))
+                continue
+            maxima = [max(m, c) for m, c in zip(maxima, loop_residuals(cfg, entry.state))]
+            phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _ = entry.state
+            if not (math.isfinite(psi_dot / unit) and math.isfinite(psi_ddot / unit)):
+                raise NumericalOverflowError(
+                    f"rod angle rates overflow in degrees at phi={phi / unit}")
+            rows.append((phi / unit, s, psi / unit, entry.psi_unwrapped / unit, s_dot,
+                         psi_dot / unit, s_ddot, psi_ddot / unit, 0.0,
+                         float(entry.near_singular)))
+    except (ValueError, NumericalOverflowError) as exc:
+        return type(exc), str(exc)
+    return rows, maxima
+
+
+def _crank_parity_argvs():
+    """Seeded cranks in radians and degrees, pivots on and near the crank
+    circle, a span beyond the float range, and one figure per failure."""
+    rng = random.Random(3340)
+    argvs = []
+    for k in range(40):
+        length = 10.0 ** rng.uniform(-3.0, 3.0)
+        factor = rng.uniform(1.05, 4.0) if k % 2 else rng.uniform(0.05, 0.95)
+        theta = rng.uniform(-math.pi, math.pi)
+        phi_dot = rng.choice((rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)))
+        start = rng.uniform(-10.0, 10.0)
+        end = start + rng.uniform(-20.0, 20.0)
+        degrees = k % 4 < 2
+        if degrees:
+            start, end = math.degrees(start), math.degrees(end)
+        argvs.append(["crank", f"--length={length!r}",
+                      f"--pivot={length * factor * math.cos(theta)!r},"
+                      f"{length * factor * math.sin(theta)!r}",
+                      f"--phidot={phi_dot!r}", f"--from={start!r}", f"--to={end!r}",
+                      "--steps", str(rng.randint(2, 60))] + ["--degrees"] * degrees)
+    on_circle = ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1"]
+    regular = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1"]
+    return argvs + [
+        # On the grid: singular rows at 0, 2*pi and 4*pi; shifted: near-singular rows.
+        on_circle + ["--from", "0", "--to", "12.566370614359172", "--steps", "9"],
+        on_circle + ["--from", "1e-7", "--to", "12.566370714359172", "--steps", "9"],
+        on_circle + ["--from=-90", "--to", "630", "--steps", "41", "--degrees"],
+        regular + ["--from=-1.7e308", "--to", "1.7e308", "--steps", "3"],
+        regular + ["--from", "1.7e308", "--to=-1.7e308", "--steps", "4", "--degrees"],
+        # Rod length, rates, accelerations and degree rates overflow.
+        ["crank", "--length", "1e308", "--pivot=-1.5e308,0", "--phidot", "1", "--from", "0",
+         "--to", "1", "--steps", "3"],
+        ["crank", "--length", "1e300", "--pivot", "2e300,0", "--phidot", "1e10",
+         "--from", "0.3", "--to", "1", "--steps", "3"],
+        ["crank", "--length", "1", "--pivot", "2,0", "--phidot", "1e200", "--from", "0.3",
+         "--to", "1", "--steps", "3"],
+        _DEGREES_OVERFLOW,
+        # The crank length's rule comes before the step count's.
+        ["crank", "--length", "0", "--pivot", "3,0", "--phidot", "1", "--from", "0",
+         "--to", "1", "--steps", "1"],
+        regular + ["--from", "0", "--to", "1", "--steps", "1"],
+    ]
+
+
+def test_crank_rows_match_the_library_records():
+    # Every packed cell and residual maximum of the runner, which runs on
+    # the float kernels, equals the library records' by repr (so signed
+    # zeros count), and each failure has the same class and message.
+    errors, singular, near_singular = set(), 0, 0
+    for argv in _crank_parity_argvs():
+        got = _crank_runner_rows(argv)
+        assert repr(got) == repr(_crank_record_rows(argv)), argv
+        if isinstance(got[0], type):
+            errors.add(got[1].split(" at phi=")[0].split(", got")[0])
+            continue
+        singular += sum(len(row) == 3 for row in got[0])
+        near_singular += sum(len(row) == 10 and row[9] == 1.0 for row in got[0])
+    assert singular >= 5 and near_singular >= 3
+    assert errors == {"rod length overflows", "rod rates overflow", "rod accelerations overflow",
+                      "rod angle rates overflow in degrees", "crank_length must be finite and > 0",
+                      "steps must be >= 2"}
 
 
 # --------------------------------------------------------------------- SVG

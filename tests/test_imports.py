@@ -115,6 +115,8 @@ _RUN_MAIN = ("import sys\nsys.path.insert(0, sys.argv.pop(1))\n"
              "            sorted(set(" + repr(_PINNED_STDLIB) + ") & set(sys.modules)),\n"
              "            sorted(f for f in cache if f.startswith('<sympgeo.')))))")
 
+_CRANK = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from", "0",
+          "--to", "1", "--steps", "5"]
 _OSCILLATOR = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
                "--dt", "0.1", "--steps", "5", "--method", "leapfrog"]
 
@@ -123,22 +125,23 @@ _OSCILLATOR = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--
     (["identities", "--samples", "5"], [], ["json"], []),
     (["intersect", "--a", "0,0", "--u", "1,0", "--b", "1,1", "--v", "0,1"], [], ["json"], []),
     (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], ["core", "geometry"], _ALL_PINNED, []),
-    (["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from", "0",
-      "--to", "1", "--steps", "5", "--csv"], ["core", "kinematics"],
-     ["dataclasses", "inspect", "typing"], []),
+    (_CRANK + ["--csv"], [], [], []),
     (_OSCILLATOR, [], ["json"], ["<sympgeo.cli._flow leapfrog>"]),
     (["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "{svg}"],
      ["core", "geometry", "svgplot"], _ALL_PINNED, []),
     (_OSCILLATOR + ["--csv"], [], [], ["<sympgeo.cli._flow leapfrog>"]),
     (_OSCILLATOR + ["--svg", "{svg}"], ["core", "dynamics", "svgplot"], _ALL_PINNED,
      sorted(["<sympgeo.cli._flow leapfrog>", *_RECORD_LOOPS])),
+    (_CRANK, [], ["json"], []),
+    (_CRANK + ["--svg", "{svg}"], ["svgplot"], ["json"], []),
 ], ids=["identities", "intersect", "tangents", "crank", "oscillator", "tangents-svg",
-        "oscillator-csv", "oscillator-svg"])
+        "oscillator-csv", "oscillator-svg", "crank-json", "crank-svg"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, layers, stdlib, loops):
     # Each run loads only its own layers, pins which of the heavy standard
     # modules it pulls in, and compiles only the step loops it runs: the
     # oscillator's one row loop for its method, and the record loops only
-    # where its --svg plot imports dynamics.
+    # where its --svg plot imports dynamics.  crank runs on the float
+    # kernels alone, so even its plot loads no record layer.
     argv = [arg.format(svg=tmp_path / "t.svg") for arg in argv]
     src = str(Path(sympgeo.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-S", "-c", _RUN_MAIN, src, *argv],
