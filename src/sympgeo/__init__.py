@@ -47,9 +47,8 @@ _EXPORTS = {
         "tangent_distance_error",
     ),
     "kinematics": (
-        "CrankAccel", "CrankConfig", "CrankPosition", "CrankRates", "CrankState",
-        "PolarKinematics", "PolarMotion", "SweepEntry", "crank_acceleration", "crank_position",
-        "crank_state", "crank_sweep", "crank_velocity", "loop_residuals", "polar_kinematics",
+        "CrankConfig", "CrankState", "PolarKinematics", "PolarMotion", "SweepEntry",
+        "crank_state", "crank_sweep", "loop_residuals", "polar_kinematics",
     ),
 }
 

@@ -11,7 +11,8 @@ loading ``core``, ``geometry``, ``kinematics``, ``dynamics`` or
 so each formula has one copy.
 
 The crank's sweep is one generator, :func:`_crank_rows`, over the angles
-of :func:`_grid`, yielding one tuple of floats per angle:
+of :func:`_grid`, yielding one tuple of floats per angle; it holds the
+only copy of the rod, rate and acceleration formulas.
 :func:`sympgeo.kinematics.crank_sweep` and
 :func:`~sympgeo.kinematics.crank_state` build their records from its rows
 and ``sympgeo crank`` packs them.  :func:`_loop_closures` is the body of
@@ -212,17 +213,14 @@ def _singularity_floor(length: float, cx: float, cy: float) -> float:
 def _grid(phi_start: float, phi_end: float, steps: int) -> Iterator[float]:
     """The ``steps`` evenly spaced crank angles of a sweep, inclusive, one at a time.
 
-    Where the span ``phi_end - phi_start`` overflows, the ends have
-    opposite signs and each angle is their weighted mean, whose two terms
-    have opposite signs, so no angle overflows.  Raises
+    Each angle is the weighted mean of the two ends, so the first and the
+    last angle are ``phi_start`` and ``phi_end`` exactly, and no angle
+    overflows where the span ``phi_end - phi_start`` would.  Raises
     :class:`ValueError` for fewer than two steps.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    span = phi_end - phi_start
     last = steps - 1
-    if math.isfinite(span):
-        return (phi_start + span * (i / last) for i in range(steps))
     return (phi_start * ((last - i) / last) + phi_end * (i / last) for i in range(steps))
 
 
@@ -237,14 +235,14 @@ def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
     direction; a singular angle, where the rod length is at or below
     :func:`_singularity_floor`, gives ``phi``, nine ``None`` and ``True``.
 
-    Writes out :func:`sympgeo.kinematics.crank_position`,
-    :func:`~sympgeo.kinematics.crank_velocity`,
-    :func:`~sympgeo.kinematics.crank_acceleration` and the
-    :func:`~sympgeo.core.wrap_angle` unwrap on floats, in their operation
-    order, so each row holds the same bits as that stepwise composition.
+    The only copy of the rod, rate and acceleration formulas that
+    :func:`sympgeo.kinematics.crank_state` documents: the rod closes the
+    loop, each rate is a signed area with the crank vector and each
+    acceleration follows from the rates, stage by stage on floats.
     ``psi_unwrapped`` accumulates the rod angle continuously from the
-    first regular row.  Raises :class:`NumericalOverflowError` naming
-    ``phi`` when the rod length, its rates or its accelerations overflow.
+    first regular row by the :func:`~sympgeo.core.wrap_angle` rule.
+    Raises :class:`NumericalOverflowError` naming ``phi`` when the rod
+    length, its rates or its accelerations overflow.
     """
     w = phi_dot
     floor = _singularity_floor(length, cx, cy)

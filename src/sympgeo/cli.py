@@ -188,16 +188,13 @@ _Table = namedtuple("_Table", ("columns", "csv_rows", "array", "json_rows"),
 def _echo(args: argparse.Namespace) -> dict:
     """The report's ``input`` section: every run argument in declaration order.
 
-    An ``x,y`` or ``x,y,r`` option is written as the list ``[x, y]`` or ``[x, y, r]``.
-    The subcommand's name, the format flags and the dispatch defaults ``run``
-    and ``table`` are left out.
+    An ``x,y`` or ``x,y,r`` option is parsed to a tuple, which JSON writes
+    as the list ``[x, y]`` or ``[x, y, r]``.  The subcommand's name, the
+    format flags and the dispatch defaults ``run`` and ``table`` are left
+    out.
     """
-    echo = {}
-    for name, value in vars(args).items():
-        if name in ("subcommand", "json", "csv", "run", "table"):
-            continue
-        echo[name] = list(value) if isinstance(value, tuple) else value
-    return echo
+    return {name: value for name, value in vars(args).items()
+            if name not in ("subcommand", "json", "csv", "run", "table")}
 
 
 def _json_item(cells: list[str], keys: tuple[str, ...] | None = None) -> str:

@@ -10,14 +10,13 @@ the rod orientation ``psi`` follow from the loop
 and differentiating that loop once and twice gives the rates and
 accelerations without ever solving an equation system.
 
-:func:`crank_sweep` and :func:`crank_state` share one loop over crank
-angles on plain floats, :func:`sympgeo._kernels._crank_rows`, which
-``sympgeo crank`` runs too.  It reads the configuration once per call,
-forms the rod, its rates and accelerations and the unwrapped rod angle in
-the operation order of :func:`crank_position`, :func:`crank_velocity`,
-:func:`crank_acceleration` and :func:`wrap_angle`, and yields each row
-as a plain tuple; these two functions build each result record from it
-directly, without re-validating components the kernel has already
+:func:`crank_state` is the one per-angle entry point, and it and
+:func:`crank_sweep` share one loop over crank angles on plain floats,
+:func:`sympgeo._kernels._crank_rows`, which ``sympgeo crank`` runs too.
+That kernel holds the only copy of the rod, rate and acceleration
+formulas: it reads the configuration once per call and yields each row
+as a plain tuple, and these two functions build each result record from
+it directly, without re-validating components the kernel has already
 checked finite.  :func:`loop_residuals` wraps the kernel
 :func:`sympgeo._kernels._loop_closures`, and :class:`CrankConfig` checks
 its fields by :func:`sympgeo._kernels._check_crank`, so each formula has
@@ -38,7 +37,6 @@ from ._kernels import (
     _crank_rows,
     _grid,
     _loop_closures,
-    _singularity_floor,
 )
 from .core import Vec2, _vec2, tilde
 from .errors import NumericalOverflowError, SingularPositionError
@@ -108,23 +106,8 @@ class CrankConfig:
 
     def crank_vector(self, phi: float) -> Vec2:
         """Crank tip position a_vec for crank angle ``phi``."""
-        return Vec2(*_tip(self.crank_length, phi))
-
-
-class CrankPosition(NamedTuple):
-    s: float
-    e_psi: Vec2
-    psi: float
-
-
-class CrankRates(NamedTuple):
-    s_dot: float
-    psi_dot: float
-
-
-class CrankAccel(NamedTuple):
-    s_ddot: float
-    psi_ddot: float
+        length = self.crank_length
+        return Vec2(length * math.cos(phi), length * math.sin(phi))
 
 
 class CrankState(NamedTuple):
@@ -156,82 +139,30 @@ class SweepEntry(NamedTuple):
     psi_unwrapped: float | None
 
 
-def _floor(cfg: CrankConfig) -> float:
-    """The kernel's singular rod-length floor of ``cfg``."""
-    pivot = cfg.pivot_c
-    return _singularity_floor(cfg.crank_length, pivot.x, pivot.y)
+def crank_state(cfg: CrankConfig, phi: float) -> CrankState:
+    """Position, rates, and accelerations of the rod at crank angle ``phi``.
 
-
-def _tip(length: float, phi: float) -> tuple[float, float]:
-    """Crank tip ``a_vec`` as two floats."""
-    return length * math.cos(phi), length * math.sin(phi)
-
-
-def crank_position(cfg: CrankConfig, phi: float) -> CrankPosition:
-    """Rod length, unit rod direction, and rod angle at crank angle ``phi``.
-
-    Closes ``a_vec + s*e_psi = c``; raises :class:`SingularPositionError`
-    when the crank tip lands on the pivot and the direction degenerates.
-    """
-    ax, ay = _tip(cfg.crank_length, phi)
-    rx = cfg.pivot_c.x - ax
-    ry = cfg.pivot_c.y - ay
-    s = math.hypot(rx, ry)
-    if not math.isfinite(s):
-        raise NumericalOverflowError(f"rod length overflows at phi={phi}")
-    if s <= _floor(cfg):
-        raise SingularPositionError(f"rod length vanishes at phi={phi}")
-    ex = rx / s
-    ey = ry / s
-    # s is finite and above the floor, so |ex|, |ey| <= 1.
-    return CrankPosition(s, _vec2(ex, ey), math.atan2(ey, ex))
-
-
-def crank_velocity(cfg: CrankConfig, phi: float, s: float, e_psi: Vec2) -> CrankRates:
-    """Time rates of s and psi from the once-differentiated loop.
+    The position closes ``a_vec + s*e_psi = c``: ``s = |c - a_vec|``,
+    ``e_psi = (c - a_vec)/s`` and ``psi`` the angle of ``e_psi``.  The
+    once-differentiated loop, projected onto ``e_psi`` and
+    ``tilde(e_psi)``, gives each rate as a signed area with the crank
+    vector:
 
         s_dot   = phi_dot * dot(a_vec, tilde(e_psi))
         psi_dot = -phi_dot * dot(a_vec, e_psi) / s
 
-    Projecting the loop rate onto e_psi isolates s_dot (an area with the
-    crank vector); projecting onto tilde(e_psi) isolates psi_dot.
-    """
-    if s <= _floor(cfg):
-        raise SingularPositionError("rates undefined at a singular position")
-    ax, ay = _tip(cfg.crank_length, phi)
-    ex, ey = e_psi.x, e_psi.y
-    s_dot = cfg.phi_dot * (ax * -ey + ay * ex)
-    psi_dot = -cfg.phi_dot * (ax * ex + ay * ey) / s
-    if not (math.isfinite(s_dot) and math.isfinite(psi_dot)):
-        raise NumericalOverflowError(f"rod rates overflow at phi={phi}")
-    return CrankRates(s_dot, psi_dot)
-
-
-def crank_acceleration(cfg: CrankConfig, s: float, s_dot: float, psi_dot: float) -> CrankAccel:
-    """Second time derivatives of s and psi for a constant drive rate.
+    The twice-differentiated loop, projected the same way with the crank
+    projections eliminated by the rates, gives the accelerations for a
+    constant drive rate (``phi_ddot = 0``):
 
         s_ddot   = psi_dot * (psi_dot - phi_dot) * s
         psi_ddot = (phi_dot - 2*psi_dot) * s_dot / s
 
-    Both follow from projecting the twice-differentiated loop onto e_psi
-    and tilde(e_psi) and eliminating the crank projections with the rate
-    expressions; phi_ddot = 0 is baked in.
-    """
-    if s <= _floor(cfg):
-        raise SingularPositionError("accelerations undefined at a singular position")
-    w = cfg.phi_dot
-    s_ddot = psi_dot * (psi_dot - w) * s
-    psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
-    if not (math.isfinite(s_ddot) and math.isfinite(psi_ddot)):
-        raise NumericalOverflowError("rod accelerations overflow")
-    return CrankAccel(s_ddot, psi_ddot)
-
-
-def crank_state(cfg: CrankConfig, phi: float) -> CrankState:
-    """Position, rates, and accelerations assembled for one crank angle.
-
-    Raises :class:`SingularPositionError` at a singular angle and
-    :class:`NumericalOverflowError` when a result overflows.
+    Raises :class:`SingularPositionError` when the crank tip lands on the
+    pivot, where the rod length is at or below the singular floor and
+    the direction degenerates, and :class:`NumericalOverflowError`
+    naming ``phi`` when the rod length, its rates or its accelerations
+    overflow.
     """
     pivot = cfg.pivot_c
     # Unpacking runs the one-angle kernel to its end.  A generator left

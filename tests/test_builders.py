@@ -37,7 +37,6 @@ from sympgeo import (
     ZeroDirectionError,
     analytic_oscillator,
     circle_tangents,
-    crank_position,
     crank_state,
     crank_sweep,
     hamiltonian_gradient,
@@ -208,7 +207,6 @@ def test_converted_functions_return_finite_fields_or_raise_a_typed_overflow():
         # A rod length overflows only when the crank tip and the pivot are both
         # near the largest float, on opposite sides; one such case is added.
         "crank_state": (crank_state, [*cranks(), rod_overflow], SingularPositionError),
-        "crank_position": (crank_position, [*cranks(), rod_overflow], SingularPositionError),
         "hamiltonian_gradient": (hamiltonian_gradient,
                                  [(state(), params()) for _ in range(n)], ()),
         "analytic_oscillator": (analytic_oscillator,

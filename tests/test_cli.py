@@ -1,10 +1,12 @@
 """Command-line layer: exit codes, schema, determinism, CSV and SVG output."""
 
 import argparse
+import ast
 import contextlib
 import copy
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -14,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -717,7 +720,7 @@ PINNED_OUTPUTS = {
         "055c9710a9c0b8e6a02a488069f77039302dafa4276060d4d674b99ba771e9b6"),
     "crank-json-degrees": (
         _CRANK_DEGREES, "stdout",
-        "cae0890a400638ce19e9a00005374e35334e781b06d48322b87644c7b0234f90"),
+        "b1acdd0b25f5a36971ed1338362bc7c8b4db5f0fa0dfebe844e5b9158af22db2"),
     "crank-csv-regular": (
         _CRANK_REGULAR + ["--csv"], "stdout",
         "8eead8cf5c0cb130b3776591013908e02e242fcc462c1fd067209ed7b3a34758"),
@@ -726,7 +729,7 @@ PINNED_OUTPUTS = {
         "4f3db82a54ec52155ddf33314657a74a5f714af77778e1539dfa234bdbeb6312"),
     "crank-csv-degrees": (
         _CRANK_DEGREES + ["--csv"], "stdout",
-        "21233c547e87f47de437dd20a33227c6b465b853ee12e0f41631fc950c87dde2"),
+        "6a819112dc2dde374007a1e13552d061dd7db17c063e59fa83fb038ab79d32fd"),
     "crank-svg-regular": (
         _CRANK_REGULAR + ["--svg", "crank.svg"], "svg",
         "3b568085a87014dd662e750cae80f84525c143d210fccddb873d8a30411d0139"),
@@ -817,6 +820,51 @@ def test_pinned_output(tmp_path, monkeypatch, capsys, case):
     elif "--csv" not in argv:
         out = strip_timing(out)
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+#: The PINNED_OUTPUTS row whose run each benchmark workload's CLI pin repeats.
+BENCHMARK_ROWS = {"phase-flow": "oscillator-csv-leapfrog",
+                  "crank-sweep": "crank-json-benchmark",
+                  "construct-mix": "identities-csv"}
+
+
+def _benchmark_cli_pins():
+    """``{workload: (cli_argv, cli_format, cli_sha256)}`` of perfbench's workload
+    classes, read from the source of ``workloads.py`` without importing it."""
+    pins = {}
+    for node in ast.parse((PERFBENCH / "workloads.py").read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        fields = {target.id: ast.literal_eval(statement.value)
+                  for statement in node.body if isinstance(statement, ast.Assign)
+                  for target in statement.targets if isinstance(target, ast.Name)
+                  and target.id in ("name", "cli_argv", "cli_format", "cli_sha256")}
+        if "cli_argv" in fields:
+            pins[fields["name"]] = fields["cli_argv"], fields["cli_format"], fields["cli_sha256"]
+    return pins
+
+
+def test_benchmark_cli_pins_hold_and_repeat_a_pinned_row(tmp_path, monkeypatch, capsys):
+    # A deliberate output change that re-pins PINNED_OUTPUTS but not
+    # perfbench's cli_sha256 fails here.  The launcher's digest rule is
+    # stdlib-only, so its module is loaded from its file.
+    spec = importlib.util.spec_from_file_location("launcher", PERFBENCH / "launcher.py")
+    launcher = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launcher)
+    pins = _benchmark_cli_pins()
+    assert sorted(pins) == sorted(BENCHMARK_ROWS)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "perfbench" / "_work").mkdir(parents=True)
+    parser = cli._build_parser()
+    for workload, (argv, fmt, digest) in pins.items():
+        assert main(argv) == 0, workload
+        out = capsys.readouterr().out.encode()
+        assert launcher.stdout_digest(out, fmt) == digest, workload
+        # The same run as the row's, whatever the order of its options.
+        row_argv = PINNED_OUTPUTS[BENCHMARK_ROWS[workload]][0]
+        assert parser.parse_args(argv) == parser.parse_args(row_argv), workload
 
 
 # ----------------------------------------------------------- row writers

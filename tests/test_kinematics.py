@@ -1,9 +1,10 @@
 """Mechanism layer: closed-form states checked against finite differences.
 
-The finite-difference oracles differentiate crank_position only, so the
-velocity and acceleration formulas are tested against something they are
-not computed from.  Step sizes balance truncation against roundoff:
-h = 1e-6 for first derivatives, h = 1e-4 for second derivatives.
+The finite-difference oracles differentiate only the position fields of
+crank_state (s and psi), so the velocity and acceleration formulas are
+tested against something they are not computed from.  Step sizes balance
+truncation against roundoff: h = 1e-6 for first derivatives, h = 1e-4 for
+second derivatives.
 """
 
 import math
@@ -20,17 +21,16 @@ from sympgeo import (
     SingularPositionError,
     SweepEntry,
     Vec2,
-    crank_acceleration,
-    crank_position,
     crank_state,
     crank_sweep,
-    crank_velocity,
+    dot,
     loop_residuals,
     norm,
     polar_kinematics,
     tilde,
     wrap_angle,
 )
+from sympgeo._kernels import _singularity_floor
 from sympgeo.kinematics import NEAR_SINGULAR_FRACTION
 
 
@@ -90,20 +90,18 @@ EXAMPLE = CrankConfig(crank_length=1.0, pivot_c=Vec2(3.0, 0.0), phi_dot=1.0)
 
 
 def test_crank_position_anchors():
-    s, e_psi, psi = crank_position(EXAMPLE, 0.0)
-    assert s == 2.0
-    assert e_psi == Vec2(1.0, 0.0)
-    assert psi == 0.0
+    state = crank_state(EXAMPLE, 0.0)
+    assert state.s == 2.0
+    assert state.e_psi == Vec2(1.0, 0.0)
+    assert state.psi == 0.0
 
-    s, e_psi, _ = crank_position(EXAMPLE, math.pi)
-    assert s == pytest.approx(4.0, abs=1e-15)
-    assert norm(e_psi - Vec2(1.0, 0.0)) <= 1e-15
+    state = crank_state(EXAMPLE, math.pi)
+    assert state.s == pytest.approx(4.0, abs=1e-15)
+    assert norm(state.e_psi - Vec2(1.0, 0.0)) <= 1e-15
 
 
 def test_crank_position_singularity():
     cfg = CrankConfig(1.0, Vec2(1.0, 0.0), 1.0)
-    with pytest.raises(SingularPositionError):
-        crank_position(cfg, 0.0)
     with pytest.raises(SingularPositionError, match=r"^rod length vanishes at phi=0\.0$"):
         crank_state(cfg, 0.0)
 
@@ -119,34 +117,37 @@ def test_crank_config_validation():
 
 
 def test_crank_velocity_anchor():
-    s, e_psi, _ = crank_position(EXAMPLE, 0.0)
-    s_dot, psi_dot = crank_velocity(EXAMPLE, 0.0, s, e_psi)
-    assert s_dot == 0.0
-    assert psi_dot == -0.5
+    state = crank_state(EXAMPLE, 0.0)
+    assert state.s_dot == 0.0
+    assert state.psi_dot == -0.5
 
 
 def test_crank_velocity_frozen_drive():
-    cfg = CrankConfig(1.0, Vec2(3.0, 0.0), 0.0)
-    s, e_psi, _ = crank_position(cfg, 0.7)
-    s_dot, psi_dot = crank_velocity(cfg, 0.7, s, e_psi)
-    assert s_dot == 0.0
-    assert psi_dot == 0.0
+    state = crank_state(CrankConfig(1.0, Vec2(3.0, 0.0), 0.0), 0.7)
+    assert state.s_dot == 0.0
+    assert state.psi_dot == 0.0
+
+
+def _position(cfg, phi):
+    """The position fields ``(s, psi)`` of crank_state at ``phi``."""
+    state = crank_state(cfg, phi)
+    return state.s, state.psi
 
 
 def _fd_rates(cfg, phi, h=1e-6):
-    """First central differences of crank_position along phi(t) = phi + phi_dot*t."""
-    sp, ep, pp = crank_position(cfg, phi + h)
-    sm, em, pm = crank_position(cfg, phi - h)
+    """First central differences of the position along phi(t) = phi + phi_dot*t."""
+    sp, pp = _position(cfg, phi + h)
+    sm, pm = _position(cfg, phi - h)
     s_dot = cfg.phi_dot * (sp - sm) / (2.0 * h)
     psi_dot = cfg.phi_dot * wrap_angle(pp - pm) / (2.0 * h)
     return s_dot, psi_dot
 
 
 def _fd_accels(cfg, phi, h=1e-4):
-    """Second central differences of crank_position (phi_ddot = 0)."""
-    sp, _, pp = crank_position(cfg, phi + h)
-    s0, _, p0 = crank_position(cfg, phi)
-    sm, _, pm = crank_position(cfg, phi - h)
+    """Second central differences of the position (phi_ddot = 0)."""
+    sp, pp = _position(cfg, phi + h)
+    s0, p0 = _position(cfg, phi)
+    sm, pm = _position(cfg, phi - h)
     rate2 = cfg.phi_dot * cfg.phi_dot
     s_ddot = rate2 * (sp - 2.0 * s0 + sm) / (h * h)
     psi_ddot = rate2 * (wrap_angle(pp - p0) - wrap_angle(p0 - pm)) / (h * h)
@@ -163,11 +164,10 @@ def test_crank_velocity_against_finite_differences_random():
                           rng.uniform(0.5, 2.0))
         for k in range(24):
             phi = math.tau * k / 24.0
-            s, e_psi, _ = crank_position(cfg, phi)
-            s_dot, psi_dot = crank_velocity(cfg, phi, s, e_psi)
+            state = crank_state(cfg, phi)
             fd_s_dot, fd_psi_dot = _fd_rates(cfg, phi)
-            assert abs(s_dot - fd_s_dot) <= 1e-5
-            assert abs(psi_dot - fd_psi_dot) <= 1e-5
+            assert abs(state.s_dot - fd_s_dot) <= 1e-5
+            assert abs(state.psi_dot - fd_psi_dot) <= 1e-5
 
 
 # ------------------------------------------------------------ acceleration
@@ -176,24 +176,19 @@ def test_crank_velocity_against_finite_differences_random():
 def test_crank_acceleration_anchor_backed_by_finite_differences():
     # At phi=0 the rod length is s(phi) = sqrt(10 - 6*cos(phi)), whose
     # second derivative at 0 is 3*cos(0)*s(0)/s(0)^2 = 3/2 with phi_dot = 1.
-    s, e_psi, _ = crank_position(EXAMPLE, 0.0)
-    s_dot, psi_dot = crank_velocity(EXAMPLE, 0.0, s, e_psi)
-    s_ddot, psi_ddot = crank_acceleration(EXAMPLE, s, s_dot, psi_dot)
-    assert s_ddot == 1.5
-    assert psi_ddot == 0.0
+    state = crank_state(EXAMPLE, 0.0)
+    assert state.s_ddot == 1.5
+    assert state.psi_ddot == 0.0
 
     fd_s_ddot, fd_psi_ddot = _fd_accels(EXAMPLE, 0.0)
-    assert abs(fd_s_ddot - s_ddot) <= 1e-5
-    assert abs(fd_psi_ddot - psi_ddot) <= 1e-5
+    assert abs(fd_s_ddot - state.s_ddot) <= 1e-5
+    assert abs(fd_psi_ddot - state.psi_ddot) <= 1e-5
 
 
 def test_crank_acceleration_frozen_drive():
-    cfg = CrankConfig(1.0, Vec2(3.0, 0.0), 0.0)
-    s, e_psi, _ = crank_position(cfg, 1.1)
-    s_dot, psi_dot = crank_velocity(cfg, 1.1, s, e_psi)
-    s_ddot, psi_ddot = crank_acceleration(cfg, s, s_dot, psi_dot)
-    assert s_ddot == 0.0
-    assert psi_ddot == 0.0
+    state = crank_state(CrankConfig(1.0, Vec2(3.0, 0.0), 0.0), 1.1)
+    assert state.s_ddot == 0.0
+    assert state.psi_ddot == 0.0
 
 
 def test_crank_acceleration_against_finite_differences_random():
@@ -259,20 +254,35 @@ def _seeded_crank_angles():
         yield cfg, angles
 
 
-def _composed_state(cfg, phi):
-    s, e_psi, psi = crank_position(cfg, phi)
-    s_dot, psi_dot = crank_velocity(cfg, phi, s, e_psi)
-    s_ddot, psi_ddot = crank_acceleration(cfg, s, s_dot, psi_dot)
-    return CrankState(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, e_psi)
+def _stepwise_state(cfg, phi):
+    """Reference: the rod state composed stage by stage in Vec2 arithmetic.
+
+    The loop ``a + s*e = c`` closed for the rod, then each rate read off as
+    a signed area with the crank vector and the accelerations from the
+    rates, in the operation order of ``_kernels._crank_rows``.  None at a
+    singular angle, where the rod length is at or below the kernel's floor.
+    """
+    w = cfg.phi_dot
+    pivot = cfg.pivot_c
+    a = cfg.crank_vector(phi)
+    r = pivot - a
+    s = norm(r)
+    if s <= _singularity_floor(cfg.crank_length, pivot.x, pivot.y):
+        return None
+    e = r / s
+    s_dot = w * dot(a, tilde(e))
+    psi_dot = -w * dot(a, e) / s
+    s_ddot = psi_dot * (psi_dot - w) * s
+    psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
+    return CrankState(phi, s, math.atan2(e.y, e.x), s_dot, psi_dot, s_ddot, psi_ddot, e)
 
 
 def test_crank_state_equals_the_stepwise_composition_bit_for_bit():
     checked = 0
     for cfg, angles in _seeded_crank_angles():
         for phi in angles:
-            try:
-                expected = _composed_state(cfg, phi)
-            except SingularPositionError:
+            expected = _stepwise_state(cfg, phi)
+            if expected is None:
                 with pytest.raises(SingularPositionError):
                     crank_state(cfg, phi)
                 continue
@@ -281,19 +291,23 @@ def test_crank_state_equals_the_stepwise_composition_bit_for_bit():
             checked += 1
         for entry in crank_sweep(cfg, angles[0], angles[-1], 41):
             if entry.state is not None:
-                assert repr(entry.state) == repr(_composed_state(cfg, entry.phi))
+                assert repr(entry.state) == repr(_stepwise_state(cfg, entry.phi))
     assert checked > 2000
 
 
 def _reference_sweep(cfg, phi_start, phi_end, steps):
-    """crank_sweep rebuilt from the per-angle public formulas and wrap_angle."""
+    """crank_sweep rebuilt from the stepwise reference and wrap_angle.
+
+    Each angle is the weighted mean of the two ends, so the grid lands
+    on both of them exactly.
+    """
     entries = []
     last_psi = None
+    last = steps - 1
     for i in range(steps):
-        phi = phi_start + (phi_end - phi_start) * (i / (steps - 1))
-        try:
-            state = _composed_state(cfg, phi)
-        except SingularPositionError:
+        phi = phi_start * ((last - i) / last) + phi_end * (i / last)
+        state = _stepwise_state(cfg, phi)
+        if state is None:
             entries.append(SweepEntry(phi, True, True, None, None))
             continue
         if last_psi is None:
@@ -373,21 +387,6 @@ def test_overflow_raises_a_typed_singularity(cfg, phi):
     assert str(sweep_error.value) == str(state_error.value)
 
 
-@pytest.mark.parametrize("cfg, phi, message", [
-    (CrankConfig(1.0, Vec2(2.0, 0.0), 1e200), 0.3, "rod accelerations overflow"),
-    (CrankConfig(1e300, Vec2(2e300, 0.0), 1e10), 0.3, "rod rates overflow at phi=0.3"),
-    (CrankConfig(1e308, Vec2(-1.5e308, 0.0), 1.0), 0.0, "rod length overflows at phi=0.0"),
-])
-def test_stepwise_functions_raise_the_overflow_messages(cfg, phi, message):
-    # The chain crank_position -> crank_velocity -> crank_acceleration stops
-    # at the first overflowing stage with that stage's exact message.
-    with pytest.raises(NumericalOverflowError) as error:
-        s, e_psi, _ = crank_position(cfg, phi)
-        s_dot, psi_dot = crank_velocity(cfg, phi, s, e_psi)
-        crank_acceleration(cfg, s, s_dot, psi_dot)
-    assert str(error.value) == message
-
-
 def test_singularity_floor_survives_an_overflowing_mechanism_scale():
     # crank length + pivot distance overflows, but the rod length 5e307 does not.
     state = crank_state(CrankConfig(1e308, Vec2(1.5e308, 0.0), 0.1), 0.0)
@@ -403,13 +402,6 @@ def test_loop_residual_overflow_raises_a_typed_singularity():
     state = crank_state(EXAMPLE, 0.3)
     with pytest.raises(NumericalOverflowError):
         loop_residuals(EXAMPLE, state._replace(psi_dot=1e200))
-
-
-def test_rates_and_accelerations_reject_singular_rod_length():
-    with pytest.raises(SingularPositionError):
-        crank_velocity(EXAMPLE, 0.0, 0.0, Vec2(1.0, 0.0))
-    with pytest.raises(SingularPositionError):
-        crank_acceleration(EXAMPLE, 0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------------ sweep
