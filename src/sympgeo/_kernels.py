@@ -8,7 +8,9 @@ loading ``core``, ``geometry``, ``kinematics``, ``dynamics`` or
 :func:`_identity_terms`, :func:`sympgeo.geometry.intersect_lines` wraps
 :func:`_meet`, and :func:`_meet` and the common-tangent kernel of
 :mod:`sympgeo.geometry` both form their loop vector with :func:`_offset`,
-so each formula has one copy.
+so each formula has one copy.  :func:`_check_direction` is the
+zero-direction rule of both :class:`sympgeo.geometry.Line` and
+:func:`_meet`.
 
 The crank's sweep is one generator, :func:`_crank_rows`, over the angles
 of :func:`_grid`, yielding one tuple of floats per angle; it holds the
@@ -120,6 +122,15 @@ def _identity_terms(ax: float, ay: float, bx: float, by: float, cx: float, cy: f
     return jacobi_x, jacobi_y, full_x, full_y, lagrange, reduced_x, reduced_y, binet_cauchy
 
 
+def _check_direction(x: float, y: float) -> None:
+    """The rule of :class:`sympgeo.geometry.Line`: a direction ``(x, y)`` is nonzero.
+
+    Raises :class:`ZeroDirectionError` otherwise.
+    """
+    if x == 0.0 and y == 0.0:
+        raise ZeroDirectionError("line direction must be nonzero")
+
+
 def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: float,
           vy: float) -> tuple[float, float, float, float]:
     """``(x, y, lam, mu)`` where the line ``p + lam*u`` meets the line ``q + mu*v``.
@@ -149,8 +160,8 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
     if abs(denominator) <= ATOL * math.hypot(sux, suy) * math.hypot(svx, svy):
         # A zero direction fails the parallel test too, so only this branch
         # checks for one and the meeting path pays nothing.
-        if (ux == 0.0 and uy == 0.0) or (vx == 0.0 and vy == 0.0):
-            raise ZeroDirectionError("line direction must be nonzero")
+        _check_direction(ux, uy)
+        _check_direction(vx, vy)
         raise ParallelLinesError("lines are parallel; no finite intersection")
     # Where the offset was halved, a factor 2 on lam and mu undoes it.
     ax, ay, h = _offset(px, py, qx, qy)

@@ -4,8 +4,9 @@ Five subcommands drive the library end to end: ``identities`` fuzzes the
 algebraic identities with a seeded generator, ``intersect`` and
 ``tangents`` run the closed-form constructions, ``crank`` sweeps the
 mechanism, and ``oscillator`` integrates the phase flow.  Reports are
-JSON by default (CSV for the tabular subcommands), deterministic for a
-fixed command line apart from the wall-time field.
+JSON by default (CSV for the tabular subcommands), and stdout is a
+function of the command line alone: two runs of one command line write
+the same bytes.
 
 A run is parse -> run -> plot -> report, all driven by :func:`main`.  It
 parses the command line to plain numbers: an ``x,y`` or ``x,y,r`` option
@@ -19,14 +20,14 @@ runners.  The subcommand's runner computes a
 :data:`_Result` (the report's ``results`` and ``residuals`` sections,
 for the tabular subcommands one row per sample, and a builder of
 the ``--svg`` diagram); with ``--svg`` it draws and writes the diagram;
-and it lays out the report: the envelope, the ``input`` echo of the
-command line (:func:`_echo`) and ``wall_time_ms``.  The CSV and JSON
-writers share each tabular subcommand's fixed row schema, a
-:data:`_Table`, and format each row from a ``%``-template.  Every row is
-complete before the first byte is written, so a run that fails leaves
-stdout empty; the report is then written in pieces, the row texts
-:data:`_CHUNK` (256) rows at a time.  The runners keep no records
-beside their rows, so the rows are what a large run's peak memory holds:
+and it lays out the report: the envelope and the ``input`` echo of the
+command line (:func:`_echo`).  The CSV and JSON writers share each
+tabular subcommand's fixed row schema, a :data:`_Table`, and format each
+row from a ``%``-template.  Every row is complete before the first byte
+is written, so a run that fails leaves stdout empty; the report is then
+written in pieces, the row texts :data:`_CHUNK` (256) rows at a time.
+The runners keep no records beside their rows, so the rows are what a
+large run's peak memory holds:
 packed floats (:func:`_row_view`), ten per ``crank`` row and four per
 ``oscillator`` row, taken from each kernel row as the sweep yields it
 and from each state as it is stepped.
@@ -58,7 +59,6 @@ import functools
 import math
 import random
 import sys
-import time
 from collections import namedtuple
 
 from ._kernels import (
@@ -631,7 +631,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    started = time.perf_counter()
     try:
         result = args.run(args)
         if getattr(args, "svg", None):
@@ -646,8 +645,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.writelines(_csv_pieces(args.table, result.rows))
     else:
         report = {"subcommand": args.subcommand, "input": _echo(args),
-                  "results": result.results, "residuals": result.residuals,
-                  "wall_time_ms": (time.perf_counter() - started) * 1000.0}
+                  "results": result.results, "residuals": result.residuals}
         sys.stdout.writelines(_json_pieces(report, args.table, result.rows))
         sys.stdout.write("\n")
     return result.exit_code

@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._kernels import ATOL, _meet, _offset, _rescaled
+from ._kernels import ATOL, _check_direction, _meet, _offset, _rescaled
 from .core import Vec2, _vec2, _Vec2Twin, symp, tilde
 from .errors import (
     CoincidentCentersError,
     DegenerateDenominatorError,
     NumericalOverflowError,
-    ZeroDirectionError,
 )
 
 
@@ -31,8 +30,7 @@ class Line:
     direction: Vec2
 
     def __post_init__(self) -> None:
-        if self.direction.x == 0.0 and self.direction.y == 0.0:
-            raise ZeroDirectionError("line direction must be nonzero")
+        _check_direction(self.direction.x, self.direction.y)
 
     def at(self, t: float) -> Vec2:
         """Point ``point + t*direction``.

@@ -250,13 +250,9 @@ def test_acceptance_07_cli_determinism_and_exit_codes():
 
     argv = ["identities", "--samples", "200", "--seed", "123"]
     first, second = run_cli(argv), run_cli(argv)
-    stripped = [b"\n".join(line for line in r.stdout.splitlines()
-                           if b'"wall_time_ms"' not in line)
-                for r in (first, second)]
-    deterministic = (first.returncode == 0 and stripped[0] == stripped[1]
-                     and stripped[0] != b"")
-    schema_ok = list(json.loads(first.stdout)) == [
-        "subcommand", "input", "results", "residuals", "wall_time_ms"]
+    deterministic = (first.returncode == 0 and first.stdout == second.stdout
+                     and first.stdout != b"")
+    schema_ok = list(json.loads(first.stdout)) == ["subcommand", "input", "results", "residuals"]
 
     matrix = [
         (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], 0),

@@ -6,7 +6,6 @@ import contextlib
 import copy
 import csv
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -289,7 +288,7 @@ def test_negative_values_parse_as_separate_arguments(capsys, separate, joined):
     outputs = []
     for argv in (separate, joined):
         assert main(argv) == 0
-        outputs.append(strip_timing(capsys.readouterr().out.encode()))
+        outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 
 
@@ -381,7 +380,7 @@ def test_json_reports_hold_only_finite_numbers(capsys, subcommand):
 
 def test_report_key_order(capsys):
     _, report = run_json(capsys, ["identities", "--samples", "5"])
-    assert list(report) == ["subcommand", "input", "results", "residuals", "wall_time_ms"]
+    assert list(report) == ["subcommand", "input", "results", "residuals"]
 
 
 # Each subcommand's ``input`` section: every run argument in usage order,
@@ -638,27 +637,15 @@ def run_subprocess(argv):
                           capture_output=True, timeout=60)
 
 
-def strip_timing(raw: bytes) -> bytes:
-    return b"\n".join(line for line in raw.splitlines()
-                      if b'"wall_time_ms"' not in line)
-
-
-def test_identical_invocations_are_byte_identical_apart_from_timing():
-    argv = ["identities", "--samples", "50", "--seed", "7"]
-    first = run_subprocess(argv)
-    second = run_subprocess(argv)
-    assert first.returncode == 0 and second.returncode == 0
-    assert strip_timing(first.stdout) == strip_timing(second.stdout)
-    assert first.stdout != b""
-
-
-def test_csv_output_is_fully_byte_identical():
-    argv = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1",
-            "--from", "0", "--to", "6.283185307179586", "--steps", "37", "--csv"]
-    first = run_subprocess(argv)
-    second = run_subprocess(argv)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
+def test_identical_invocations_are_byte_identical():
+    # Stdout is a function of the command line alone, JSON report and CSV alike.
+    for argv in (["identities", "--samples", "50", "--seed", "7"],
+                 ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1",
+                  "--from", "0", "--to", "6.283185307179586", "--steps", "37", "--csv"]):
+        first = run_subprocess(argv)
+        second = run_subprocess(argv)
+        assert first.returncode == 0 and second.returncode == 0, argv
+        assert first.stdout == second.stdout != b"", argv
 
 
 # The benchmark's crank-sweep and phase-flow argv (perfbench), less --steps
@@ -687,40 +674,40 @@ _OSCILLATOR_SMALL = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1
                      "--p0", "0", "--dt", "0.05", "--steps", "200"]
 
 # Every pinned CLI output: ``(argv, target, sha256)``.  The target is
-# "stdout", taken after ``strip_timing`` for a JSON report, or "svg", the
-# file that ``--svg`` names.  A deliberate output change re-pins here and
-# in perfbench's ``cli_sha256``.
+# "stdout" or "svg", the file that ``--svg`` names; the digest is that of its
+# raw bytes.  A deliberate output change re-pins here and, for a benchmark
+# row, in perfbench's ``cli_sha256`` or ``SETUP_SHA256``.
 PINNED_OUTPUTS = {
     "identities-json-seed-42": (
         ["identities", "--samples", "1000", "--seed", "42"], "stdout",
-        "b2ebd6a55c1952d2c73f3504cb29a398a98ca2a2439da50aeb2471f5f8b020eb"),
+        "00ba10ccbf96f7bdd7211c3044bcc59d8b2e78838a54ca32cac703721a0af554"),
     "identities-json-subnormal-products": (
         ["identities", "--samples", "200", "--seed", "5", "--range", "1e-160"], "stdout",
-        "52fd2fbc7635912fd573cce383552e977151c78fecd35a059319f5093841833f"),
+        "d44a59edfe15f43da3229a5959eb794e6bcbfb3bbc47172a3db1cecff2501d37"),
     "identities-csv": (
         ["identities", "--samples", "6000", "--seed", "11", "--csv"], "stdout",
         "5ebb783a3561ba636d166e327e673db12a293ebce253f2bb53dd60957bdad895"),
     "intersect-json": (
         ["intersect", "--a", "0,0", "--u", "1,0", "--b", "0,1", "--v", "1,1"], "stdout",
-        "9b4dbedf93e08b7dca791aa54bfc44e58051a7dee580073dd6c0d7f1329d8797"),
+        "1370fd3b9eabf82a6080e6aaaef6e1a64f90f12ab740ec00fd7303f67a4eef58"),
     "tangents-json-four-tangents": (
         ["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], "stdout",
-        "5f3282e917a91b83a6c4d02690e05d4b1acc2600b1182b90fa2d990b5f6d3f13"),
+        "b3eed343cd330aef5c569573eac183528c8644fbc6d43baf80bb6c6b33d810b6"),
     "tangents-json-tangent-pair": (
         ["tangents", "--c1", "0,0,1", "--c2", "3,0,2"], "stdout",
-        "82f64a1866fcd247d51cee351cca9cf3e552ecebcec18343e8151c308848355b"),
+        "1644e0e67dd2fed058d7e84c89896a15804389d8d9777de23e2f0073f105aa50"),
     "tangents-svg": (
         ["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "tangents.svg"], "svg",
         "73706c693486acb292c166290b9d6d6563fa1e1ee221d3496478932109aeadc9"),
     "crank-json-regular": (
         _CRANK_REGULAR, "stdout",
-        "ee81d1f7819c90eb7eeb4002380fca0c4295b853c086b11796497692588412b5"),
+        "012772bb3db7b28628e6ecdcc4727555f81f61415812389db6c752e227119145"),
     "crank-json-pivot-on-circle": (
         _CRANK_ON_CIRCLE, "stdout",
-        "055c9710a9c0b8e6a02a488069f77039302dafa4276060d4d674b99ba771e9b6"),
+        "244d79bfbb242678abed943d0fe6e22de5f7a863a3a698a45ac1acac824f171b"),
     "crank-json-degrees": (
         _CRANK_DEGREES, "stdout",
-        "b1acdd0b25f5a36971ed1338362bc7c8b4db5f0fa0dfebe844e5b9158af22db2"),
+        "35c23eb98ee55ff8f996ab8dcc192ee06717166de111ded3e9c04635077b63dc"),
     "crank-csv-regular": (
         _CRANK_REGULAR + ["--csv"], "stdout",
         "8eead8cf5c0cb130b3776591013908e02e242fcc462c1fd067209ed7b3a34758"),
@@ -748,7 +735,7 @@ PINNED_OUTPUTS = {
     # The benchmark's crank sweeps: 2,001 rows, written in several chunks.
     "crank-json-benchmark": (
         _CRANK_SWEEP_ARGV + _BENCHMARK_SVG, "stdout",
-        "51ac69932f955d93d17236c1f914c87bdf74d8f7a47b960080af914adef424c8"),
+        "79e6200140e89484c4303e60c1907fc9fd633fec09928288ae642429049cd561"),
     "crank-svg-benchmark": (
         _CRANK_SWEEP_ARGV + _BENCHMARK_SVG, "svg",
         "eccda83f18cb62543b7ec9688be353d3fcd7eaf0048841d529d0fe02fd8404af"),
@@ -757,7 +744,7 @@ PINNED_OUTPUTS = {
         "c71e3a912eab07996cc869e532ba563b35e6dd56b64c08d88a37a8477015b13a"),
     "crank-json-benchmark-pivot-on-circle": (
         _ON_CIRCLE_ARGV + _BENCHMARK_SVG, "stdout",
-        "1508a14eaaba11e5340634d4b1c066aa005280d24045531b59710f5f8a6953c9"),
+        "05ea5ea6a501af9299eb062fd69b770ca2f62e256804ae429310623f15531603"),
     "crank-svg-benchmark-pivot-on-circle": (
         _ON_CIRCLE_ARGV + _BENCHMARK_SVG, "svg",
         "849287c357c7667b1ff45fc8a6901df6c78fbf758f96d3b549bd91863626e44c"),
@@ -766,19 +753,19 @@ PINNED_OUTPUTS = {
         "9ed7cdc9a5d8d18f6e7ce4da493ab7f51d713db4623ccd992e289376be0fd413"),
     "crank-json-degree-turns": (
         _CRANK_DEGREE_TURNS, "stdout",
-        "4117894b88a18986e48b7843a309229db47905730a4c9f4e3d356b6db784bccb"),
+        "0615513010965c2a96f6c357934a5efbdf04a413e2a3ef07bbcbe1b73025b0e3"),
     "crank-csv-degree-turns": (
         _CRANK_DEGREE_TURNS + ["--csv"], "stdout",
         "d151393e5aa97ccc8005eea4864a29ff44b98ef6cda5904aa2dc999b3f12b333"),
     "oscillator-json-leapfrog": (
         _OSCILLATOR_ARGV + ["--steps", "10000"], "stdout",
-        "f69bd4beef6074168ce734f9a58771bf9b9d51b59701fb9d2fc0687f776af13f"),
+        "dd1c44144668d6d47c7388a727681ac690c53f492da49705d63a10b3ab9db5fb"),
     "oscillator-json-euler": (
         _PHASE_FLOW_ARGV + ["--steps", "10000", "--method", "euler"], "stdout",
-        "40b9f85f6f0cff204e987cb27378ac8dc84d934325a661c962db58002e25ab17"),
+        "45658a0def170fa3cd10e67a8fcefd4ccd8bb92ed5da1c240302ab1662f38953"),
     "oscillator-json-symplectic-euler": (
         _PHASE_FLOW_ARGV + ["--steps", "10000", "--method", "symplectic-euler"], "stdout",
-        "9b2eb6b652b66bd5ab9e7fd21eec14d92a1f9bedcda0ac9ede52000ede28cfa1"),
+        "1ae5fafd2af9d5f00788784dcb2205daf12ecf0bcf9920df4178ced8a4896aeb"),
     "oscillator-csv-leapfrog": (
         _OSCILLATOR_ARGV + ["--steps", "10000", "--csv"], "stdout",
         "025f6d3c9fbf2d2afa9a5b06b0d9560b54fe417231ccb78f0d06dd3e8eb6a2fb"),
@@ -817,53 +804,54 @@ def test_pinned_output(tmp_path, monkeypatch, capsys, case):
     out = capsys.readouterr().out.encode()
     if target == "svg":
         out = svg.read_bytes()
-    elif "--csv" not in argv:
-        out = strip_timing(out)
     assert hashlib.sha256(out).hexdigest() == digest
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-#: The PINNED_OUTPUTS row whose run each benchmark workload's CLI pin repeats.
+#: The PINNED_OUTPUTS row whose run each benchmark CLI pin repeats: each
+#: workload's, and the setup probe of ``run.py``.
 BENCHMARK_ROWS = {"phase-flow": "oscillator-csv-leapfrog",
                   "crank-sweep": "crank-json-benchmark",
-                  "construct-mix": "identities-csv"}
+                  "construct-mix": "identities-csv",
+                  "setup": "intersect-json"}
+
+
+def _literals(statements, names):
+    """``{name: value}`` of the literal assignments to ``names`` among ``statements``."""
+    return {target.id: ast.literal_eval(statement.value)
+            for statement in statements if isinstance(statement, ast.Assign)
+            for target in statement.targets
+            if isinstance(target, ast.Name) and target.id in names}
 
 
 def _benchmark_cli_pins():
-    """``{workload: (cli_argv, cli_format, cli_sha256)}`` of perfbench's workload
-    classes, read from the source of ``workloads.py`` without importing it."""
+    """``{workload: (argv, sha256)}`` of perfbench's workload classes, and of
+    ``run.py``'s setup probe under ``"setup"``, read from their source without
+    importing them."""
     pins = {}
     for node in ast.parse((PERFBENCH / "workloads.py").read_text()).body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        fields = {target.id: ast.literal_eval(statement.value)
-                  for statement in node.body if isinstance(statement, ast.Assign)
-                  for target in statement.targets if isinstance(target, ast.Name)
-                  and target.id in ("name", "cli_argv", "cli_format", "cli_sha256")}
-        if "cli_argv" in fields:
-            pins[fields["name"]] = fields["cli_argv"], fields["cli_format"], fields["cli_sha256"]
+        if isinstance(node, ast.ClassDef):
+            fields = _literals(node.body, ("name", "cli_argv", "cli_sha256"))
+            if "cli_argv" in fields:
+                pins[fields["name"]] = fields["cli_argv"], fields["cli_sha256"]
+    setup = _literals(ast.parse((PERFBENCH / "run.py").read_text()).body,
+                      ("SETUP_ARGV", "SETUP_SHA256"))
+    pins["setup"] = setup["SETUP_ARGV"], setup["SETUP_SHA256"]
     return pins
 
 
-def test_benchmark_cli_pins_hold_and_repeat_a_pinned_row(tmp_path, monkeypatch, capsys):
+def test_benchmark_cli_pins_hold_and_repeat_a_pinned_row():
     # A deliberate output change that re-pins PINNED_OUTPUTS but not
-    # perfbench's cli_sha256 fails here.  The launcher's digest rule is
-    # stdlib-only, so its module is loaded from its file.
-    spec = importlib.util.spec_from_file_location("launcher", PERFBENCH / "launcher.py")
-    launcher = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(launcher)
+    # perfbench's cli_sha256 or SETUP_SHA256 fails here.  Both pin the raw
+    # stdout, and test_pinned_output runs each row.
     pins = _benchmark_cli_pins()
     assert sorted(pins) == sorted(BENCHMARK_ROWS)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "perfbench" / "_work").mkdir(parents=True)
     parser = cli._build_parser()
-    for workload, (argv, fmt, digest) in pins.items():
-        assert main(argv) == 0, workload
-        out = capsys.readouterr().out.encode()
-        assert launcher.stdout_digest(out, fmt) == digest, workload
+    for workload, (argv, digest) in pins.items():
+        row_argv, target, row_digest = PINNED_OUTPUTS[BENCHMARK_ROWS[workload]]
+        assert (target, digest) == ("stdout", row_digest), workload
         # The same run as the row's, whatever the order of its options.
-        row_argv = PINNED_OUTPUTS[BENCHMARK_ROWS[workload]][0]
         assert parser.parse_args(argv) == parser.parse_args(row_argv), workload
 
 
@@ -927,7 +915,6 @@ def _envelope(subcommand, rng, array):
                   "none": None},
         "results": results,
         "residuals": {"max": _float(rng), "zero": -0.0},
-        "wall_time_ms": 1.25,
     }
 
 
@@ -990,7 +977,7 @@ def test_row_writers_match_the_generic_encoders_on_degree_rows():
     assert any(row[8] for row in rows) and not all(row[8] for row in rows)
     table = cli._CRANK_TABLE
     envelope = {"subcommand": "crank", "input": cli._echo(args), "results": result.results,
-                "residuals": result.residuals, "wall_time_ms": 1.25}
+                "residuals": result.residuals}
     expected = json.dumps(_full_report(envelope, "entries", result.rows), indent=2)
     assert "".join(cli._json_pieces(envelope, table, result.rows)) == expected
     assert ("".join(cli._csv_pieces(table, result.rows))
@@ -1416,7 +1403,7 @@ def _check_csv(text, subcommand):
 
 
 @pytest.mark.parametrize("seed", [28, 1])
-def test_the_error_contract_holds_over_a_seeded_fuzz(capsys, monkeypatch, seed):
+def test_the_error_contract_holds_over_a_seeded_fuzz(tmp_path, capsys, monkeypatch, seed):
     # One parser serves every run: building it costs ten times the run.
     parser = cli._build_parser()
     monkeypatch.setattr(cli, "_build_parser", lambda: parser)
@@ -1424,12 +1411,24 @@ def test_the_error_contract_holds_over_a_seeded_fuzz(capsys, monkeypatch, seed):
     codes, rules = [], set()
     for index in range(2000):
         argv = _fuzz_argv(rng)
+        # Every third run that can plot draws its diagram; chosen by index, so
+        # the draws of later runs stay as they are.
+        svg = None
+        if argv[0] in ("tangents", "crank", "oscillator") and index % 3 == 0:
+            svg = tmp_path / f"{index}.svg"
+            argv += ["--svg", str(svg)]
         try:
             code = main(argv)
         except Exception as exc:  # noqa: BLE001 - the contract is that none escapes
             pytest.fail(f"run {index} {argv} raised {exc!r}")
         out, err = capsys.readouterr()
         codes.append(code)
+        if svg is not None:
+            # A failed run writes no file; a plot holds only finite numbers.
+            assert svg.exists() == (code == 0), (index, argv)
+            if code == 0:
+                assert not re.search(r"\b(?:nan|inf)\b", svg.read_text(), re.IGNORECASE), (
+                    index, argv)
         if code == 0:
             if "--csv" in argv:
                 _check_csv(out, argv[0])
