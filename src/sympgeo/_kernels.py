@@ -1,16 +1,23 @@
 """Plain-float kernels of the signed-area formulas, the crank and the phase flow, shared by the record layers and the CLI.
 
 Each kernel takes and returns floats and builds no record, so this module
-imports only :mod:`math` and :mod:`sympgeo.errors`: the ``identities``,
-``intersect``, ``crank`` and ``oscillator`` subcommands run on it without
-loading ``core``, ``geometry``, ``kinematics``, ``dynamics`` or
-``dataclasses``.  :func:`sympgeo.core.identity_residuals` wraps
-:func:`_identity_terms`, :func:`sympgeo.geometry.intersect_lines` wraps
-:func:`_meet`, and :func:`_meet` and the common-tangent kernel of
-:mod:`sympgeo.geometry` both form their loop vector with :func:`_offset`,
-so each formula has one copy.  :func:`_check_direction` is the
-zero-direction rule of both :class:`sympgeo.geometry.Line` and
-:func:`_meet`.
+imports only :mod:`math`, :mod:`sys` and :mod:`sympgeo.errors`: every
+subcommand runs on it without loading ``core``, ``geometry``,
+``kinematics``, ``dynamics`` or ``dataclasses``, and each formula has one
+copy, here, which the record layers wrap:
+
+* :func:`sympgeo.core.identity_residuals` wraps :func:`_identity_terms`;
+* :func:`sympgeo.geometry.intersect_lines` wraps :func:`_meet`, and
+  :func:`_check_direction` is the zero-direction rule of both
+  :class:`sympgeo.geometry.Line` and :func:`_meet`;
+* :func:`sympgeo.geometry.circle_tangents` and
+  :func:`~sympgeo.geometry.point_circle_tangents` build their records
+  from the rows of :func:`_tangent_rows`, the one copy of the tangent
+  loop closure, :func:`sympgeo.geometry.tangent_distance_error` wraps
+  :func:`_tangency_error`, and :func:`_check_radius` is the rule of
+  :class:`sympgeo.geometry.Circle`.  :func:`_meet`,
+  :func:`_tangent_rows` and :func:`_tangency_error` form their loop
+  vectors with :func:`_offset`.
 
 The crank's sweep is one generator, :func:`_crank_rows`, over the angles
 of :func:`_grid`, yielding one tuple of floats per angle; it holds the
@@ -34,15 +41,20 @@ run on each new state and the names they read:
 and ``sympgeo oscillator`` appends the state's ``(t, q, p, energy)`` row.
 :func:`_check_run` is the run-argument rule of both,
 :func:`_check_oscillator` the mass/stiffness rule of
-:class:`sympgeo.dynamics.OscillatorParams`, and :func:`_energy` the
-expression and message of :func:`sympgeo.dynamics.hamiltonian`.
+:class:`sympgeo.dynamics.OscillatorParams`, :func:`_energy` the
+expression and message of :func:`sympgeo.dynamics.hamiltonian`,
+:func:`_omega` the body of ``OscillatorParams.omega`` and :func:`_orbit`
+that of :func:`sympgeo.dynamics.analytic_oscillator`, whose orbit the
+``oscillator --svg`` plot draws.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import (
+    CoincidentCentersError,
     InvalidStepError,
     NumericalOverflowError,
     ParallelLinesError,
@@ -58,6 +70,8 @@ if TYPE_CHECKING:
 #: Degeneracy tolerance: the relative factor of the parallel test and of the
 #: crank's singular-rod floor, and the absolute floor of the ratio denominators.
 ATOL = 1e-12
+
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 def _rescaled(x: float, y: float) -> tuple[float, float, int]:
@@ -185,6 +199,102 @@ def _meet(px: float, py: float, ux: float, uy: float, qx: float, qy: float, vx: 
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(mu)):
         raise NumericalOverflowError("line intersection overflows")
     return x, y, lam, mu
+
+
+def _check_radius(radius: float) -> None:
+    """The rule of :class:`sympgeo.geometry.Circle`: a radius finite and >= 0.
+
+    Raises :class:`ValueError` otherwise.
+    """
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise ValueError(f"circle radius must be finite and >= 0, got {radius}")
+
+
+def _tangent_rows(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float,
+                  outer_only: bool) -> list[tuple]:
+    """The common tangents of the circles ``((x1, y1), r1)`` and ``((x2, y2), r2)`` as float rows.
+
+    The body of :func:`sympgeo.geometry.circle_tangents` and
+    :func:`~sympgeo.geometry.point_circle_tangents` on plain floats.  Each
+    row is ``(t1x, t1y, t2x, t2y, ex, ey, kind, lam)``: the two touch
+    points, the unit vector ``e`` from the first center toward its touch
+    point, ``"outer"`` or ``"inner"``, and the signed distance ``lam``
+    along ``tilde(e)`` from the first touch point to the second.  Each
+    closes the loop ``(r1 -+ r2)*e + lam*tilde(e) = a`` over the center
+    offset ``a``; the rows come outer(+lam), outer(-lam), inner(+lam),
+    inner(-lam), and ``outer_only`` skips the inner family.
+
+    The center offset is :func:`_offset`'s, halved where it overflows.  It
+    and the reaches are rescaled by ``2**-k`` so that the larger offset
+    component lies in ``[0.5, 1)``.  A power-of-two scale is exact in the
+    normal range, so ``e`` comes out bit for bit as from the unscaled
+    formulas and ``ldexp`` recovers ``lam`` exactly.  Raises
+    :class:`CoincidentCentersError` for an exactly zero offset and
+    :class:`NumericalOverflowError` when a touch point or ``lam``
+    overflows.
+    """
+    ax, ay, h = _offset(x1, y1, x2, y2)
+    if ax == 0.0 and ay == 0.0:
+        raise CoincidentCentersError("circle centers coincide; tangent directions undefined")
+    ax, ay, k = _rescaled(ax, ay)
+    k += h
+    # The reaches are scaled by a product, not ldexp: a scaled reach that
+    # overflows to inf has no real root, as an exact reach beyond |a| has
+    # none.  The inner reach sums the scaled radii, since r1 + r2 can
+    # overflow below an |a| beyond the float range (halving the radii
+    # instead would round a subnormal one).  For a subnormal offset 2**-k
+    # is no float, so it is applied in two halves.
+    half = -k // 2 if k <= -1024 else 0
+    scale, scale2 = math.ldexp(1.0, -k - half), math.ldexp(1.0, half)
+    a2 = ax * ax + ay * ay
+    families = (("outer", (r1 - r2) * scale * scale2, -1.0),
+                ("inner", r1 * scale * scale2 + r2 * scale * scale2, 1.0))
+    isfinite, ldexp = math.isfinite, math.ldexp
+    rows: list[tuple] = []
+    append = rows.append
+    try:
+        for kind, reach, sigma in families[:1] if outer_only else families:
+            radicand = a2 - reach * reach
+            if radicand < 0.0:
+                continue
+            root = math.sqrt(radicand)
+            reach2 = sigma * r2
+            for lam in (root, -root):
+                ex = (ax * reach - -ay * lam) / a2
+                ey = (ay * reach - ax * lam) / a2
+                t1x, t1y = x1 + ex * r1, y1 + ey * r1
+                t2x, t2y = x2 - ex * reach2, y2 - ey * reach2
+                if not (isfinite(t1x) and isfinite(t1y) and isfinite(t2x) and isfinite(t2y)):
+                    raise NumericalOverflowError("common tangent overflows")
+                # e is finite: reach**2 <= a2 and a2 >= 1/4.
+                append((t1x, t1y, t2x, t2y, ex, ey, kind, ldexp(lam, k)))
+    except OverflowError as exc:  # ldexp, an out-of-range lam
+        raise NumericalOverflowError("common tangent overflows") from exc
+    return rows
+
+
+def _tangency_error(tx: float, ty: float, ex: float, ey: float, x1: float, y1: float,
+                    r1: float, x2: float, y2: float, r2: float) -> float:
+    """Worst deviation of a tangent line's center distances from the radii.
+
+    The body of :func:`sympgeo.geometry.tangent_distance_error` on plain
+    floats: the line runs through the touch point ``(tx, ty)`` along
+    ``tilde(e)``, and the circles are ``((x1, y1), r1)`` and
+    ``((x2, y2), r2)``.  Where a term is not finite, both are formed again
+    over :func:`_offset`'s center offset, halved where the unhalved one
+    overflows, so a finite term keeps its bits.  Raises
+    :class:`NumericalOverflowError` when a distance itself overflows.
+    """
+    e1 = abs(abs((x1 - tx) * ex + (y1 - ty) * ey) - r1)
+    e2 = abs(abs((x2 - tx) * ex + (y2 - ty) * ey) - r2)
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        # Where an offset was halved, the factor 2 that undoes it is exact.
+        (d1x, d1y, h1), (d2x, d2y, h2) = _offset(tx, ty, x1, y1), _offset(tx, ty, x2, y2)
+        e1 = abs(abs(d1x * ex + d1y * ey) * (h1 + 1) - r1)
+        e2 = abs(abs(d2x * ex + d2y * ey) * (h2 + 1) - r2)
+        if not (math.isfinite(e1) and math.isfinite(e2)):
+            raise NumericalOverflowError("tangent distance overflows")
+    return e2 if e2 > e1 else e1
 
 
 #: Rod lengths below this fraction of the crank length are flagged in sweeps.
@@ -359,6 +469,47 @@ def _energy(q: float, p: float, t: float, mass: float, stiffness: float) -> floa
     if not math.isfinite(energy):
         raise NumericalOverflowError(f"energy overflows at t={t}")
     return energy
+
+
+def _omega(mass: float, stiffness: float) -> float:
+    """Natural angular frequency ``sqrt(stiffness/mass)`` of a valid mass and stiffness.
+
+    The body of :attr:`sympgeo.dynamics.OscillatorParams.omega`.  When the
+    ratio itself leaves the normal range (``stiffness=1e-300``,
+    ``mass=1e300`` underflows it to 0.0), the root is taken of each
+    operand instead; the result can then still be subnormal or infinite.
+    """
+    ratio = stiffness / mass
+    if _FLOAT_MIN <= ratio < math.inf:
+        return math.sqrt(ratio)
+    return math.sqrt(stiffness) / math.sqrt(mass)
+
+
+def _orbit(t: float, q0: float, p0: float, t0: float, mass: float,
+           w: float) -> tuple[float, float, float]:
+    """``(q, p, stamp)`` of the closed-form state a time ``t`` after ``(q0, p0)`` stamped ``t0``.
+
+    The body of :func:`sympgeo.dynamics.analytic_oscillator` on plain
+    floats, for the mass ``mass`` and the angular frequency ``w`` of
+    :func:`_omega`.  Raises :class:`ValueError` for a non-finite ``t`` and
+    :class:`NumericalOverflowError` when ``mass*w`` is 0.0 or infinite, or
+    when the state or ``w*t`` overflows.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    mw = mass * w
+    if not 0.0 < mw < math.inf:
+        raise NumericalOverflowError(f"m*omega = {mw} leaves the float range at t={t0 + t}")
+    wt = w * t
+    if math.isfinite(wt):
+        cos_wt = math.cos(wt)
+        sin_wt = math.sin(wt)
+        q = q0 * cos_wt + p0 / mw * sin_wt
+        p = p0 * cos_wt - mw * q0 * sin_wt
+        stamp = t0 + t
+        if math.isfinite(q) and math.isfinite(p) and math.isfinite(stamp):
+            return q, p, stamp
+    raise NumericalOverflowError(f"analytic state overflows at t={t0 + t}")
 
 
 def _check_run(n_steps: int, dt: float, method: str) -> None:

@@ -14,36 +14,37 @@ is a tuple of floats, each component finite by the one number rule of
 :func:`_finite_float`.  Each subcommand's parser sets its runner, and for
 a tabular subcommand its row schema, as the ``run`` and ``table``
 defaults of the parsed arguments, so :func:`main` dispatches from the
-parse alone and no second registry names the subcommands.  Records, and
-the rules they own (as a circle's radius), are built only in the
-runners.  The subcommand's runner computes a
+parse alone and no second registry names the subcommands.  The
+subcommand's runner checks the rules of the library's records (as a
+circle's radius) with the kernels that hold them and computes a
 :data:`_Result` (the report's ``results`` and ``residuals`` sections,
-for the tabular subcommands one row per sample, and a builder of
-the ``--svg`` diagram); with ``--svg`` it draws and writes the diagram;
-and it lays out the report: the envelope and the ``input`` echo of the
-command line (:func:`_echo`).  The CSV and JSON writers share each
-tabular subcommand's fixed row schema, a :data:`_Table`, and format each
-row from a ``%``-template.  Every row is complete before the first byte
-is written, so a run that fails leaves stdout empty; the report is then
-written in pieces, the row texts :data:`_CHUNK` (256) rows at a time.
+for the tabular subcommands one row per sample, and a builder of the
+``--svg`` diagram).  With ``--svg``, :func:`main` draws and writes the
+diagram, and it lays out the report: the envelope and the ``input``
+echo of the command line (:func:`_echo`).  The CSV and JSON writers
+share each tabular subcommand's fixed row schema, a :data:`_Table`, and
+format each row from a ``%``-template.  Every row is complete before
+the first byte is written, so a run that fails leaves stdout empty; the
+report is then written in pieces, the row texts :data:`_CHUNK` (256)
+rows at a time.
 The runners keep no records beside their rows, so the rows are what a
 large run's peak memory holds:
 packed floats (:func:`_row_view`), ten per ``crank`` row and four per
 ``oscillator`` row, taken from each kernel row as the sweep yields it
 and from each state as it is stepped.
-Each runner imports the layers it runs, so a run loads ``errors``, the
-float kernels of ``_kernels`` and only the layers of its subcommand
-(``svgplot`` only with ``--svg``): ``identities``, ``intersect``,
-``crank`` and ``oscillator`` run on the kernels alone and load no record
-type, so no ``dataclasses``; only ``tangents`` needs ``core``.  ``crank``
-packs the rows of the sweep kernel of ``_kernels`` and folds the maxima
-of its loop closures, as the library's records would give them.
-``oscillator`` compiles one step loop, for its method only, from the
-template of ``_kernels``, with the signature of the library's record
-loops; the runner appends the initial state's packed row and the loop
-each new state's, and only ``--svg`` loads ``dynamics``, for the plot's
-analytic orbit.  Only a JSON report imports ``json``, and this module
-imports no ``typing``.
+
+One rule says what a run loads: the runners use the float kernels of
+``_kernels`` and ``errors``, ``--svg`` adds ``svgplot``, and a JSON
+report adds ``json``.  No subcommand builds a record, so none loads
+``core``, ``geometry``, ``kinematics``, ``dynamics``, ``dataclasses`` or
+``typing``.  Each runner gives what the library's records would:
+``tangents`` runs the kernels of ``circle_tangents`` and
+``tangent_distance_error``, and its plot draws their rows; ``crank``
+packs the rows of the sweep kernel and folds the maxima of its loop
+closures; ``oscillator`` compiles one step loop, for its method only,
+from the template of ``_kernels``, with the signature of the library's
+record loops, appends the initial state's packed row and the loop each
+new state's, and its plot draws the kernel of ``analytic_oscillator``.
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
 error, 2 geometric degeneracy, 3 numerical singularity.  Each failure is
@@ -66,6 +67,7 @@ from ._kernels import (
     _build_flow,
     _check_crank,
     _check_oscillator,
+    _check_radius,
     _check_run,
     _crank_rows,
     _energy,
@@ -73,6 +75,10 @@ from ._kernels import (
     _identity_terms,
     _loop_closures,
     _meet,
+    _omega,
+    _orbit,
+    _tangency_error,
+    _tangent_rows,
 )
 from .errors import DegeneracyError, NumericalOverflowError, SingularityError
 
@@ -83,7 +89,6 @@ if TYPE_CHECKING:
     from array import array
     from collections.abc import Callable, Iterator, Sequence
 
-    from .geometry import Circle, Tangent
     from .svgplot import SvgPlot
 
 EXIT_OK = 0
@@ -394,52 +399,51 @@ def _run_intersect(args: argparse.Namespace) -> _Result:
                    {"loop_closure": closure}, [], EXIT_OK)
 
 
-def _tangents_plot(c1: Circle, c2: Circle, tangents: list[Tangent]) -> SvgPlot:
+def _tangents_plot(c1: tuple[float, ...], c2: tuple[float, ...],
+                   rows: list[tuple]) -> SvgPlot:
     from .svgplot import SvgPlot
 
     plot = SvgPlot("common tangents")
-    plot.circle(c1.center.x, c1.center.y, c1.radius, color="#1f77b4", label="circle 1")
-    plot.circle(c2.center.x, c2.center.y, c2.radius, color="#2ca02c", label="circle 2")
+    plot.circle(*c1, color="#1f77b4", label="circle 1")
+    plot.circle(*c2, color="#2ca02c", label="circle 2")
     seen_kinds: set[str] = set()
-    for t in tangents:
-        color = "#d62728" if t.kind == "inner" else "#ff7f0e"
+    for t1x, t1y, t2x, t2y, ex, ey, kind, lam in rows:
+        color = "#d62728" if kind == "inner" else "#ff7f0e"
         # Each segment runs 15% of lam past the touch points, along tilde(e).
-        reach = 0.15 * t.lam
-        along_x, along_y = -t.direction_e.y * reach, t.direction_e.x * reach
-        x1, y1 = t.touch1.x - along_x, t.touch1.y - along_y
-        x2, y2 = t.touch2.x + along_x, t.touch2.y + along_y
+        reach = 0.15 * lam
+        along_x, along_y = -ey * reach, ex * reach
+        x1, y1 = t1x - along_x, t1y - along_y
+        x2, y2 = t2x + along_x, t2y + along_y
         if not (math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2)
                 and math.isfinite(y2)):
             raise NumericalOverflowError("tangent segment overflows")
-        label = t.kind if t.kind not in seen_kinds else None
-        seen_kinds.add(t.kind)
+        label = kind if kind not in seen_kinds else None
+        seen_kinds.add(kind)
         plot.segment(x1, y1, x2, y2, color=color, width=1.2, label=label)
-        plot.marker(t.touch1.x, t.touch1.y, color="#333333")
-        plot.marker(t.touch2.x, t.touch2.y, color="#333333")
+        plot.marker(t1x, t1y, color="#333333")
+        plot.marker(t2x, t2y, color="#333333")
     return plot
 
 
 def _run_tangents(args: argparse.Namespace) -> _Result:
-    from .core import Vec2
-    from .geometry import Circle, circle_tangents, tangent_distance_error
-
     (x1, y1, r1), (x2, y2, r2) = args.c1, args.c2
-    c1, c2 = Circle(Vec2(x1, y1), r1), Circle(Vec2(x2, y2), r2)
-    tangents = circle_tangents(c1, c2)
+    _check_radius(r1)
+    _check_radius(r2)
+    rows = _tangent_rows(x1, y1, r1, x2, y2, r2, False)
     max_error = 0.0
     entries = []
-    for t in tangents:
-        max_error = max(max_error, tangent_distance_error(t, c1, c2))
+    for t1x, t1y, t2x, t2y, ex, ey, kind, lam in rows:
+        max_error = max(max_error, _tangency_error(t1x, t1y, ex, ey, x1, y1, r1, x2, y2, r2))
         entries.append({
-            "kind": t.kind,
-            "lambda": t.lam,
-            "touch1": [t.touch1.x, t.touch1.y],
-            "touch2": [t.touch2.x, t.touch2.y],
-            "e": [t.direction_e.x, t.direction_e.y],
+            "kind": kind,
+            "lambda": lam,
+            "touch1": [t1x, t1y],
+            "touch2": [t2x, t2y],
+            "e": [ex, ey],
         })
-    return _Result({"count": len(tangents), "tangents": entries},
+    return _Result({"count": len(rows), "tangents": entries},
                    {"max_tangency_error": max_error}, [], EXIT_OK,
-                   lambda: _tangents_plot(c1, c2, tangents))
+                   lambda: _tangents_plot(args.c1, args.c2, rows))
 
 
 _CRANK_COLUMNS = ("phi", "s", "psi", "psi_unwrapped", "s_dot", "psi_dot", "s_ddot", "psi_ddot",
@@ -534,25 +538,22 @@ def _run_crank(args: argparse.Namespace) -> _Result:
 
 def _oscillator_plot(store: array, mass: float, stiffness: float, q0: float, p0: float,
                      integrator: str) -> SvgPlot:
-    from .dynamics import OscillatorParams, PhaseState, analytic_oscillator
     from .svgplot import SvgPlot
 
-    params = OscillatorParams(mass, stiffness)
-    initial = PhaseState(q0, p0, 0.0)
     plot = SvgPlot("phase portrait")
-    period = 2.0 * math.pi / params.omega
+    w = _omega(mass, stiffness)
+    period = 2.0 * math.pi / w
     if not math.isfinite(period):
-        raise NumericalOverflowError(f"phase-portrait period overflows (omega = "
-                                     f"{params.omega})")
+        raise NumericalOverflowError(f"phase-portrait period overflows (omega = {w})")
     ellipse = []
     for i in range(257):
-        s = analytic_oscillator(period * i / 256.0, initial, params)
-        ellipse.append((s.q, s.p))
+        q, p, _ = _orbit(period * i / 256.0, q0, p0, 0.0, mass, w)
+        ellipse.append((q, p))
     plot.polyline(ellipse, color="#7f7f7f", width=1.0, label="energy ellipse")
     # The q and p columns of the packed (t, q, p, energy) rows.
     cells = memoryview(store)
     plot.polyline(zip(cells[1::4], cells[2::4]), color="#1f77b4", label=integrator)
-    plot.marker(initial.q, initial.p, color="#d62728", label="initial state")
+    plot.marker(q0, p0, color="#d62728", label="initial state")
     return plot
 
 

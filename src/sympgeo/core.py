@@ -17,19 +17,16 @@ Sign conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# ATOL, the degeneracy tolerance, is defined beside the float kernels and
-# re-exported here.
-from ._kernels import ATOL, _identity_terms, _rescaled
+# ATOL, the degeneracy tolerance, and _FLOAT_MIN, the smallest normal float,
+# are defined beside the float kernels; ATOL is re-exported here.
+from ._kernels import _FLOAT_MIN, ATOL, _identity_terms, _rescaled
 from .errors import DegenerateScaleError, NumericalOverflowError, ZeroVectorError
 
 #: Relative factor applied to the operand scale in approximate comparisons.
 RTOL = 1e-9
-
-_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 def close(lhs: float, rhs: float, *, atol: float = ATOL, rtol: float = RTOL,

@@ -24,9 +24,11 @@ and appends each new state, built as a slot twin of :class:`PhaseState`;
 :func:`step` is a one-step :func:`simulate`.  :func:`ellipse_residual`
 keeps the last initial energy, so the residuals of one trajectory take
 it once.  ``sympgeo oscillator`` runs a loop from the same template and
-builder, with the same signature, on plain floats, so only its ``--svg``
-plot loads this module; the mass/stiffness rule, the energy and the
-run-argument checks are the float kernels both share.
+builder, with the same signature, on plain floats, and never loads this
+module: the mass/stiffness rule, the energy, the run-argument checks and,
+for its ``--svg`` plot, :attr:`OscillatorParams.omega` and the orbit of
+:func:`analytic_oscillator` are float kernels of :mod:`sympgeo._kernels`
+that both share.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ from ._kernels import (
     _check_oscillator,
     _check_run,
     _energy,
+    _omega,
+    _orbit,
 )
-from .core import _FLOAT_MIN, Vec2, _slot_twin, _vec2, tilde
+from .core import Vec2, _slot_twin, _vec2, tilde
 from .errors import NumericalOverflowError
 
 
@@ -69,11 +73,9 @@ class OscillatorParams:
         When the ratio itself leaves the normal range (``stiffness=1e-300``,
         ``mass=1e300`` underflows it to 0.0), the root is taken of each
         operand instead; the result can then still be subnormal or infinite.
+        The body is the float kernel :func:`sympgeo._kernels._omega`.
         """
-        ratio = self.stiffness / self.mass
-        if _FLOAT_MIN <= ratio < math.inf:
-            return math.sqrt(ratio)
-        return math.sqrt(self.stiffness) / math.sqrt(self.mass)
+        return _omega(self.mass, self.stiffness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,28 +218,15 @@ def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams)
         p(t) = p0*cos(w*t) - m*w*q0*sin(w*t)
 
     Conserves the energy exactly, so it doubles as the reference orbit for
-    integrator error and drift measurements.  Raises
-    :class:`NumericalOverflowError` when ``m*w`` is 0.0 or infinite, or when
-    the state or ``w*t`` overflows.
+    integrator error and drift measurements.  Wraps the float kernel
+    :func:`sympgeo._kernels._orbit`, which the ``oscillator --svg`` plot
+    runs directly.  Raises :class:`NumericalOverflowError` when ``m*w`` is
+    0.0 or infinite, or when the state or ``w*t`` overflows; a non-finite
+    ``t`` is a ``ValueError``.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    w = params.omega
-    mw = params.mass * w
-    if not 0.0 < mw < math.inf:
-        raise NumericalOverflowError(f"m*omega = {mw} leaves the float range "
-                                     f"at t={initial.t + t}")
-    wt = w * t
-    if math.isfinite(wt):
-        cos_wt = math.cos(wt)
-        sin_wt = math.sin(wt)
-        q = initial.q * cos_wt + initial.p / mw * sin_wt
-        p = initial.p * cos_wt - mw * initial.q * sin_wt
-        stamp = initial.t + t
-        if math.isfinite(q) and math.isfinite(p) and math.isfinite(stamp):
-            # q, p and the time stamp were checked finite just above.
-            return _phase_state(q, p, stamp)
-    raise NumericalOverflowError(f"analytic state overflows at t={initial.t + t}")
+    q, p, stamp = _orbit(t, initial.q, initial.p, initial.t, params.mass, params.omega)
+    # The kernel checked q, p and the time stamp finite.
+    return _phase_state(q, p, stamp)
 
 
 #: The last finite ``(initial, params, H(initial))`` of :func:`ellipse_residual`.

@@ -5,6 +5,13 @@ vector loop, multiply by a well-chosen perpendicular to eliminate one
 unknown, and read the answer off as a ratio of perp-dot products.  No
 iteration, no linear-system solver; degenerate figures raise typed errors
 instead of returning garbage.
+
+The float bodies live in :mod:`sympgeo._kernels`, where the CLI runs
+them directly: :func:`intersect_lines` wraps ``_meet``, the two tangent
+constructions build their records from the rows of ``_tangent_rows``,
+:func:`tangent_distance_error` wraps ``_tangency_error``, and the rules of
+:class:`Line` and :class:`Circle` are ``_check_direction`` and
+``_check_radius``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._kernels import ATOL, _check_direction, _meet, _offset, _rescaled
+from ._kernels import ATOL, _check_direction, _check_radius, _meet, _tangency_error, _tangent_rows
 from .core import Vec2, _vec2, _Vec2Twin, symp, tilde
 from .errors import (
     CoincidentCentersError,
@@ -55,8 +62,7 @@ class Circle:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError(f"circle radius must be finite and >= 0, got {self.radius}")
+        _check_radius(self.radius)
 
 
 class Intersection(NamedTuple):
@@ -207,65 +213,26 @@ def project_point_onto_line(p: Vec2, line: Line) -> Vec2:
 
 def _common_tangents(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float,
                      outer_only: bool) -> list[Tangent]:
-    """Shared float kernel of :func:`circle_tangents` and :func:`point_circle_tangents`.
-
-    ``outer_only`` skips the inner family.  The center offset is
-    :func:`sympgeo._kernels._offset`'s, halved where it overflows.  It and
-    the reaches are rescaled by ``2**-k`` so that the larger offset
-    component lies in ``[0.5, 1)``.  A power-of-two scale is exact in the
-    normal range, so ``e`` comes out bit for bit as from the unscaled
-    formulas and ``ldexp`` recovers ``lam`` exactly.
-    """
-    ax, ay, h = _offset(x1, y1, x2, y2)
-    if ax == 0.0 and ay == 0.0:
-        raise CoincidentCentersError("circle centers coincide; tangent directions undefined")
-    ax, ay, k = _rescaled(ax, ay)
-    k += h
-    # The reaches are scaled by a product, not ldexp: a scaled reach that
-    # overflows to inf has no real root, as an exact reach beyond |a| has
-    # none.  The inner reach sums the scaled radii, since r1 + r2 can
-    # overflow below an |a| beyond the float range (halving the radii
-    # instead would round a subnormal one).  For a subnormal offset 2**-k
-    # is no float, so it is applied in two halves.
-    half = -k // 2 if k <= -1024 else 0
-    scale, scale2 = math.ldexp(1.0, -k - half), math.ldexp(1.0, half)
-    a2 = ax * ax + ay * ay
-    families = (("outer", (r1 - r2) * scale * scale2, -1.0),
-                ("inner", r1 * scale * scale2 + r2 * scale * scale2, 1.0))
-    isfinite, ldexp, new_tuple, twin = math.isfinite, math.ldexp, tuple.__new__, _Vec2Twin
+    """:class:`Tangent` records of the rows of :func:`sympgeo._kernels._tangent_rows`."""
+    new_tuple, twin = tuple.__new__, _Vec2Twin
     tangents: list[Tangent] = []
     append = tangents.append
-    try:
-        for kind, reach, sigma in families[:1] if outer_only else families:
-            radicand = a2 - reach * reach
-            if radicand < 0.0:
-                continue
-            root = math.sqrt(radicand)
-            reach2 = sigma * r2
-            for lam in (root, -root):
-                ex = (ax * reach - -ay * lam) / a2
-                ey = (ay * reach - ax * lam) / a2
-                t1x, t1y = x1 + ex * r1, y1 + ey * r1
-                t2x, t2y = x2 - ex * reach2, y2 - ey * reach2
-                if not (isfinite(t1x) and isfinite(t1y) and isfinite(t2x) and isfinite(t2y)):
-                    raise NumericalOverflowError("common tangent overflows")
-                # Touch points checked just above; e is finite: reach**2 <= a2 and a2 >= 1/4.
-                # Each Vec2 is _vec2, inlined.
-                touch1 = twin()
-                touch1.x = t1x
-                touch1.y = t1y
-                touch1.__class__ = Vec2
-                touch2 = twin()
-                touch2.x = t2x
-                touch2.y = t2y
-                touch2.__class__ = Vec2
-                e = twin()
-                e.x = ex
-                e.y = ey
-                e.__class__ = Vec2
-                append(new_tuple(Tangent, (touch1, touch2, e, kind, ldexp(lam, k))))
-    except OverflowError as exc:  # ldexp, an out-of-range lam
-        raise NumericalOverflowError("common tangent overflows") from exc
+    for t1x, t1y, t2x, t2y, ex, ey, kind, lam in _tangent_rows(x1, y1, r1, x2, y2, r2,
+                                                                 outer_only):
+        # The kernel checked every coordinate finite; each Vec2 is _vec2, inlined.
+        touch1 = twin()
+        touch1.x = t1x
+        touch1.y = t1y
+        touch1.__class__ = Vec2
+        touch2 = twin()
+        touch2.x = t2x
+        touch2.y = t2y
+        touch2.__class__ = Vec2
+        e = twin()
+        e.x = ex
+        e.y = ey
+        e.__class__ = Vec2
+        append(new_tuple(Tangent, (touch1, touch2, e, kind, lam)))
     return tangents
 
 
@@ -283,9 +250,12 @@ def circle_tangents(c1: Circle, c2: Circle) -> list[Tangent]:
     A tangency (radicand exactly zero) keeps both lam signs as two
     coincident entries rather than deduplicating.
 
-    The closed form is evaluated on ``a`` and the reaches rescaled by a
-    power of two, which is exact in the normal range, so ``dot(a, a)``
-    cannot overflow and circles near 1e155 still get their tangents.  A
+    The closed form is the float kernel
+    :func:`sympgeo._kernels._tangent_rows`, which the ``tangents``
+    subcommand runs directly.  It is evaluated on ``a`` and the reaches
+    rescaled by a power of two, which is exact in the normal range, so
+    ``dot(a, a)`` cannot overflow and circles near 1e155 still get their
+    tangents.  A
     center offset that overflows is formed from the halved centers, as
     :func:`intersect_lines` forms its anchor offset, so tangents scale by
     exactly ``2**k`` wherever they stay finite.  Raises
@@ -315,25 +285,13 @@ def point_circle_tangents(p: Vec2, c: Circle) -> list[Tangent]:
 def tangent_distance_error(t: Tangent, c1: Circle, c2: Circle) -> float:
     """Worst deviation of the tangent line's center distances from the radii.
 
-    Where a term is not finite, both are formed again over :func:`_offset`'s
-    center offset, halved where the unhalved one overflows, so a finite term
-    keeps its bits.  Raises :class:`NumericalOverflowError` when a distance
-    itself overflows.
+    Wraps the float kernel :func:`sympgeo._kernels._tangency_error`, which
+    the ``tangents`` subcommand runs directly.  Where a term is not finite,
+    both are formed again over the center offset of
+    :func:`sympgeo._kernels._offset`, halved where the unhalved one
+    overflows, so a finite term keeps its bits.  Raises
+    :class:`NumericalOverflowError` when a distance itself overflows.
     """
-    tx, ty = t.touch1.x, t.touch1.y
-    ex, ey = t.direction_e.x, t.direction_e.y
-    e1 = abs(abs((c1.center.x - tx) * ex + (c1.center.y - ty) * ey) - c1.radius)
-    e2 = abs(abs((c2.center.x - tx) * ex + (c2.center.y - ty) * ey) - c2.radius)
-    if not (math.isfinite(e1) and math.isfinite(e2)):
-        e1, e2 = _distance_error(tx, ty, ex, ey, c1), _distance_error(tx, ty, ex, ey, c2)
-    return e2 if e2 > e1 else e1
-
-
-def _distance_error(tx: float, ty: float, ex: float, ey: float, c: Circle) -> float:
-    """One term of :func:`tangent_distance_error` over :func:`_offset`'s center offset."""
-    dx, dy, h = _offset(tx, ty, c.center.x, c.center.y)
-    # Where the offset was halved, the factor 2 that undoes it is exact.
-    error = abs(abs(dx * ex + dy * ey) * (h + 1) - c.radius)
-    if not math.isfinite(error):
-        raise NumericalOverflowError("tangent distance overflows")
-    return error
+    touch, e, center1, center2 = t.touch1, t.direction_e, c1.center, c2.center
+    return _tangency_error(touch.x, touch.y, e.x, e.y, center1.x, center1.y, c1.radius,
+                           center2.x, center2.y, c2.radius)

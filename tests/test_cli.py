@@ -5,6 +5,7 @@ import ast
 import contextlib
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,9 +23,15 @@ import pytest
 from sympgeo import _kernels, cli, dynamics
 from sympgeo.cli import main
 from sympgeo.core import Vec2, identity_residuals, norm
-from sympgeo.dynamics import OscillatorParams, PhaseState, hamiltonian, simulate
+from sympgeo.dynamics import (
+    OscillatorParams,
+    PhaseState,
+    analytic_oscillator,
+    hamiltonian,
+    simulate,
+)
 from sympgeo.errors import DegeneracyError, NumericalOverflowError, SingularityError
-from sympgeo.geometry import Line, intersect_lines
+from sympgeo.geometry import Circle, Line, circle_tangents, intersect_lines, tangent_distance_error
 from sympgeo.kinematics import CrankConfig, crank_sweep, loop_residuals
 
 
@@ -1292,6 +1299,129 @@ def test_crank_rows_match_the_library_records():
     assert errors == {"rod length overflows", "rod rates overflow", "rod accelerations overflow",
                       "rod angle rates overflow in degrees", "crank_length must be finite and > 0",
                       "steps must be >= 2"}
+
+
+def _tangents_runner_report(argv):
+    """``sympgeo tangents``'s ``results`` and ``residuals``, or its error's class and message."""
+    args = cli._build_parser().parse_args(cli._join_negative_values(argv))
+    try:
+        result = cli._run_tangents(args)
+    except (DegeneracyError, SingularityError, ValueError) as exc:
+        return type(exc), str(exc)
+    return result.results, result.residuals
+
+
+def _tangents_record_report(argv):
+    """What :func:`_tangents_runner_report` must give, rebuilt from the library's records.
+
+    The two ``Circle`` records, first then second, their
+    ``circle_tangents`` and the largest ``tangent_distance_error``.
+    """
+    args = cli._build_parser().parse_args(cli._join_negative_values(argv))
+    try:
+        c1, c2 = [Circle(Vec2(x, y), r) for x, y, r in (args.c1, args.c2)]
+        tangents = circle_tangents(c1, c2)
+        errors = [tangent_distance_error(t, c1, c2) for t in tangents]
+    except (DegeneracyError, SingularityError, ValueError) as exc:
+        return type(exc), str(exc)
+    entries = [{"kind": t.kind, "lambda": t.lam, "touch1": [t.touch1.x, t.touch1.y],
+                "touch2": [t.touch2.x, t.touch2.y], "e": [t.direction_e.x, t.direction_e.y]}
+               for t in tangents]
+    return ({"count": len(tangents), "tangents": entries},
+            {"max_tangency_error": max([0.0] + errors)})
+
+
+_TANGENT_VALUES = (0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-13, 0.5, 1.0, -1.0, 2.0, 3.0, 1e155,
+                   -1e155, 1e300, 9e307, 1.7e308, -1.7e308)
+
+
+def _tangent_parity_argvs():
+    """Seeded figures over unit-free spans and over extreme values, and one
+    figure per boundary: tangency, zero radii, containment, coincident
+    centres, offsets beyond the float range and a subnormal offset."""
+    rng = random.Random(3601)
+    argvs = []
+    for k in range(300):
+        if k % 3:
+            span = 10.0 ** rng.uniform(-8.0, 8.0)
+            centers = [rng.uniform(-span, span) for _ in range(4)]
+            radii = [rng.uniform(0.0, span) if rng.random() < 0.9 else 0.0 for _ in range(2)]
+        else:
+            centers = [rng.choice(_TANGENT_VALUES) for _ in range(4)]
+            radii = [abs(rng.choice(_TANGENT_VALUES)) for _ in range(2)]
+        (x1, y1, x2, y2), (r1, r2) = centers, radii
+        argvs.append(["tangents", f"--c1={x1!r},{y1!r},{r1!r}", f"--c2={x2!r},{y2!r},{r2!r}"])
+    figures = [
+        ("0,0,1", "3,0,2"),  # internally tangent: one outer pair, coincident
+        ("0,0,1", "2,0,1"),  # externally tangent
+        ("0,0,0", "3,0,0"),  # two points
+        ("0,0,1", "3,0,0"),  # a point and a circle
+        ("0,0,0", "0.5,0,1"),  # a point inside a circle
+        ("0,0,3", "1,0,1"),  # containment
+        ("0,0,1", "0,0,2"),  # coincident centres
+        ("-0.0,0,1", "0,-0.0,1"),  # coincident up to the sign of zero
+        ("0,0,-1", "3,0,-2"),  # the first circle's radius fails first
+        ("0,0,1", "3,0,-2"),
+        ("-1.7e308,0,1", "1.7e308,0,1"),  # lam overflows
+        ("-1.7e308,-1.7e308,1e308", "1.7e308,1.7e308,1e308"),
+        ("-9e307,0,1.7e308", "9.1e307,0,1e300"),  # offset formed at half size
+        ("-5e307,-8e307,5e307", "5e307,8e307,1.3e308"),  # distances over the halved offset
+        ("0,1.7e308,0.5e308", "1e308,1.7e308,1"),  # a touch point overflows
+        ("0,0,1", "1e-320,0,1"),  # subnormal offset
+        ("0,0,1e-14", "1e-13,0,1e-14"),
+    ]
+    return argvs + [["tangents", f"--c1={c1}", f"--c2={c2}"] for c1, c2 in figures]
+
+
+def test_tangents_runner_matches_the_library_records():
+    # Every entry and the largest tangency error of the runner, which runs
+    # on the float kernels, equal the library records' by repr (so signed
+    # zeros count), and each failure has the same class and message.
+    counts, errors = set(), set()
+    for argv in _tangent_parity_argvs():
+        got = _tangents_runner_report(argv)
+        assert repr(got) == repr(_tangents_record_report(argv)), argv
+        if isinstance(got[0], type):
+            errors.add(got[1].split(", got")[0])
+        else:
+            counts.add(got[0]["count"])
+    assert counts == {0, 2, 4}
+    assert errors == {"circle centers coincide; tangent directions undefined",
+                      "circle radius must be finite and >= 0", "common tangent overflows"}
+
+
+def _orbit_outcome(call):
+    try:
+        return repr(call())
+    except (ValueError, NumericalOverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_orbit_kernel_matches_analytic_oscillator():
+    # The plot of ``oscillator --svg`` runs the float kernels; each state,
+    # omega and failure equals the library's records' bit for bit.
+    rng = random.Random(3602)
+    extremes = (5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+
+    def magnitude():
+        return 10.0 ** rng.uniform(-300.0, 300.0)
+
+    messages = set()
+    for _ in range(3000):
+        mass, stiffness = [rng.choice(extremes) if rng.random() < 0.2 else magnitude()
+                           for _ in range(2)]
+        q0, p0, t0 = [rng.choice((-1.0, 1.0)) * magnitude() if rng.random() < 0.5
+                      else rng.uniform(-5.0, 5.0) for _ in range(3)]
+        t = rng.choice((rng.uniform(-50.0, 50.0), magnitude(), math.inf, math.nan))
+        params, state = OscillatorParams(mass, stiffness), PhaseState(q0, p0, t0)
+        w = _kernels._omega(mass, stiffness)
+        assert repr(w) == repr(params.omega)
+        got = _orbit_outcome(lambda: _kernels._orbit(t, q0, p0, t0, mass, w))
+        want = _orbit_outcome(lambda: dataclasses.astuple(analytic_oscillator(t, state, params)))
+        assert got == want, (t, q0, p0, t0, mass, stiffness)
+        if isinstance(got, tuple):
+            messages.add(got[1].split(" = ")[0].split(" at t=")[0].split(", got")[0])
+    assert messages == {"t must be finite", "m*omega", "analytic state overflows"}
 
 
 # --------------------------------------------------------------------- SVG
