@@ -6,7 +6,14 @@ subcommand runs on it without loading ``core``, ``geometry``,
 ``kinematics``, ``dynamics`` or ``dataclasses``, and each formula has one
 copy, here, which the record layers wrap:
 
-* :func:`sympgeo.core.identity_residuals` wraps :func:`_identity_terms`;
+* :func:`wrap_angle` is the angle rule, ``(-pi, pi]``, of every angle
+  the package reports: :func:`sympgeo.core.wrap_angle` is this function,
+  and :class:`sympgeo.core.Polar`, :func:`sympgeo.core.directed_angle`
+  and :func:`_crank_rows`'s ``psi`` and its unwrapping call it;
+* :func:`sympgeo.core.identity_residuals` wraps :func:`_identity_terms`,
+  and :meth:`sympgeo.core.IdentityResiduals.magnitudes` and
+  ``sympgeo identities`` size its residuals with
+  :func:`_identity_magnitudes`;
 * :func:`sympgeo.geometry.intersect_lines` wraps :func:`_meet`, and
   :func:`_check_direction` is the zero-direction rule of both
   :class:`sympgeo.geometry.Line` and :func:`_meet`;
@@ -45,7 +52,9 @@ and ``sympgeo oscillator`` appends the state's ``(t, q, p, energy)`` row.
 expression and message of :func:`sympgeo.dynamics.hamiltonian`,
 :func:`_omega` the body of ``OscillatorParams.omega`` and :func:`_orbit`
 that of :func:`sympgeo.dynamics.analytic_oscillator`, whose orbit the
-``oscillator --svg`` plot draws.
+``oscillator --svg`` plot draws.  The one deliberate second copy of a
+formula is the energy that :func:`sympgeo.dynamics.ellipse_residual`
+writes out inline, kept there for speed.
 """
 
 from __future__ import annotations
@@ -72,6 +81,12 @@ if TYPE_CHECKING:
 ATOL = 1e-12
 
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
+
+
+def wrap_angle(theta: float) -> float:
+    """Normalize an angle to ``(-pi, pi]``."""
+    wrapped = math.remainder(theta, math.tau)
+    return wrapped + math.tau if wrapped <= -math.pi else wrapped
 
 
 def _rescaled(x: float, y: float) -> tuple[float, float, int]:
@@ -134,6 +149,18 @@ def _identity_terms(ax: float, ay: float, bx: float, by: float, cx: float, cy: f
             and math.isfinite(reduced_y) and math.isfinite(binet_cauchy)):
         raise NumericalOverflowError("identity residuals overflow")
     return jacobi_x, jacobi_y, full_x, full_y, lagrange, reduced_x, reduced_y, binet_cauchy
+
+
+def _identity_magnitudes(jx: float, jy: float, fx: float, fy: float, lagrange: float,
+                         rx: float, ry: float, binet: float) -> tuple[float, ...]:
+    """The absolute size of each residual of :func:`_identity_terms`, in family order.
+
+    Returns ``(jacobi, grassmann_full, lagrange, grassmann_reduced,
+    binet_cauchy)``: the norms of the three vector residuals and the
+    absolute values of the two scalar ones.
+    """
+    hypot = math.hypot
+    return hypot(jx, jy), hypot(fx, fy), abs(lagrange), hypot(rx, ry), abs(binet)
 
 
 def _check_direction(x: float, y: float) -> None:
@@ -360,8 +387,9 @@ def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
     :func:`sympgeo.kinematics.crank_state` documents: the rod closes the
     loop, each rate is a signed area with the crank vector and each
     acceleration follows from the rates, stage by stage on floats.
-    ``psi_unwrapped`` accumulates the rod angle continuously from the
-    first regular row by the :func:`~sympgeo.core.wrap_angle` rule.
+    ``psi`` is the rod angle through :func:`wrap_angle`, and
+    ``psi_unwrapped`` accumulates it continuously from the first regular
+    row, each turn between rows taken through :func:`wrap_angle`.
     Raises :class:`NumericalOverflowError` naming ``phi`` when the rod
     length, its rates or its accelerations overflow.
     """
@@ -369,7 +397,7 @@ def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
     floor = _singularity_floor(length, cx, cy)
     near_length = NEAR_SINGULAR_FRACTION * length
     cos, sin, hypot, atan2 = math.cos, math.sin, math.hypot, math.atan2
-    isfinite, remainder, tau, pi = math.isfinite, math.remainder, math.tau, math.pi
+    isfinite, wrap = math.isfinite, wrap_angle
     last_psi: float | None = None
     last_unwrapped = 0.0
     for phi in phis:
@@ -385,7 +413,7 @@ def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
             continue
         ex = rx / s
         ey = ry / s
-        psi = atan2(ey, ex)
+        psi = wrap(atan2(ey, ex))
         s_dot = w * (ax * -ey + ay * ex)
         psi_dot = -w * (ax * ex + ay * ey) / s
         if not (isfinite(s_dot) and isfinite(psi_dot)):
@@ -394,11 +422,7 @@ def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
         psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
         if not (isfinite(s_ddot) and isfinite(psi_ddot)):
             raise NumericalOverflowError(f"rod accelerations overflow at phi={phi}")
-        if last_psi is None:
-            unwrapped = psi
-        else:
-            turn = remainder(psi - last_psi, tau)
-            unwrapped = last_unwrapped + (turn + tau if turn <= -pi else turn)
+        unwrapped = psi if last_psi is None else last_unwrapped + wrap(psi - last_psi)
         last_psi = psi
         last_unwrapped = unwrapped
         # s is finite and above the floor, so |ex|, |ey| <= 1.

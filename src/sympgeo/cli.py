@@ -72,6 +72,7 @@ from ._kernels import (
     _crank_rows,
     _energy,
     _grid,
+    _identity_magnitudes,
     _identity_terms,
     _loop_closures,
     _meet,
@@ -352,13 +353,9 @@ def _run_identities(args: argparse.Namespace) -> _Result:
         cy = lo + width * rand()
         dx = lo + width * rand()
         dy = lo + width * rand()
-        jx, jy, fx, fy, lagrange, rx, ry, binet = _identity_terms(ax, ay, bx, by, cx, cy, dx, dy)
-        # ``IdentityResiduals.magnitudes()`` and the ``norm`` products, bit for bit.
-        jacobi = hypot(jx, jy)
-        full = hypot(fx, fy)
-        lagrange = abs(lagrange)
-        reduced = hypot(rx, ry)
-        binet = abs(binet)
+        jacobi, full, lagrange, reduced, binet = _identity_magnitudes(
+            *_identity_terms(ax, ay, bx, by, cx, cy, dx, dy))
+        # The ``norm`` products, bit for bit.
         tol = IDENTITY_RTOL * (1.0 + hypot(ax, ay) * hypot(bx, by) * hypot(cx, cy) * hypot(dx, dy))
         if jacobi > m_jacobi:
             m_jacobi = jacobi

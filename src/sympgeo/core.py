@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# ATOL, the degeneracy tolerance, and _FLOAT_MIN, the smallest normal float,
-# are defined beside the float kernels; ATOL is re-exported here.
-from ._kernels import _FLOAT_MIN, ATOL, _identity_terms, _rescaled
+# ATOL, the degeneracy tolerance, _FLOAT_MIN, the smallest normal float, and
+# wrap_angle, the angle rule, are defined beside the float kernels; ATOL and
+# wrap_angle are re-exported here.
+from ._kernels import (_FLOAT_MIN, ATOL, _identity_magnitudes, _identity_terms, _rescaled,
+                       wrap_angle)
 from .errors import DegenerateScaleError, NumericalOverflowError, ZeroVectorError
 
 #: Relative factor applied to the operand scale in approximate comparisons.
@@ -35,12 +37,6 @@ def close(lhs: float, rhs: float, *, atol: float = ATOL, rtol: float = RTOL,
     if scale is None:
         scale = max(abs(lhs), abs(rhs))
     return abs(lhs - rhs) <= atol + rtol * scale
-
-
-def wrap_angle(theta: float) -> float:
-    """Normalize an angle to ``(-pi, pi]``."""
-    wrapped = math.remainder(theta, math.tau)
-    return wrapped + math.tau if wrapped <= -math.pi else wrapped
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,9 +198,7 @@ def directed_angle(a: Vec2, b: Vec2) -> float:
         ax, ay, _ = _rescaled(a.x, a.y)
         bx, by, _ = _rescaled(b.x, b.y)
         area, inner = ax * by - ay * bx, ax * bx + ay * by
-    angle = math.atan2(area, inner)
-    # atan2 lies in [-pi, pi]; wrap_angle changes only -pi, to pi.
-    return math.pi if angle == -math.pi else angle
+    return wrap_angle(math.atan2(area, inner))
 
 
 def similarity(a: Vec2, c: float, d: float) -> Vec2:
@@ -288,14 +282,11 @@ class IdentityResiduals(NamedTuple):
     def magnitudes(self) -> dict[str, float]:
         """Absolute size of each residual (norms for vectors, abs for scalars)."""
         jacobi, full, lagrange, reduced, binet_cauchy = self
-        hypot = math.hypot
-        return {
-            "jacobi": hypot(jacobi.x, jacobi.y),
-            "grassmann_full": hypot(full.x, full.y),
-            "lagrange": abs(lagrange),
-            "grassmann_reduced": hypot(reduced.x, reduced.y),
-            "binet_cauchy": abs(binet_cauchy),
-        }
+        # Literal keys: building the dict from the field names doubles the cost.
+        m_jacobi, m_full, m_lagrange, m_reduced, m_binet = _identity_magnitudes(
+            jacobi.x, jacobi.y, full.x, full.y, lagrange, reduced.x, reduced.y, binet_cauchy)
+        return {"jacobi": m_jacobi, "grassmann_full": m_full, "lagrange": m_lagrange,
+                "grassmann_reduced": m_reduced, "binet_cauchy": m_binet}
 
 
 def identity_residuals(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> IdentityResiduals:

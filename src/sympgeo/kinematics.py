@@ -143,10 +143,10 @@ def crank_state(cfg: CrankConfig, phi: float) -> CrankState:
     """Position, rates, and accelerations of the rod at crank angle ``phi``.
 
     The position closes ``a_vec + s*e_psi = c``: ``s = |c - a_vec|``,
-    ``e_psi = (c - a_vec)/s`` and ``psi`` the angle of ``e_psi``.  The
-    once-differentiated loop, projected onto ``e_psi`` and
-    ``tilde(e_psi)``, gives each rate as a signed area with the crank
-    vector:
+    ``e_psi = (c - a_vec)/s`` and ``psi`` the angle of ``e_psi`` in
+    ``(-pi, pi]``.  The once-differentiated loop, projected onto
+    ``e_psi`` and ``tilde(e_psi)``, gives each rate as a signed area with
+    the crank vector:
 
         s_dot   = phi_dot * dot(a_vec, tilde(e_psi))
         psi_dot = -phi_dot * dot(a_vec, e_psi) / s

@@ -22,7 +22,7 @@ import pytest
 
 from sympgeo import _kernels, cli, dynamics
 from sympgeo.cli import main
-from sympgeo.core import Vec2, identity_residuals, norm
+from sympgeo.core import Vec2, directed_angle, identity_residuals, norm, to_polar
 from sympgeo.dynamics import (
     OscillatorParams,
     PhaseState,
@@ -30,9 +30,14 @@ from sympgeo.dynamics import (
     hamiltonian,
     simulate,
 )
-from sympgeo.errors import DegeneracyError, NumericalOverflowError, SingularityError
+from sympgeo.errors import (
+    DegeneracyError,
+    NumericalOverflowError,
+    SingularityError,
+    SingularPositionError,
+)
 from sympgeo.geometry import Circle, Line, circle_tangents, intersect_lines, tangent_distance_error
-from sympgeo.kinematics import CrankConfig, crank_sweep, loop_residuals
+from sympgeo.kinematics import CrankConfig, crank_state, crank_sweep, loop_residuals
 
 
 def _reject_constant(name):
@@ -690,8 +695,10 @@ _OSCILLATOR_SMALL = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1
 
 # Every pinned CLI output: ``(argv, target, sha256)``.  The target is
 # "stdout" or "svg", the file that ``--svg`` names; the digest is that of its
-# raw bytes.  A deliberate output change re-pins here and, for a benchmark
-# row, in perfbench's ``cli_sha256`` or ``SETUP_SHA256``.
+# raw bytes.  A deliberate output change re-pins here, for a benchmark row
+# in perfbench's ``cli_sha256`` or ``SETUP_SHA256``, and for the eight rows
+# whose digests CI's "Console script digest" step copies, in that step of
+# ``.github/workflows/tests.yml``.
 PINNED_OUTPUTS = {
     "identities-json-seed-42": (
         ["identities", "--samples", "1000", "--seed", "42"], "stdout",
@@ -1090,6 +1097,70 @@ def test_crank_csv_blanks_singular_cells(capsys):
     assert len(singular) == 3
     for row in singular:
         assert row[0] != "" and all(cell == "" for cell in row[1:8])
+
+
+@pytest.mark.parametrize("span, psi", [(["--to", "3.141592653589793"], "3.1415926535897931"),
+                                       (["--to", "180", "--degrees"], "180")])
+def test_crank_csv_rod_along_the_negative_x_axis_reports_a_half_turn(capsys, span, psi):
+    # The rod points along the negative x-axis, where atan2 gives -pi; the
+    # reported angle is its (-pi, pi] value.
+    argv = ["crank", "--length", "1", "--pivot=-3,0", "--phidot", "1", "--from", "0",
+            "--steps", "2", "--csv"]
+    code, text = run_csv(capsys, argv + span)
+    assert code == 0
+    rows = list(csv.DictReader(text.splitlines()))
+    assert rows[1]["psi"] == rows[1]["psi_unwrapped"] == psi
+
+
+#: Components of the angle-range test's vectors and pivots beside random
+#: draws: signed zeros, the smallest subnormals and small integers.
+_ANGLE_COMPONENTS = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 3.0, -3.0)
+
+
+def test_every_reported_angle_lies_in_the_half_open_range(capsys):
+    # directed_angle, to_polar, crank_state, crank_sweep and the crank CSV
+    # report every angle in (-pi, pi], or (-180, 180] with --degrees, over
+    # signed zeros, subnormals, axis-aligned pivots and angles k*pi/2.
+    rng = random.Random(37)
+
+    def component():
+        return rng.choice(_ANGLE_COMPONENTS) if rng.random() < 0.75 else rng.uniform(-4.0, 4.0)
+
+    def vector():
+        while True:
+            v = Vec2(component(), component())
+            if v.x != 0.0 or v.y != 0.0:
+                return v
+
+    for _ in range(3000):
+        a, b = vector(), vector()
+        assert -math.pi < to_polar(a).angle <= math.pi, a
+        assert -math.pi < directed_angle(a, b) <= math.pi, (a, b)
+    axis_pivots = [Vec2(c, z) for c in (-3.0, -1.0, 1.0, 3.0) for z in _ANGLE_COMPONENTS[:4]]
+    axis_pivots += [Vec2(p.y, p.x) for p in axis_pivots]
+    pivots = axis_pivots + [Vec2(component(), component()) for _ in range(32)]
+    quarter_turns = [k * math.pi / 2.0 for k in range(-4, 5)]
+    for pivot in pivots:
+        cfg = CrankConfig(rng.choice((1.0, 3.0, rng.uniform(0.5, 2.0))), pivot,
+                          rng.choice((1.0, -1.0, rng.uniform(-2.0, 2.0))))
+        for phi in quarter_turns + [rng.uniform(-10.0, 10.0) for _ in range(4)]:
+            try:
+                psi = crank_state(cfg, phi).psi
+            except SingularPositionError:
+                continue
+            assert -math.pi < psi <= math.pi, (cfg, phi)
+        k_start, k_end = rng.randrange(-4, 5), rng.randrange(-4, 5)
+        for entry in crank_sweep(cfg, quarter_turns[k_start + 4], quarter_turns[k_end + 4], 9):
+            assert entry.singular or -math.pi < entry.state.psi <= math.pi, (cfg, entry)
+        degrees = rng.random() < 0.5
+        quarter, half_turn = (90.0, 180.0) if degrees else (math.pi / 2.0, math.pi)
+        argv = ["crank", "--length", repr(cfg.crank_length), f"--pivot={pivot.x!r},{pivot.y!r}",
+                "--phidot", repr(cfg.phi_dot), f"--from={k_start * quarter!r}",
+                f"--to={k_end * quarter!r}", "--steps", "9", "--csv"]
+        code, text = run_csv(capsys, argv + ["--degrees"] * degrees)
+        assert code == 0
+        for row in csv.DictReader(text.splitlines()):
+            assert row["singular"] == "true" or -half_turn < float(row["psi"]) <= half_turn, argv
 
 
 @pytest.mark.parametrize("method", dynamics.METHODS)

@@ -274,12 +274,35 @@ def _stepwise_state(cfg, phi):
     psi_dot = -w * dot(a, e) / s
     s_ddot = psi_dot * (psi_dot - w) * s
     psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
-    return CrankState(phi, s, math.atan2(e.y, e.x), s_dot, psi_dot, s_ddot, psi_ddot, e)
+    return CrankState(phi, s, wrap_angle(math.atan2(e.y, e.x)), s_dot, psi_dot, s_ddot,
+                      psi_ddot, e)
+
+
+#: Cranks whose rod points along the negative x-axis at the given angle, where
+#: atan2 gives -pi: the pivot on the axis at pi, the pivot's signed zero at
+#: 0, and a pivot whose y component ``-5e-324`` underflows to ``ey = -0.0``.
+_ROD_ON_THE_BRANCH_CUT = [
+    (CrankConfig(1.0, Vec2(-3.0, 0.0), 1.0), math.pi),
+    (CrankConfig(1.0, Vec2(-3.0, -0.0), 1.0), 0.0),
+    (CrankConfig(1.0, Vec2(-3.0, -5e-324), 1.0), 0.0),
+]
+
+
+@pytest.mark.parametrize("cfg, phi", _ROD_ON_THE_BRANCH_CUT)
+def test_crank_psi_on_the_branch_cut_is_pi(cfg, phi):
+    assert repr(crank_state(cfg, phi).psi) == repr(math.pi)
+
+
+def test_crank_sweep_onto_the_branch_cut_ends_at_pi():
+    cfg, phi = _ROD_ON_THE_BRANCH_CUT[0]
+    last = crank_sweep(cfg, 0.0, phi, 2)[-1]
+    assert last.state.psi == last.psi_unwrapped == math.pi
 
 
 def test_crank_state_equals_the_stepwise_composition_bit_for_bit():
     checked = 0
-    for cfg, angles in _seeded_crank_angles():
+    cases = [*_seeded_crank_angles(), *((cfg, [0.0, phi]) for cfg, phi in _ROD_ON_THE_BRANCH_CUT)]
+    for cfg, angles in cases:
         for phi in angles:
             expected = _stepwise_state(cfg, phi)
             if expected is None:
@@ -322,7 +345,8 @@ def _reference_sweep(cfg, phi_start, phi_end, steps):
 
 def _pinned_sweeps():
     """Seeded regular cranks, the pivot on the crank circle, a near-singular
-    shifted grid, and the same cranks scaled to 1e-150 and 1e150.
+    shifted grid, the same cranks scaled to 1e-150 and 1e150, and
+    half-turn sweeps of the cranks in :data:`_ROD_ON_THE_BRANCH_CUT`.
 
     The singularity floor scales with the crank length and the pivot
     distance, so every scale flags the same rows.
@@ -343,6 +367,8 @@ def _pinned_sweeps():
     for scale in (1e-150, 1e150):
         sweeps += [((length * scale, cx * scale, cy * scale, phi_dot), start, span, steps)
                    for (length, cx, cy, phi_dot), start, span, steps in sweeps[:8]]
+    sweeps += [((cfg.crank_length, cfg.pivot_c.x, cfg.pivot_c.y, cfg.phi_dot), 0.0, math.pi, 3)
+               for cfg, _ in _ROD_ON_THE_BRANCH_CUT]
     return sweeps
 
 
