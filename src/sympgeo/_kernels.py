@@ -84,9 +84,20 @@ _FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 def wrap_angle(theta: float) -> float:
-    """Normalize an angle to ``(-pi, pi]``."""
-    wrapped = math.remainder(theta, math.tau)
-    return wrapped + math.tau if wrapped <= -math.pi else wrapped
+    """Normalize an angle to ``(-pi, pi]``.
+
+    Raises :class:`ValueError` for a NaN or infinite angle.
+    """
+    try:
+        wrapped = math.remainder(theta, math.tau)
+    except ValueError:  # an infinite angle
+        wrapped = math.nan
+    if wrapped > -math.pi:
+        return wrapped
+    # remainder lies in [-pi, pi], so only -pi and NaN get here.
+    if wrapped == wrapped:
+        return wrapped + math.tau
+    raise ValueError(f"angle must be finite, got {theta}")
 
 
 def _rescaled(x: float, y: float) -> tuple[float, float, int]:

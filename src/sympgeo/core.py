@@ -61,7 +61,7 @@ class Vec2:
         return Vec2(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> Vec2:
-        return Vec2(-self.x, -self.y)
+        return _vec2(-self.x, -self.y)
 
     def __mul__(self, scalar: float) -> Vec2:
         return Vec2(self.x * scalar, self.y * scalar)
@@ -121,7 +121,7 @@ class Polar:
 
 def tilde(a: Vec2) -> Vec2:
     """Quarter-turn counterclockwise: ``(x, y) -> (-y, x)``."""
-    return Vec2(-a.y, a.x)
+    return _vec2(-a.y, a.x)
 
 
 def dot(a: Vec2, b: Vec2) -> float:
@@ -156,11 +156,13 @@ def inverse(a: Vec2) -> Vec2:
         raise ZeroVectorError("the zero vector has no inverse")
     square = dot(a, a)
     if _FLOAT_MIN <= square < math.inf:
-        return a / square
+        # |a_i|/|a|^2 <= 1/|a| <= 2**511, so both components are finite.
+        return _vec2(a.x / square, a.y / square)
     x, y, k = _rescaled(a.x, a.y)
     square = x * x + y * y
     try:
-        return Vec2(math.ldexp(x / square, -k), math.ldexp(y / square, -k))
+        # ldexp of a finite quotient is finite or raises.
+        return _vec2(math.ldexp(x / square, -k), math.ldexp(y / square, -k))
     except OverflowError as exc:
         raise NumericalOverflowError(f"inverse of ({a.x}, {a.y}) overflows") from exc
 
@@ -180,7 +182,8 @@ def to_polar(a: Vec2) -> Polar:
 
 def from_polar(p: Polar) -> Vec2:
     """Rebuild the Cartesian vector ``magnitude * (cos(angle), sin(angle))``."""
-    return Vec2(p.magnitude * math.cos(p.angle), p.magnitude * math.sin(p.angle))
+    # A Polar's fields are finite, and |m*cos|, |m*sin| <= |m|.
+    return _vec2(p.magnitude * math.cos(p.angle), p.magnitude * math.sin(p.angle))
 
 
 def directed_angle(a: Vec2, b: Vec2) -> float:

@@ -77,7 +77,8 @@ def polar_kinematics(m: PolarMotion) -> PolarKinematics:
     The tilde(e) components are the familiar transverse and Coriolis terms.
     Raises :class:`NumericalOverflowError` when a result overflows.
     """
-    e = Vec2(math.cos(m.phi), math.sin(m.phi))
+    # cos and sin of the finite phi are finite.
+    e = _vec2(math.cos(m.phi), math.sin(m.phi))
     te = tilde(e)
     try:
         position = e * m.r

@@ -3,7 +3,9 @@
 Every build site that skips validation fills a plain twin class with the
 record's slots (``core._slot_twin``) and then sets its ``__class__`` to
 the frozen slots dataclass: ``core._vec2`` (which ``crank_sweep`` and
-``crank_state`` call for each ``e_psi``), ``dynamics._phase_state``, the loop of
+``crank_state`` call for each ``e_psi``, and ``tilde``, negation,
+``from_polar``, ``inverse`` and ``polar_kinematics`` for the vectors
+they derive), ``dynamics._phase_state``, the loop of
 ``_common_tangents`` and the record loops of ``dynamics._LOOPS``.  The
 objects they build must be indistinguishable from the public
 constructors', and every function that builds them must still return
@@ -31,23 +33,30 @@ from sympgeo import (
     OscillatorParams,
     ParallelLinesError,
     PhaseState,
+    Polar,
+    PolarMotion,
     SingularPositionError,
     Tangent,
     Vec2,
     ZeroDirectionError,
+    ZeroVectorError,
     analytic_oscillator,
     circle_tangents,
     crank_state,
     crank_sweep,
+    from_polar,
     hamiltonian_gradient,
     identity_residuals,
     intersect_lines,
+    inverse,
     point_circle_tangents,
+    polar_kinematics,
     rotate,
     similarity,
     similarity_div,
     simulate,
     step,
+    tilde,
 )
 from sympgeo.core import _vec2, _Vec2Twin
 from sympgeo.dynamics import _phase_state, _PhaseStateTwin
@@ -126,6 +135,26 @@ def test_flow_and_sweep_results_match_the_public_constructors():
     assert len(built) == 1 + 3 * 41 + 33 + 30
     for record in built:
         _same_built(record)
+
+
+def test_derived_vectors_match_the_public_constructor():
+    # tilde, negation, from_polar, inverse and polar_kinematics build their
+    # vectors from checked components without validating them again.
+    rng = random.Random(8105)
+    values = _floats(rng, 300)
+    # Both inverse paths: |a|^2 in the normal range, and rescaled outside it.
+    built = [inverse(Vec2(3.0, 4.0)), inverse(Vec2(1e200, 0.0)), inverse(Vec2(3e-170, 4e-170))]
+    for _ in range(150):
+        a = Vec2(rng.choice(values), rng.choice(values))
+        built += [tilde(a), -a, from_polar(Polar(rng.choice(values), rng.uniform(-7.0, 7.0)))]
+        try:
+            built.append(inverse(a))
+        except (ZeroVectorError, NumericalOverflowError):
+            pass
+        motion = PolarMotion(*(rng.uniform(-3.0, 3.0) for _ in range(6)))
+        built += polar_kinematics(motion)
+    for vector in built:
+        _same_built(vector)
 
 
 def test_twins_share_the_layout_of_their_records():

@@ -10,10 +10,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from array import array
 from pathlib import Path
@@ -629,6 +631,32 @@ def test_oscillator_report_shape(capsys):
     assert report["residuals"]["max_energy_drift"] >= 0.0
 
 
+def test_oscillator_drift_is_the_largest_energy_deviation():
+    # The report's max_energy_drift, taken from the energy column's extremes,
+    # is the float that a fold of |e - e0| over the column gives.
+    rng = random.Random(3903)
+    methods = sorted(cli._METHOD_NAMES)
+    returned = 0
+    for run in range(600):
+        mass, stiffness = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)
+        q0, p0 = (0.0, 0.0) if run % 7 == 0 else (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        dt = rng.uniform(0.01, 2.0) / math.sqrt(stiffness / mass)
+        args = argparse.Namespace(mass=mass, stiffness=stiffness, q0=q0, p0=p0, dt=dt,
+                                  steps=rng.randint(1, 400), method=methods[run % 3])
+        try:
+            result = cli._run_oscillator(args)
+        except NumericalOverflowError:
+            continue
+        energies = [row[3] for row in result.rows.tolist()]
+        drift = 0.0
+        for energy in energies:
+            if abs(energy - energies[0]) > drift:
+                drift = abs(energy - energies[0])
+        assert repr(result.residuals["max_energy_drift"]) == repr(drift), args
+        returned += 1
+    assert returned > 500
+
+
 def test_crank_report_flags_singular_rows(capsys):
     code, report = run_json(capsys, [
         "crank", "--length", "1", "--pivot", "1,0", "--phidot", "1",
@@ -695,10 +723,12 @@ _OSCILLATOR_SMALL = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1
 
 # Every pinned CLI output: ``(argv, target, sha256)``.  The target is
 # "stdout" or "svg", the file that ``--svg`` names; the digest is that of its
-# raw bytes.  A deliberate output change re-pins here, for a benchmark row
-# in perfbench's ``cli_sha256`` or ``SETUP_SHA256``, and for the eight rows
-# whose digests CI's "Console script digest" step copies, in that step of
-# ``.github/workflows/tests.yml``.
+# raw bytes.  This table is the one place a CLI digest is written: a
+# deliberate output change re-pins here, and for a benchmark row also in
+# perfbench's ``cli_sha256`` or ``SETUP_SHA256``, which
+# test_benchmark_cli_pins_hold_and_repeat_a_pinned_row ties to its row.
+# test_pinned_output runs every row in process; run as a script, this module
+# runs every row through an installed command (see ``_main``).
 PINNED_OUTPUTS = {
     "identities-json-seed-42": (
         ["identities", "--samples", "1000", "--seed", "42"], "stdout",
@@ -813,20 +843,100 @@ PINNED_OUTPUTS = {
 }
 
 
+def pinned_digest(argv, target, run):
+    """SHA-256 of the ``target`` of one PINNED_OUTPUTS row.
+
+    ``run(argv)`` runs the CLI in the current directory and returns its
+    stdout as bytes.  The current directory is a fresh empty one, holding
+    the ``--svg`` file's directory, so that a relative ``--svg`` path is
+    echoed and written the same way wherever the digest is taken.
+    """
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as empty:
+        os.chdir(empty)
+        try:
+            if "--svg" in argv:
+                svg = Path(argv[argv.index("--svg") + 1])
+                svg.parent.mkdir(parents=True, exist_ok=True)
+            out = run(argv)
+            if target == "svg":
+                out = svg.read_bytes()
+        finally:
+            os.chdir(cwd)
+    return hashlib.sha256(out).hexdigest()
+
+
 @pytest.mark.parametrize("case", PINNED_OUTPUTS)
-def test_pinned_output(tmp_path, monkeypatch, capsys, case):
-    # Run from an empty directory, so that a relative --svg path is echoed
-    # and written the same way wherever the suite runs.
+def test_pinned_output(capsys, case):
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode()
+
     argv, target, digest = PINNED_OUTPUTS[case]
-    monkeypatch.chdir(tmp_path)
-    if "--svg" in argv:
-        svg = tmp_path / argv[argv.index("--svg") + 1]
-        svg.parent.mkdir(parents=True, exist_ok=True)
-    assert main(argv) == 0
-    out = capsys.readouterr().out.encode()
-    if target == "svg":
-        out = svg.read_bytes()
-    assert hashlib.sha256(out).hexdigest() == digest
+    assert pinned_digest(argv, target, run) == digest
+
+
+def mismatched_rows(command, rows):
+    """Names of the ``rows`` whose digest differs when run through ``command``.
+
+    ``command`` is the argv prefix of the CLI, such as ``["sympgeo"]``; a run
+    that exits nonzero counts as a mismatch.  Its stderr is passed through.
+    """
+    def run(argv):
+        return subprocess.run([*command, *argv], stdout=subprocess.PIPE, check=True).stdout
+
+    mismatched = []
+    for case, (argv, target, digest) in rows.items():
+        try:
+            if pinned_digest(argv, target, run) == digest:
+                continue
+        except subprocess.CalledProcessError:
+            pass
+        mismatched.append(case)
+    return mismatched
+
+
+def _main(command):
+    """Check every PINNED_OUTPUTS row through ``command``; the exit status.
+
+    ``python tests/test_cli.py sympgeo`` checks the installed console script.
+    """
+    mismatched = mismatched_rows(command, PINNED_OUTPUTS)
+    for case in mismatched:
+        print(f"digest differs: {case}", file=sys.stderr)
+    print(f"{len(PINNED_OUTPUTS) - len(mismatched)} of {len(PINNED_OUTPUTS)} pinned outputs match")
+    return 1 if mismatched else 0
+
+
+def _module_command(monkeypatch):
+    """``python -m sympgeo`` from any directory, on this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return [sys.executable, "-m", "sympgeo"]
+
+
+def test_a_wrong_pinned_digest_is_named(monkeypatch):
+    rows = {case: PINNED_OUTPUTS[case] for case in ("intersect-json", "tangents-svg")}
+    command = _module_command(monkeypatch)
+    assert mismatched_rows(command, rows) == []
+    argv, target, digest = rows["tangents-svg"]
+    rows["tangents-svg"] = argv, target, digest[::-1]
+    assert mismatched_rows(command, rows) == ["tangents-svg"]
+    # A failed run is a mismatch too.
+    rows["intersect-json"] = ["intersect", "--a", "0,0"], "stdout", digest
+    assert mismatched_rows(command, rows) == ["intersect-json", "tangents-svg"]
+
+
+def test_the_script_entry_names_every_mismatched_row(monkeypatch):
+    # A command that fails at once matches no row.
+    _module_command(monkeypatch)
+    result = subprocess.run([sys.executable, __file__, sys.executable, "-S", "-c",
+                             "raise SystemExit(4)"],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [f"digest differs: {case}" for case in PINNED_OUTPUTS]
+    assert result.stdout == f"0 of {len(PINNED_OUTPUTS)} pinned outputs match\n"
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -1663,3 +1773,7 @@ def test_module_entry_point_runs():
     result = run_subprocess(["identities", "--samples", "5"])
     assert result.returncode == 0
     assert b'"subcommand": "identities"' in result.stdout
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))

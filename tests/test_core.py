@@ -239,6 +239,22 @@ def test_wrap_angle_fixed_points():
     assert wrap_angle(-math.pi) == math.pi
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_wrap_angle_rejects_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match=f"^angle must be finite, got {theta}$"):
+        wrap_angle(theta)
+
+
+def test_wrap_angle_keeps_the_bits_of_the_unguarded_rule():
+    rng = random.Random(3902)
+    thetas = [math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi, 0.0, -0.0, 5e-324]
+    thetas += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-5, 300) for _ in range(2000)]
+    for theta in thetas:
+        wrapped = math.remainder(theta, math.tau)
+        expected = wrapped + math.tau if wrapped <= -math.pi else wrapped
+        assert repr(wrap_angle(theta)) == repr(expected), theta
+
+
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
 def test_wrap_angle_lands_in_halfopen_interval(theta):
     w = wrap_angle(theta)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sympgeo
+from test_svgplot import FOUR_SHAPES_SHA256
 
 #: ``sympgeo.__all__`` as it stood when every layer was imported eagerly, less the
 #: stepwise crank functions and their three result types, whose values
@@ -171,7 +172,7 @@ def test_every_module_imports_from_the_standard_library_alone():
     # kernels too) is imported and every public name resolved explicitly;
     # importing sympgeo.dynamics compiles every integrator's step loop.  One
     # plot of all four shapes runs the two-stage SVG render, whose digest
-    # test_svgplot.py pins.
+    # test_svgplot.py pins as FOUR_SHAPES_SHA256.
     src = str(Path(sympgeo.__file__).resolve().parent.parent)
     script = (f"import sys\nsys.path.insert(0, {src!r})\n"
               "import hashlib\n"
@@ -189,5 +190,4 @@ def test_every_module_imports_from_the_standard_library_alone():
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == (
-        "3565544b577e35d9a1ea9c37a81d27f80b4694bda73414c6cf7782c1526d5d46")
+    assert result.stdout.splitlines()[-1] == FOUR_SHAPES_SHA256

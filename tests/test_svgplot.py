@@ -58,6 +58,11 @@ def test_write_creates_the_file(tmp_path):
     assert target.read_text() == plot.to_svg()
 
 
+#: The digest of the four-shape plot below, which test_imports.py's stdlib-only
+#: child draws too and compares with this value.
+FOUR_SHAPES_SHA256 = "3565544b577e35d9a1ea9c37a81d27f80b4694bda73414c6cf7782c1526d5d46"
+
+
 def test_mixed_plot_digest_is_pinned():
     plot = SvgPlot("mixed shapes")
     plot.polyline([(-1.5, 0.25), (0.0, 1.0), (2.25, -0.75)], label="first")
@@ -73,8 +78,7 @@ def test_mixed_plot_digest_is_pinned():
     four.segment(0.0, 1.0, 2.0, 0.0)
     four.marker(1.0, 1.0)
     assert [hashlib.sha256(p.to_svg().encode()).hexdigest() for p in (plot, four)] == [
-        "6cbdeaec95c019b247d5b5264870ff7234cea14125b8093a5d0daf8c5154362a",
-        "3565544b577e35d9a1ea9c37a81d27f80b4694bda73414c6cf7782c1526d5d46"]
+        "6cbdeaec95c019b247d5b5264870ff7234cea14125b8093a5d0daf8c5154362a", FOUR_SHAPES_SHA256]
 
 
 # Edge coordinates: NaN, signed zeros and magnitudes at both ends of the float
