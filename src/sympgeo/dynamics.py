@@ -15,32 +15,35 @@ sequence of ``(a, b)`` stages, each a kick of ``a*dt`` followed by a drift
 of ``b*dt``.  Explicit Euler is the method with no stages.
 
 Each method's step loop is written out once from its row, at import, by
-the template and builder of :mod:`sympgeo._kernels`, with a kick
-statement for each nonzero ``a`` and a drift statement for each nonzero
-``b``, so no step loops over stages.  :func:`simulate` checks a run's
-arguments, starts its list of states with the initial one and hands the
-list's ``append`` to that loop, which takes the step sizes once per run
-and appends each new state, built as a slot twin of :class:`PhaseState`;
-:func:`step` is a one-step :func:`simulate`.  :func:`ellipse_residual`
-keeps the last initial energy, so the residuals of one trajectory take
-it once.  ``sympgeo oscillator`` runs a loop from the same template and
-builder, with the same signature, on plain floats, and never loads this
-module: the mass/stiffness rule, the energy, the run-argument checks and,
-for its ``--svg`` plot, :attr:`OscillatorParams.omega` and the orbit of
-:func:`analytic_oscillator` are float kernels of :mod:`sympgeo._kernels`
+the template and builder of :mod:`sympgeo._flow`, with a kick statement
+for each nonzero ``a`` and a drift statement for each nonzero ``b``, so
+no step loops over stages; its source is registered with
+:mod:`linecache`, so a traceback through it shows the failing line.
+:func:`simulate` checks a run's arguments, starts its list of states with
+the initial one and hands the list's ``append`` to that loop, which takes
+the step sizes once per run and appends each new state, built as a slot
+twin of :class:`PhaseState`; :func:`step` is a one-step :func:`simulate`.
+:func:`ellipse_residual` keeps the last initial energy, so the residuals
+of one trajectory take it once.  ``sympgeo oscillator`` runs a loop from
+the same template and builder, with the same signature, on plain floats,
+and never loads this module: the mass/stiffness rule, the energy, the
+run-argument checks and, for its ``--svg`` plot,
+:attr:`OscillatorParams.omega` and the orbit of
+:func:`analytic_oscillator` are float kernels of :mod:`sympgeo._flow`
 that both share.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import _kernels
+from . import _flow
 # The method names and rows are public names of this module too.
-from ._kernels import (
+from ._flow import (
     EXPLICIT_EULER,
     LEAPFROG,
     METHODS,
@@ -73,7 +76,7 @@ class OscillatorParams:
         When the ratio itself leaves the normal range (``stiffness=1e-300``,
         ``mass=1e300`` underflows it to 0.0), the root is taken of each
         operand instead; the result can then still be subnormal or infinite.
-        The body is the float kernel :func:`sympgeo._kernels._omega`.
+        The body is the float kernel :func:`sympgeo._flow._omega`.
         """
         return _omega(self.mass, self.stiffness)
 
@@ -175,7 +178,7 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
 
     Every state stamp is the running sum of ``dt``.  Checks ``n_steps``,
     then ``dt``, then ``method`` (the rule of
-    :func:`sympgeo._kernels._check_run`) before the first step, and
+    :func:`sympgeo._flow._check_run`) before the first step, and
     raises :class:`NumericalOverflowError` when a state overflows.
     ``states[0]`` is ``initial`` itself.
     """
@@ -187,7 +190,7 @@ def simulate(initial: PhaseState, params: OscillatorParams, dt: float,
 
 
 #: What the record loop does with each new state, in the shape of
-#: :func:`sympgeo._kernels._build_flow`: build it through the slot twin, as
+#: :func:`sympgeo._flow._build_flow`: build it through the slot twin, as
 #: :func:`_phase_state` does, and append it.
 _RECORD = ("# q, p and t were checked finite just above: _phase_state, inlined.",
            "s = twin()",
@@ -201,14 +204,15 @@ _RECORD = ("# q, p and t were checked finite just above: _phase_state, inlined."
 def _build_flow(row: tuple[tuple[float, float], ...] | None, name: str) -> Callable[..., None]:
     """Compile the record loop of one method from its row.
 
-    :func:`sympgeo._kernels._build_flow` in the shape :data:`_RECORD`:
+    :func:`sympgeo._flow._build_flow` in the shape :data:`_RECORD`:
     ``loop(q, p, t, m, k, dt, n_steps, append)`` passes each new
     :class:`PhaseState` to ``append``.  The code is named
-    ``<sympgeo.dynamics._flow NAME>``; every call compiles anew, and
+    ``<sympgeo.dynamics._flow NAME>``, and its source is registered with
+    :mod:`linecache` under that name; every call compiles anew, and
     :data:`_LOOPS` keeps one per method.
     """
-    return _kernels._build_flow(row, name, __name__, _RECORD,
-                                {"twin": _PhaseStateTwin, "cls": PhaseState})
+    return _flow._build_flow(row, name, __name__, _RECORD,
+                             {"twin": _PhaseStateTwin, "cls": PhaseState}, linecache.cache)
 
 
 def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams) -> PhaseState:
@@ -219,7 +223,7 @@ def analytic_oscillator(t: float, initial: PhaseState, params: OscillatorParams)
 
     Conserves the energy exactly, so it doubles as the reference orbit for
     integrator error and drift measurements.  Wraps the float kernel
-    :func:`sympgeo._kernels._orbit`, which the ``oscillator --svg`` plot
+    :func:`sympgeo._flow._orbit`, which the ``oscillator --svg`` plot
     runs directly.  Raises :class:`NumericalOverflowError` when ``m*w`` is
     0.0 or infinite, or when the state or ``w*t`` overflows; a non-finite
     ``t`` is a ``ValueError``.

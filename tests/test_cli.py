@@ -22,9 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from sympgeo import _kernels, cli, dynamics
+from sympgeo import _flow, _run_flow, _run_kernels, cli, dynamics
 from sympgeo.cli import main
-from sympgeo.core import Vec2, directed_angle, identity_residuals, norm, to_polar
+from sympgeo._kernels import _grid
+from sympgeo.core import (
+    Vec2,
+    directed_angle,
+    identity_residuals,
+    norm,
+    to_polar,
+    wrap_angle,
+)
 from sympgeo.dynamics import (
     OscillatorParams,
     PhaseState,
@@ -39,7 +47,13 @@ from sympgeo.errors import (
     SingularPositionError,
 )
 from sympgeo.geometry import Circle, Line, circle_tangents, intersect_lines, tangent_distance_error
-from sympgeo.kinematics import CrankConfig, crank_state, crank_sweep, loop_residuals
+from sympgeo.kinematics import (
+    NEAR_SINGULAR_FRACTION,
+    CrankConfig,
+    crank_state,
+    crank_sweep,
+    loop_residuals,
+)
 
 
 def _reject_constant(name):
@@ -262,7 +276,7 @@ def test_an_error_outside_the_failure_families_escapes_main(monkeypatch):
     def fail(args):
         raise RuntimeError("not a failure family")
 
-    monkeypatch.setattr(cli, "_run_intersect", fail)
+    monkeypatch.setattr(_run_kernels, "_run_intersect", fail)
     with pytest.raises(RuntimeError, match="not a failure family"):
         main(["intersect", "--a", "0,0", "--u", "1,0", "--b", "0,1", "--v", "0,1"])
 
@@ -546,7 +560,7 @@ def test_intersect_over_a_large_offset_and_a_direction_far_from_unit_scale(capsy
 def test_exit_code_three_on_a_loop_closure_overflow(capsys, monkeypatch):
     # No input found makes the closure overflow once ``_meet`` succeeds, so
     # the kernel is stood in for: ``v*mu`` is 1e309.
-    monkeypatch.setattr(cli, "_meet", lambda *args: (0.0, 0.0, 0.0, 1e308))
+    monkeypatch.setattr(_run_kernels, "_meet", lambda *args: (0.0, 0.0, 0.0, 1e308))
     assert main(["intersect", "--a", "0,0", "--u", "0,1", "--b", "0,0", "--v", "10,0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -576,7 +590,7 @@ def test_identities_seeded_run_stays_within_documented_bound(capsys):
 
 
 def test_identities_over_tolerance_exits_three_with_its_report(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "IDENTITY_RTOL", 0.0)
+    monkeypatch.setattr(_run_kernels, "IDENTITY_RTOL", 0.0)
     argv = ["identities", "--samples", "50", "--seed", "3"]
     code, report = run_json(capsys, argv)
     assert code == 3
@@ -598,7 +612,7 @@ def _reference_identities(samples, seed, span):
     for _ in range(samples):
         a, b, c, d = [Vec2(rng.uniform(-span, span), rng.uniform(-span, span))
                       for _ in range(4)]
-        tol = cli.IDENTITY_RTOL * (1.0 + norm(a) * norm(b) * norm(c) * norm(d))
+        tol = _run_kernels.IDENTITY_RTOL * (1.0 + norm(a) * norm(b) * norm(c) * norm(d))
         for name, value in identity_residuals(a, b, c, d).magnitudes().items():
             if value > maxima[name]:
                 maxima[name] = value
@@ -611,7 +625,7 @@ def _reference_identities(samples, seed, span):
 @pytest.mark.parametrize("seed", [3, 29])
 def test_identities_runner_matches_the_record_path(span, seed):
     maxima, within = _reference_identities(400, seed, span)
-    result = cli._run_identities(argparse.Namespace(samples=400, seed=seed, range=span))
+    result = _run_kernels._run_identities(argparse.Namespace(samples=400, seed=seed, range=span))
     assert [(name, repr(value)) for name, value in result.rows] == \
         [(name, repr(value)) for name, value in maxima.items()]
     assert result.residuals == maxima
@@ -644,7 +658,7 @@ def test_oscillator_drift_is_the_largest_energy_deviation():
         args = argparse.Namespace(mass=mass, stiffness=stiffness, q0=q0, p0=p0, dt=dt,
                                   steps=rng.randint(1, 400), method=methods[run % 3])
         try:
-            result = cli._run_oscillator(args)
+            result = _run_flow._run_oscillator(args)
         except NumericalOverflowError:
             continue
         energies = [row[3] for row in result.rows.tolist()]
@@ -759,7 +773,7 @@ PINNED_OUTPUTS = {
         "244d79bfbb242678abed943d0fe6e22de5f7a863a3a698a45ac1acac824f171b"),
     "crank-json-degrees": (
         _CRANK_DEGREES, "stdout",
-        "35c23eb98ee55ff8f996ab8dcc192ee06717166de111ded3e9c04635077b63dc"),
+        "b0e3cdab5ecfdeba398e068a9222443bf6e93cd21f3d2fb1171221b32e04ab71"),
     "crank-csv-regular": (
         _CRANK_REGULAR + ["--csv"], "stdout",
         "8eead8cf5c0cb130b3776591013908e02e242fcc462c1fd067209ed7b3a34758"),
@@ -768,7 +782,7 @@ PINNED_OUTPUTS = {
         "4f3db82a54ec52155ddf33314657a74a5f714af77778e1539dfa234bdbeb6312"),
     "crank-csv-degrees": (
         _CRANK_DEGREES + ["--csv"], "stdout",
-        "6a819112dc2dde374007a1e13552d061dd7db17c063e59fa83fb038ab79d32fd"),
+        "9a8b240a85cea5e483a8e69eed0981cd351cc96d592f6f3dd9748f58f057a6e8"),
     "crank-svg-regular": (
         _CRANK_REGULAR + ["--svg", "crank.svg"], "svg",
         "3b568085a87014dd662e750cae80f84525c143d210fccddb873d8a30411d0139"),
@@ -805,10 +819,10 @@ PINNED_OUTPUTS = {
         "9ed7cdc9a5d8d18f6e7ce4da493ab7f51d713db4623ccd992e289376be0fd413"),
     "crank-json-degree-turns": (
         _CRANK_DEGREE_TURNS, "stdout",
-        "0615513010965c2a96f6c357934a5efbdf04a413e2a3ef07bbcbe1b73025b0e3"),
+        "0be55e8f1076ee33057330699b5d95ac9d4a164b392e569d756be93e902fa248"),
     "crank-csv-degree-turns": (
         _CRANK_DEGREE_TURNS + ["--csv"], "stdout",
-        "d151393e5aa97ccc8005eea4864a29ff44b98ef6cda5904aa2dc999b3f12b333"),
+        "fd25abf244f4472c44d7954166b23c97cdfdbe94cc7e92317cdf916458308d5f"),
     "oscillator-json-leapfrog": (
         _OSCILLATOR_ARGV + ["--steps", "10000"], "stdout",
         "dd1c44144668d6d47c7388a727681ac690c53f492da49705d63a10b3ab9db5fb"),
@@ -1054,7 +1068,7 @@ def _full_report(envelope, array, rows):
     report = copy.deepcopy(envelope)
     rows = _tuples(rows)
     if array == "entries":
-        report["results"][array] = [dict(zip(cli._CRANK_COLUMNS, row)) for row in rows]
+        report["results"][array] = [dict(zip(_run_kernels._CRANK_COLUMNS, row)) for row in rows]
     else:
         report["results"][array] = [list(row[:3]) for row in rows]
     return report
@@ -1083,7 +1097,8 @@ def _reference_csv(columns, rows):
 ])
 def test_row_writers_match_the_generic_encoders(subcommand, array, make_rows):
     rng = random.Random(subcommand)
-    table = {"crank": cli._CRANK_TABLE, "oscillator": cli._OSCILLATOR_TABLE}[subcommand]
+    table = {"crank": _run_kernels._CRANK_TABLE,
+             "oscillator": _run_flow._OSCILLATOR_TABLE}[subcommand]
     chunk = cli._CHUNK
     # Row counts on both sides of each chunk seam, as well as within one chunk.
     for n in (0, 1, 2, 7, 200, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
@@ -1104,10 +1119,10 @@ def test_row_writers_match_the_generic_encoders_on_degree_rows():
     args = cli._build_parser().parse_args(
         ["crank", "--length", "1", "--pivot", "1,0", "--phidot", "1", "--from", "-90",
          "--to", "630", "--steps", "41", "--degrees"])
-    result = cli._run_crank(args)
+    result = _run_kernels._run_crank(args)
     rows = result.rows.tolist()
     assert any(row[8] for row in rows) and not all(row[8] for row in rows)
-    table = cli._CRANK_TABLE
+    table = _run_kernels._CRANK_TABLE
     envelope = {"subcommand": "crank", "input": cli._echo(args), "results": result.results,
                 "residuals": result.residuals}
     expected = json.dumps(_full_report(envelope, "entries", result.rows), indent=2)
@@ -1304,9 +1319,9 @@ def test_oscillator_evaluates_each_energy_once(capsys, monkeypatch):
 
     def counting_energy(q, p, t, mass, stiffness):
         calls.append(t)
-        return _kernels._energy(q, p, t, mass, stiffness)
+        return _flow._energy(q, p, t, mass, stiffness)
 
-    monkeypatch.setattr(cli, "_energy", counting_energy)
+    monkeypatch.setattr(_run_flow, "_energy", counting_energy)
     base = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
             "--dt", "0.1", "--steps", "200", "--method", "leapfrog"]
     for extra in ([], ["--csv"]):
@@ -1371,6 +1386,43 @@ def test_crank_degrees_matches_radians(capsys):
         assert row_d["psi_dot"] * scale == pytest.approx(row_r["psi_dot"], abs=1e-9)
 
 
+def _phi_texts(capsys, argv):
+    """The ``phi`` cells of a ``crank --csv`` run, as printed."""
+    assert main(argv + ["--csv"]) == 0
+    return [line.split(",", 1)[0] for line in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_crank_grids_keep_equal_ends_constant_and_degree_ends_exact(capsys):
+    # Equal ends give --from on every row, in crank_sweep and in the CLI; a
+    # degree grid is built in degrees, so it ends exactly on --to; an
+    # unequal radian grid is the weighted mean of its ends, bit for bit.
+    # The first case of each kind is a known miss of the plain weighted mean.
+    rng = random.Random(40)
+    cfg = CrankConfig(1.0, Vec2(3.0, 0.0), 1.0)
+    crank = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1"]
+    equal = [(-7.31, 56)] + [(round(rng.uniform(-10.0, 10.0), 2), rng.randint(2, 60))
+                             for _ in range(30)]
+    for end, steps in equal:
+        assert [entry.phi for entry in crank_sweep(cfg, end, end, steps)] == [end] * steps
+        argv = crank + [f"--from={end!r}", f"--to={end!r}", "--steps", str(steps)]
+        assert _phi_texts(capsys, argv) == [format(end, ".17g")] * steps
+    degrees = [(116.9, -491.9, 29)] + [(round(rng.uniform(-720.0, 720.0), 1),
+                                        round(rng.uniform(-720.0, 720.0), 1), rng.randint(2, 60))
+                                       for _ in range(30)]
+    for start, end, steps in degrees:
+        argv = crank + [f"--from={start!r}", f"--to={end!r}", "--steps", str(steps), "--degrees"]
+        texts = _phi_texts(capsys, argv)
+        assert (texts[0], texts[-1]) == (format(start, ".17g"), format(end, ".17g"))
+    for _ in range(30):
+        start, end = round(rng.uniform(-10.0, 10.0), 2), round(rng.uniform(-10.0, 10.0), 2)
+        steps = rng.randint(2, 60)
+        last = steps - 1
+        mean = [start * ((last - i) / last) + end * (i / last) for i in range(steps)]
+        assert [entry.phi for entry in crank_sweep(cfg, start, end, steps)] == mean
+        argv = crank + [f"--from={start!r}", f"--to={end!r}", "--steps", str(steps)]
+        assert _phi_texts(capsys, argv) == [format(phi, ".17g") for phi in mean]
+
+
 def _crank_runner_rows(argv):
     """``sympgeo crank``'s packed rows and residual maxima, or its error's class and message.
 
@@ -1379,7 +1431,7 @@ def _crank_runner_rows(argv):
     """
     args = cli._build_parser().parse_args(cli._join_negative_values(argv))
     try:
-        result = cli._run_crank(args)
+        result = _run_kernels._run_crank(args)
     except (ValueError, NumericalOverflowError) as exc:
         return type(exc), str(exc)
     rows = [tuple(row[:1] + row[8:] if row[8] else row) for row in result.rows.tolist()]
@@ -1389,31 +1441,51 @@ def _crank_runner_rows(argv):
 def _crank_record_rows(argv):
     """What :func:`_crank_runner_rows` must give, rebuilt from the library's records.
 
-    The ``crank_sweep`` records over the same grid, each packed as the
-    runner packs it (angles and angular rates converted, flags as 0.0 and
-    1.0), the maxima of ``loop_residuals`` over the regular records, and
-    the degree rates checked as the runner checks them.  Each figure whose
-    sweep overflows does so at its first angle, so the library's first
-    error is the first in step order too.
+    In radians, the ``crank_sweep`` records over the same grid.  In
+    degrees, the grid is built in degrees, and each angle's record is
+    ``crank_state`` at that angle in radians, with ``psi_unwrapped``
+    accumulated through ``wrap_angle`` from the first regular row and the
+    near-singular flag of its rod length.  Each record is packed as the
+    runner packs it (the grid angle, the other angles and angular rates
+    converted, flags as 0.0 and 1.0), with the maxima of
+    ``loop_residuals`` over the regular records and the degree rates
+    checked as the runner checks them.  Each figure whose sweep overflows
+    does so at its first angle, so the library's first error is the first
+    in step order too.
     """
     args = cli._build_parser().parse_args(cli._join_negative_values(argv))
     unit = math.pi / 180.0 if args.degrees else 1.0
+    start, end, steps = getattr(args, "from"), args.to, args.steps
     try:
         cfg = CrankConfig(args.length, Vec2(*args.pivot), args.phidot)
-        entries = crank_sweep(cfg, getattr(args, "from") * unit, args.to * unit, args.steps)
+        if args.degrees:
+            sweep, last = [], None
+            for angle in _grid(start, end, steps):
+                try:
+                    state = crank_state(cfg, angle * unit)
+                except SingularPositionError:
+                    sweep.append((angle, None, True, None))
+                    continue
+                unwrapped = (state.psi if last is None
+                             else last[1] + wrap_angle(state.psi - last[0]))
+                last = state.psi, unwrapped
+                sweep.append((angle, state, state.s < NEAR_SINGULAR_FRACTION * args.length,
+                              unwrapped))
+        else:
+            sweep = [(entry.phi, entry.state, entry.near_singular, entry.psi_unwrapped)
+                     for entry in crank_sweep(cfg, start, end, steps)]
         rows, maxima = [], [0.0, 0.0, 0.0]
-        for entry in entries:
-            if entry.singular:
-                rows.append((entry.phi / unit, 1.0, 1.0))
+        for angle, state, near_singular, unwrapped in sweep:
+            if state is None:
+                rows.append((angle, 1.0, 1.0))
                 continue
-            maxima = [max(m, c) for m, c in zip(maxima, loop_residuals(cfg, entry.state))]
-            phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _ = entry.state
+            maxima = [max(m, c) for m, c in zip(maxima, loop_residuals(cfg, state))]
+            _, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, _ = state
             if not (math.isfinite(psi_dot / unit) and math.isfinite(psi_ddot / unit)):
                 raise NumericalOverflowError(
-                    f"rod angle rates overflow in degrees at phi={phi / unit}")
-            rows.append((phi / unit, s, psi / unit, entry.psi_unwrapped / unit, s_dot,
-                         psi_dot / unit, s_ddot, psi_ddot / unit, 0.0,
-                         float(entry.near_singular)))
+                    f"rod angle rates overflow in degrees at phi={angle}")
+            rows.append((angle, s, psi / unit, unwrapped / unit, s_dot, psi_dot / unit, s_ddot,
+                         psi_ddot / unit, 0.0, float(near_singular)))
     except (ValueError, NumericalOverflowError) as exc:
         return type(exc), str(exc)
     return rows, maxima
@@ -1486,7 +1558,7 @@ def _tangents_runner_report(argv):
     """``sympgeo tangents``'s ``results`` and ``residuals``, or its error's class and message."""
     args = cli._build_parser().parse_args(cli._join_negative_values(argv))
     try:
-        result = cli._run_tangents(args)
+        result = _run_kernels._run_tangents(args)
     except (DegeneracyError, SingularityError, ValueError) as exc:
         return type(exc), str(exc)
     return result.results, result.residuals
@@ -1595,9 +1667,9 @@ def test_orbit_kernel_matches_analytic_oscillator():
                       else rng.uniform(-5.0, 5.0) for _ in range(3)]
         t = rng.choice((rng.uniform(-50.0, 50.0), magnitude(), math.inf, math.nan))
         params, state = OscillatorParams(mass, stiffness), PhaseState(q0, p0, t0)
-        w = _kernels._omega(mass, stiffness)
+        w = _flow._omega(mass, stiffness)
         assert repr(w) == repr(params.omega)
-        got = _orbit_outcome(lambda: _kernels._orbit(t, q0, p0, t0, mass, w))
+        got = _orbit_outcome(lambda: _flow._orbit(t, q0, p0, t0, mass, w))
         want = _orbit_outcome(lambda: dataclasses.astuple(analytic_oscillator(t, state, params)))
         assert got == want, (t, q0, p0, t0, mass, stiffness)
         if isinstance(got, tuple):

@@ -7,6 +7,7 @@ and frozen here.
 """
 
 import inspect
+import linecache
 import math
 import random
 import re
@@ -37,7 +38,7 @@ from sympgeo import (
     step,
     tilde,
 )
-from sympgeo import cli, dynamics
+from sympgeo import _run_flow, dynamics
 from sympgeo.dynamics import SPLITTINGS
 
 UNIT = OscillatorParams(mass=1.0, stiffness=1.0)
@@ -331,7 +332,7 @@ def test_built_loops_match_a_stepwise_reference_for_any_row(row):
         _, after = _record_run(loop, PhaseState(-1.0, -0.0), UNIT, 5e-324, 1)
         assert repr(after.p) == ("0.0" if any(a for a, _ in row) else "-0.0")
     # The CLI's row loop is written out by the same builder from the same row.
-    _assert_rows_match_the_records(loop, cli._build_rows(row, "synthetic"))
+    _assert_rows_match_the_records(loop, _run_flow._build_rows(row, "synthetic"))
     assert dynamics._LOOPS == loops
 
 
@@ -390,10 +391,11 @@ def test_each_loop_is_built_once_and_names_its_method(method):
     assert tb.tb_frame.f_code.co_filename == f"<sympgeo.dynamics._flow {method}>"
     # The CLI builds its row loop per run, named after its own module, and
     # every row keeps the bits of the record loop's states and energies.
-    rows = cli._build_rows(SPLITTINGS.get(method), method)
-    assert cli._build_rows(SPLITTINGS.get(method), method) is not rows
-    assert rows.__module__ == "sympgeo.cli"
-    assert rows.__code__.co_filename == f"<sympgeo.cli._flow {method}>"
+    rows = _run_flow._build_rows(SPLITTINGS.get(method), method)
+    assert _run_flow._build_rows(SPLITTINGS.get(method), method) is not rows
+    assert rows.__module__ == "sympgeo._run_flow"
+    assert rows.__code__.co_filename == f"<sympgeo._run_flow._flow {method}>"
+    assert rows.__code__.co_filename not in linecache.cache
     _assert_one_loop_signature(rows)
     _assert_rows_match_the_records(loop, rows)
 

@@ -99,46 +99,62 @@ def test_cli_methods_name_the_dynamics_methods():
     assert sorted(cli._METHOD_NAMES.values()) == sorted(METHODS)
 
 
-_CLI_BASE = ["sympgeo", "sympgeo._kernels", "sympgeo.cli", "sympgeo.errors"]
+_CLI_BASE = ["sympgeo", "sympgeo.cli", "sympgeo.errors"]
+#: Each runner module with the kernel module it runs on.
+_KERNELS = ["_kernels", "_run_kernels"]
+_FLOW = ["_flow", "_run_flow"]
 #: The standard-library modules whose loading the subcommand table pins.
-_PINNED_STDLIB = ("dataclasses", "inspect", "json", "typing")
+_PINNED_STDLIB = ("dataclasses", "inspect", "json", "linecache", "random", "tokenize", "typing")
 # -S keeps site-packages out, so only the interpreter's start-up and the run
-# can have loaded a module.  The probe prints its findings with repr, since
-# importing json to print them would load it.
+# can have loaded a module.  The probe records the name of every code object
+# the run compiles through a wrapped ``compile``, and prints its findings
+# with repr, since importing json to print them would load it.
 _RUN_MAIN = ("import sys\nsys.path.insert(0, sys.argv.pop(1))\n"
-             "import contextlib, io\nfrom sympgeo.cli import main\n"
+             "import builtins, contextlib, io\n"
+             "compiled = []\n"
+             "def compile(source, filename, *args, _compile=builtins.compile, **kwargs):\n"
+             "    compiled.append(filename)\n"
+             "    return _compile(source, filename, *args, **kwargs)\n"
+             "builtins.compile = compile\n"
+             "from sympgeo.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert main(sys.argv[1:]) == 0\n"
-             "cache = getattr(sys.modules.get('linecache'), 'cache', {})\n"
              "print(repr((sorted(m for m in sys.modules if m.startswith('sympgeo')),\n"
              "            sorted(set(" + repr(_PINNED_STDLIB) + ") & set(sys.modules)),\n"
-             "            sorted(f for f in cache if f.startswith('<sympgeo.')))))")
+             "            sorted(f for f in compiled\n"
+             "                   if isinstance(f, str) and f.startswith('<sympgeo.')))))")
 
 _CRANK = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from", "0",
           "--to", "1", "--steps", "5"]
 _OSCILLATOR = ["oscillator", "--mass", "1", "--stiffness", "1", "--q0", "1", "--p0", "0",
                "--dt", "0.1", "--steps", "5", "--method", "leapfrog"]
+_LOOP = ["<sympgeo._run_flow._flow leapfrog>"]
 
 
 @pytest.mark.parametrize("argv, layers, stdlib, loops", [
-    (["identities", "--samples", "5"], [], ["json"], []),
-    (["intersect", "--a", "0,0", "--u", "1,0", "--b", "1,1", "--v", "0,1"], [], ["json"], []),
-    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], [], ["json"], []),
-    (_CRANK + ["--csv"], [], [], []),
-    (_OSCILLATOR, [], ["json"], ["<sympgeo.cli._flow leapfrog>"]),
-    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "{svg}"], ["svgplot"], ["json"],
+    (["identities", "--samples", "5"], _KERNELS, ["json", "random"], []),
+    (["intersect", "--a", "0,0", "--u", "1,0", "--b", "1,1", "--v", "0,1"], _KERNELS, ["json"],
      []),
-    (_OSCILLATOR + ["--csv"], [], [], ["<sympgeo.cli._flow leapfrog>"]),
-    (_OSCILLATOR + ["--svg", "{svg}"], ["svgplot"], ["json"], ["<sympgeo.cli._flow leapfrog>"]),
-    (_CRANK, [], ["json"], []),
-    (_CRANK + ["--svg", "{svg}"], ["svgplot"], ["json"], []),
+    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1"], _KERNELS, ["json"], []),
+    (_CRANK + ["--csv"], _KERNELS, [], []),
+    (_OSCILLATOR, _FLOW, ["json"], _LOOP),
+    (["tangents", "--c1", "0,0,1", "--c2", "4,0,1", "--svg", "{svg}"], _KERNELS + ["svgplot"],
+     ["json"], []),
+    (_OSCILLATOR + ["--csv"], _FLOW, [], _LOOP),
+    (_OSCILLATOR + ["--svg", "{svg}"], _FLOW + ["svgplot"], ["json"], _LOOP),
+    (_CRANK, _KERNELS, ["json"], []),
+    (_CRANK + ["--svg", "{svg}"], _KERNELS + ["svgplot"], ["json"], []),
+    (["identities", "--samples", "5", "--csv"], _KERNELS, ["random"], []),
 ], ids=["identities", "intersect", "tangents", "crank", "oscillator", "tangents-svg",
-        "oscillator-csv", "oscillator-svg", "crank-json", "crank-svg"])
+        "oscillator-csv", "oscillator-svg", "crank-json", "crank-svg", "identities-csv"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, layers, stdlib, loops):
-    # Every run loads the float kernels and errors, --svg adds svgplot and
-    # a JSON report adds json: no subcommand, and no plot, loads a record
-    # layer, dataclasses, inspect or typing.  The oscillator compiles only
-    # its one row loop for its method, --svg or not.
+    # Every run loads cli, errors, its runner module and that runner's
+    # kernel module, --svg adds svgplot and a JSON report adds json: no
+    # oscillator run loads _kernels or another runner, no other run loads
+    # _flow, and no subcommand, and no plot, loads a record layer,
+    # dataclasses, inspect, linecache or typing.  Only identities draws
+    # with random.  The oscillator compiles only its one row loop for its
+    # method, --svg or not.
     argv = [arg.format(svg=tmp_path / "t.svg") for arg in argv]
     src = str(Path(sympgeo.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-S", "-c", _RUN_MAIN, src, *argv],
@@ -178,6 +194,7 @@ def test_every_module_imports_from_the_standard_library_alone():
               "import hashlib\n"
               "import sympgeo._kernels, sympgeo.core, sympgeo.errors, sympgeo.geometry\n"
               "import sympgeo.kinematics, sympgeo.dynamics, sympgeo.svgplot, sympgeo.cli\n"
+              "import sympgeo._flow, sympgeo._run_kernels, sympgeo._run_flow\n"
               "for name in sympgeo.__all__:\n"
               "    getattr(sympgeo, name)\n"
               "from sympgeo.svgplot import SvgPlot\n"
