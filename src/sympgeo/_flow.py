@@ -43,9 +43,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Callable, Sequence
 
-# The smallest normal float; ``core`` reads its own from ``_kernels``.
-_FLOAT_MIN = sys.float_info.min
-
 EXPLICIT_EULER = "explicit_euler"
 SYMPLECTIC_EULER = "symplectic_euler"
 LEAPFROG = "leapfrog"
@@ -91,7 +88,7 @@ def _omega(mass: float, stiffness: float) -> float:
     operand instead; the result can then still be subnormal or infinite.
     """
     ratio = stiffness / mass
-    if _FLOAT_MIN <= ratio < math.inf:
+    if sys.float_info.min <= ratio < math.inf:  # the ratio is a normal float
         return math.sqrt(ratio)
     return math.sqrt(stiffness) / math.sqrt(mass)
 

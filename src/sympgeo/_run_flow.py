@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from ._flow import SPLITTINGS, _build_flow, _check_oscillator, _check_run, _energy, _omega, _orbit
-from .cli import _METHOD_NAMES, EXIT_OK, _Result, _Table, _json_item, _row_view
+from .cli import _METHOD_NAMES, _Result, _Table, _json_item, _row_view
 from .errors import NumericalOverflowError
 
 # A static type checker takes TYPE_CHECKING as true and reads the type-only
@@ -92,8 +92,7 @@ def _run_oscillator(args: argparse.Namespace) -> _Result:
     max_drift = max(max(energies) - initial_energy, initial_energy - min(energies))
     t, q, p, energy = store[-4:]
     return _Result({"final": {"t": t, "q": q, "p": p, "energy": energy}, "states": []},
-                   {"max_energy_drift": max_drift}, EXIT_OK, _OSCILLATOR_TABLE,
-                   _row_view(store, 4),
+                   {"max_energy_drift": max_drift}, _OSCILLATOR_TABLE, _row_view(store, 4),
                    lambda: _oscillator_plot(store, mass, stiffness, q0, p0, method))
 
 

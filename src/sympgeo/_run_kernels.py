@@ -18,6 +18,7 @@ maxima of its loop closures.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from ._kernels import (
     _check_crank,
@@ -31,8 +32,8 @@ from ._kernels import (
     _tangency_error,
     _tangent_rows,
 )
-from .cli import EXIT_OK, EXIT_SINGULAR, _Result, _Table, _json_item, _row_view
-from .errors import NumericalOverflowError
+from .cli import _Result, _Table, _json_item, _row_view
+from .errors import NumericalOverflowError, SingularityError
 
 # A static type checker takes TYPE_CHECKING as true and reads the type-only
 # imports; at run time they stay unevaluated, so no ``typing`` loads.
@@ -96,8 +97,8 @@ def _run_identities(args: argparse.Namespace) -> _Result:
     maxima = {"jacobi": m_jacobi, "grassmann_full": m_full, "lagrange": m_lagrange,
               "grassmann_reduced": m_reduced, "binet_cauchy": m_binet}
     return _Result({"samples": args.samples, "within_tolerance": within}, maxima,
-                   EXIT_OK if within else EXIT_SINGULAR, _IDENTITIES_TABLE,
-                   list(maxima.items()))
+                   _IDENTITIES_TABLE, list(maxima.items()), failure=None if within else
+                   SingularityError("an identity residual exceeds its tolerance"))
 
 
 def _run_intersect(args: argparse.Namespace) -> _Result:
@@ -118,7 +119,7 @@ def _run_intersect(args: argparse.Namespace) -> _Result:
     else:
         raise NumericalOverflowError("loop closure of the line intersection overflows")
     return _Result({"point": [x, y], "lambda": lam, "mu": mu},
-                   {"loop_closure": closure}, EXIT_OK)
+                   {"loop_closure": closure})
 
 
 def _tangents_plot(c1: tuple[float, ...], c2: tuple[float, ...],
@@ -164,7 +165,7 @@ def _run_tangents(args: argparse.Namespace) -> _Result:
             "e": [ex, ey],
         })
     return _Result({"count": len(rows), "tangents": entries},
-                   {"max_tangency_error": max_error}, EXIT_OK,
+                   {"max_tangency_error": max_error},
                    plot=lambda: _tangents_plot(args.c1, args.c2, rows))
 
 
@@ -233,32 +234,40 @@ def _run_crank(args: argparse.Namespace) -> _Result:
     # 0.0/1.0 and the other angles converted on the way out.  Of the
     # converted cells only the rod's angular rates can overflow:
     # psi_unwrapped moves at most pi per sample.
-    for angle, (phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped,
-                near) in zip(_grid(start, end, steps), rows):
-        if s is None:
-            extend((angle,) + _CRANK_SINGULAR)
-            continue
-        position, velocity, acceleration = _loop_closures(length, cx, cy, w, phi, s, s_dot,
-                                                          psi_dot, s_ddot, psi_ddot, ex, ey)
-        # The closures are finite, so this fold keeps max()'s result.
-        if position > m_position:
-            m_position = position
-        if velocity > m_velocity:
-            m_velocity = velocity
-        if acceleration > m_acceleration:
-            m_acceleration = acceleration
-        psi_dot /= unit
-        psi_ddot /= unit
-        if not (isfinite(psi_dot) and isfinite(psi_ddot)):
-            raise NumericalOverflowError(f"rod angle rates overflow in degrees at phi={angle}")
-        extend((angle, s, psi / unit, unwrapped / unit, s_dot, psi_dot,
-                s_ddot, psi_ddot, 0.0, near))
+    try:
+        for angle, (phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped,
+                    near) in zip(_grid(start, end, steps), rows):
+            if s is None:
+                extend((angle,) + _CRANK_SINGULAR)
+                continue
+            position, velocity, acceleration = _loop_closures(length, cx, cy, w, phi, s, s_dot,
+                                                              psi_dot, s_ddot, psi_ddot, ex, ey)
+            # The closures are finite, so this fold keeps max()'s result.
+            if position > m_position:
+                m_position = position
+            if velocity > m_velocity:
+                m_velocity = velocity
+            if acceleration > m_acceleration:
+                m_acceleration = acceleration
+            psi_dot /= unit
+            psi_ddot /= unit
+            if not (isfinite(psi_dot) and isfinite(psi_ddot)):
+                raise NumericalOverflowError(f"rod angle rates overflow in degrees at phi={angle}")
+            extend((angle, s, psi / unit, unwrapped / unit, s_dot, psi_dot,
+                    s_ddot, psi_ddot, 0.0, near))
+    except NumericalOverflowError as exc:
+        if not args.degrees:
+            raise
+        # The kernels name the radian angle they were given: name the grid angle
+        # of the failing row, the next one to be packed, as the report prints it.
+        angle = next(islice(_grid(start, end, steps), len(store) // 10, None))
+        raise NumericalOverflowError(str(exc).replace(f"phi={angle * unit}", f"phi={angle}"))
     residuals = {
         "max_position_closure": m_position,
         "max_velocity_closure": m_velocity,
         "max_acceleration_closure": m_acceleration,
     }
-    return _Result({"entries": []}, residuals, EXIT_OK, _CRANK_TABLE, _row_view(store, 10),
+    return _Result({"entries": []}, residuals, _CRANK_TABLE, _row_view(store, 10),
                    lambda: _crank_plot(store))
 
 

@@ -23,15 +23,18 @@ with their row schemas, templates and plots, live in two runner modules,
 checks the rules of the library's records (as a circle's radius) with
 the kernels that hold them and computes a :data:`_Result` (the report's
 ``results`` and ``residuals`` sections, for the tabular subcommands a
-:data:`_Table` and one row per sample, and a builder of the ``--svg``
-diagram).  With ``--svg``, :func:`main` draws and writes the diagram,
-and it lays out the report: the envelope and the ``input`` echo of the
-command line (:func:`_echo`).  The CSV and JSON writers share each
-tabular subcommand's fixed row schema, a :data:`_Table`, whose row
-writers format the row texts from ``%``-templates.  Every row is
-complete before the first byte is written, so a run that fails leaves
-stdout empty; the report is then written in pieces, the row texts
-:data:`_CHUNK` (256) rows at a time.
+:data:`_Table` and one row per sample, a builder of the ``--svg``
+diagram, and the failure of a run whose report is still written, as an
+``identities`` run over its tolerance).  With ``--svg``, :func:`main`
+draws and writes the diagram, and it lays out the report: the envelope
+and the ``input`` echo of the command line (:func:`_echo`).  The CSV
+and JSON writers share each tabular subcommand's fixed row schema, a
+:data:`_Table`, whose row writers format the row texts from
+``%``-templates.  Every row is complete before the first byte is
+written, so a run that fails leaves stdout empty; the report is then
+written in pieces, the row texts :data:`_CHUNK` (256) rows at a time,
+by one ``writelines`` and a flush.  Only a failure of that write itself
+can leave a partial report.
 The runners keep no records beside their rows, so the rows are what a
 large run's peak memory holds: packed floats (:func:`_row_view`), ten
 per ``crank`` row and four per ``oscillator`` row.
@@ -43,10 +46,18 @@ a record, so none loads ``core``, ``geometry``, ``kinematics``,
 ``dynamics``, ``dataclasses``, ``typing`` or ``linecache``.
 
 Exit codes: 0 success (an empty solution set is still success), 1 usage
-error, 2 geometric degeneracy, 3 numerical singularity.  Each failure is
-raised by the layer that meets it, in the order it meets it (a run stops
-at its first), and :func:`main` maps its error family to the exit code
-and the words of its stderr line from the one table :data:`_FAILURES`.
+error or unwritable output, 2 geometric degeneracy, 3 numerical
+singularity or memory exhaustion.  argparse exits with 2 on a usage
+error, after its usage line and its ``PROG: error: MESSAGE`` line, and
+:func:`main` returns 1 for it.  Everything after the parse, the run,
+the plot, the report's write and the raise of a :data:`_Result`'s
+failure, is one guarded region with one way out: each failure is raised
+by the layer that meets it, in the order it meets it (a run stops at its
+first), and :func:`main` maps its error family to the exit code and the
+one ``sympgeo: WORDS: MESSAGE`` line of stderr from the one table
+:data:`_FAILURES`.  An error of no family there is a bug, and escapes.
+After a failed write, stdout's descriptor points at the null device, so
+the flush at interpreter exit neither fails nor prints.
 """
 
 from __future__ import annotations
@@ -54,8 +65,10 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from collections import namedtuple
+from itertools import chain
 
 from .errors import DegeneracyError, SingularityError
 
@@ -77,15 +90,6 @@ _METHOD_NAMES = {
     "symplectic-euler": "symplectic_euler",
     "leapfrog": "leapfrog",
 }
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage failures exit with code 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -143,9 +147,10 @@ def _positive_int(text: str) -> int:
 #: subcommand's runner gives its :data:`_Table` as ``table`` and one row
 #: per sample as ``rows``, in the table's column order, as a tuple or as a
 #: row of a :func:`_row_view` (defaults None and no rows); ``plot`` builds
-#: the ``--svg`` diagram (default None).
-_Result = namedtuple("_Result", ("results", "residuals", "exit_code", "table", "rows", "plot"),
-                     defaults=(None, (), None))
+#: the ``--svg`` diagram (default None).  ``failure`` (default None) is the
+#: error of a run whose report is still written, raised once it is.
+_Result = namedtuple("_Result", ("results", "residuals", "table", "rows", "plot", "failure"),
+                     defaults=(None, (), None, None))
 
 #: Fixed row schema of one tabular subcommand and its two row writers.
 #:
@@ -234,9 +239,9 @@ def _json_pieces(envelope: dict, table: _Table | None, rows: Sequence) -> Iterat
     yield "\n    " + text[cut:]
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sympgeo", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="sympgeo", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
     vec = functools.partial(_parse_floats, shape="x,y")
     circle = functools.partial(_parse_floats, shape="x,y,r")
 
@@ -300,6 +305,7 @@ def _build_parser() -> _Parser:
 #: its stderr line, in match order: the first family an error belongs to wins.
 _FAILURES = ((DegeneracyError, EXIT_DEGENERATE, "geometric degeneracy"),
              (SingularityError, EXIT_SINGULAR, "numerical singularity"),
+             (MemoryError, EXIT_SINGULAR, "out of memory"),
              (ValueError, EXIT_USAGE, "invalid value"),
              (OSError, EXIT_USAGE, "cannot write output"))
 
@@ -318,26 +324,36 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         result = _runner(args.run)(args)
         if getattr(args, "svg", None):
             result.plot().write(args.svg)
+        if getattr(args, "csv", False):
+            pieces = _csv_pieces(result.table, result.rows)
+        else:
+            report = {"subcommand": args.subcommand, "input": _echo(args),
+                      "results": result.results, "residuals": result.residuals}
+            pieces = chain(_json_pieces(report, result.table, result.rows), ("\n",))
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError:
+            # Python flushes stdout again at exit; on the null device that
+            # flush neither fails nor prints (see the note on SIGPIPE in the
+            # documentation of the ``signal`` module).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
+        if result.failure is not None:
+            raise result.failure
     except Exception as exc:
         for family, code, words in _FAILURES:
             if isinstance(exc, family):
-                print(f"sympgeo: {words}: {exc}", file=sys.stderr)
+                print(f"sympgeo: {words}" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
                 return code
         raise
-    if getattr(args, "csv", False):
-        sys.stdout.writelines(_csv_pieces(result.table, result.rows))
-    else:
-        report = {"subcommand": args.subcommand, "input": _echo(args),
-                  "results": result.results, "residuals": result.residuals}
-        sys.stdout.writelines(_json_pieces(report, result.table, result.rows))
-        sys.stdout.write("\n")
-    return result.exit_code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -100,6 +100,30 @@ def test_exit_code_one_on_usage_errors(capsys):
         assert f"expected an integer, got {shown}" in err
 
 
+#: stderr of one top-level and one subcommand usage error, as argparse
+#: writes them at a width of 80 columns: the usage line, then one
+#: ``PROG: error: MESSAGE`` line.
+_USAGE_ERRORS = (
+    ([], "usage: sympgeo [-h] {identities,intersect,tangents,crank,oscillator} ...\n"
+         "sympgeo: error: the following arguments are required: subcommand\n"),
+    (["intersect", "--a", "1", "--u", "1,0", "--b", "0,1", "--v", "0,1"],
+     "usage: sympgeo intersect [-h] --a A --u U --b B --v V\n"
+     "sympgeo intersect: error: argument --a: expected x,y, got '1'\n"),
+)
+
+
+@pytest.mark.parametrize(("argv", "stderr"), _USAGE_ERRORS, ids=["top-level", "subcommand"])
+def test_usage_errors_keep_their_stderr_bytes(capsys, monkeypatch, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", stderr)
+
+
+def test_help_exits_zero(capsys):
+    assert main(["crank", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: sympgeo crank [-h]")
+
+
 def test_exit_code_one_on_invalid_values(capsys):
     # Well-formed command line, but the sweep needs at least two samples.
     assert main(["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1",
@@ -592,12 +616,16 @@ def test_identities_seeded_run_stays_within_documented_bound(capsys):
 def test_identities_over_tolerance_exits_three_with_its_report(capsys, monkeypatch):
     monkeypatch.setattr(_run_kernels, "IDENTITY_RTOL", 0.0)
     argv = ["identities", "--samples", "50", "--seed", "3"]
-    code, report = run_json(capsys, argv)
-    assert code == 3
+    line = "sympgeo: numerical singularity: an identity residual exceeds its tolerance\n"
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == line
+    report = strict_json(out)
     assert report["results"]["within_tolerance"] is False
     assert max(report["residuals"].values()) > 0.0
-    code, text = run_csv(capsys, argv + ["--csv"])
-    assert code == 3
+    assert main(argv + ["--csv"]) == 3
+    text, err = capsys.readouterr()
+    assert err == line
     rows = list(csv.reader(text.splitlines()))
     assert rows[0] == ["identity", "max_residual"]
     assert [(name, float(value)) for name, value in rows[1:]] == list(report["residuals"].items())
@@ -630,7 +658,7 @@ def test_identities_runner_matches_the_record_path(span, seed):
         [(name, repr(value)) for name, value in maxima.items()]
     assert result.residuals == maxima
     assert result.results["within_tolerance"] is within
-    assert result.exit_code == (0 if within else 3)
+    assert result.failure is None if within else isinstance(result.failure, SingularityError)
 
 
 def test_oscillator_report_shape(capsys):
@@ -686,9 +714,10 @@ def test_crank_report_flags_singular_rows(capsys):
 # ------------------------------------------------------------- determinism
 
 
-def run_subprocess(argv):
-    return subprocess.run([sys.executable, "-m", "sympgeo", *argv],
-                          capture_output=True, timeout=60)
+def run_subprocess(argv, stdout=subprocess.PIPE, **kwargs):
+    """``python -m sympgeo ARGV`` in a child, stderr captured, bounded by a timeout."""
+    return subprocess.run([sys.executable, "-m", "sympgeo", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60, **kwargs)
 
 
 def test_identical_invocations_are_byte_identical_apart_from_timing():
@@ -1373,6 +1402,21 @@ def test_exit_code_three_on_a_degrees_overflow(tmp_path, capsys, extra):
     assert "inf" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(("pivot", "phidot", "start", "message"), [
+    ("2,0", "1e200", "30", "rod accelerations overflow at phi=30.0"),
+    ("2,0", "2e153", "0", "rod angle rates overflow in degrees at phi=45.0"),
+    # The first row is singular, so the second fails.
+    ("1,0", "1e200", "0", "rod accelerations overflow at phi=45.0"),
+], ids=["kernel", "rates", "second-row"])
+def test_a_degrees_failure_names_its_grid_angle(capsys, pivot, phidot, start, message):
+    argv = ["crank", "--length", "1", "--pivot", pivot, "--phidot", phidot, "--from", start,
+            "--to", "90", "--steps", "3", "--degrees", "--csv"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_crank_degrees_matches_radians(capsys):
     base = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--steps", "13"]
     _, rad = run_json(capsys, base + ["--from", "0", "--to", str(2.0 * math.pi)])
@@ -1727,6 +1771,57 @@ def test_svg_write_failure_exits_with_usage_code(tmp_path, capsys):
         assert code == 1
         assert captured.out == ""
         assert "sympgeo: cannot write output:" in captured.err
+
+
+def assert_one_line(stderr, line):
+    """``stderr`` is the single line ``line`` followed by details: no traceback, and
+    no message from the flush at interpreter exit."""
+    text = stderr.decode()
+    assert text.startswith(line) and text.count("\n") == 1, text
+    assert "Traceback" not in text and "Exception ignored" not in text
+
+
+_CRANK_CSV_ARGV = ["crank", "--length", "1", "--pivot", "3,0", "--phidot", "1", "--from", "0",
+                   "--to", "1", "--steps", "5", "--csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["intersect", "--a", "0,0", "--u", "1,0", "--b", "0,1",
+                                   "--v", "0,1"], _CRANK_CSV_ARGV], ids=["json", "csv"])
+def test_a_full_device_on_stdout_exits_one(argv):
+    with open("/dev/full", "wb") as full:
+        result = run_subprocess(argv, stdout=full)
+    assert result.returncode == 1
+    assert_one_line(result.stderr, "sympgeo: cannot write output: ")
+
+
+def test_a_pipe_closed_early_exits_one():
+    argv = _PHASE_FLOW_ARGV + ["--method", "leapfrog", "--steps", "200000", "--csv"]
+    with subprocess.Popen([sys.executable, "-m", "sympgeo", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        try:
+            assert child.stdout.readline() == b"t,q,p,energy\r\n"
+            child.stdout.close()
+            _, stderr = child.communicate(timeout=60)
+        finally:
+            child.kill()
+    assert child.returncode == 1
+    assert_one_line(stderr, "sympgeo: cannot write output: ")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux only")
+def test_memory_exhaustion_exits_three():
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (80 * 2**20, 80 * 2**20))
+
+    # Thirty million packed rows need about 1 GB, twelve times the limit.
+    argv = _PHASE_FLOW_ARGV + ["--method", "leapfrog", "--steps", "30000000", "--csv"]
+    result = run_subprocess(argv, preexec_fn=limit)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == b"sympgeo: out of memory\n"
 
 
 # ------------------------------------------------------------ error contract
