@@ -28,8 +28,8 @@ layers wrap:
   vectors with :func:`_offset`.
 
 The crank's sweep is one generator, :func:`_crank_rows`, over the angles
-of :func:`_grid`, yielding one tuple of floats per angle; it holds the
-only copy of the rod, rate and acceleration formulas.
+of :func:`_grid` in the caller's unit, yielding one tuple of floats per
+angle; it holds the only copy of the rod, rate and acceleration formulas.
 :func:`sympgeo.kinematics.crank_sweep` and
 :func:`~sympgeo.kinematics.crank_state` build their records from its rows
 and ``sympgeo crank`` packs them.  :func:`_loop_closures` is the body of
@@ -371,15 +371,19 @@ def _grid(phi_start: float, phi_end: float, steps: int) -> Iterator[float]:
 
 
 def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
-                phis: Iterable[float]) -> Iterator[tuple]:
-    """The crank's rod state at the angles ``phis``, in order, one plain tuple at a time.
+                angles: Iterable[float], unit: float = 1.0) -> Iterator[tuple]:
+    """The crank's rod state at the crank angles ``angles``, in order, one plain tuple at a time.
 
     The crank of length ``length`` spins about the origin at the rate
-    ``phi_dot``; its rod slides through the pivot ``(cx, cy)``.  Each row
-    is ``(phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey,
-    psi_unwrapped, near_singular)``, with ``(ex, ey)`` the unit rod
-    direction; a singular angle, where the rod length is at or below
-    :func:`_singularity_floor`, gives ``phi``, nine ``None`` and ``True``.
+    ``phi_dot``; its rod slides through the pivot ``(cx, cy)``.  Each
+    angle is given in the caller's unit, ``unit`` radians (default 1.0, a
+    radian; ``pi/180`` for degrees), and the formulas run on its product
+    ``phi = angle * unit``, which is exact for the default, ``-0.0``
+    included.  Each row is ``(angle, s, psi, s_dot, psi_dot, s_ddot,
+    psi_ddot, ex, ey, psi_unwrapped, near_singular)``, with the angle as
+    given, the rod angles and rates in radians and ``(ex, ey)`` the unit
+    rod direction; a singular angle, where the rod length is at or below
+    :func:`_singularity_floor`, gives the angle, nine ``None`` and ``True``.
 
     The only copy of the rod, rate and acceleration formulas that
     :func:`sympgeo.kinematics.crank_state` documents: the rod closes the
@@ -388,8 +392,8 @@ def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
     ``psi`` is the rod angle through :func:`wrap_angle`, and
     ``psi_unwrapped`` accumulates it continuously from the first regular
     row, each turn between rows taken through :func:`wrap_angle`.
-    Raises :class:`NumericalOverflowError` naming ``phi`` when the rod
-    length, its rates or its accelerations overflow.
+    Raises :class:`NumericalOverflowError` naming the angle as given when
+    the rod length, its rates or its accelerations overflow.
     """
     w = phi_dot
     floor = _singularity_floor(length, cx, cy)
@@ -398,16 +402,17 @@ def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
     isfinite, wrap = math.isfinite, wrap_angle
     last_psi: float | None = None
     last_unwrapped = 0.0
-    for phi in phis:
+    for angle in angles:
+        phi = angle * unit
         ax = length * cos(phi)
         ay = length * sin(phi)
         rx = cx - ax
         ry = cy - ay
         s = hypot(rx, ry)
         if not isfinite(s):
-            raise NumericalOverflowError(f"rod length overflows at phi={phi}")
+            raise NumericalOverflowError(f"rod length overflows at phi={angle}")
         if s <= floor:
-            yield (phi,) + _SINGULAR_CELLS
+            yield (angle,) + _SINGULAR_CELLS
             continue
         ex = rx / s
         ey = ry / s
@@ -415,30 +420,33 @@ def _crank_rows(length: float, cx: float, cy: float, phi_dot: float,
         s_dot = w * (ax * -ey + ay * ex)
         psi_dot = -w * (ax * ex + ay * ey) / s
         if not (isfinite(s_dot) and isfinite(psi_dot)):
-            raise NumericalOverflowError(f"rod rates overflow at phi={phi}")
+            raise NumericalOverflowError(f"rod rates overflow at phi={angle}")
         s_ddot = psi_dot * (psi_dot - w) * s
         psi_ddot = (w - 2.0 * psi_dot) * s_dot / s
         if not (isfinite(s_ddot) and isfinite(psi_ddot)):
-            raise NumericalOverflowError(f"rod accelerations overflow at phi={phi}")
+            raise NumericalOverflowError(f"rod accelerations overflow at phi={angle}")
         unwrapped = psi if last_psi is None else last_unwrapped + wrap(psi - last_psi)
         last_psi = psi
         last_unwrapped = unwrapped
         # s is finite and above the floor, so |ex|, |ey| <= 1.
-        yield phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped, s < near_length
+        yield angle, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped, s < near_length
 
 
-def _loop_closures(length: float, cx: float, cy: float, phi_dot: float, phi: float, s: float,
-                   s_dot: float, psi_dot: float, s_ddot: float, psi_ddot: float, ex: float,
-                   ey: float) -> tuple[float, float, float]:
+def _loop_closures(length: float, cx: float, cy: float, phi_dot: float, angle: float,
+                   s: float, s_dot: float, psi_dot: float, s_ddot: float, psi_ddot: float,
+                   ex: float, ey: float, unit: float = 1.0) -> tuple[float, float, float]:
     """Norms of the position, velocity and acceleration loop closures of one rod state.
 
     The body of :func:`sympgeo.kinematics.loop_residuals` on plain floats:
     the crank and pivot of :func:`_crank_rows`, and one of its regular
-    rows' ``phi``, rod length, rates, accelerations and unit direction
-    ``(ex, ey)``.  Raises :class:`NumericalOverflowError` naming ``phi``
-    when a closure overflows.
+    rows' angle, rod length, rates, accelerations and unit direction
+    ``(ex, ey)``.  The angle is in the caller's unit, ``unit`` radians
+    (default 1.0), as :func:`_crank_rows` takes it, and the closures run on
+    ``phi = angle * unit``.  Raises :class:`NumericalOverflowError` naming
+    the angle as given when a closure overflows.
     """
     w = phi_dot
+    phi = angle * unit
     ax = length * math.cos(phi)
     ay = length * math.sin(phi)
     # Coefficients of tilde(e_psi) in the velocity closure and of a_vec,
@@ -453,5 +461,5 @@ def _loop_closures(length: float, cx: float, cy: float, phi_dot: float, phi: flo
     acceleration = math.hypot(ax * acc_a + ex * acc_e + -ey * acc_te,
                               ay * acc_a + ey * acc_e + ex * acc_te)
     if not (math.isfinite(position) and math.isfinite(velocity) and math.isfinite(acceleration)):
-        raise NumericalOverflowError(f"loop residuals overflow at phi={phi}")
+        raise NumericalOverflowError(f"loop residuals overflow at phi={angle}")
     return (position, velocity, acceleration)

@@ -18,7 +18,6 @@ maxima of its loop closures.
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 from ._kernels import (
     _check_crank,
@@ -219,13 +218,12 @@ def _run_crank(args: argparse.Namespace) -> _Result:
 
     length, (cx, cy), w = args.length, args.pivot, args.phidot
     _check_crank(length, w)
-    unit = _DEG if args.degrees else 1.0  # scaling by 1.0 is exact, -0.0 included
-    # The grid is built in the unit given, and each angle enters the sweep in
-    # radians; the report gives each angle of the grid as it was built, from
-    # a second pass over the grid, so no list of angles is kept.  The rows
-    # are consumed as the kernel yields them; only the packed cells are kept.
-    start, end, steps = getattr(args, "from"), args.to, args.steps
-    rows = _crank_rows(length, cx, cy, w, (angle * unit for angle in _grid(start, end, steps)))
+    unit = _DEG if args.degrees else 1.0
+    # The grid is built in the unit given and passed once: the kernels form
+    # each angle in radians themselves, and each row and each overflow
+    # message names the angle as the grid built it.  The rows are consumed
+    # as the kernel yields them; only the packed cells are kept.
+    rows = _crank_rows(length, cx, cy, w, _grid(getattr(args, "from"), args.to, args.steps), unit)
     isfinite = math.isfinite
     m_position = m_velocity = m_acceleration = 0.0
     store = array("d")
@@ -234,34 +232,25 @@ def _run_crank(args: argparse.Namespace) -> _Result:
     # 0.0/1.0 and the other angles converted on the way out.  Of the
     # converted cells only the rod's angular rates can overflow:
     # psi_unwrapped moves at most pi per sample.
-    try:
-        for angle, (phi, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped,
-                    near) in zip(_grid(start, end, steps), rows):
-            if s is None:
-                extend((angle,) + _CRANK_SINGULAR)
-                continue
-            position, velocity, acceleration = _loop_closures(length, cx, cy, w, phi, s, s_dot,
-                                                              psi_dot, s_ddot, psi_ddot, ex, ey)
-            # The closures are finite, so this fold keeps max()'s result.
-            if position > m_position:
-                m_position = position
-            if velocity > m_velocity:
-                m_velocity = velocity
-            if acceleration > m_acceleration:
-                m_acceleration = acceleration
-            psi_dot /= unit
-            psi_ddot /= unit
-            if not (isfinite(psi_dot) and isfinite(psi_ddot)):
-                raise NumericalOverflowError(f"rod angle rates overflow in degrees at phi={angle}")
-            extend((angle, s, psi / unit, unwrapped / unit, s_dot, psi_dot,
-                    s_ddot, psi_ddot, 0.0, near))
-    except NumericalOverflowError as exc:
-        if not args.degrees:
-            raise
-        # The kernels name the radian angle they were given: name the grid angle
-        # of the failing row, the next one to be packed, as the report prints it.
-        angle = next(islice(_grid(start, end, steps), len(store) // 10, None))
-        raise NumericalOverflowError(str(exc).replace(f"phi={angle * unit}", f"phi={angle}"))
+    for angle, s, psi, s_dot, psi_dot, s_ddot, psi_ddot, ex, ey, unwrapped, near in rows:
+        if s is None:
+            extend((angle,) + _CRANK_SINGULAR)
+            continue
+        position, velocity, acceleration = _loop_closures(length, cx, cy, w, angle, s, s_dot,
+                                                          psi_dot, s_ddot, psi_ddot, ex, ey, unit)
+        # The closures are finite, so this fold keeps max()'s result.
+        if position > m_position:
+            m_position = position
+        if velocity > m_velocity:
+            m_velocity = velocity
+        if acceleration > m_acceleration:
+            m_acceleration = acceleration
+        psi_dot /= unit
+        psi_ddot /= unit
+        if not (isfinite(psi_dot) and isfinite(psi_ddot)):
+            raise NumericalOverflowError(f"rod angle rates overflow in degrees at phi={angle}")
+        extend((angle, s, psi / unit, unwrapped / unit, s_dot, psi_dot,
+                s_ddot, psi_ddot, 0.0, near))
     residuals = {
         "max_position_closure": m_position,
         "max_velocity_closure": m_velocity,

@@ -57,7 +57,10 @@ first), and :func:`main` maps its error family to the exit code and the
 one ``sympgeo: WORDS: MESSAGE`` line of stderr from the one table
 :data:`_FAILURES`.  An error of no family there is a bug, and escapes.
 After a failed write, stdout's descriptor points at the null device, so
-the flush at interpreter exit neither fails nor prints.
+the flush at interpreter exit neither fails nor prints.  A stdout closed
+at start-up (Python's ``sys.stdout`` is None) is unwritable output too.
+A stderr closed at start-up drops the line and keeps the exit code, so a
+failed run still leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -336,6 +339,8 @@ def main(argv: list[str] | None = None) -> int:
             report = {"subcommand": args.subcommand, "input": _echo(args),
                       "results": result.results, "residuals": result.residuals}
             pieces = chain(_json_pieces(report, result.table, result.rows), ("\n",))
+        if sys.stdout is None:  # descriptor 1 was closed at start-up: nothing to redirect
+            raise OSError("stdout is closed")
         try:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
@@ -350,7 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         for family, code, words in _FAILURES:
             if isinstance(exc, family):
-                print(f"sympgeo: {words}" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+                # With descriptor 2 closed at start-up, print(file=None) would
+                # write to stdout: the line is dropped, and the code kept.
+                if sys.stderr is not None:
+                    print(f"sympgeo: {words}" + (f": {exc}" if str(exc) else ""),
+                          file=sys.stderr)
                 return code
         raise
     return EXIT_OK

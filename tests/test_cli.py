@@ -1402,14 +1402,17 @@ def test_exit_code_three_on_a_degrees_overflow(tmp_path, capsys, extra):
     assert "inf" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(("pivot", "phidot", "start", "message"), [
-    ("2,0", "1e200", "30", "rod accelerations overflow at phi=30.0"),
-    ("2,0", "2e153", "0", "rod angle rates overflow in degrees at phi=45.0"),
+@pytest.mark.parametrize(("length", "pivot", "phidot", "start", "message"), [
+    ("1", "2,0", "1e200", "30", "rod accelerations overflow at phi=30.0"),
+    ("1", "2,0", "2e153", "0", "rod angle rates overflow in degrees at phi=45.0"),
     # The first row is singular, so the second fails.
-    ("1,0", "1e200", "0", "rod accelerations overflow at phi=45.0"),
-], ids=["kernel", "rates", "second-row"])
-def test_a_degrees_failure_names_its_grid_angle(capsys, pivot, phidot, start, message):
-    argv = ["crank", "--length", "1", "--pivot", pivot, "--phidot", phidot, "--from", start,
+    ("1", "1,0", "1e200", "0", "rod accelerations overflow at phi=45.0"),
+    ("1.7e308", "-1.7e308,0", "1", "30", "rod length overflows at phi=30.0"),
+    # phi_dot**2 overflows in the acceleration closure; the sweep's row is finite.
+    ("1e-132", "1e-69,0", "1e155", "30", "loop residuals overflow at phi=30.0"),
+], ids=["kernel", "rates", "second-row", "rod-length", "loop-closure"])
+def test_a_degrees_failure_names_its_grid_angle(capsys, length, pivot, phidot, start, message):
+    argv = ["crank", "--length", length, "--pivot", pivot, "--phidot", phidot, "--from", start,
             "--to", "90", "--steps", "3", "--degrees", "--csv"]
     assert main(argv) == 3
     out, err = capsys.readouterr()
@@ -1807,6 +1810,24 @@ def test_a_pipe_closed_early_exits_one():
             child.kill()
     assert child.returncode == 1
     assert_one_line(stderr, "sympgeo: cannot write output: ")
+
+
+def test_a_closed_stdout_exits_one():
+    # With descriptor 1 closed at start-up, Python sets sys.stdout to None.
+    result = run_subprocess(["intersect", "--a", "0,0", "--u", "1,0", "--b", "0,1",
+                             "--v", "0,1"], preexec_fn=lambda: os.close(1))
+    assert result.returncode == 1
+    assert result.stderr == b"sympgeo: cannot write output: stdout is closed\n"
+
+
+def test_a_closed_stderr_keeps_stdout_empty_and_the_exit_code():
+    # With descriptor 2 closed at start-up, Python sets sys.stderr to None,
+    # and print(file=None) would write the failure line to stdout.
+    result = run_subprocess(["intersect", "--a", "0,0", "--u", "1,0", "--b", "0,1",
+                             "--v", "2,0"], preexec_fn=lambda: os.close(2))
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == b""
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux only")
